@@ -6,8 +6,9 @@ Run from the root of a checkout. The package is imported from the
 checkout's own src/, never from an installed copy, so each commit measures
 its own code. With --trace 0 the run times the workload untraced and prints
 the end-to-end metrics. Throughput is bounded as frames per run of a fixed
-yardstick sampled during each pass (see yardstick.py), because the host's
-speed drifts; wall-clock rates are in the report. With --trace 1 the run
+yardstick sampled during each pass (see yardstick.py), and set-up time as
+seconds at the yardsticks' nominal speed, because the host's speed drifts;
+wall-clock figures are in the report. With --trace 1 the run
 alternates untraced and traced passes and prints the per-layer metrics and
 the tracing overhead. The last line of stdout is one JSON object: correct,
 attempted, failed, metrics. The `report` line before it records every
@@ -28,7 +29,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from yardstick import Yardstick
+from yardstick import IMPORT_REF_S, REF_S, Yardstick
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -36,7 +37,10 @@ HERE = Path(__file__).resolve().parent
 OUT = ROOT / ".perfbench_out"
 EXPECTED_DIGESTS = HERE / "expected_digests.json"
 
-SETUP_REPEATS = 5  # setup_s is the median of this many fresh set-ups
+# setup_s is the median of at least SETUP_REPEATS fresh set-ups, and of more
+# while they would take under SETUP_BUDGET_S, judged by the first one.
+SETUP_REPEATS = 9
+SETUP_BUDGET_S = 7.0
 
 # Bounded end-to-end metrics: every workload reports each one.
 END_TO_END = (
@@ -86,11 +90,11 @@ def import_lightband():
         sys.exit(f"error: imported lightband from {lightband.__file__}, not {package}")
 
 
-def fresh_import_seconds() -> float:
-    """Wall time of a new interpreter that imports lightband and exits."""
+def fresh_import_seconds(module: str) -> float:
+    """Wall time of a new interpreter that imports module and exits."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     start = perf_counter()
-    subprocess.run([sys.executable, "-c", "import lightband"], env=env, cwd=ROOT, check=True)
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, cwd=ROOT, check=True)
     return perf_counter() - start
 
 
@@ -167,20 +171,37 @@ def pass_figures(result, stick) -> dict:
 
 
 def run_untraced(workload, seconds):
-    setups, imports = [], []
+    stick = Yardstick()
+    setups, setups_wall, imports, numpy_imports = [], [], [], []
 
     def set_up():
-        start = perf_counter()
-        imports.append(fresh_import_seconds())
-        workload.setup()
-        setups.append(perf_counter() - start)
+        """One set-up, in seconds on a host of the yardsticks' nominal speed.
 
+        Each part is measured against a yardstick of its own kind. The fresh
+        interpreter importing lightband is timed against one importing numpy,
+        run just before and just after it: both are mostly process start,
+        dynamic loading and unmarshalling, which the in-process yardstick
+        does not track. Building the inputs is timed with the in-process
+        yardstick sampling, as a pass is.
+        """
+        before = fresh_import_seconds("numpy")
+        imports.append(fresh_import_seconds("lightband"))
+        numpy_imports.append((before + fresh_import_seconds("numpy")) / 2)
+        with stick:
+            start = perf_counter()
+            workload.setup()
+            end = perf_counter()
+        build = stick.net(start, end) * REF_S / stick.ref(start, end)
+        setups.append(imports[-1] * IMPORT_REF_S / numpy_imports[-1] + build)
+        setups_wall.append(imports[-1] + end - start)
+
+    started = perf_counter()
     set_up()
+    repeats = max(SETUP_REPEATS, int(SETUP_BUDGET_S / (perf_counter() - started)))
     workload.prepare_oracle()
     # No separate warm-up: a slow first pass is one sample the median absorbs.
     # The other set-ups are spread over the run, so that setup_s samples the
-    # host's speed at several moments rather than only at the start.
-    stick = Yardstick()
+    # host at several moments rather than only at the start.
     passes = []
     measured = 0.0
     while not passes or measured < seconds:
@@ -188,9 +209,9 @@ def run_untraced(workload, seconds):
         with stick:
             passes.append(workload.run_pass())
         measured += perf_counter() - start
-        if len(setups) < SETUP_REPEATS and measured >= seconds * len(setups) / SETUP_REPEATS:
+        while len(setups) < repeats and measured >= seconds * len(setups) / repeats:
             set_up()
-    while len(setups) < SETUP_REPEATS:
+    while len(setups) < repeats:
         set_up()
     summary = workload.finish()
     rows = [pass_figures(p, stick) for p in passes]
@@ -209,6 +230,9 @@ def run_untraced(workload, seconds):
         "yardstick_ms": 1e3 * statistics.median(stick.durations) if stick.durations else None,
         "yardstick_samples": len(stick.durations),
         "fresh_import_s": statistics.median(imports),
+        "fresh_numpy_import_s": statistics.median(numpy_imports),
+        "setup_wall_s": statistics.median(setups_wall),
+        "setup_runs_wall_s": [round(s, 4) for s in setups_wall],
         "setup_runs_s": [round(s, 4) for s in setups],
         **summary.get("extra", {}),
     }

@@ -68,9 +68,7 @@ def main(argv=None) -> int:
             values = [run["metrics"][name]["value"] for run in runs]
             share = spread(values) if len(values) > 1 else 0.0
             bound = bounds.get(name)
-            if name == "setup_s":
-                flag = "  (spread not bounded; only its median's drift is)"
-            elif bound is None or share < bound / 3:
+            if bound is None or share < bound / 3:
                 flag = ""
             else:
                 flag = "  <-- above a third of its bound"

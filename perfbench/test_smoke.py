@@ -18,15 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
-# Figures the report line carries beside the bounded metrics.
-REPORTED = {
-    "sig_batch": [("frames_per_s", "1/s")],
-    "live_stream": [("frames_per_s", "1/s"), ("sig_latency_p50_us", "us"),
-                    ("sig_latency_p99_us", "us"), ("nn_latency_p50_us", "us"),
-                    ("nn_latency_p99_us", "us")],
-    "nn_train": [("frames_per_s", "1/s"), ("train_rows_per_s", "1/s"),
-                 ("predict_rows_per_s", "1/s")],
-}
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import REPORTED  # noqa: E402  (figures the report line carries)
 
 
 def run_bench(cwd, workload, trace):

@@ -16,6 +16,7 @@ to the program moves that figure and the host's speed does not.
 from __future__ import annotations
 
 import bisect
+import gc
 import signal
 import statistics
 from time import perf_counter
@@ -23,6 +24,12 @@ from time import perf_counter
 import numpy as np
 
 INTERVAL_S = 0.05
+
+# Nominal durations of the two yardsticks, near their medians on the 2-vCPU
+# Xeon host the benchmark was written on. Set-up times are reported as
+# seconds on a host where the yardsticks take this long (see run.py).
+REF_S = 0.002  # one Yardstick.work()
+IMPORT_REF_S = 0.18  # a fresh interpreter that imports numpy and exits
 
 
 class Yardstick:
@@ -67,10 +74,20 @@ class Yardstick:
         return acc + float(w3.sum())
 
     def sample(self, *_):
-        start = perf_counter()
-        self.work()
+        # With the collector off, a collection the sample would trigger runs
+        # later on the program's side, and the sample never scans the
+        # program's heap, whose size the program controls.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            start = perf_counter()
+            self.work()
+            end = perf_counter()
+        finally:
+            if was_enabled:
+                gc.enable()
         self.starts.append(start)
-        self.durations.append(perf_counter() - start)
+        self.durations.append(end - start)
 
     def __enter__(self):
         self._previous = signal.signal(signal.SIGALRM, self.sample)
