@@ -4,66 +4,4 @@ Synthetic stream generation, relax-baseline tracking, signature matching,
 a from-scratch MLP classifier, and confusion-matrix evaluation.
 """
 
-from .baseline import BaselineConfig, BaselineTracker, ewma_step
-from .evaluate import ConfusionMatrix, accuracy, confusion, render_report
-from .ingest import (
-    parse_serial_line,
-    read_collection_csv,
-    read_frames_from_line_stream,
-    write_collection_csv,
-)
-from .mlp import MlpConfig, MlpModel, TrainReport, one_hot, predict_labels, train
-from .signature import (
-    ClassifierState,
-    SignatureTable,
-    classify_frame,
-    classify_trace,
-    generate_signatures,
-)
-from .simulate import (
-    FiberOptics,
-    GestureProfile,
-    SimConfig,
-    critical_angle,
-    refractive_index,
-    synth_trace,
-    transmitted_intensity,
-)
-from .types import GestureLabel, LabeledTrace, SensorFrame, parse_label, segment_trace
-
-__all__ = [
-    "BaselineConfig",
-    "BaselineTracker",
-    "ClassifierState",
-    "ConfusionMatrix",
-    "FiberOptics",
-    "GestureLabel",
-    "GestureProfile",
-    "LabeledTrace",
-    "MlpConfig",
-    "MlpModel",
-    "SensorFrame",
-    "SignatureTable",
-    "SimConfig",
-    "TrainReport",
-    "accuracy",
-    "classify_frame",
-    "classify_trace",
-    "confusion",
-    "critical_angle",
-    "ewma_step",
-    "generate_signatures",
-    "one_hot",
-    "parse_label",
-    "parse_serial_line",
-    "predict_labels",
-    "read_collection_csv",
-    "read_frames_from_line_stream",
-    "refractive_index",
-    "render_report",
-    "segment_trace",
-    "synth_trace",
-    "train",
-    "transmitted_intensity",
-    "write_collection_csv",
-]
+from . import baseline, evaluate, ingest, mlp, signature, simulate, types

@@ -8,6 +8,7 @@ smoothed value observed inside a trailing time window.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,14 +23,15 @@ class BaselineConfig:
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be finite and positive, got {self.window}")
 
 
 def ewma_step(prev: float, x: float, alpha: float) -> float:
-    """One smoothing step: (1 - alpha) * prev + alpha * x."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    """One smoothing step: (1 - alpha) * prev + alpha * x.
+
+    alpha is not checked here; BaselineConfig validates it once.
+    """
     return (1 - alpha) * prev + alpha * x
 
 

@@ -8,9 +8,9 @@ column so the smoothing cost is never silently dropped.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
+from .ingest import open_text
 from .types import SCOREABLE_CLASSES, GestureLabel
 
 PREDICTED_COLUMNS = SCOREABLE_CLASSES + (GestureLabel.TRANSITION,)
@@ -107,9 +107,5 @@ def write_counts_csv(m: ConfusionMatrix, sink) -> None:
         lines.append(
             ",".join([cls.name.lower()] + [str(c) for c in m.counts[i]] + [str(m.row_total(i))])
         )
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with open_text(sink, "w") as out:
+        out.write("\n".join(lines) + "\n")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import os
 import statistics
-from typing import IO, Iterable
+from contextlib import contextmanager
+from typing import Iterable
 
 from .types import (
     DEFAULT_SAMPLE_INTERVAL,
@@ -56,12 +57,19 @@ def parse_serial_line(line: str) -> list:
     return values
 
 
-def _open_lines(source) -> tuple:
-    """Return (line iterable, closer) for a path or an open text stream."""
-    if isinstance(source, (str, os.PathLike)):
-        handle = open(source, "r", newline="")
-        return handle, handle.close
-    return source, None
+@contextmanager
+def open_text(target, mode: str = "r"):
+    """Open a path as text with newline="", or pass a given stream through.
+
+    Every reader and writer in the package goes through here, so each accepts
+    either a path or an open text stream. A stream is yielded as is and left
+    open for its owner to close.
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, newline="") as handle:
+            yield handle
+    else:
+        yield target
 
 
 def read_collection_csv(source) -> LabeledTrace:
@@ -71,8 +79,7 @@ def read_collection_csv(source) -> LabeledTrace:
     whitespace around the fields. Each data row holds delta time, unix time,
     the five intensities, and a label; a trailing comma is tolerated.
     """
-    lines, closer = _open_lines(source)
-    try:
+    with open_text(source) as lines:
         frames = []
         labels = []
         header_seen = False
@@ -110,16 +117,13 @@ def read_collection_csv(source) -> LabeledTrace:
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             labels.append(label)
-        if not header_seen:
-            raise ValueError("missing or malformed header: empty input")
-        return LabeledTrace(
-            frames=tuple(frames),
-            labels=tuple(labels),
-            sample_interval=_infer_interval(frames),
-        )
-    finally:
-        if closer:
-            closer()
+    if not header_seen:
+        raise ValueError("missing or malformed header: empty input")
+    return LabeledTrace(
+        frames=tuple(frames),
+        labels=tuple(labels),
+        sample_interval=_infer_interval(frames),
+    )
 
 
 def _infer_interval(frames) -> float:
@@ -135,23 +139,16 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
 
     Reading the result back yields a trace with identical frames and labels.
     """
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            _write_rows(trace, handle)
-    else:
-        _write_rows(trace, sink)
-
-
-def _write_rows(trace: LabeledTrace, out: IO[str]) -> None:
-    out.write(COLLECTION_HEADER + "\n")
-    for frame, label in zip(trace.frames, trace.labels):
-        fields = [
-            str(frame.t_rel),
-            str(frame.t_unix),
-            *[str(v) for v in frame.channels],
-            label.name.lower(),
-        ]
-        out.write("".join(f + "," for f in fields) + "\n")
+    with open_text(sink, "w") as out:
+        out.write(COLLECTION_HEADER + "\n")
+        for frame, label in zip(trace.frames, trace.labels):
+            fields = [
+                str(frame.t_rel),
+                str(frame.t_unix),
+                *[str(v) for v in frame.channels],
+                label.name.lower(),
+            ]
+            out.write("".join(f + "," for f in fields) + "\n")
 
 
 def read_frames_from_line_stream(
@@ -166,8 +163,7 @@ def read_frames_from_line_stream(
     """
     if interval <= 0:
         raise ValueError(f"interval must be positive, got {interval}")
-    lines, closer = _open_lines(source)
-    try:
+    with open_text(source) as lines:
         frames = []
         for lineno, raw in enumerate(lines, start=1):
             if not raw.strip():
@@ -178,11 +174,8 @@ def read_frames_from_line_stream(
                 raise ValueError(f"line {lineno}: {exc}") from None
             t_rel = len(frames) * interval
             frames.append(SensorFrame(t_rel=t_rel, t_unix=t_rel, channels=values))
-        return LabeledTrace(
-            frames=tuple(frames),
-            labels=tuple([label] * len(frames)),
-            sample_interval=interval,
-        )
-    finally:
-        if closer:
-            closer()
+    return LabeledTrace(
+        frames=tuple(frames),
+        labels=tuple([label] * len(frames)),
+        sample_interval=interval,
+    )

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .ingest import open_text
 from .types import GestureLabel, LabeledTrace
 
 PRED_EPS = 1e-7
@@ -300,48 +300,31 @@ def trace_to_dataset(trace: LabeledTrace) -> tuple:
 
 def save_model(model: MlpModel, sink) -> None:
     """Versioned text serialization; load_model inverts it exactly."""
-    cfg = model.config
-    lines = [MODEL_MAGIC, json.dumps({
-        "input_dim": cfg.input_dim,
-        "hidden": list(cfg.hidden),
-        "output_dim": cfg.output_dim,
-        "dropout_rate": cfg.dropout_rate,
-        "l2": cfg.l2,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "learning_rate": cfg.learning_rate,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "adam_eps": cfg.adam_eps,
-        "normalize": cfg.normalize,
-    })]
+    lines = [MODEL_MAGIC, json.dumps(asdict(model.config))]
     for w, b in zip(model.weights, model.biases):
         lines.append(f"layer {w.shape[0]} {w.shape[1]}")
         for row in w:
             lines.append(" ".join(repr(float(v)) for v in row))
         lines.append(" ".join(repr(float(v)) for v in b))
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with open_text(sink, "w") as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def load_model(source) -> MlpModel:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    with open_text(source) as handle:
+        lines = handle.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError("unsupported model format (bad magic line)")
     if len(lines) < 2:
         raise ValueError("truncated model data: missing config")
     raw_cfg = json.loads(lines[1])
-    raw_cfg["hidden"] = tuple(raw_cfg["hidden"])
-    cfg = MlpConfig(**raw_cfg)
+    keys = [f.name for f in fields(MlpConfig)]
+    if not isinstance(raw_cfg, dict) or set(raw_cfg) != set(keys):
+        raise ValueError(f"model config must be a JSON object with keys {keys}")
+    try:
+        cfg = MlpConfig(**raw_cfg)
+    except TypeError as exc:
+        raise ValueError(f"bad model config value: {exc}") from None
     pos = 2
     weights = []
     biases = []
@@ -374,11 +357,8 @@ def load_model(source) -> MlpModel:
 
 def load_features_csv(source) -> np.ndarray:
     """Headerless feature CSV: five comma-separated numbers per row."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    with open_text(source) as handle:
+        lines = handle.read().splitlines()
     rows = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -395,11 +375,8 @@ def load_features_csv(source) -> np.ndarray:
 
 def load_labels_csv(source) -> list:
     """Label file: one class index per line."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    with open_text(source) as handle:
+        lines = handle.read().splitlines()
     labels = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -412,21 +389,13 @@ def load_labels_csv(source) -> list:
 
 
 def write_features_csv(x, sink) -> None:
-    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(x))
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with open_text(sink, "w") as out:
+        out.write("".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(x)))
 
 
 def write_labels_csv(labels, sink) -> None:
-    text = "".join(f"{int(l)}\n" for l in labels)
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with open_text(sink, "w") as out:
+        out.write("".join(f"{int(l)}\n" for l in labels))
 
 
 def write_metrics_csv(report: TrainReport, sink) -> None:
@@ -442,9 +411,5 @@ def write_metrics_csv(report: TrainReport, sink) -> None:
             repr(report.val_acc[epoch]) if has_val else "",
         ]
         lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with open_text(sink, "w") as out:
+        out.write("\n".join(lines) + "\n")

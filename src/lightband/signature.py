@@ -10,11 +10,12 @@ value, and a freshly changed label is smoothed to TRANSITION.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .baseline import BaselineConfig, BaselineTracker
+from .ingest import open_text
 from .types import GESTURES, GestureLabel, LabeledTrace, SensorFrame, parse_label, segment_trace
 
 DEFAULT_ACTIVE_SENSORS = (2, 3, 4)  # 1-based; the short fibers react the most
@@ -30,13 +31,18 @@ class SignatureTable:
     """Per-(gesture, sensor) intensity deltas for the active sensors.
 
     Deltas are signed: negative means the sensor dips below the relax
-    baseline during the gesture. Immutable once built, safe to share.
+    baseline during the gesture. The table keeps a read-only copy of the
+    deltas, so it is immutable once built and safe to share. rows holds
+    (gesture, signatures in active-sensor order) for each gesture present,
+    in GESTURES order: what classify_frame walks on every frame.
     """
 
-    deltas: dict  # (GestureLabel, sensor index 1..5) -> float
+    deltas: dict  # (GestureLabel, sensor index 1..5) -> float; kept read-only
     active_sensors: tuple = DEFAULT_ACTIVE_SENSORS
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "deltas", MappingProxyType(dict(self.deltas)))
         object.__setattr__(self, "active_sensors", tuple(self.active_sensors))
         for sensor in self.active_sensors:
             if not 1 <= sensor <= 5:
@@ -46,17 +52,17 @@ class SignatureTable:
                 raise ValueError(f"{gesture} cannot carry a signature")
             if not math.isfinite(delta):
                 raise ValueError(f"non-finite delta for ({gesture}, sensor {sensor})")
-        for gesture in self.gestures:
+        present = {g for g, _ in self.deltas}
+        rows = []
+        for gesture in (g for g in GESTURES if g in present):
             for sensor in self.active_sensors:
                 if (gesture, sensor) not in self.deltas:
                     raise ValueError(
                         f"missing entry for ({gesture}, sensor {sensor})"
                     )
-
-    @property
-    def gestures(self) -> tuple:
-        present = {g for g, _ in self.deltas}
-        return tuple(g for g in GESTURES if g in present)
+            sigs = tuple(self.deltas[(gesture, s)] for s in self.active_sensors)
+            rows.append((gesture, sigs))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def delta(self, gesture: GestureLabel, sensor: int) -> float:
         return self.deltas[(gesture, sensor)]
@@ -131,12 +137,13 @@ class ClassifierState:
 
     tolerance: float = DEFAULT_TOLERANCE
     transition_horizon: int = DEFAULT_TRANSITION_HORIZON
-    abs_floor: float = 0.0  # optional absolute tolerance floor, off by default
     recent_labels: deque = field(default_factory=deque)
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ValueError(f"tolerance must be non-negative, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(
+                f"tolerance must be finite and non-negative, got {self.tolerance}"
+            )
         if self.transition_horizon < 1:
             raise ValueError(
                 f"transition_horizon must be at least 1, got {self.transition_horizon}"
@@ -159,32 +166,20 @@ def classify_frame(
     transition_horizon raw labels the emitted label is TRANSITION, but the
     raw label still enters the history.
     """
-    deltas = {
-        sensor: frame.channels[sensor - 1] - baselines[sensor - 1]
-        for sensor in table.active_sensors
-    }
+    active = table.active_sensors
+    deltas = [frame.channels[sensor - 1] - baselines[sensor - 1] for sensor in active]
+    tolerance = state.tolerance
     best = None
     best_err = math.inf
-    for gesture in table.gestures:
-        sigs = []
-        for sensor in table.active_sensors:
-            try:
-                sigs.append(table.delta(gesture, sensor))
-            except KeyError:
-                raise ValueError(
-                    f"signature table has no entry for ({gesture}, sensor {sensor})"
-                ) from None
+    for gesture, sigs in table.rows:
         total_err = 0.0
-        matched = True
-        for sensor, sig in zip(table.active_sensors, sigs):
-            err = abs(deltas[sensor] - sig)
-            band = max(state.tolerance * abs(sig), state.abs_floor)
-            if err > band:
-                matched = False
+        for delta, sig in zip(deltas, sigs):
+            err = abs(delta - sig)
+            if err > tolerance * abs(sig):
                 break
             total_err += err / abs(sig) if sig != 0 else 0.0
-        if matched:
-            mean_err = total_err / len(table.active_sensors)
+        else:
+            mean_err = total_err / len(active)
             if mean_err < best_err:
                 best = gesture
                 best_err = mean_err
@@ -218,24 +213,17 @@ def write_signature_csv(table: SignatureTable, sink) -> None:
     rows = sorted(
         table.deltas.items(), key=lambda item: (item[0][0].value, item[0][1])
     )
-    text = SIGNATURE_CSV_HEADER + "\n" + "".join(
-        f"{gesture.name.lower()},{sensor},{delta!r}\n"
-        for (gesture, sensor), delta in rows
-    )
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    with open_text(sink, "w") as out:
+        out.write(SIGNATURE_CSV_HEADER + "\n" + "".join(
+            f"{gesture.name.lower()},{sensor},{delta!r}\n"
+            for (gesture, sensor), delta in rows
+        ))
 
 
 def read_signature_csv(source, active=None) -> SignatureTable:
     """Read a signature table; active sensors default to those in the file."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = [line.rstrip("\r\n") for line in source]
+    with open_text(source) as handle:
+        lines = [line.rstrip("\r\n") for line in handle]
     if not lines or lines[0].strip() != SIGNATURE_CSV_HEADER:
         raise ValueError("missing or malformed signature header")
     deltas = {}

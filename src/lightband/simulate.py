@@ -10,11 +10,12 @@ deterministically under a seed.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import signature
+from .ingest import open_text
 from .types import GESTURES, GestureLabel, LabeledTrace, SensorFrame, parse_label
 
 ATMOSPHERE_INDEX = 1.000350
@@ -128,6 +129,10 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "baseline_levels", tuple(self.baseline_levels))
+        for name in ("sample_interval", "gesture_hold", "relax_hold", "transition_time",
+                     "noise_sigma", "drift", "start_unix"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("sample_interval", "gesture_hold", "relax_hold", "transition_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -208,11 +213,8 @@ def synth_trace(script, profiles=DEFAULT_PROFILES, cfg: SimConfig = SimConfig())
 
 def read_script(source) -> list:
     """Script file: one gesture name (EXTEND, FIST or ONE) per line."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", newline="") as handle:
-            lines = handle.read().splitlines()
-    else:
-        lines = source.read().splitlines()
+    with open_text(source) as handle:
+        lines = handle.read().splitlines()
     gestures = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -232,9 +234,7 @@ def read_profile_csv(source) -> tuple:
 
     Sensors missing from the file default to a delta of zero.
     """
-    from .signature import read_signature_csv
-
-    table = read_signature_csv(source)
+    table = signature.read_signature_csv(source)
     profiles = {}
     for (gesture, sensor), delta in table.deltas.items():
         profiles.setdefault(gesture, [0.0] * 5)[sensor - 1] = delta
@@ -244,15 +244,11 @@ def read_profile_csv(source) -> tuple:
 
 
 def write_profile_csv(profiles, sink) -> None:
-    from .signature import SIGNATURE_CSV_HEADER
-
-    text = SIGNATURE_CSV_HEADER + "\n" + "".join(
-        f"{p.gesture.name.lower()},{sensor},{delta!r}\n"
+    """Write profiles as a 5-sensor signature table, in (gesture, sensor) order."""
+    deltas = {
+        (p.gesture, sensor): delta
         for p in profiles
         for sensor, delta in enumerate(p.deltas, start=1)
-    )
-    if isinstance(sink, (str, os.PathLike)):
-        with open(sink, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
+    }
+    table = signature.SignatureTable(deltas=deltas, active_sensors=(1, 2, 3, 4, 5))
+    signature.write_signature_csv(table, sink)

@@ -42,10 +42,11 @@ def test_ewma_fixed_point_on_constant(c, alpha):
 
 
 def test_ewma_alpha_range():
-    with pytest.raises(ValueError, match="alpha"):
-        ewma_step(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        ewma_step(1.0, 2.0, 1.5)
+    # alpha is checked once, when the config is built, not on every step
+    for alpha in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            BaselineConfig(alpha=alpha)
+    assert BaselineConfig(alpha=1.0).alpha == 1.0
 
 
 def test_config_validation():

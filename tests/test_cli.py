@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import E, F, O
 from lightband import mlp
 from lightband.cli import main
 from lightband.ingest import read_collection_csv, write_collection_csv
-from lightband.signature import read_signature_csv
+from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace, write_profile_csv
 
 
@@ -232,3 +234,68 @@ def test_nn_predict_label_length_mismatch(capsys, tmp_path):
         "--model", str(model_path),
     )
     assert code == 1
+
+
+def _unknown_key(cfg):
+    cfg["momentum"] = 0.9
+    return cfg
+
+
+def _missing_hidden(cfg):
+    del cfg["hidden"]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _unknown_key,
+        _missing_hidden,
+        lambda cfg: {**cfg, "hidden": 5},
+        lambda cfg: list(cfg.values()),
+        lambda cfg: {**cfg, "epochs": "x"},
+    ],
+    ids=["unknown-key", "missing-hidden", "int-hidden", "json-list", "str-epochs"],
+)
+def test_nn_predict_malformed_model_config(capsys, tmp_path, corrupt):
+    x_path, _ = nn_dataset(tmp_path)
+    model = mlp.init_model(mlp.MlpConfig(hidden=(3,), output_dim=2), np.random.default_rng(0))
+    model_path = tmp_path / "model.txt"
+    mlp.save_model(model, str(model_path))
+    lines = model_path.read_text().splitlines()
+    lines[1] = json.dumps(corrupt(json.loads(lines[1])))
+    model_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "nn", "predict", "--x", str(x_path), "--model", str(model_path))
+    assert code == 1
+    assert err.startswith("error:") and "config" in err
+
+
+def small_classify_inputs(tmp_path):
+    trace = synth_trace([E], DEFAULT_PROFILES, SimConfig(gesture_hold=0.4, relax_hold=0.3))
+    trace_path, table_path = tmp_path / "trace.csv", tmp_path / "table.csv"
+    write_collection_csv(trace, str(trace_path))
+    write_signature_csv(SignatureTable(deltas={(E, s): -100.0 for s in (2, 3, 4)}), str(table_path))
+    out_path = tmp_path / "l.csv"
+    return ["--trace", str(trace_path), "--table", str(table_path), "--out", str(out_path)]
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("simulate", "--gesture-hold", "inf"),
+        ("simulate", "--noise-sigma", "nan"),
+        ("simulate", "--drift", "-inf"),
+        ("classify", "--tolerance", "nan"),
+        ("classify", "--tolerance", "inf"),
+        ("classify", "--window", "inf"),
+        ("classify", "--window", "nan"),
+    ],
+)
+def test_non_finite_options_are_usage_errors(capsys, tmp_path, command, option, value):
+    if command == "simulate":
+        inputs = ["--script", script_file(tmp_path), "--out", str(tmp_path / "o.csv"), *SIM_ARGS]
+    else:
+        inputs = small_classify_inputs(tmp_path)
+    code, _, err = run(capsys, command, *inputs, f"{option}={value}")
+    assert code == 2
+    assert err.startswith("error:")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import E, R, T, make_trace, random_rows
+from conftest import E, F, O, R, T, make_trace, random_rows
+from lightband import mlp
+from lightband.evaluate import confusion, write_counts_csv
 from lightband.ingest import (
     COLLECTION_HEADER,
     parse_serial_line,
@@ -13,6 +15,8 @@ from lightband.ingest import (
     read_frames_from_line_stream,
     write_collection_csv,
 )
+from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
+from lightband.simulate import DEFAULT_PROFILES, read_profile_csv, read_script, write_profile_csv
 from lightband.types import GestureLabel
 
 
@@ -166,3 +170,75 @@ def test_read_frames_from_line_stream_bad_line_number():
 def test_read_frames_from_line_stream_bad_interval():
     with pytest.raises(ValueError, match="interval"):
         read_frames_from_line_stream(iter([]), interval=0.0)
+
+
+_MODEL = mlp.init_model(mlp.MlpConfig(hidden=(3,), output_dim=2), np.random.default_rng(0))
+
+# format -> (write(sink) or None, read(source) or None, text used when no writer)
+IO_FORMATS = {
+    "collection": (
+        lambda sink: write_collection_csv(make_trace([[1, 2, 3, 4, 5]] * 3, [R, T, E]), sink),
+        read_collection_csv,
+        None,
+    ),
+    "serial": (None, read_frames_from_line_stream, "1,2,3,4,5\r\n6,7,8,9,10\n"),
+    "signature": (
+        lambda sink: write_signature_csv(
+            SignatureTable(deltas={(g, s): -s * 10.5 for g in (E, F, O) for s in (2, 3, 4)}),
+            sink,
+        ),
+        read_signature_csv,
+        None,
+    ),
+    "profile": (lambda sink: write_profile_csv(DEFAULT_PROFILES, sink), read_profile_csv, None),
+    "script": (None, read_script, "extend\nfist\n\none\n"),
+    "model": (lambda sink: mlp.save_model(_MODEL, sink), mlp.load_model, None),
+    "features": (
+        lambda sink: mlp.write_features_csv([[1.5, 2, 3, 4, 5], [6, 7, 8, 9, 10.25]], sink),
+        mlp.load_features_csv,
+        None,
+    ),
+    "labels": (lambda sink: mlp.write_labels_csv([0, 3, 1], sink), mlp.load_labels_csv, None),
+    "metrics": (
+        lambda sink: mlp.write_metrics_csv(
+            mlp.TrainReport(train_loss=[0.5, 0.25], train_acc=[0.5, 1.0]), sink
+        ),
+        None,
+        None,
+    ),
+    "counts": (lambda sink: write_counts_csv(confusion([R, E, T], [R, T, E]), sink), None, None),
+}
+
+
+def _comparable(value):
+    if isinstance(value, mlp.MlpModel):
+        arrays = value.weights + value.biases
+        return value.config, [a.tolist() for a in arrays]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+@pytest.mark.parametrize("name", [n for n, (w, _, _) in IO_FORMATS.items() if w])
+def test_writers_give_same_bytes_to_path_and_stream(tmp_path, name):
+    write, _, _ = IO_FORMATS[name]
+    path = tmp_path / "out.txt"
+    write(str(path))
+    sink = io.StringIO()
+    write(sink)
+    assert not sink.closed  # a caller's stream stays open
+    assert path.read_bytes() == sink.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", [n for n, (_, r, _) in IO_FORMATS.items() if r])
+def test_readers_give_same_result_from_path_and_stream(tmp_path, name):
+    write, read, text = IO_FORMATS[name]
+    if text is None:
+        sink = io.StringIO()
+        write(sink)
+        text = sink.getvalue()
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode())
+    from_path = _comparable(read(str(path)))
+    assert from_path == _comparable(read(path))  # PathLike as well as str
+    assert from_path == _comparable(read(io.StringIO(text)))

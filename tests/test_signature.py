@@ -17,7 +17,7 @@ from lightband.signature import (
     write_signature_csv,
 )
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
-from lightband.types import segment_trace
+from lightband.types import GESTURES, segment_trace
 
 
 def table_from_profiles(profiles=DEFAULT_PROFILES, active=(2, 3, 4)):
@@ -127,19 +127,95 @@ def test_classify_frame_tie_break_min_relative_error():
     assert classify_frame(frame, [800.0] * 5, table, ClassifierState()) is F
 
 
-def test_classify_frame_missing_entry_guard():
-    table = table_from_profiles()
-    del table.deltas[(E, 3)]
-    frame = frame_with_deltas({})
-    with pytest.raises(ValueError, match="no entry"):
-        classify_frame(frame, [800.0] * 5, table, ClassifierState())
+def test_signature_table_deltas_read_only():
+    source = {(g, s): -100.0 for g in (E, F, O) for s in (2, 3, 4)}
+    table = SignatureTable(deltas=source)
+    with pytest.raises(TypeError):
+        del table.deltas[(E, 3)]
+    with pytest.raises(TypeError):
+        table.deltas[(E, 3)] = 0.0
+    source[(E, 3)] = 0.0  # the table keeps its own copy
+    assert table.delta(E, 3) == -100.0
+    assert table.rows == tuple((g, (-100.0,) * 3) for g in (E, F, O))
 
 
 def test_classify_frame_absolute_floor():
+    # there is no absolute floor: the band is tolerance * |signature| alone
     table = SignatureTable(deltas={(E, s): -5.0 for s in (2, 3, 4)})
     frame = frame_with_deltas({2: -6, 3: -6, 4: -6})
     assert classify_frame(frame, [800.0] * 5, table, ClassifierState()) is R
-    assert classify_frame(frame, [800.0] * 5, table, ClassifierState(abs_floor=2.0)) is E
+
+
+def brute_force_classify(frames, baselines, deltas, active, tolerance, horizon):
+    """Reference: re-derive every band per frame and keep the whole raw history.
+
+    Returns (emitted labels, raw labels).
+    """
+    emitted, raws = [], []
+    for frame, base in zip(frames, baselines):
+        matches = []
+        for gesture in GESTURES:
+            if (gesture, active[0]) not in deltas:
+                continue
+            errors = []
+            for sensor in active:
+                sig = deltas[(gesture, sensor)]
+                err = abs((frame.channels[sensor - 1] - base[sensor - 1]) - sig)
+                if err > tolerance * abs(sig):
+                    break
+                errors.append(err / abs(sig) if sig != 0 else 0.0)
+            else:
+                matches.append((sum(errors) / len(active), gesture))
+        # min keeps the first of equal errors, i.e. the earliest gesture
+        raw = min(matches, key=lambda m: m[0])[1] if matches else R
+        recent = raws[-horizon:]
+        emitted.append(T if any(r is not raw for r in recent) else raw)
+        raws.append(raw)
+    return emitted, raws
+
+
+_signature_value = st.one_of(st.just(0.0), st.floats(-300.0, 300.0))
+
+
+@st.composite
+def classify_cases(draw):
+    active = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True)))
+    gestures = draw(st.lists(st.sampled_from(GESTURES), min_size=1, max_size=3, unique=True))
+    deltas = {(g, s): draw(_signature_value) for g in gestures for s in active}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, baselines = [], []
+    for _ in range(draw(st.integers(1, 40))):
+        base = rng.uniform(0.0, 1023.0, size=5)
+        if rng.random() < 0.5:  # whole baselines let zero signatures match exactly
+            base = np.rint(base)
+        row = rng.integers(0, 1024, size=5)
+        target = rng.integers(-1, len(gestures))
+        if target >= 0:  # land near the target's signature
+            for s in active:
+                scale = rng.choice([1.0, 0.95, 1.05, 0.8, 1.3])
+                value = base[s - 1] + deltas[(gestures[target], s)] * scale
+                row[s - 1] = np.clip(np.rint(value), 0, 1023)
+        frames.append(make_trace([[int(v) for v in row]], [R]).frames[0])
+        baselines.append([float(v) for v in base])
+    tolerance = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 2.0)))
+    horizon = draw(st.integers(1, 12))
+    table = SignatureTable(deltas=deltas, active_sensors=active)
+    return table, frames, baselines, tolerance, horizon
+
+
+@settings(deadline=None, max_examples=200)
+@given(classify_cases())
+def test_classify_frame_matches_brute_force(case):
+    table, frames, baselines, tolerance, horizon = case
+    state = ClassifierState(tolerance=tolerance, transition_horizon=horizon)
+    emitted, raws = [], []
+    for frame, base in zip(frames, baselines):
+        emitted.append(classify_frame(frame, base, table, state))
+        raws.append(state.recent_labels[-1])
+    expected = brute_force_classify(
+        frames, baselines, dict(table.deltas), table.active_sensors, tolerance, horizon
+    )
+    assert (emitted, raws) == expected
 
 
 NOISE_FREE = SimConfig(
