@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .types import NUM_CHANNELS, SensorFrame
 
@@ -83,3 +86,55 @@ class BaselineTracker:
     def smoothed(self) -> list:
         """Current per-channel EWMA values (None before the first frame)."""
         return list(self._ewma)
+
+
+def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> np.ndarray:
+    """Baselines for a whole trace at once, one row per frame.
+
+    Row i is exactly what BaselineTracker.update returns for frame i after
+    frames 0..i-1, for any number of channel columns. The EWMA runs the
+    tracker's own scalar recurrence, so it rounds the same way; the window
+    maximum is an exact range maximum over [first frame with
+    t > t_i - window, i], the frames the tracker's deque still holds.
+    """
+    t = np.asarray(t_rel, dtype=np.float64)
+    x = np.asarray(channels)
+    back = np.flatnonzero(t[1:] < t[:-1])
+    if back.size:
+        i = back[0]
+        raise ValueError(f"non-monotonic timestamp: {t[i + 1]} after {t[i]}")
+    n = len(t)
+    out = np.empty(x.shape)
+    if n == 0:
+        return out
+    rows = np.arange(n)
+    # t - window can round to t itself for huge t; the tracker still keeps frame i
+    start = np.minimum(np.searchsorted(t, t - cfg.window, side="right"), rows)
+    level = np.frexp(rows - start + 1)[1] - 1  # floor(log2(window length))
+    keep = 1 - cfg.alpha
+    for ch in range(x.shape[1]):  # a column at a time keeps temporaries small
+        smoothed = accumulate(
+            (cfg.alpha * x[1:, ch]).tolist(),
+            lambda prev, wx: keep * prev + wx,
+            initial=float(x[0, ch]),
+        )
+        out[:, ch] = _window_max(np.fromiter(smoothed, dtype=np.float64, count=n), start, level)
+    return out
+
+
+def _window_max(values: np.ndarray, start: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """out[i] = max(values[start[i]:i + 1]); level[i] = floor(log2(i - start[i] + 1)).
+
+    A sparse table built one level at a time: level k holds the maxima of
+    2**k consecutive values, and a range of length L, 2**k <= L < 2**(k+1),
+    is covered by two level-k entries. Max only selects, so it is exact.
+    """
+    out = np.empty_like(values)
+    table = values
+    for k in range(int(level.max()) + 1):
+        width = 1 << k
+        if k:
+            table = np.maximum(table[: -(width // 2)], table[width // 2 :])
+        at = np.flatnonzero(level == k)
+        out[at] = np.maximum(table[start[at]], table[at - width + 1])
+    return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
@@ -112,10 +113,9 @@ def cmd_simulate(args) -> int:
         return 2
     trace = simulate.synth_trace(script, profiles, cfg)
     ingest.write_collection_csv(trace, args.out)
-    counts = Counter(label.name for label in trace.labels)
-    duration = trace.frames[-1].t_rel if len(trace) else 0.0
-    summary = " ".join(f"{name.lower()}={counts.get(name, 0)}" for name in
-                       ("RELAX", "EXTEND", "FIST", "ONE", "TRANSITION"))
+    counts = Counter(trace.labels)
+    duration = trace.t_rel[-1] if len(trace) else 0.0
+    summary = " ".join(f"{label.name.lower()}={counts[label]}" for label in GestureLabel)
     print(f"wrote {len(trace)} frames ({duration:.2f}s) to {args.out}: {summary}")
     return 0
 
@@ -145,10 +145,11 @@ def cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     predicted = signature.classify_trace(trace, table, cfg, state)
+    names = {label: label.name.lower() for label in GestureLabel}
     with open(args.out, "w", newline="") as handle:
-        handle.write("t_rel,label\n")
-        for frame, label in zip(trace.frames, predicted):
-            handle.write(f"{frame.t_rel},{label.name.lower()}\n")
+        handle.write("t_rel,label\n" + "".join(
+            f"{t},{names[label]}\n" for t, label in zip(trace.t_rel.tolist(), predicted)
+        ))
     print(f"wrote {len(predicted)} labels to {args.out}")
     matrix = evaluate.confusion(trace.labels, predicted)
     print(evaluate.render_report(matrix), end="")
@@ -176,19 +177,23 @@ def _nn_dataset(args, need_labels: bool) -> tuple:
 
 def cmd_nn(args) -> int:
     if args.mode == "train":
+        try:
+            cfg = mlp.MlpConfig(
+                dropout_rate=args.dropout,
+                l2=args.l2,
+                epochs=args.epochs,
+                batch_size=args.batch_size,
+                seed=args.seed,
+                normalize=args.normalize,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         x, labels = _nn_dataset(args, need_labels=True)
         (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
         if len(y_train) == 0:
             raise ValueError("training split is empty")
-        cfg = mlp.MlpConfig(
-            output_dim=max(labels) + 1,
-            dropout_rate=args.dropout,
-            l2=args.l2,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            normalize=args.normalize,
-        )
+        cfg = replace(cfg, output_dim=max(labels) + 1)
         validation = (x_test, y_test) if len(y_test) else None
         model, report = mlp.train(x_train, y_train, cfg, validation=validation)
         mlp.save_model(model, args.model)

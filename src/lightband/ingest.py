@@ -9,15 +9,18 @@ newline. Both quirks are reproduced here so that files round-trip exactly.
 from __future__ import annotations
 
 import os
-import statistics
+from array import array
 from contextlib import contextmanager
 from typing import Iterable
 
+import numpy as np
+
 from .types import (
     DEFAULT_SAMPLE_INTERVAL,
+    NUM_CHANNELS,
+    FrameError,
     GestureLabel,
     LabeledTrace,
-    SensorFrame,
     parse_label,
 )
 
@@ -77,11 +80,14 @@ def read_collection_csv(source) -> LabeledTrace:
 
     The first line must match the collection header field-for-field, ignoring
     whitespace around the fields. Each data row holds delta time, unix time,
-    the five intensities, and a label; a trailing comma is tolerated.
+    the five intensities, and a label; a trailing comma is tolerated. Rows
+    are parsed one at a time into typed buffers, so memory stays near the
+    size of the final arrays; every error names its line.
     """
+    t_rel, t_unix, channels = array("d"), array("d"), array("q")
+    labels, linenos = [], array("q")
+    label_tokens = {}  # label text -> GestureLabel, parsed once per spelling
     with open_text(source) as lines:
-        frames = []
-        labels = []
         header_seen = False
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
@@ -97,41 +103,51 @@ def read_collection_csv(source) -> LabeledTrace:
                 continue
             if line.endswith(","):
                 line = line[:-1]
-            tokens = [t.strip() for t in line.split(",")]
+            tokens = line.split(",")
             if len(tokens) != 8:
                 raise ValueError(
                     f"line {lineno}: expected 8 fields, got {len(tokens)}"
                 )
             try:
-                t_rel = float(tokens[0])
-                t_unix = float(tokens[1])
-                channels = [int(t) for t in tokens[2:7]]
-            except ValueError as exc:
+                t_rel.append(float(tokens[0]))
+                t_unix.append(float(tokens[1]))
+                channels.extend(map(int, tokens[2:7]))
+            except (ValueError, OverflowError) as exc:  # too large for int64: overflow
                 raise ValueError(f"line {lineno}: malformed row: {exc}") from None
-            try:
-                label = parse_label(tokens[7])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            try:
-                frames.append(SensorFrame(t_rel=t_rel, t_unix=t_unix, channels=channels))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+            token = tokens[7]
+            label = label_tokens.get(token)
+            if label is None:
+                try:
+                    label = label_tokens[token] = parse_label(token)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             labels.append(label)
+            linenos.append(lineno)
     if not header_seen:
         raise ValueError("missing or malformed header: empty input")
-    return LabeledTrace(
-        frames=tuple(frames),
-        labels=tuple(labels),
-        sample_interval=_infer_interval(frames),
-    )
+    t_rel = np.frombuffer(t_rel, dtype=np.float64)
+    try:
+        return LabeledTrace(
+            t_rel=t_rel,
+            t_unix=np.frombuffer(t_unix, dtype=np.float64),
+            channels=np.frombuffer(channels, dtype=np.int64).reshape(-1, NUM_CHANNELS),
+            labels=labels,
+            sample_interval=_infer_interval(t_rel),
+        )
+    except FrameError as exc:
+        raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
 
 
-def _infer_interval(frames) -> float:
-    if len(frames) < 2:
+def _infer_interval(t_rel: np.ndarray) -> float:
+    """Median frame spacing; the default when there is none to measure.
+
+    Non-finite times also get the default, so that LabeledTrace reports
+    them by row instead of as a non-finite interval.
+    """
+    if len(t_rel) < 2 or not np.isfinite(t_rel).all():
         return DEFAULT_SAMPLE_INTERVAL
-    return statistics.median(
-        b.t_rel - a.t_rel for a, b in zip(frames, frames[1:])
-    )
+    with np.errstate(over="ignore"):
+        return float(np.median(np.diff(t_rel)))
 
 
 def write_collection_csv(trace: LabeledTrace, sink) -> None:
@@ -139,16 +155,13 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
 
     Reading the result back yields a trace with identical frames and labels.
     """
+    names = {label: label.name.lower() for label in GestureLabel}
     with open_text(sink, "w") as out:
         out.write(COLLECTION_HEADER + "\n")
-        for frame, label in zip(trace.frames, trace.labels):
-            fields = [
-                str(frame.t_rel),
-                str(frame.t_unix),
-                *[str(v) for v in frame.channels],
-                label.name.lower(),
-            ]
-            out.write("".join(f + "," for f in fields) + "\n")
+        out.writelines(
+            f"{t},{u},{c[0]},{c[1]},{c[2]},{c[3]},{c[4]},{names[label]},\n"
+            for t, u, c, label in trace.rows()
+        )
 
 
 def read_frames_from_line_stream(
@@ -161,21 +174,22 @@ def read_frames_from_line_stream(
     Frames get t_rel = index * interval and the given default label (RELAX
     unless stated otherwise). Parse failures carry the 1-based line number.
     """
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
+    channels = array("q")
     with open_text(source) as lines:
-        frames = []
         for lineno, raw in enumerate(lines, start=1):
             if not raw.strip():
                 continue
             try:
-                values = parse_serial_line(raw)
+                channels.extend(parse_serial_line(raw))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            t_rel = len(frames) * interval
-            frames.append(SensorFrame(t_rel=t_rel, t_unix=t_rel, channels=values))
+    n = len(channels) // NUM_CHANNELS
+    with np.errstate(invalid="ignore"):  # 0 * inf; LabeledTrace rejects the interval
+        t_rel = np.arange(n) * interval
     return LabeledTrace(
-        frames=tuple(frames),
-        labels=tuple([label] * len(frames)),
+        t_rel=t_rel,
+        t_unix=t_rel,
+        channels=np.frombuffer(channels, dtype=np.int64).reshape(n, NUM_CHANNELS),
+        labels=(label,) * n,
         sample_interval=interval,
     )

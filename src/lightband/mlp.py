@@ -45,8 +45,15 @@ class MlpConfig:
             raise ValueError(f"all layer dims must be >= 1, got {dims}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        for name in ("l2", "learning_rate", "beta1", "beta2", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be non-negative, got {self.l2}")
+        if self.learning_rate <= 0 or self.adam_eps <= 0:
+            raise ValueError("learning_rate and adam_eps must be positive")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
@@ -293,9 +300,7 @@ def split_dataset(x, labels, boundary: int) -> tuple:
 
 def trace_to_dataset(trace: LabeledTrace) -> tuple:
     """Per-frame feature matrix (raw intensities) and class-index labels."""
-    x = np.array([frame.channels for frame in trace.frames], dtype=float)
-    y = [label.class_index for label in trace.labels]
-    return x.reshape(len(trace), 5) if len(trace) else np.zeros((0, 5)), y
+    return trace.channels.astype(float), [label.class_index for label in trace.labels]
 
 
 def save_model(model: MlpModel, sink) -> None:

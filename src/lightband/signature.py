@@ -14,9 +14,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .baseline import BaselineConfig, BaselineTracker
+import numpy as np
+
+from .baseline import BaselineConfig, batch_baselines
 from .ingest import open_text
 from .types import GESTURES, GestureLabel, LabeledTrace, SensorFrame, parse_label, segment_trace
+
+_LABELS = tuple(GestureLabel)  # indexed by GestureLabel value
 
 DEFAULT_ACTIVE_SENSORS = (2, 3, 4)  # 1-based; the short fibers react the most
 DEFAULT_TOLERANCE = 0.10
@@ -119,12 +123,8 @@ def generate_signatures(
 
 
 def _segment_means(trace: LabeledTrace, start: int, end: int) -> list:
-    totals = [0.0] * 5
-    for frame in trace.frames[start:end]:
-        for ch in range(5):
-            totals[ch] += frame.channels[ch]
-    n = end - start
-    return [t / n for t in totals]
+    # int64 sums are exact, so this equals adding the readings one at a time
+    return (trace.channels[start:end].sum(axis=0) / (end - start)).tolist()
 
 
 @dataclass
@@ -197,15 +197,50 @@ def classify_trace(
     cfg: BaselineConfig = BaselineConfig(),
     state: ClassifierState = None,
 ) -> list:
-    """Run baseline tracking plus per-frame classification over a trace."""
+    """Baseline tracking plus classification over a whole trace at once.
+
+    The labels, and the raw-label history left in state, are exactly those
+    of feeding the frames one at a time through BaselineTracker.update and
+    classify_frame; that per-frame path is the reference the tests hold
+    this one to. A given state's history counts toward TRANSITION.
+    """
     if state is None:
         state = ClassifierState()
-    tracker = BaselineTracker(cfg)
-    labels = []
-    for frame in trace.frames:
-        baselines = tracker.update(frame)
-        labels.append(classify_frame(frame, baselines, table, state))
-    return labels
+    n = len(trace)
+    cols = [sensor - 1 for sensor in table.active_sensors]
+    readings = trace.channels[:, cols]
+    deltas = batch_baselines(trace.t_rel, readings, cfg)
+    np.subtract(readings, deltas, out=deltas)  # reading minus baseline, in place
+    # raw label per frame, as GestureLabel values; RELAX when nothing matches
+    raw = np.full(n, GestureLabel.RELAX.value)
+    best_err = np.full(n, math.inf)
+    for gesture, sigs in table.rows:
+        matched = np.ones(n, dtype=bool)
+        total_err = np.zeros(n)
+        for delta, sig in zip(deltas.T, sigs):
+            err = np.abs(delta - sig)
+            matched &= err <= state.tolerance * abs(sig)
+            if sig != 0:
+                with np.errstate(over="ignore"):  # inf for a tiny |sig|, as per frame
+                    total_err = total_err + err / abs(sig)
+        mean_err = total_err / len(sigs)
+        better = matched & (mean_err < best_err)
+        raw[better] = gesture.value
+        best_err[better] = mean_err[better]
+    # A frame is TRANSITION unless its raw label has held for the whole
+    # history before it: the last transition_horizon raw labels, counting
+    # those already in state.
+    horizon = state.transition_horizon
+    prior = [label.value for label in state.recent_labels]
+    history = np.concatenate([np.array(prior, dtype=raw.dtype), raw])
+    changes = np.flatnonzero(history[1:] != history[:-1]) + 1
+    run_start = np.zeros(len(history), dtype=np.int64)
+    run_start[changes] = changes
+    run_start = np.maximum.accumulate(run_start)[len(prior):]
+    history_start = np.maximum(np.arange(len(prior), len(history)) - horizon, 0)
+    emitted = np.where(run_start > history_start, GestureLabel.TRANSITION.value, raw)
+    state.recent_labels.extend(_LABELS[v] for v in raw[-horizon:].tolist())
+    return [_LABELS[v] for v in emitted.tolist()]
 
 
 def write_signature_csv(table: SignatureTable, sink) -> None:

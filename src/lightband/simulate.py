@@ -16,7 +16,7 @@ import numpy as np
 
 from . import signature
 from .ingest import open_text
-from .types import GESTURES, GestureLabel, LabeledTrace, SensorFrame, parse_label
+from .types import GESTURES, GestureLabel, LabeledTrace, parse_label
 
 ATMOSPHERE_INDEX = 1.000350
 
@@ -175,39 +175,51 @@ def synth_trace(script, profiles=DEFAULT_PROFILES, cfg: SimConfig = SimConfig())
                     "outside [0, 1023]"
                 )
 
-    # (label, per-frame delta progress) sections
+    # (label, profile deltas, per-frame progress toward them) sections
     sections = []
     n_relax = cfg.frames_for(cfg.relax_hold)
     n_ramp = cfg.frames_for(cfg.transition_time)
     n_hold = cfg.frames_for(cfg.gesture_hold)
-    ramp_up = [j / (n_ramp + 1) for j in range(1, n_ramp + 1)]
+    ramp_up = np.arange(1, n_ramp + 1) / (n_ramp + 1)
+    relax = (GestureLabel.RELAX, np.zeros(5), np.zeros(n_relax))
     if not script:
-        sections.append((GestureLabel.RELAX, None, [0.0] * n_relax))
+        sections.append(relax)
     for gesture in script:
-        sections.append((GestureLabel.RELAX, None, [0.0] * n_relax))
-        sections.append((GestureLabel.TRANSITION, gesture, ramp_up))
-        sections.append((gesture, gesture, [1.0] * n_hold))
-        sections.append((GestureLabel.TRANSITION, gesture, ramp_up[::-1]))
+        deltas = np.array(by_gesture[gesture].deltas)
+        sections.append(relax)
+        sections.append((GestureLabel.TRANSITION, deltas, ramp_up))
+        sections.append((gesture, deltas, np.ones(n_hold)))
+        sections.append((GestureLabel.TRANSITION, deltas, ramp_up[::-1]))
 
-    rng = np.random.default_rng(cfg.seed)
-    levels = np.array(cfg.baseline_levels, dtype=float)
-    frames = []
-    labels = []
-    index = 0
-    for label, gesture, progresses in sections:
-        deltas = np.array(by_gesture[gesture].deltas) if gesture else np.zeros(5)
-        for progress in progresses:
-            levels = levels + rng.normal(0.0, cfg.drift, size=5)
-            values = levels + deltas * progress + rng.normal(0.0, cfg.noise_sigma, size=5)
-            channels = [int(v) for v in np.clip(np.rint(values), 0, 1023)]
-            t_rel = index * cfg.sample_interval
-            frames.append(
-                SensorFrame(t_rel=t_rel, t_unix=cfg.start_unix + t_rel, channels=channels)
-            )
-            labels.append(label)
-            index += 1
+    labels = tuple(label for label, _, progress in sections for _ in progress)
+    n = len(labels)
+    targets = np.repeat(
+        [deltas for _, deltas, _ in sections], [len(p) for _, _, p in sections], axis=0
+    )
+    targets *= np.concatenate([progress for _, _, progress in sections])[:, None]
+    # Per frame the generator draws 5 drift steps, then 5 noise values, and
+    # normal(0, s) is 0.0 + s * standard_normal, so one block of standard
+    # normals reproduces that stream. The steps' running sum from the
+    # baseline levels gives each frame's relax levels. The arithmetic runs
+    # in place (IEEE + and * commute), which keeps peak memory low.
+    z = np.random.default_rng(cfg.seed).standard_normal((n, 2, 5))
+    values, noise = z[:, 0], z[:, 1]
+    values *= cfg.drift
+    values += 0.0
+    values[0] += cfg.baseline_levels
+    np.add.accumulate(values, axis=0, out=values)
+    values += targets
+    noise *= cfg.noise_sigma
+    noise += 0.0
+    values += noise
+    np.clip(np.rint(values, out=values), 0, 1023, out=values)
+    t_rel = np.arange(n) * cfg.sample_interval
     return LabeledTrace(
-        frames=tuple(frames), labels=tuple(labels), sample_interval=cfg.sample_interval
+        t_rel=t_rel,
+        t_unix=cfg.start_unix + t_rel,
+        channels=values,
+        labels=labels,
+        sample_interval=cfg.sample_interval,
     )
 
 

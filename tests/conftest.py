@@ -1,6 +1,6 @@
 import numpy as np
 
-from lightband.types import GestureLabel, LabeledTrace, SensorFrame
+from lightband.types import GestureLabel, LabeledTrace
 
 R = GestureLabel.RELAX
 E = GestureLabel.EXTEND
@@ -11,11 +11,11 @@ T = GestureLabel.TRANSITION
 
 def make_trace(channel_rows, labels, interval=0.02):
     """Build a trace with evenly spaced timestamps from raw channel rows."""
-    frames = tuple(
-        SensorFrame(t_rel=i * interval, t_unix=i * interval, channels=row)
-        for i, row in enumerate(channel_rows)
+    t_rel = np.arange(len(channel_rows)) * interval
+    return LabeledTrace(
+        t_rel=t_rel, t_unix=t_rel, channels=channel_rows, labels=tuple(labels),
+        sample_interval=interval,
     )
-    return LabeledTrace(frames=frames, labels=tuple(labels), sample_interval=interval)
 
 
 def flat_rows(value, n, channels=5):

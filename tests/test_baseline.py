@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import R, flat_rows, make_trace, random_rows
-from lightband.baseline import BaselineConfig, BaselineTracker, ewma_step
+from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines, ewma_step
+from lightband.types import SensorFrame
 
 
 def brute_force_baselines(frames, alpha, window):
@@ -141,3 +142,48 @@ def test_non_monotonic_timestamp_rejected():
     tracker.update(trace.frames[1])
     with pytest.raises(ValueError, match="non-monotonic"):
         tracker.update(trace.frames[0])
+
+
+@st.composite
+def timestamped_streams(draw):
+    """Readings with jittered, sometimes repeated, timestamps and a config
+    whose window often lands exactly on the gap between two samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    interval = 0.02
+    jitter = draw(st.sampled_from([0.0, 0.5]))
+    steps = interval * (1 + rng.uniform(-jitter, jitter, size=n))
+    if draw(st.booleans()):
+        steps[rng.random(n) < 0.1] = 0.0  # the tracker accepts equal timestamps
+    # 2**60 is so large that t - window rounds back to t
+    offset = draw(st.sampled_from([0.0, 1e6, 2.0**60]))
+    t = offset + np.cumsum(steps)
+    rows = rng.integers(0, 1024, size=(n, 5))
+    window = draw(st.one_of(
+        st.floats(0.005, 8.0),
+        st.integers(1, 250).map(lambda k: k * interval),
+        st.just(None),
+    ))
+    if window is None:  # the exact gap between two of the samples
+        a, b = sorted(rng.integers(0, max(n, 1), size=2))
+        window = float(t[b] - t[a]) if n and t[b] > t[a] else interval
+    return t, rows, BaselineConfig(alpha=draw(st.floats(0.01, 1.0)), window=window)
+
+
+@settings(deadline=None, max_examples=150)
+@given(timestamped_streams())
+def test_batch_baselines_equal_streaming_tracker(case):
+    t, rows, cfg = case
+    tracker = BaselineTracker(cfg)
+    streamed = [
+        tracker.update(SensorFrame(t_rel=ti, t_unix=ti, channels=row))
+        for ti, row in zip(t.tolist(), rows.tolist())
+    ]
+    got = batch_baselines(t, rows, cfg)
+    assert got.shape == rows.shape
+    assert np.array_equal(got, np.array(streamed, dtype=float).reshape(rows.shape))
+
+
+def test_batch_baselines_reject_non_monotonic_time():
+    with pytest.raises(ValueError, match="non-monotonic"):
+        batch_baselines([0.0, 0.04, 0.02], flat_rows(10, 3))

@@ -299,3 +299,26 @@ def test_non_finite_options_are_usage_errors(capsys, tmp_path, command, option, 
     code, _, err = run(capsys, command, *inputs, f"{option}={value}")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--l2", "nan"),
+        ("--l2", "inf"),
+        ("--dropout", "nan"),
+        ("--dropout", "1.5"),
+        ("--epochs", "-1"),
+        ("--batch-size", "0"),
+    ],
+)
+def test_nn_invalid_options_are_usage_errors(capsys, tmp_path, option, value):
+    x_path, y_path = nn_dataset(tmp_path)
+    model_path = tmp_path / "model.txt"
+    code, _, err = run(
+        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
+        "--model", str(model_path), "--split", "60", "--epochs", "1", f"{option}={value}",
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert not model_path.exists()

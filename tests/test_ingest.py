@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E, F, O, R, T, make_trace, random_rows
@@ -17,7 +17,7 @@ from lightband.ingest import (
 )
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import DEFAULT_PROFILES, read_profile_csv, read_script, write_profile_csv
-from lightband.types import GestureLabel
+from lightband.types import GestureLabel, LabeledTrace
 
 
 def test_parse_serial_line_examples():
@@ -147,6 +147,109 @@ def test_collection_round_trip_random(seed, n, interval):
     back = read_collection_csv(io.StringIO(sink.getvalue()))
     assert back.frames == trace.frames
     assert back.labels == trace.labels
+
+
+def _collection_text(trace) -> str:
+    sink = io.StringIO()
+    write_collection_csv(trace, sink)
+    return sink.getvalue()
+
+
+@st.composite
+def collection_traces(draw):
+    n = draw(st.sampled_from([0, 1, 2, 17, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    interval = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1]))
+    t_rel = np.arange(n) * interval
+    start_unix = draw(st.sampled_from([0.0, 1_577_836_800.0, 1_700_000_000.123]))
+    return LabeledTrace(
+        t_rel=t_rel,
+        t_unix=start_unix + t_rel,
+        channels=rng.integers(0, 1024, size=(n, 5)),
+        labels=[GestureLabel(int(v)) for v in rng.integers(0, 5, size=n)],
+        sample_interval=interval,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(collection_traces())
+def test_collection_write_read_write_is_byte_identical(trace):
+    text = _collection_text(trace)
+    back = read_collection_csv(io.StringIO(text))
+    assert _collection_text(back) == text
+    assert back.labels == trace.labels
+    for column in ("t_rel", "t_unix", "channels"):
+        assert np.array_equal(getattr(back, column), getattr(trace, column))
+
+
+_HEADER_BYTES = (COLLECTION_HEADER + "\n").encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.binary(max_size=300), st.binary(max_size=300).map(_HEADER_BYTES.__add__)))
+def test_read_collection_csv_random_bytes_raise_only_value_error(data):
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    try:
+        read_collection_csv(stream)
+    except ValueError:  # UnicodeDecodeError is one too
+        pass
+
+
+_BAD_TOKENS = st.one_of(
+    st.sampled_from([
+        "", " ", "x", "nan", "inf", "-inf", "1e999", "-1", "1024", "0.5", " 3 ", "1_0",
+        "-0.0", "99999999999999999999", "relax", "JUMP", "\x00", "0x10", "1e308",
+    ]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated_collections(draw):
+    trace = draw(collection_traces().filter(len))
+    lines = _collection_text(trace).splitlines(keepends=True)
+    row = draw(st.integers(1, len(lines) - 1))
+    fields = lines[row].rstrip("\n").split(",")
+    kind = draw(st.sampled_from(["replace", "drop", "add", "delete", "duplicate", "blank"]))
+    pos = draw(st.integers(0, 7))
+    if kind == "replace":
+        fields[pos] = draw(_BAD_TOKENS)
+    elif kind == "drop":
+        del fields[pos]
+    elif kind == "add":
+        fields.insert(pos, draw(_BAD_TOKENS))
+    lines[row] = ",".join(fields) + "\n"
+    if kind == "delete":
+        del lines[row]
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "blank":
+        lines.insert(row, draw(st.sampled_from(["\n", " \n", "\r\n"])))
+    return "".join(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_collections())
+def test_read_collection_csv_mutated_rows_raise_only_value_error(text):
+    try:
+        trace = read_collection_csv(io.StringIO(text))
+    except ValueError:
+        return
+    assert trace.channels.shape == (len(trace), 5)
+
+
+def test_read_collection_csv_row_errors_name_their_line():
+    times = ["0.0", "", "0.02", "0.04", "0.06", "0.12"]  # a blank line 3, then a gap
+    rows = [f"{t},0.0,1,2,3,4,5,relax," if t else "" for t in times]
+    text = COLLECTION_HEADER + "\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError, match="line 7: frame spacing"):
+        read_collection_csv(io.StringIO(text))
+    text = COLLECTION_HEADER + "\n0.0,0.0,1,2,3,4,5,relax,\nnan,0.0,1,2,3,4,5,relax,\n"
+    with pytest.raises(ValueError, match="line 3: t_rel must be finite"):
+        read_collection_csv(io.StringIO(text))
+    text = COLLECTION_HEADER + "\n0.0,0.0,1,2,3,4,99999999999999999999,relax,\n"
+    with pytest.raises(ValueError, match="line 2: malformed row"):
+        read_collection_csv(io.StringIO(text))
 
 
 def test_read_frames_from_line_stream():

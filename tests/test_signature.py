@@ -218,6 +218,58 @@ def test_classify_frame_matches_brute_force(case):
     assert (emitted, raws) == expected
 
 
+@st.composite
+def classify_trace_cases(draw):
+    """A random table and a trace of plateaus near its signatures, plus a
+    baseline config, classifier settings and a pre-seeded raw history."""
+    active = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True)))
+    gestures = draw(st.lists(st.sampled_from(GESTURES), min_size=0, max_size=3, unique=True))
+    deltas = {(g, s): draw(_signature_value) for g in gestures for s in active}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = rng.integers(300, 700, size=5)
+    rows, labels = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        target = rng.integers(-1, len(gestures))
+        shift = np.zeros(5)
+        if target >= 0:
+            scale = rng.choice([1.0, 0.95, 1.05, 0.8])
+            for s in active:
+                shift[s - 1] = deltas[(gestures[target], s)] * scale
+        for _ in range(rng.integers(1, 40)):
+            noise = rng.integers(-2, 3, size=5) * rng.integers(0, 2)
+            rows.append(np.clip(np.rint(level + shift + noise), 0, 1023).astype(int).tolist())
+            labels.append(R)
+    alpha = draw(st.sampled_from([0.2, 1.0, 0.05]))
+    window = draw(st.sampled_from([4.0, 0.1, 0.02, 0.5]))
+    tolerance = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 2.0)))
+    horizon = draw(st.integers(1, 12))
+    prior = draw(st.lists(st.sampled_from([R, E, F, O]), max_size=15))
+    return (
+        make_trace(rows, labels),
+        SignatureTable(deltas=deltas, active_sensors=active),
+        BaselineConfig(alpha=alpha, window=window),
+        tolerance,
+        horizon,
+        prior,
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(classify_trace_cases())
+def test_classify_trace_equals_streaming_replay(case):
+    trace, table, cfg, tolerance, horizon, prior = case
+    batch_state = ClassifierState(tolerance, horizon, recent_labels=prior)
+    got = classify_trace(trace, table, cfg, batch_state)
+    replay_state = ClassifierState(tolerance, horizon, recent_labels=prior)
+    tracker = BaselineTracker(cfg)
+    expected = [
+        classify_frame(frame, tracker.update(frame), table, replay_state)
+        for frame in trace.frames
+    ]
+    assert got == expected
+    assert list(batch_state.recent_labels) == list(replay_state.recent_labels)
+
+
 NOISE_FREE = SimConfig(
     gesture_hold=1.4,
     relax_hold=2.0,

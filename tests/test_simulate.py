@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,3 +199,55 @@ def test_profile_csv_round_trip():
     write_profile_csv(DEFAULT_PROFILES, sink)
     back = read_profile_csv(io.StringIO(sink.getvalue()))
     assert set(back) == set(DEFAULT_PROFILES)
+
+
+def reference_synth(script, profiles, cfg):
+    """The per-frame generator: draw, step the levels and round one frame at a time.
+
+    Returns (channel rows, labels).
+    """
+    by_gesture = {p.gesture: p for p in profiles}
+    n_ramp = cfg.frames_for(cfg.transition_time)
+    ramp_up = [j / (n_ramp + 1) for j in range(1, n_ramp + 1)]
+    relax = (R, None, [0.0] * cfg.frames_for(cfg.relax_hold))
+    sections = [] if script else [relax]
+    for gesture in script:
+        sections += [
+            relax,
+            (T, gesture, ramp_up),
+            (gesture, gesture, [1.0] * cfg.frames_for(cfg.gesture_hold)),
+            (T, gesture, ramp_up[::-1]),
+        ]
+    rng = np.random.default_rng(cfg.seed)
+    levels = np.array(cfg.baseline_levels, dtype=float)
+    rows, labels = [], []
+    for label, gesture, progresses in sections:
+        deltas = np.array(by_gesture[gesture].deltas) if gesture else np.zeros(5)
+        for progress in progresses:
+            levels = levels + rng.normal(0.0, cfg.drift, size=5)
+            values = levels + deltas * progress + rng.normal(0.0, cfg.noise_sigma, size=5)
+            rows.append([int(v) for v in np.clip(np.rint(values), 0, 1023)])
+            labels.append(label)
+    return rows, labels
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.sampled_from([E, F, O]), max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    st.sampled_from([0.02, 0.01, 0.05]),
+)
+def test_synth_trace_equals_per_frame_reference(script, seed, drift, noise, interval):
+    cfg = SimConfig(
+        sample_interval=interval, gesture_hold=0.3, relax_hold=0.2, transition_time=0.1,
+        noise_sigma=noise, drift=drift, seed=seed,
+    )
+    trace = synth_trace(script, DEFAULT_PROFILES, cfg)
+    rows, labels = reference_synth(script, DEFAULT_PROFILES, cfg)
+    assert trace.channels.tolist() == rows
+    assert trace.labels == tuple(labels)
+    times = [i * interval for i in range(len(rows))]
+    assert trace.t_rel.tolist() == times
+    assert trace.t_unix.tolist() == [cfg.start_unix + t for t in times]

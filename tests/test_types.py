@@ -1,9 +1,14 @@
+import io
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import E, F, R, T, flat_rows, make_trace
+from lightband.ingest import read_frames_from_line_stream
 from lightband.types import (
+    FrameError,
     GestureLabel,
     LabeledTrace,
     SensorFrame,
@@ -48,19 +53,71 @@ def test_sensor_frame_validation():
 def test_trace_validation():
     with pytest.raises(ValueError, match="length"):
         make_trace(flat_rows(10, 3), [R, R])
-    frames = [
-        SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0] * 5),
-        SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0] * 5),
-    ]
     with pytest.raises(ValueError, match="increasing"):
-        LabeledTrace(frames=frames, labels=[R, R], sample_interval=0.02)
+        LabeledTrace(
+            t_rel=[0.0, 0.0], t_unix=[0.0, 0.0], channels=flat_rows(0, 2), labels=[R, R],
+            sample_interval=0.02,
+        )
     # spacing more than 50% off the nominal interval
-    frames = [
-        SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0] * 5),
-        SensorFrame(t_rel=0.05, t_unix=0.0, channels=[0] * 5),
-    ]
     with pytest.raises(ValueError, match="spacing"):
-        LabeledTrace(frames=frames, labels=[R, R], sample_interval=0.02)
+        LabeledTrace(
+            t_rel=[0.0, 0.05], t_unix=[0.0, 0.0], channels=flat_rows(0, 2), labels=[R, R],
+            sample_interval=0.02,
+        )
+
+
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0, -0.02])
+def test_sample_interval_must_be_finite_and_positive(interval):
+    message = "sample_interval must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        LabeledTrace(sample_interval=interval)
+    with pytest.raises(ValueError, match=message):
+        read_frames_from_line_stream(io.StringIO("1,2,3,4,5\n6,7,8,9,10\n"), interval=interval)
+
+
+def test_trace_validation_names_the_frame():
+    rows = flat_rows(10, 4)
+    rows[2][3] = 2000
+    with pytest.raises(FrameError, match="2000 outside") as caught:
+        make_trace(rows, [R] * 4)
+    assert caught.value.index == 2
+    with pytest.raises(FrameError, match="not an integer") as caught:
+        make_trace([[1, 2, 3, 4, 5], [1, 2, 3.5, 4, 5]], [R, R])
+    assert caught.value.index == 1
+    with pytest.raises(FrameError, match="increasing") as caught:
+        LabeledTrace(
+            t_rel=[0.0, 0.02, 0.02], t_unix=[0.0] * 3, channels=flat_rows(0, 3), labels=[R] * 3
+        )
+    assert caught.value.index == 2
+    with pytest.raises(FrameError, match="t_unix") as caught:
+        LabeledTrace(t_rel=[0.0], t_unix=[float("nan")], channels=[[0] * 5], labels=[R])
+    assert caught.value.index == 0
+
+
+def test_trace_columns_are_read_only_copies():
+    rows = np.array(flat_rows(10, 3))
+    trace = make_trace(rows, [R, E, R])
+    rows[0, 0] = 99  # the caller's array stays theirs
+    assert trace.channels[0, 0] == 10
+    for column in (trace.t_rel, trace.t_unix, trace.channels):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert trace.channels.dtype == np.int64 and trace.channels.shape == (3, 5)
+
+
+def test_frames_view():
+    trace = make_trace([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15]], [R, E, F])
+    frames = trace.frames
+    assert len(frames) == 3
+    assert frames[1] == SensorFrame(t_rel=0.02, t_unix=0.02, channels=(6, 7, 8, 9, 10))
+    assert frames[-1].channels == (11, 12, 13, 14, 15)
+    assert frames[1:] == (frames[1], frames[2])
+    assert list(frames) == [frames[0], frames[1], frames[2]]
+    assert frames == tuple(frames) and frames == trace.frames
+    assert frames != frames[:2]
+    with pytest.raises(IndexError):
+        frames[3]
+    assert len(LabeledTrace().frames) == 0
 
 
 def test_segment_examples():
