@@ -178,6 +178,8 @@ def _nn_dataset(args, need_labels: bool) -> tuple:
 def cmd_nn(args) -> int:
     if args.mode == "train":
         try:
+            if args.split < 0:
+                raise ValueError(f"--split must be >= 0, got {args.split}")
             cfg = mlp.MlpConfig(
                 dropout_rate=args.dropout,
                 l2=args.l2,

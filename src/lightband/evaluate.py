@@ -10,10 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ingest import open_text
 from .types import SCOREABLE_CLASSES, GestureLabel
 
 PREDICTED_COLUMNS = SCOREABLE_CLASSES + (GestureLabel.TRANSITION,)
+
+# A label's position in PREDICTED_COLUMNS is its row as a truth (TRANSITION's
+# is past the last row) and its column as a prediction. Keyed by id():
+# Enum.__hash__ is a Python-level call per label, and the members live as
+# long as the process, so an id identifies its member.
+_POSITION_BY_ID = {id(label): pos for pos, label in enumerate(PREDICTED_COLUMNS)}
 
 
 @dataclass(frozen=True)
@@ -50,18 +58,23 @@ class ConfusionMatrix:
         return sum(self.counts[row])
 
 
+def _positions(labels) -> np.ndarray:
+    try:
+        return np.fromiter(map(_POSITION_BY_ID.__getitem__, map(id, labels)), dtype=np.intp)
+    except KeyError:
+        raise ValueError("labels must be GestureLabel members") from None
+
+
 def confusion(truth, pred) -> ConfusionMatrix:
     """Count (truth, prediction) pairs, excluding TRANSITION truths."""
-    truth = list(truth)
-    pred = list(pred)
+    truth = _positions(truth)
+    pred = _positions(pred)
     if len(truth) != len(pred):
         raise ValueError(f"length mismatch: {len(truth)} truths vs {len(pred)} predictions")
-    counts = [[0] * len(PREDICTED_COLUMNS) for _ in SCOREABLE_CLASSES]
-    for t, p in zip(truth, pred):
-        if t is GestureLabel.TRANSITION:
-            continue
-        counts[SCOREABLE_CLASSES.index(t)][PREDICTED_COLUMNS.index(p)] += 1
-    return ConfusionMatrix(counts=tuple(tuple(row) for row in counts))
+    rows, cols = len(SCOREABLE_CLASSES), len(PREDICTED_COLUMNS)
+    scored = truth < rows
+    cells = np.bincount(truth[scored] * cols + pred[scored], minlength=rows * cols)
+    return ConfusionMatrix(counts=cells.reshape(rows, cols).tolist())
 
 
 def accuracy(m: ConfusionMatrix) -> float:

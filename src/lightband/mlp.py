@@ -117,12 +117,25 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> tuple:
+    """Per-layer (weights, biases) views of a flat buffer that holds every
+    weight matrix in layer order, then every bias vector."""
+    weights = []
+    biases = []
+    pos = 0
+    for fan_in, fan_out in cfg.layer_dims:
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+    for _, fan_out in cfg.layer_dims:
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 def _forward(model: MlpModel, x: np.ndarray, training: bool, rng) -> tuple:
@@ -147,7 +160,7 @@ def _forward(model: MlpModel, x: np.ndarray, training: bool, rng) -> tuple:
             a = np.maximum(z, 0.0)
             if rate > 0:
                 # inverted dropout: scale kept units so inference needs no rescale
-                scale = (rng.random(a.shape) >= rate) / (1.0 - rate)
+                scale = np.where(rng.random(a.shape) >= rate, 1.0 / (1.0 - rate), 0.0)
                 a = a * scale
                 scales.append(scale)
             else:
@@ -156,12 +169,25 @@ def _forward(model: MlpModel, x: np.ndarray, training: bool, rng) -> tuple:
     return a, (inputs, zs, scales)
 
 
+def _infer(model: MlpModel, a: np.ndarray, bufs=None) -> np.ndarray:
+    """Inference output for a batch of rows, keeping no per-layer cache.
+
+    bufs, when given, holds one (rows, out) array per layer to compute in.
+    """
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(a, w.T, out=None if bufs is None else bufs[i])
+        z += b
+        a = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
+    return a
+
+
 def forward(model: MlpModel, x, training: bool = False, rng=None) -> np.ndarray:
     """Network output for a single input vector or a batch of rows."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    out, _ = _forward(model, np.atleast_2d(x), training, rng)
-    return out[0] if single else out
+    rows = np.atleast_2d(x)
+    out = _forward(model, rows, True, rng)[0] if training else _infer(model, rows)
+    return out[0] if x.ndim == 1 else out
 
 
 def bce_loss(pred, target, model: MlpModel = None, l2: float = 0.0) -> float:
@@ -183,20 +209,18 @@ def bce_loss(pred, target, model: MlpModel = None, l2: float = 0.0) -> float:
     return float(data) + penalty
 
 
-def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None,
-                       training: bool = True) -> tuple:
-    """Batch loss and analytic gradients for every weight and bias."""
+def _gradients_into(model: MlpModel, x: np.ndarray, target: np.ndarray, rng, training: bool,
+                    grads_w: list, grads_b: list) -> np.ndarray:
+    """Write the batch gradient of every weight and bias into grads_w and
+    grads_b (arrays of the parameters' shapes); returns the network output."""
     cfg = model.config
     out, (inputs, zs, scales) = _forward(model, x, training, rng)
-    loss = bce_loss(out, target, model, cfg.l2)
     n_rows, n_out = target.shape
     last = len(model.weights) - 1
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
     delta = (out - target) / (n_out * n_rows)
     for i in range(last, -1, -1):
-        grads_w[i] = delta.T @ inputs[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, inputs[i], out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i < last:
             grads_w[i] += 2.0 * cfg.l2 * model.weights[i]
         if i > 0:
@@ -204,7 +228,16 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=N
             if scales[i - 1] is not None:
                 upstream = upstream * scales[i - 1]
             delta = upstream * (zs[i - 1] > 0)
-    return loss, grads_w, grads_b
+    return out
+
+
+def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None,
+                       training: bool = True) -> tuple:
+    """Batch loss and analytic gradients for every weight and bias."""
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    out = _gradients_into(model, x, target, rng, training, grads_w, grads_b)
+    return bce_loss(out, target, model, model.config.l2), grads_w, grads_b
 
 
 def _accuracy(pred: np.ndarray, indices: np.ndarray) -> float:
@@ -232,11 +265,15 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
 
     validation, when given, is an (x_val, labels_val) pair scored after each
     epoch with dropout off. All randomness (init, shuffling, dropout) flows
-    from cfg.seed, so identical calls produce identical weights.
+    from cfg.seed, so identical calls produce identical weights. Parameters,
+    gradients and Adam moments each live in one flat buffer updated in
+    place, and the per-epoch scoring reuses buffers allocated once per call.
     """
     x = _prepare(x, cfg)
     if x.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite value in training features")
     indices = _as_indices(labels)
     if len(indices) != x.shape[0]:
         raise ValueError(f"{x.shape[0]} rows but {len(indices)} labels")
@@ -244,13 +281,23 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     val = None
     if validation is not None:
         x_val = _prepare(validation[0], cfg)
+        if not np.isfinite(x_val).all():
+            raise ValueError("non-finite value in validation features")
         val_indices = _as_indices(validation[1])
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
+        val_bufs = [np.empty((x_val.shape[0], fan_out)) for _, fan_out in cfg.layer_dims]
+    train_bufs = [np.empty((x.shape[0], fan_out)) for _, fan_out in cfg.layer_dims]
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, rng)
-    adam_m = [np.zeros_like(p) for p in model.weights + model.biases]
-    adam_v = [np.zeros_like(p) for p in model.weights + model.biases]
+    params = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    model.weights, model.biases = _layer_views(params, cfg)
+    grads = np.empty_like(params)
+    grads_w, grads_b = _layer_views(grads, cfg)
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    t1 = np.empty_like(params)
+    t2 = np.empty_like(params)
     step = 0
     report = TrainReport()
     n = x.shape[0]
@@ -258,33 +305,38 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _, grads_w, grads_b = loss_and_gradients(
-                model, x[batch], targets[batch], rng=rng, training=True
-            )
+            _gradients_into(model, x[batch], targets[batch], rng, True, grads_w, grads_b)
             step += 1
-            params = model.weights + model.biases
-            grads = grads_w + grads_b
-            for i, (p, g) in enumerate(zip(params, grads)):
-                adam_m[i] = cfg.beta1 * adam_m[i] + (1 - cfg.beta1) * g
-                adam_v[i] = cfg.beta2 * adam_v[i] + (1 - cfg.beta2) * g * g
-                m_hat = adam_m[i] / (1 - cfg.beta1**step)
-                v_hat = adam_v[i] / (1 - cfg.beta2**step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        train_pred = forward(model, x)
+            # Adam in place, each IEEE operation in the order of
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            adam_m *= cfg.beta1
+            np.multiply(grads, 1 - cfg.beta1, out=t1)
+            adam_m += t1
+            adam_v *= cfg.beta2
+            np.multiply(grads, 1 - cfg.beta2, out=t1)
+            t1 *= grads
+            adam_v += t1
+            np.divide(adam_v, 1 - cfg.beta2**step, out=t1)
+            np.sqrt(t1, out=t1)
+            t1 += cfg.adam_eps
+            np.divide(adam_m, 1 - cfg.beta1**step, out=t2)
+            t2 *= cfg.learning_rate
+            t2 /= t1
+            params -= t2
+        train_pred = _infer(model, x, train_bufs)
         report.train_loss.append(bce_loss(train_pred, targets, model, cfg.l2))
-        report.train_acc.append(_accuracy(np.atleast_2d(train_pred), indices))
+        report.train_acc.append(_accuracy(train_pred, indices))
         if val is not None:
-            val_pred = forward(model, val[0])
+            val_pred = _infer(model, val[0], val_bufs)
             report.val_loss.append(bce_loss(val_pred, val[1], model, cfg.l2))
-            report.val_acc.append(_accuracy(np.atleast_2d(val_pred), val[2]))
+            report.val_acc.append(_accuracy(val_pred, val[2]))
     return model, report
 
 
 def predict_labels(model: MlpModel, x) -> list:
     """Argmax class index per row; ties break toward the lowest index."""
     x = _prepare(np.atleast_2d(np.asarray(x, dtype=float)), model.config)
-    out = np.atleast_2d(forward(model, x))
-    return [int(i) for i in np.argmax(out, axis=1)]
+    return np.argmax(_infer(model, x), axis=1).tolist()
 
 
 def split_dataset(x, labels, boundary: int) -> tuple:
@@ -372,9 +424,12 @@ def load_features_csv(source) -> np.ndarray:
         if len(tokens) != 5:
             raise ValueError(f"line {lineno}: expected 5 columns, got {len(tokens)}")
         try:
-            rows.append([float(t) for t in tokens])
+            row = [float(t) for t in tokens]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric feature value") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {lineno}: non-finite feature value")
+        rows.append(row)
     return np.array(rows) if rows else np.zeros((0, 5))
 
 

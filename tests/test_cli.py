@@ -322,3 +322,63 @@ def test_nn_invalid_options_are_usage_errors(capsys, tmp_path, option, value):
     assert code == 2
     assert err.startswith("error:")
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nn_train_rejects_non_finite_features(capsys, tmp_path, value):
+    x_path, y_path = nn_dataset(tmp_path)
+    lines = x_path.read_text().splitlines()
+    lines[7] = ",".join([value] + lines[7].split(",")[1:])
+    x_path.write_text("\n".join(lines) + "\n")
+    model_path = tmp_path / "model.txt"
+    code, _, err = run(
+        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
+        "--model", str(model_path), "--split", "60", "--epochs", "1",
+    )
+    assert code == 1
+    assert "line 8: non-finite feature value" in err
+    assert not model_path.exists()
+
+
+def test_nn_predict_rejects_non_finite_features(capsys, tmp_path):
+    x_path, y_path = nn_dataset(tmp_path)
+    model_path = tmp_path / "model.txt"
+    code, _, _ = run(
+        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
+        "--model", str(model_path), "--split", "60", "--epochs", "1",
+    )
+    assert code == 0
+    nan_path = tmp_path / "nan.csv"
+    nan_path.write_text("nan,1,2,3,4\n")
+    out_path = tmp_path / "pred.csv"
+    code, _, err = run(
+        capsys, "nn", "predict", "--x", str(nan_path), "--model", str(model_path),
+        "--out", str(out_path),
+    )
+    assert code == 1
+    assert "non-finite feature value" in err
+    assert not out_path.exists()
+
+
+def test_nn_split_negative_is_usage_error_past_end_is_domain_error(capsys, tmp_path):
+    x_path, y_path = nn_dataset(tmp_path)
+    model_path = tmp_path / "model.txt"
+    args = ["nn", "train", "--x", str(x_path), "--y", str(y_path), "--model", str(model_path),
+            "--epochs", "1"]
+    code, _, err = run(capsys, *args, "--split=-1")
+    assert code == 2
+    assert err.startswith("error:") and "--split" in err
+    code, _, err = run(capsys, *args, "--split=81")
+    assert code == 1
+    assert "boundary" in err
+    assert not model_path.exists()
+
+
+def test_nn_split_checked_before_data_is_read(capsys, tmp_path):
+    missing = tmp_path / "missing.csv"
+    code, _, err = run(
+        capsys, "nn", "train", "--x", str(missing), "--y", str(missing),
+        "--model", str(tmp_path / "model.txt"), "--split=-5",
+    )
+    assert code == 2
+    assert "--split" in err

@@ -132,3 +132,27 @@ def test_counts_csv():
     assert lines[0] == "truth,relax,extend,fist,one,transition,total"
     assert lines[1] == "relax,1,0,0,0,0,1"
     assert lines[2] == "extend,0,0,0,0,1,1"
+
+
+def brute_force_counts(truth, pred):
+    counts = [[0] * 5 for _ in range(4)]
+    for t, p in zip(truth, pred):
+        if t is not T:
+            counts[[R, E, F, O].index(t)][[R, E, F, O, T].index(p)] += 1
+    return tuple(tuple(row) for row in counts)
+
+
+@given(st.lists(st.tuples(st.sampled_from(list(GestureLabel)), st.sampled_from(list(GestureLabel)))))
+def test_confusion_matches_brute_force_counter(pairs):
+    truth = [t for t, _ in pairs]
+    pred = [p for _, p in pairs]
+    assert confusion(truth, pred).counts == brute_force_counts(truth, pred)
+    assert confusion(iter(truth), iter(pred)).counts == brute_force_counts(truth, pred)
+
+
+@pytest.mark.parametrize("bad", [0, "RELAX", None, 4])
+def test_confusion_rejects_non_labels(bad):
+    with pytest.raises(ValueError, match="GestureLabel"):
+        confusion([R, bad], [R, R])
+    with pytest.raises(ValueError, match="GestureLabel"):
+        confusion([R, R], [bad, R])

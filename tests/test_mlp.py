@@ -8,7 +8,9 @@ from conftest import E, R, make_trace
 from lightband.mlp import (
     MlpConfig,
     MlpModel,
+    TrainReport,
     _forward,
+    _sigmoid,
     bce_loss,
     forward,
     init_model,
@@ -315,3 +317,170 @@ def test_normalize_flag_round_trips_through_predict():
     model, report = train(x, labels, cfg)
     assert report.train_acc[-1] == 1.0
     assert predict_labels(model, x) == labels
+
+
+def test_load_features_csv_rejects_non_finite():
+    for value in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ValueError, match="line 2: non-finite feature value"):
+            load_features_csv(io.StringIO(f"1,2,3,4,5\n{value},2,3,4,5\n"))
+
+
+def test_train_rejects_non_finite_rows():
+    x, labels = separable_toy()
+    bad = x.copy()
+    bad[3, 2] = np.nan
+    cfg = MlpConfig(output_dim=2, epochs=1, seed=1)
+    with pytest.raises(ValueError, match="non-finite value in training"):
+        train(bad, labels, cfg)
+    bad[3, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite value in validation"):
+        train(x, labels, cfg, validation=(bad, labels))
+
+
+# --- reference: the per-tensor training loop that the flat-buffer train() replaced ---
+
+
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(model, x, training, rng):
+    last = len(model.weights) - 1
+    rate = model.config.dropout_rate if training else 0.0
+    inputs, zs, scales = [x], [], []
+    a = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T + b
+        zs.append(z)
+        scale = None
+        if i == last:
+            a = reference_sigmoid(z)
+        else:
+            a = np.maximum(z, 0.0)
+            if rate > 0:
+                scale = (rng.random(a.shape) >= rate) / (1.0 - rate)
+                a = a * scale
+        scales.append(scale)
+        inputs.append(a)
+    return a, (inputs, zs, scales)
+
+
+def reference_gradients(model, x, target, rng):
+    l2 = model.config.l2
+    out, (inputs, zs, scales) = reference_forward(model, x, True, rng)
+    n_rows, n_out = target.shape
+    last = len(model.weights) - 1
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    delta = (out - target) / (n_out * n_rows)
+    for i in range(last, -1, -1):
+        grads_w[i] = delta.T @ inputs[i]
+        grads_b[i] = delta.sum(axis=0)
+        if i < last:
+            grads_w[i] += 2.0 * l2 * model.weights[i]
+        if i > 0:
+            upstream = delta @ model.weights[i]
+            if scales[i - 1] is not None:
+                upstream = upstream * scales[i - 1]
+            delta = upstream * (zs[i - 1] > 0)
+    return grads_w + grads_b
+
+
+def reference_train(x, labels, cfg, validation=None):
+    def prepare(rows):
+        rows = np.asarray(rows, dtype=float)
+        return rows / 1023.0 if cfg.normalize else rows
+
+    def score(rows, indices, losses, accs):
+        pred = reference_forward(model, rows, False, None)[0]
+        losses.append(bce_loss(pred, one_hot(indices, cfg.output_dim), model, cfg.l2))
+        accs.append(float(np.mean(np.argmax(pred, axis=1) == np.array(indices))))
+
+    x = prepare(x)
+    targets = one_hot(labels, cfg.output_dim)
+    rng = np.random.default_rng(cfg.seed)
+    model = init_model(cfg, rng)
+    params = model.weights + model.biases
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    step = 0
+    report = TrainReport()
+    n = x.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grads = reference_gradients(model, x[batch], targets[batch], rng)
+            step += 1
+            for i, (p, g) in enumerate(zip(params, grads)):
+                adam_m[i] = cfg.beta1 * adam_m[i] + (1 - cfg.beta1) * g
+                adam_v[i] = cfg.beta2 * adam_v[i] + (1 - cfg.beta2) * g * g
+                m_hat = adam_m[i] / (1 - cfg.beta1**step)
+                v_hat = adam_v[i] / (1 - cfg.beta2**step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        score(x, labels, report.train_loss, report.train_acc)
+        if validation is not None:
+            score(prepare(validation[0]), validation[1], report.val_loss, report.val_acc)
+    return model, report
+
+
+def intensity_problem(n, classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = [int(v) for v in rng.integers(0, classes, size=n)]
+    centers = rng.uniform(100, 900, size=(classes, 5))
+    x = np.rint(centers[labels] + rng.normal(0, 40, size=(n, 5)))
+    return x, labels
+
+
+@pytest.mark.parametrize(
+    "hidden, dropout, l2, batch, with_val, normalize",
+    [
+        ((3,), 0.0, 0.0, 7, False, False),
+        ((8, 6), 0.3, 0.01, 7, True, True),
+        ((4, 5, 3), 0.5, 0.0, 30, True, False),
+        ((100, 100), 0.3, 0.01, 20, True, False),
+        ((100, 100), 0.0, 0.01, 1, False, True),
+        ((12, 9), 0.2, 0.05, 11, True, True),
+    ],
+)
+def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val, normalize):
+    x, labels = intensity_problem(45, 4, seed=len(hidden) + batch)
+    validation = (x[30:], labels[30:]) if with_val else None
+    cfg = MlpConfig(hidden=hidden, output_dim=4, dropout_rate=dropout, l2=l2, epochs=4,
+                    batch_size=batch, seed=batch, normalize=normalize)
+    model, report = train(x[:30], labels[:30], cfg, validation=validation)
+    ref_model, ref_report = reference_train(x[:30], labels[:30], cfg, validation=validation)
+    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        assert np.array_equal(got, want)
+    assert report == ref_report
+    assert len(report.val_loss) == (4 if with_val else 0)
+
+
+def test_sigmoid_bitwise_equals_masked_reference():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 36.0, -36.0])
+    z = np.concatenate([special, np.random.default_rng(5).normal(0, 30, 2000)])
+    for arr in (z, z.reshape(-1, 5)):
+        assert _sigmoid(arr).tobytes() == reference_sigmoid(arr).tobytes()
+
+
+def test_inference_forward_bitwise_equals_training_path():
+    cfg = MlpConfig(output_dim=5, seed=8)
+    model = init_model(cfg, np.random.default_rng(8))
+    x, _ = intensity_problem(64, 5, seed=8)
+    assert forward(model, x[0]).tobytes() == _forward(model, x[:1], False, None)[0][0].tobytes()
+    assert forward(model, x).tobytes() == _forward(model, x, False, None)[0].tobytes()
+
+
+def test_models_trained_back_to_back_share_no_memory():
+    x, labels = separable_toy()
+    cfg = MlpConfig(output_dim=2, epochs=2, seed=4)
+    first, _ = train(x, labels, cfg)
+    second, _ = train(x, labels, cfg)
+    for a in first.weights + first.biases:
+        for b in second.weights + second.biases:
+            assert not np.shares_memory(a, b)
