@@ -14,7 +14,9 @@ from dataclasses import replace
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import GestureLabel
+from .types import LABEL_TEXT, ROW_BLOCK, GestureLabel
+
+_CLASS_LABELS = tuple(GestureLabel)  # indexed by class index
 
 
 def _baseline_levels(text: str) -> tuple:
@@ -25,7 +27,10 @@ def _baseline_levels(text: str) -> tuple:
 
 
 def _sensor_set(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return signature.check_active_sensors(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,8 +139,6 @@ def cmd_train_signatures(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    trace = ingest.read_collection_csv(args.trace)
-    table = signature.read_signature_csv(args.table)
     try:
         cfg = BaselineConfig(alpha=args.alpha, window=args.window)
         state = signature.ClassifierState(
@@ -144,12 +147,18 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    trace = ingest.read_collection_csv(args.trace)
+    table = signature.read_signature_csv(args.table)
     predicted = signature.classify_trace(trace, table, cfg, state)
-    names = {label: label.name.lower() for label in GestureLabel}
     with open(args.out, "w", newline="") as handle:
-        handle.write("t_rel,label\n" + "".join(
-            f"{t},{names[label]}\n" for t, label in zip(trace.t_rel.tolist(), predicted)
-        ))
+        handle.write("t_rel,label\n")
+        for start in range(0, len(predicted), ROW_BLOCK):
+            end = start + ROW_BLOCK
+            handle.write("".join(map(
+                "{!r},{}\n".format,
+                trace.t_rel[start:end].tolist(),
+                map(LABEL_TEXT.__getitem__, predicted[start:end]),
+            )))
     print(f"wrote {len(predicted)} labels to {args.out}")
     matrix = evaluate.confusion(trace.labels, predicted)
     print(evaluate.render_report(matrix), end="")
@@ -224,14 +233,18 @@ def cmd_nn(args) -> int:
 
 
 def _print_confusion(truth_indices, predicted_indices) -> None:
-    try:
-        truth = [GestureLabel.from_class_index(i) for i in truth_indices]
-        predicted = [GestureLabel.from_class_index(i) for i in predicted_indices]
-    except ValueError:
+    if not all(map(_known_classes, (truth_indices, predicted_indices))):
         print("labels outside the gesture set; skipping confusion report")
         return
+    truth = list(map(_CLASS_LABELS.__getitem__, truth_indices))
+    predicted = list(map(_CLASS_LABELS.__getitem__, predicted_indices))
     matrix = evaluate.confusion(truth, predicted)
     print(evaluate.render_report(matrix), end="")
+
+
+def _known_classes(indices) -> bool:
+    """Every index is a class index; a bare tuple index would wrap negatives."""
+    return not indices or (min(indices) >= 0 and max(indices) < len(_CLASS_LABELS))
 
 
 def cmd_physics(args) -> int:

@@ -18,10 +18,8 @@ from .types import SCOREABLE_CLASSES, GestureLabel
 PREDICTED_COLUMNS = SCOREABLE_CLASSES + (GestureLabel.TRANSITION,)
 
 # A label's position in PREDICTED_COLUMNS is its row as a truth (TRANSITION's
-# is past the last row) and its column as a prediction. Keyed by id():
-# Enum.__hash__ is a Python-level call per label, and the members live as
-# long as the process, so an id identifies its member.
-_POSITION_BY_ID = {id(label): pos for pos, label in enumerate(PREDICTED_COLUMNS)}
+# is past the last row) and its column as a prediction.
+_POSITION = {label: pos for pos, label in enumerate(PREDICTED_COLUMNS)}
 
 
 @dataclass(frozen=True)
@@ -60,8 +58,8 @@ class ConfusionMatrix:
 
 def _positions(labels) -> np.ndarray:
     try:
-        return np.fromiter(map(_POSITION_BY_ID.__getitem__, map(id, labels)), dtype=np.intp)
-    except KeyError:
+        return np.fromiter(map(_POSITION.__getitem__, labels), dtype=np.intp)
+    except (KeyError, TypeError):  # TypeError: an unhashable non-label
         raise ValueError("labels must be GestureLabel members") from None
 
 

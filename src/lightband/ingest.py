@@ -11,13 +11,17 @@ from __future__ import annotations
 import os
 from array import array
 from contextlib import contextmanager
+from itertools import chain, islice, repeat
 from typing import Iterable
 
 import numpy as np
 
 from .types import (
     DEFAULT_SAMPLE_INTERVAL,
+    INTENSITY_MAX,
+    LABEL_TEXT,
     NUM_CHANNELS,
+    ROW_BLOCK,
     FrameError,
     GestureLabel,
     LabeledTrace,
@@ -35,6 +39,16 @@ COLLECTION_HEADER_FIELDS = (
     "label",
 )
 COLLECTION_HEADER = "delta Time, Unix Time, ldr1, ldr2, ldr3, ldr4, ldr5, label"
+_ROW_FORMAT = "{!r},{!r},{},{},{},{},{},{},\n".format
+
+# Canonical intensity text, "0" to "1023": the writer's table, indexed by
+# the (validated) intensities, and the reader's inverse.
+_INTENSITY_TEXT = np.array([str(v) for v in range(INTENSITY_MAX + 1)], dtype=object)
+_INTENSITY_BY_TEXT = {text: value for value, text in enumerate(_INTENSITY_TEXT)}
+_LABEL_BY_TEXT = {text: label for label, text in LABEL_TEXT.items()}
+# What is left of a line after its trailing comma: a line end, or nothing
+# on a last line without one.
+_LINE_ENDS = frozenset(("", "\n", "\r", "\r\n"))
 
 
 def parse_serial_line(line: str) -> list:
@@ -80,51 +94,62 @@ def read_collection_csv(source) -> LabeledTrace:
 
     The first line must match the collection header field-for-field, ignoring
     whitespace around the fields. Each data row holds delta time, unix time,
-    the five intensities, and a label; a trailing comma is tolerated. Rows
-    are parsed one at a time into typed buffers, so memory stays near the
-    size of the final arrays; every error names its line.
+    the five intensities, and a label; a trailing comma is tolerated. The
+    rows are read a block of ROW_BLOCK lines at a time, so memory stays near
+    the size of the final arrays. A block of rows as the writer spells them
+    is converted a column at a time (_canonical_columns); any other block,
+    blank lines and errors included, is parsed row by row, which names the
+    line of every error.
     """
     t_rel, t_unix, channels = array("d"), array("d"), array("q")
     labels, linenos = [], array("q")
     label_tokens = {}  # label text -> GestureLabel, parsed once per spelling
-    with open_text(source) as lines:
-        header_seen = False
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not header_seen:
-                fields = tuple(f.strip() for f in line.split(","))
-                if fields != COLLECTION_HEADER_FIELDS:
-                    raise ValueError(
-                        f"line {lineno}: missing or malformed header: {line!r}"
-                    )
-                header_seen = True
-                continue
-            if not line.strip():
-                continue
-            if line.endswith(","):
-                line = line[:-1]
-            tokens = line.split(",")
-            if len(tokens) != 8:
-                raise ValueError(
-                    f"line {lineno}: expected 8 fields, got {len(tokens)}"
-                )
-            try:
-                t_rel.append(float(tokens[0]))
-                t_unix.append(float(tokens[1]))
-                channels.extend(map(int, tokens[2:7]))
-            except (ValueError, OverflowError) as exc:  # too large for int64: overflow
-                raise ValueError(f"line {lineno}: malformed row: {exc}") from None
-            token = tokens[7]
-            label = label_tokens.get(token)
-            if label is None:
-                try:
-                    label = label_tokens[token] = parse_label(token)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-            labels.append(label)
-            linenos.append(lineno)
-    if not header_seen:
-        raise ValueError("missing or malformed header: empty input")
+    with open_text(source) as stream:
+        lines = iter(stream)
+        header = next(lines, None)
+        if header is None:
+            raise ValueError("missing or malformed header: empty input")
+        header = header.rstrip("\r\n")
+        if tuple(f.strip() for f in header.split(",")) != COLLECTION_HEADER_FIELDS:
+            raise ValueError(f"line 1: missing or malformed header: {header!r}")
+        first = 2  # line number of the block's first line
+        while block := list(islice(lines, ROW_BLOCK)):
+            columns = _canonical_columns(block)
+            if columns is not None:
+                block_t_rel, block_t_unix, block_channels, block_labels = columns
+                t_rel.extend(block_t_rel)
+                t_unix.extend(block_t_unix)
+                channels.frombytes(block_channels)
+                labels.extend(block_labels)
+                linenos.extend(range(first, first + len(block)))
+            else:
+                for lineno, raw in enumerate(block, start=first):
+                    line = raw.rstrip("\r\n")
+                    if not line.strip():
+                        continue
+                    if line.endswith(","):
+                        line = line[:-1]
+                    tokens = line.split(",")
+                    if len(tokens) != 8:
+                        raise ValueError(
+                            f"line {lineno}: expected 8 fields, got {len(tokens)}"
+                        )
+                    try:
+                        t_rel.append(float(tokens[0]))
+                        t_unix.append(float(tokens[1]))
+                        channels.extend(map(int, tokens[2:7]))
+                    except (ValueError, OverflowError) as exc:  # too large for int64: overflow
+                        raise ValueError(f"line {lineno}: malformed row: {exc}") from None
+                    token = tokens[7]
+                    label = label_tokens.get(token)
+                    if label is None:
+                        try:
+                            label = label_tokens[token] = parse_label(token)
+                        except ValueError as exc:
+                            raise ValueError(f"line {lineno}: {exc}") from None
+                    labels.append(label)
+                    linenos.append(lineno)
+            first += len(block)
     t_rel = np.frombuffer(t_rel, dtype=np.float64)
     try:
         return LabeledTrace(
@@ -136,6 +161,38 @@ def read_collection_csv(source) -> LabeledTrace:
         )
     except FrameError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
+
+
+def _canonical_columns(block: list):
+    """A block of canonical rows as column values, or None for any other block.
+
+    A canonical row is what write_collection_csv writes: 9 comma-separated
+    fields, the last of them empty but for the line end; intensities spelled
+    "0" to "1023"; a lower-case label; and times that float() parses. Such a
+    block gives exactly what the row-by-row parse gives, without a Python
+    call per row: (t_rel, t_unix) as arrays of doubles, the intensities as
+    row-major int64 bytes, and the labels.
+    """
+    try:
+        columns = tuple(zip(*map(str.split, block, repeat(",")), strict=True))
+    except ValueError:  # rows of unequal width
+        return None
+    if len(columns) != 9 or not _LINE_ENDS.issuperset(columns[8]):
+        return None
+    try:
+        intensities = np.fromiter(
+            map(_INTENSITY_BY_TEXT.__getitem__, chain.from_iterable(columns[2:7])),
+            dtype=np.int64,
+            count=NUM_CHANNELS * len(block),
+        )
+        return (
+            array("d", map(float, columns[0])),
+            array("d", map(float, columns[1])),
+            intensities.reshape(NUM_CHANNELS, -1).T.tobytes(),
+            list(map(_LABEL_BY_TEXT.__getitem__, columns[7])),
+        )
+    except (KeyError, ValueError):  # a token spelled otherwise, or a bad float
+        return None
 
 
 def _infer_interval(t_rel: np.ndarray) -> float:
@@ -154,14 +211,21 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
     """Write a trace in the collection format, trailing commas included.
 
     Reading the result back yields a trace with identical frames and labels.
+    A block of ROW_BLOCK rows at a time is formatted by one row template
+    mapped over its columns: times through repr(), intensities and labels
+    through text tables.
     """
-    names = {label: label.name.lower() for label in GestureLabel}
     with open_text(sink, "w") as out:
         out.write(COLLECTION_HEADER + "\n")
-        out.writelines(
-            f"{t},{u},{c[0]},{c[1]},{c[2]},{c[3]},{c[4]},{names[label]},\n"
-            for t, u, c, label in trace.rows()
-        )
+        for start in range(0, len(trace), ROW_BLOCK):
+            end = start + ROW_BLOCK
+            out.write("".join(map(
+                _ROW_FORMAT,
+                trace.t_rel[start:end].tolist(),
+                trace.t_unix[start:end].tolist(),
+                *_INTENSITY_TEXT[trace.channels[start:end]].T.tolist(),
+                map(LABEL_TEXT.__getitem__, trace.labels[start:end]),
+            )))
 
 
 def read_frames_from_line_stream(

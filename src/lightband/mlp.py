@@ -41,6 +41,13 @@ class MlpConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
         dims = (self.input_dim, *self.hidden, self.output_dim)
+        for value in (*dims, self.epochs, self.batch_size, self.seed):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"layer dims, epochs, batch_size and seed must be integers, got {value!r}"
+                )
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
         if any(d < 1 for d in dims):
             raise ValueError(f"all layer dims must be >= 1, got {dims}")
         if not 0 <= self.dropout_rate < 1:
@@ -374,13 +381,16 @@ def load_model(source) -> MlpModel:
         raise ValueError("unsupported model format (bad magic line)")
     if len(lines) < 2:
         raise ValueError("truncated model data: missing config")
-    raw_cfg = json.loads(lines[1])
+    try:
+        raw_cfg = json.loads(lines[1])
+    except RecursionError:
+        raise ValueError("model config nested too deeply") from None
     keys = [f.name for f in fields(MlpConfig)]
     if not isinstance(raw_cfg, dict) or set(raw_cfg) != set(keys):
         raise ValueError(f"model config must be a JSON object with keys {keys}")
     try:
         cfg = MlpConfig(**raw_cfg)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad model config value: {exc}") from None
     pos = 2
     weights = []

@@ -30,6 +30,17 @@ MIN_SEGMENT_FRAMES = 5
 SIGNATURE_CSV_HEADER = "gesture,sensor,delta"
 
 
+def check_active_sensors(active) -> tuple:
+    """Active sensors as a tuple of distinct 1-based indices in 1..5."""
+    active = tuple(active)
+    for sensor in active:
+        if not 1 <= sensor <= 5:
+            raise ValueError(f"sensor index {sensor} outside 1..5")
+    if len(set(active)) != len(active):
+        raise ValueError(f"sensor indices repeat in {active}")
+    return active
+
+
 @dataclass(frozen=True)
 class SignatureTable:
     """Per-(gesture, sensor) intensity deltas for the active sensors.
@@ -47,10 +58,7 @@ class SignatureTable:
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", MappingProxyType(dict(self.deltas)))
-        object.__setattr__(self, "active_sensors", tuple(self.active_sensors))
-        for sensor in self.active_sensors:
-            if not 1 <= sensor <= 5:
-                raise ValueError(f"sensor index {sensor} outside 1..5")
+        object.__setattr__(self, "active_sensors", check_active_sensors(self.active_sensors))
         for (gesture, sensor), delta in self.deltas.items():
             if gesture not in GESTURES:
                 raise ValueError(f"{gesture} cannot carry a signature")
@@ -88,6 +96,7 @@ def generate_signatures(
     Raises ValueError if a requested gesture has no relax/gesture pair, or
     if a segment used by a pair is shorter than min_segment_frames.
     """
+    active = check_active_sensors(active)
     gestures = tuple(gestures)
     sums = {}
     counts = {}
@@ -119,7 +128,7 @@ def generate_signatures(
         if not any(g is gesture for g, _ in counts):
             raise ValueError(f"no relax/gesture pairs found for {gesture}")
     deltas = {key: sums[key] / counts[key] for key in sums}
-    return SignatureTable(deltas=deltas, active_sensors=tuple(active))
+    return SignatureTable(deltas=deltas, active_sensors=active)
 
 
 def _segment_means(trace: LabeledTrace, start: int, end: int) -> list:

@@ -16,7 +16,8 @@ INTENSITY_MAX = 1023
 # Canonical sample spacing of the sensor stream (seconds).
 DEFAULT_SAMPLE_INTERVAL = 0.02
 
-# Rows converted to Python values at a time by LabeledTrace.rows().
+# Rows converted between arrays and Python values or text at a time: by
+# LabeledTrace.rows() and by the collection CSV and label file codecs.
 ROW_BLOCK = 2048
 
 
@@ -33,6 +34,11 @@ class GestureLabel(Enum):
     ONE = 3
     TRANSITION = 4
 
+    # Members are singletons that compare by identity, so they can hash by
+    # identity too: a C-level hash for every dict, set or Counter keyed by
+    # label, where Enum.__hash__ is a Python call per lookup.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.name
 
@@ -40,10 +46,6 @@ class GestureLabel(Enum):
     def class_index(self) -> int:
         """Stable integer encoding used for one-hot targets and matrices."""
         return self.value
-
-    @classmethod
-    def from_class_index(cls, index: int) -> "GestureLabel":
-        return cls(index)
 
 
 # Gestures that carry a signature (everything except RELAX and TRANSITION).
@@ -56,6 +58,9 @@ SCOREABLE_CLASSES = (
     GestureLabel.FIST,
     GestureLabel.ONE,
 )
+
+# A label's text in the collection CSV and the classify label file.
+LABEL_TEXT = {label: label.name.lower() for label in GestureLabel}
 
 _LABELS_BY_NAME = {label.name: label for label in GestureLabel}
 

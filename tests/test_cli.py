@@ -3,12 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import E, F, O
+from conftest import E, F, O, T as TRANSITION
 from lightband import mlp
 from lightband.cli import main
 from lightband.ingest import read_collection_csv, write_collection_csv
-from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
+from lightband.signature import (
+    SignatureTable,
+    classify_trace,
+    generate_signatures,
+    read_signature_csv,
+    write_signature_csv,
+)
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace, write_profile_csv
+from lightband.types import ROW_BLOCK, GestureLabel
 
 
 def run(capsys, *argv):
@@ -254,8 +261,15 @@ def _missing_hidden(cfg):
         lambda cfg: {**cfg, "hidden": 5},
         lambda cfg: list(cfg.values()),
         lambda cfg: {**cfg, "epochs": "x"},
+        lambda cfg: {**cfg, "hidden": [2.5]},
+        lambda cfg: {**cfg, "output_dim": 2.0},
+        lambda cfg: {**cfg, "batch_size": True},
+        lambda cfg: {**cfg, "normalize": 1},
     ],
-    ids=["unknown-key", "missing-hidden", "int-hidden", "json-list", "str-epochs"],
+    ids=[
+        "unknown-key", "missing-hidden", "int-hidden", "json-list", "str-epochs",
+        "float-hidden", "float-output-dim", "bool-batch-size", "int-normalize",
+    ],
 )
 def test_nn_predict_malformed_model_config(capsys, tmp_path, corrupt):
     x_path, _ = nn_dataset(tmp_path)
@@ -263,7 +277,13 @@ def test_nn_predict_malformed_model_config(capsys, tmp_path, corrupt):
     model_path = tmp_path / "model.txt"
     mlp.save_model(model, str(model_path))
     lines = model_path.read_text().splitlines()
-    lines[1] = json.dumps(corrupt(json.loads(lines[1])))
+    cfg = corrupt(json.loads(lines[1]))
+    lines[1] = json.dumps(cfg)
+    if isinstance(cfg, dict) and isinstance(cfg.get("hidden"), list):
+        # layer headers that match the config, so loading reaches its values
+        dims = [cfg["input_dim"], *cfg["hidden"], cfg["output_dim"]]
+        headers = iter(f"layer {out} {fan_in}" for fan_in, out in zip(dims, dims[1:]))
+        lines = [next(headers) if line.startswith("layer ") else line for line in lines]
     model_path.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "nn", "predict", "--x", str(x_path), "--model", str(model_path))
     assert code == 1
@@ -382,3 +402,79 @@ def test_nn_split_checked_before_data_is_read(capsys, tmp_path):
     )
     assert code == 2
     assert "--split" in err
+
+
+@pytest.mark.parametrize("active", ["0,9", "6", "0", "2,x", "-1", "2,2,3"])
+def test_train_signatures_bad_active_sensors_are_usage_errors(capsys, tmp_path, active):
+    trace_path = training_trace(tmp_path)
+    code, _, err = run(
+        capsys, "train-signatures", str(trace_path), "--out", str(tmp_path / "t.csv"),
+        f"--active={active}",
+    )
+    assert code == 2
+    assert "--active" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tolerance", "nan"), ("--horizon", "0"), ("--alpha", "2"), ("--window", "-1")],
+)
+def test_classify_options_checked_before_inputs_are_read(capsys, tmp_path, option, value):
+    bad_trace = tmp_path / "bad.csv"
+    bad_trace.write_text("not a collection file\n")
+    bad_table = tmp_path / "table.csv"
+    bad_table.write_text("not,a,table\n")
+    code, _, err = run(
+        capsys, "classify", "--trace", str(bad_trace), "--table", str(bad_table),
+        "--out", str(tmp_path / "l.csv"), f"{option}={value}",
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_classify_label_file_matches_f_string_format(capsys, tmp_path):
+    trace = synth_trace([E, F, O] * 2, DEFAULT_PROFILES, SimConfig(seed=5))
+    assert len(trace) > ROW_BLOCK
+    trace_path, table_path = tmp_path / "trace.csv", tmp_path / "table.csv"
+    write_collection_csv(trace, str(trace_path))
+    table = generate_signatures([trace])
+    write_signature_csv(table, str(table_path))
+    labels_path = tmp_path / "labels.csv"
+    code, _, _ = run(
+        capsys, "classify", "--trace", str(trace_path), "--table", str(table_path),
+        "--out", str(labels_path),
+    )
+    assert code == 0
+    predicted = classify_trace(trace, table)
+    assert TRANSITION in predicted and len(set(predicted)) == 5
+    names = {label: label.name.lower() for label in GestureLabel}
+    expected = "t_rel,label\n" + "".join(
+        f"{t},{names[label]}\n" for t, label in zip(trace.t_rel.tolist(), predicted)
+    )
+    assert labels_path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_path, bad):
+    x_path, y_path = nn_dataset(tmp_path)
+    model_path = tmp_path / "model.txt"
+    run(
+        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
+        "--model", str(model_path), "--split", "80", "--epochs", "1",
+    )
+    labels = mlp.load_labels_csv(str(y_path))
+    code, out, _ = run(
+        capsys, "nn", "predict", "--x", str(x_path), "--y", str(y_path),
+        "--model", str(model_path),
+    )
+    assert code == 0 and "accuracy:" in out
+    bad_y = tmp_path / "bad.csv"
+    mlp.write_labels_csv(labels[:-1] + [bad], str(bad_y))
+    code, out, _ = run(
+        capsys, "nn", "predict", "--x", str(x_path), "--y", str(bad_y),
+        "--model", str(model_path),
+    )
+    assert code == 0
+    assert "labels outside the gesture set; skipping confusion report" in out
+    assert "accuracy:" not in out

@@ -1,4 +1,7 @@
+import functools
 import io
+from array import array
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E, F, O, R, T, make_trace, random_rows
-from lightband import mlp
+from lightband import ingest, mlp
 from lightband.evaluate import confusion, write_counts_csv
 from lightband.ingest import (
     COLLECTION_HEADER,
+    COLLECTION_HEADER_FIELDS,
+    _infer_interval,
+    open_text,
     parse_serial_line,
     read_collection_csv,
     read_frames_from_line_stream,
@@ -17,7 +23,7 @@ from lightband.ingest import (
 )
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import DEFAULT_PROFILES, read_profile_csv, read_script, write_profile_csv
-from lightband.types import GestureLabel, LabeledTrace
+from lightband.types import ROW_BLOCK, FrameError, GestureLabel, LabeledTrace, parse_label
 
 
 def test_parse_serial_line_examples():
@@ -345,3 +351,230 @@ def test_readers_give_same_result_from_path_and_stream(tmp_path, name):
     from_path = _comparable(read(str(path)))
     assert from_path == _comparable(read(path))  # PathLike as well as str
     assert from_path == _comparable(read(io.StringIO(text)))
+
+
+# --- The block codec against the row-by-row reader and f-string writer ---
+
+
+def reference_read_collection_csv(source) -> LabeledTrace:
+    """The row-by-row collection reader: the oracle for read_collection_csv."""
+    t_rel, t_unix, channels = array("d"), array("d"), array("q")
+    labels, linenos = [], array("q")
+    with open_text(source) as lines:
+        header_seen = False
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\r\n")
+            if not header_seen:
+                fields = tuple(f.strip() for f in line.split(","))
+                if fields != COLLECTION_HEADER_FIELDS:
+                    raise ValueError(f"line {lineno}: missing or malformed header: {line!r}")
+                header_seen = True
+                continue
+            if not line.strip():
+                continue
+            if line.endswith(","):
+                line = line[:-1]
+            tokens = line.split(",")
+            if len(tokens) != 8:
+                raise ValueError(f"line {lineno}: expected 8 fields, got {len(tokens)}")
+            try:
+                t_rel.append(float(tokens[0]))
+                t_unix.append(float(tokens[1]))
+                channels.extend(map(int, tokens[2:7]))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"line {lineno}: malformed row: {exc}") from None
+            try:
+                labels.append(parse_label(tokens[7]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            linenos.append(lineno)
+    if not header_seen:
+        raise ValueError("missing or malformed header: empty input")
+    t_rel = np.frombuffer(t_rel, dtype=np.float64)
+    try:
+        return LabeledTrace(
+            t_rel=t_rel,
+            t_unix=np.frombuffer(t_unix, dtype=np.float64),
+            channels=np.frombuffer(channels, dtype=np.int64).reshape(-1, 5),
+            labels=labels,
+            sample_interval=_infer_interval(t_rel),
+        )
+    except FrameError as exc:
+        raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
+
+
+def reference_collection_text(trace) -> str:
+    """The f-string collection writer: the oracle for write_collection_csv."""
+    names = {label: label.name.lower() for label in GestureLabel}
+    return COLLECTION_HEADER + "\n" + "".join(
+        f"{t},{u},{c[0]},{c[1]},{c[2]},{c[3]},{c[4]},{names[label]},\n"
+        for t, u, c, label in trace.rows()
+    )
+
+
+def _read_outcome(read, text):
+    """What a reader makes of text: a LabeledTrace, or its ValueError message."""
+    try:
+        return read(io.StringIO(text, newline=""))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_reads_like_reference(text):
+    got = _read_outcome(read_collection_csv, text)
+    want = _read_outcome(reference_read_collection_csv, text)
+    assert got == want, (got, want)
+
+
+@functools.cache
+def _codec_trace(n: int, seed: int) -> LabeledTrace:
+    rng = np.random.default_rng(seed)
+    interval = (0.02, 1e-05, 0.1)[seed % 3]  # short, exponent and long float reprs
+    t_rel = np.arange(n) * interval
+    return LabeledTrace(
+        t_rel=t_rel,
+        t_unix=1_700_000_000.123 + t_rel,
+        channels=rng.choice([0, 1, 9, 10, 99, 100, 512, 1022, 1023], size=(n, 5)),
+        labels=[GestureLabel(int(v)) for v in rng.integers(0, 5, size=n)],
+        sample_interval=interval,
+    )
+
+
+@functools.cache
+def _codec_lines(n: int, seed: int) -> tuple:
+    return tuple(_collection_text(_codec_trace(n, seed)).splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_writer_matches_f_string_writer_at_block_edges(n):
+    trace = _codec_trace(n, n)
+    text = _collection_text(trace)
+    assert text == reference_collection_text(trace)
+    assert_reads_like_reference(text)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([1, 2, 5, ROW_BLOCK]), st.integers(0, 40))
+def test_writer_and_reader_match_references_on_random_traces(data, block, n):
+    interval = data.draw(st.sampled_from([0.02, 1e-05, 3.0, 1e5]))
+    t_rel = np.arange(n) * interval + data.draw(st.sampled_from([0.0, 0.1, 1e9]))
+    trace = LabeledTrace(
+        t_rel=t_rel,
+        t_unix=data.draw(st.lists(_FINITE, min_size=n, max_size=n)),
+        channels=data.draw(st.lists(st.lists(st.integers(0, 1023), min_size=5, max_size=5),
+                                    min_size=n, max_size=n)),
+        labels=data.draw(st.lists(st.sampled_from(list(GestureLabel)), min_size=n, max_size=n)),
+        sample_interval=interval,
+    )
+    with patch.object(ingest, "ROW_BLOCK", block):
+        text = _collection_text(trace)
+        assert text == reference_collection_text(trace)
+        assert_reads_like_reference(text)
+
+
+def _int_variants(value: int) -> list:
+    """Spellings of an intensity that int() reads but the writer never writes."""
+    text = str(value)
+    return [f" {text}", f"{text} ", f"0{text}", f"+{text}", f"-{text}", f"{text[0]}_{text}",
+            str(value + 1024), "-1", "1024", "1023 ", "00", "99999999999999999999"]
+
+
+_BAD_ROW_KINDS = ["blank", "no_comma", "tail", "int", "label", "float", "fields", "crlf", "cr"]
+
+
+@st.composite
+def mutated_codec_texts(draw):
+    """A written trace with bad or odd rows, placed around block boundaries."""
+    block = draw(st.sampled_from([1, 2, 3, 7, ROW_BLOCK]))
+    n = draw(st.sampled_from([1, 5, 23]) if block < ROW_BLOCK else st.just(2 * ROW_BLOCK + 3))
+    lines = list(_codec_lines(n, draw(st.integers(0, 2))))
+    edges = [b + d for b in range(0, n + 1, block) for d in (-1, 0, 1) if 0 <= b + d < n]
+    spots = st.one_of(st.sampled_from(edges), st.integers(0, n - 1))
+    for _ in range(draw(st.integers(1, 4))):
+        row = 1 + draw(spots)
+        line = lines[row]
+        fields = line.rstrip("\n").split(",")
+        kind = draw(st.sampled_from(_BAD_ROW_KINDS))
+        if len(fields) != 9 or not line.endswith(",\n"):
+            continue  # an earlier mutation's line; leave it as it is
+        if kind == "blank":
+            lines.insert(row, draw(st.sampled_from(["\n", " \n", "\t\r\n", "\r"])))
+        elif kind == "no_comma":
+            lines[row] = line[:-2] + "\n"
+        elif kind == "tail":  # a ninth field after the trailing comma
+            lines[row] = line[:-1] + draw(st.sampled_from(["x", " ", ",", "\t"])) + "\n"
+        elif kind == "int":
+            pos = draw(st.integers(2, 6))
+            if fields[pos].isdigit():
+                fields[pos] = draw(st.sampled_from(_int_variants(int(fields[pos]))))
+        elif kind == "label":
+            fields[7] = draw(st.sampled_from(
+                [fields[7].upper(), fields[7].title(), f" {fields[7]}", f"{fields[7]} ",
+                 "jump", "", "relax\t", "Transition"]
+            ))
+        elif kind == "float":
+            pos = draw(st.integers(0, 1))
+            fields[pos] = draw(st.sampled_from(
+                [f" {fields[pos]}", f"{fields[pos]} ", "x", "", "nan", "inf", "1e999", "1_0",
+                 "0x10", f"+{fields[pos]}"]
+            ))
+        elif kind == "fields":
+            if draw(st.booleans()):
+                del fields[draw(st.integers(0, 7))]
+            else:
+                fields.insert(draw(st.integers(0, 8)), draw(st.sampled_from(["", "1", "relax"])))
+        else:
+            lines[row] = line.replace("\n", "\r\n" if kind == "crlf" else "\r")
+        if kind in ("int", "label", "float", "fields"):
+            lines[row] = ",".join(fields) + "\n"
+    text = "".join(lines)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", "none"]))
+    if ending == "none":
+        text = text.rstrip("\n")
+    elif ending != "\n":
+        text = text.replace("\n", ending)
+    return block, text
+
+
+@settings(deadline=None, max_examples=200)
+@given(mutated_codec_texts())
+def test_reader_matches_row_reference_on_odd_rows(case):
+    block, text = case
+    with patch.object(ingest, "ROW_BLOCK", block):
+        assert_reads_like_reference(text)
+
+
+def test_reader_matches_row_reference_on_listed_cases():
+    rows = [f"{i * 0.02!r},0.0,1,2,3,4,5,relax," for i in range(6)]
+
+    def text(*edits):
+        lines = list(rows)
+        for index, line in edits:
+            lines[index] = line
+        return COLLECTION_HEADER + "\n" + "\n".join(lines) + "\n"
+
+    cases = [
+        text(),
+        text((2, "")),
+        text((2, "   "), (4, "\t")),
+        text((3, "0.06,0.0,1,2,3,4,5,relax")),
+        text((1, "0.02,0.0, 1,2,3,4,5,relax,"), (4, "0.08,0.0,1,2,3,4,05,relax,")),
+        text((1, "0.02,0.0,+1,2,3,4,5,relax,"), (2, "0.04,0.0,1_0,2,3,4,5,relax,")),
+        text((5, "0.1,0.0,1,2,3,4,1024,relax,")),
+        text((0, "0.0,0.0,-1,2,3,4,5,relax,"), (5, "0.1,0.0,1,2,3,4,-0,relax,")),
+        text((3, "0.06,0.0,1,2,3,4,5,RELAX,")),
+        text((3, "0.06,0.0,1,2,3,4,5,jump,"), (4, "0.08,0.0,1,2,3,4,5,hop,")),
+        text((2, "0.04,0.0,1,2,3,4,5,relax,,")),
+        text((2, "0.04,0.0,1,2,3,4,5,relax,x"), (3, "0.06,0.0,1,2,3,4,5,relax, ")),
+        text((2, "0.04,x,1,2,3,4,5,relax,"), (4, "0.08,0.0,1,2,3,4,5,jump,")),
+        text().replace("\n", "\r\n"),
+        text().replace("\n", "\r"),
+        text()[:-1],
+    ]
+    for block in (1, 2, 4, ROW_BLOCK):
+        with patch.object(ingest, "ROW_BLOCK", block):
+            for case in cases:
+                assert_reads_like_reference(case)

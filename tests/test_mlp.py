@@ -1,11 +1,15 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import E, R, make_trace
 from lightband.mlp import (
+    MODEL_MAGIC,
     MlpConfig,
     MlpModel,
     TrainReport,
@@ -484,3 +488,117 @@ def test_models_trained_back_to_back_share_no_memory():
     for a in first.weights + first.biases:
         for b in second.weights + second.biases:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("hidden", (2.5,)), ("hidden", (True,)), ("output_dim", 2.0), ("input_dim", "5"),
+        ("epochs", 1.0), ("batch_size", True), ("seed", None), ("normalize", 1),
+        ("normalize", "yes"),
+    ],
+)
+def test_config_requires_integer_dims_and_counts_and_a_bool_normalize(field, value):
+    with pytest.raises(ValueError, match="integer|bool"):
+        MlpConfig(**{field: value})
+
+
+def test_load_model_deeply_nested_config_is_a_value_error():
+    with pytest.raises(ValueError, match="config"):
+        load_model(io.StringIO(MODEL_MAGIC + "\n" + "[" * 100_000 + "\n"))
+
+
+@st.composite
+def small_models(draw):
+    cfg = MlpConfig(
+        input_dim=draw(st.integers(1, 4)),
+        hidden=tuple(draw(st.lists(st.integers(1, 4), max_size=2))),
+        output_dim=draw(st.integers(1, 4)),
+        normalize=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    model = init_model(cfg, np.random.default_rng(cfg.seed))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    for array_ in model.weights + model.biases:
+        if draw(st.booleans()):  # odd values: subnormals, huge, -0.0
+            array_[...] = np.reshape(draw(st.lists(values, min_size=array_.size,
+                                                   max_size=array_.size)), array_.shape)
+    return model
+
+
+def _model_text(model) -> str:
+    sink = io.StringIO()
+    save_model(model, sink)
+    return sink.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_models())
+def test_model_save_load_save_is_byte_identical(model):
+    text = _model_text(model)
+    back = load_model(io.StringIO(text))
+    assert back.config == model.config
+    assert _model_text(back) == text
+
+
+_MODEL_HEAD_BYTES = (MODEL_MAGIC + "\n").encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.binary(max_size=300), st.binary(max_size=300).map(_MODEL_HEAD_BYTES.__add__)))
+def test_load_model_random_bytes_raise_only_value_error(data):
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    try:
+        load_model(stream)
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError are ones too
+        pass
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 10**30), st.text(max_size=4),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_BAD_MODEL_TOKENS = st.one_of(
+    st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "layer", "0", "-1", "2.5", "{"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated_model_texts(draw):
+    lines = _model_text(draw(small_models())).splitlines(keepends=True)
+    row = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["config", "replace", "drop", "add", "delete", "duplicate"]))
+    if kind == "config":
+        cfg = json.loads(lines[1])
+        cfg[draw(st.sampled_from(sorted(cfg)))] = draw(_JSON_VALUES)
+        lines[1] = json.dumps(cfg) + "\n"
+    elif kind in ("delete", "duplicate"):
+        line = lines.pop(row)
+        if kind == "duplicate":
+            lines[row:row] = [line, line]
+    else:
+        tokens = lines[row].split()
+        pos = draw(st.integers(0, len(tokens)))
+        if kind == "replace" and pos < len(tokens):
+            tokens[pos] = draw(_BAD_MODEL_TOKENS)
+        elif kind == "drop" and pos < len(tokens):
+            del tokens[pos]
+        else:
+            tokens.insert(pos, draw(_BAD_MODEL_TOKENS))
+        lines[row] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_model_texts())
+def test_load_model_mutated_lines_raise_only_value_error(text):
+    try:
+        model = load_model(io.StringIO(text))
+    except ValueError:
+        return
+    assert len(model.weights) == len(model.config.layer_dims)

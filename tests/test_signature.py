@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import E, F, O, R, T, flat_rows, make_trace
 from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.signature import (
+    SIGNATURE_CSV_HEADER,
     ClassifierState,
     SignatureTable,
     classify_frame,
@@ -369,3 +370,99 @@ def test_signature_csv_round_trip():
 def test_signature_csv_bad_header():
     with pytest.raises(ValueError, match="header"):
         read_signature_csv(io.StringIO("a,b,c\n"))
+
+
+@pytest.mark.parametrize(
+    "active, message",
+    [((0, 9), "outside 1..5"), ((6,), "outside 1..5"), ((0,), "outside 1..5"),
+     ((2, -1), "outside 1..5"), ((2, 2, 3), "repeat")],
+)
+def test_generate_signatures_rejects_bad_sensors_before_indexing(active, message):
+    trace = make_trace(flat_rows(800, 10) + flat_rows(700, 10), [R] * 10 + [E] * 10)
+    with pytest.raises(ValueError, match=message):
+        generate_signatures([trace], active=active, gestures=(E,))
+    with pytest.raises(ValueError, match=message):
+        SignatureTable(deltas={}, active_sensors=active)
+
+
+@st.composite
+def signature_tables(draw):
+    active = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    gestures = draw(st.lists(st.sampled_from(GESTURES), unique=True))
+    deltas = st.floats(allow_nan=False, allow_infinity=False)
+    return SignatureTable(
+        deltas={(g, s): draw(deltas) for g in gestures for s in active},
+        active_sensors=tuple(active),
+    )
+
+
+def _signature_text(table) -> str:
+    sink = io.StringIO()
+    write_signature_csv(table, sink)
+    return sink.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(signature_tables())
+def test_signature_csv_write_read_write_is_byte_identical(table):
+    text = _signature_text(table)
+    back = read_signature_csv(io.StringIO(text))
+    assert back.deltas == table.deltas
+    assert _signature_text(back) == text
+
+
+_SIGNATURE_HEADER_BYTES = (SIGNATURE_CSV_HEADER + "\n").encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(
+    st.binary(max_size=200), st.binary(max_size=200).map(_SIGNATURE_HEADER_BYTES.__add__)
+))
+def test_read_signature_csv_random_bytes_raise_only_value_error(data):
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    try:
+        read_signature_csv(stream)
+    except ValueError:  # UnicodeDecodeError is one too
+        pass
+
+
+_BAD_SIGNATURE_TOKENS = st.one_of(
+    st.sampled_from([
+        "", " ", "x", "nan", "inf", "-inf", "1e999", "0", "6", "-1", "2.5", "relax",
+        "transition", "EXTEND", "99999999999999999999", "\x00", "1_0",
+    ]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated_signature_texts(draw):
+    lines = _signature_text(draw(signature_tables())).splitlines(keepends=True)
+    row = draw(st.integers(0, len(lines) - 1))
+    fields = lines[row].rstrip("\n").split(",")
+    kind = draw(st.sampled_from(["replace", "drop", "add", "delete", "duplicate", "blank"]))
+    pos = draw(st.integers(0, len(fields) - 1))
+    if kind == "replace":
+        fields[pos] = draw(_BAD_SIGNATURE_TOKENS)
+    elif kind == "drop":
+        del fields[pos]
+    elif kind == "add":
+        fields.insert(pos, draw(_BAD_SIGNATURE_TOKENS))
+    lines[row] = ",".join(fields) + "\n"
+    if kind == "delete":
+        del lines[row]
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "blank":
+        lines.insert(row, draw(st.sampled_from(["\n", " \n", "\r\n"])))
+    return "".join(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_signature_texts())
+def test_read_signature_csv_mutated_lines_raise_only_value_error(text):
+    try:
+        table = read_signature_csv(io.StringIO(text))
+    except ValueError:
+        return
+    assert all(1 <= s <= 5 for s in table.active_sensors)

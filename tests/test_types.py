@@ -1,4 +1,7 @@
+import copy
 import io
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import E, F, R, T, flat_rows, make_trace
 from lightband.ingest import read_frames_from_line_stream
 from lightband.types import (
+    LABEL_TEXT,
     FrameError,
     GestureLabel,
     LabeledTrace,
@@ -34,6 +38,20 @@ def test_parse_label_unknown_names_token():
 def test_label_text_round_trip(label):
     assert parse_label(str(label)) is label
     assert parse_label(str(label).lower()) is label
+
+
+def test_labels_hash_by_identity():
+    assert list(GestureLabel.__members__) == ["RELAX", "EXTEND", "FIST", "ONE", "TRANSITION"]
+    for label in ALL_LABELS:
+        assert hash(label) == object.__hash__(label)
+        assert pickle.loads(pickle.dumps(label)) is label
+        assert copy.copy(label) is label and copy.deepcopy(label) is label
+        assert {label: 1}[label] == 1 and label in set(ALL_LABELS)
+        assert LABEL_TEXT[label] == label.name.lower()
+    counts = Counter([R, E, R, T, R])
+    assert counts[R] == 3 and counts[E] == 1 and counts[F] == 0
+    assert len({R, R, E}) == 2 and {R: 1} != {E: 1}
+    assert 0 not in set(ALL_LABELS) and "RELAX" not in {R: 1}
 
 
 def test_sensor_frame_validation():
