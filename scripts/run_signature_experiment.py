@@ -43,9 +43,7 @@ def main() -> None:
     table = generate_signatures([train_trace])
     write_signature_csv(table, args.out_dir / "signatures.csv")
     print("learned signatures (gesture, sensor -> delta):")
-    for (gesture, sensor), delta in sorted(
-        table.deltas.items(), key=lambda item: (item[0][0].value, item[0][1])
-    ):
+    for (gesture, sensor), delta in table.deltas.items():
         print(f"  {gesture.name.lower():<7} {sensor}  {delta:9.3f}")
 
     predicted = classify_trace(eval_trace, table, BaselineConfig(alpha=0.2, window=12.0))

@@ -1,5 +1,5 @@
 """Command-line pipeline: simulate, learn signatures, classify, train the
-network, evaluate, and query the fiber optics helpers.
+network, evaluate, and print a fiber's critical angle.
 
 Exit codes are stable for scripting: 0 success, 1 runtime or domain
 failure, 2 usage or argument failure.
@@ -14,9 +14,7 @@ from dataclasses import replace
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import LABEL_TEXT, ROW_BLOCK, GestureLabel
-
-_CLASS_LABELS = tuple(GestureLabel)  # indexed by class index
+from .types import CLASS_LABELS, LABEL_TEXT, ROW_BLOCK, GestureLabel
 
 
 def _baseline_levels(text: str) -> tuple:
@@ -130,9 +128,7 @@ def cmd_train_signatures(args) -> int:
     table = signature.generate_signatures(traces, active=args.active)
     signature.write_signature_csv(table, args.out)
     print("gesture  sensor  delta")
-    for (gesture, sensor), delta in sorted(
-        table.deltas.items(), key=lambda item: (item[0][0].value, item[0][1])
-    ):
+    for (gesture, sensor), delta in table.deltas.items():
         print(f"{gesture.name.lower():<7}  {sensor:>6}  {delta:>10.3f}")
     print(f"wrote signature table to {args.out}")
     return 0
@@ -236,15 +232,15 @@ def _print_confusion(truth_indices, predicted_indices) -> None:
     if not all(map(_known_classes, (truth_indices, predicted_indices))):
         print("labels outside the gesture set; skipping confusion report")
         return
-    truth = list(map(_CLASS_LABELS.__getitem__, truth_indices))
-    predicted = list(map(_CLASS_LABELS.__getitem__, predicted_indices))
+    truth = list(map(CLASS_LABELS.__getitem__, truth_indices))
+    predicted = list(map(CLASS_LABELS.__getitem__, predicted_indices))
     matrix = evaluate.confusion(truth, predicted)
     print(evaluate.render_report(matrix), end="")
 
 
 def _known_classes(indices) -> bool:
     """Every index is a class index; a bare tuple index would wrap negatives."""
-    return not indices or (min(indices) >= 0 and max(indices) < len(_CLASS_LABELS))
+    return not indices or (min(indices) >= 0 and max(indices) < len(CLASS_LABELS))
 
 
 def cmd_physics(args) -> int:

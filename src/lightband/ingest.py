@@ -38,7 +38,7 @@ COLLECTION_HEADER_FIELDS = (
     "ldr5",
     "label",
 )
-COLLECTION_HEADER = "delta Time, Unix Time, ldr1, ldr2, ldr3, ldr4, ldr5, label"
+COLLECTION_HEADER = ", ".join(COLLECTION_HEADER_FIELDS)
 _ROW_FORMAT = "{!r},{!r},{},{},{},{},{},{},\n".format
 
 # Canonical intensity text, "0" to "1023": the writer's table, indexed by

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ingest import open_text
-from .types import GestureLabel, LabeledTrace
+from .types import CLASS_INDEX, GestureLabel, LabeledTrace
 
 PRED_EPS = 1e-7
 
@@ -109,17 +109,25 @@ def init_model(cfg: MlpConfig, rng: np.random.Generator) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, config=cfg)
 
 
+def _as_indices(labels, num_classes: int) -> np.ndarray:
+    """Class indices of labels given as GestureLabels or ints.
+
+    Raises ValueError naming the first index outside [0, num_classes).
+    """
+    indices = [CLASS_INDEX[l] if isinstance(l, GestureLabel) else int(l) for l in labels]
+    # min and max compare Python ints, so an index too wide for int64 is
+    # reported as out of range rather than overflowing the array below
+    if indices and (min(indices) < 0 or max(indices) >= num_classes):
+        bad = next(i for i in indices if not 0 <= i < num_classes)
+        raise ValueError(f"class index {bad} outside [0, {num_classes})")
+    return np.array(indices, dtype=np.intp)
+
+
 def one_hot(labels, num_classes: int) -> np.ndarray:
     """Encode labels (GestureLabel or class indices) as one-hot rows."""
-    indices = [
-        label.class_index if isinstance(label, GestureLabel) else int(label)
-        for label in labels
-    ]
+    indices = _as_indices(labels, num_classes)
     out = np.zeros((len(indices), num_classes))
-    for row, idx in enumerate(indices):
-        if not 0 <= idx < num_classes:
-            raise ValueError(f"class index {idx} outside [0, {num_classes})")
-        out[row, idx] = 1.0
+    out[np.arange(len(indices)), indices] = 1.0
     return out
 
 
@@ -260,13 +268,6 @@ def _prepare(x, cfg: MlpConfig) -> np.ndarray:
     return x / 1023.0 if cfg.normalize else x
 
 
-def _as_indices(labels) -> np.ndarray:
-    return np.array(
-        [l.class_index if isinstance(l, GestureLabel) else int(l) for l in labels],
-        dtype=int,
-    )
-
-
 def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     """Train with mini-batch Adam; returns (model, per-epoch TrainReport).
 
@@ -281,7 +282,7 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
         raise ValueError("cannot train on an empty dataset")
     if not np.isfinite(x).all():
         raise ValueError("non-finite value in training features")
-    indices = _as_indices(labels)
+    indices = _as_indices(labels, cfg.output_dim)
     if len(indices) != x.shape[0]:
         raise ValueError(f"{x.shape[0]} rows but {len(indices)} labels")
     targets = one_hot(indices, cfg.output_dim)
@@ -290,7 +291,7 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
         x_val = _prepare(validation[0], cfg)
         if not np.isfinite(x_val).all():
             raise ValueError("non-finite value in validation features")
-        val_indices = _as_indices(validation[1])
+        val_indices = _as_indices(validation[1], cfg.output_dim)
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
         val_bufs = [np.empty((x_val.shape[0], fan_out)) for _, fan_out in cfg.layer_dims]
     train_bufs = [np.empty((x.shape[0], fan_out)) for _, fan_out in cfg.layer_dims]
@@ -359,7 +360,7 @@ def split_dataset(x, labels, boundary: int) -> tuple:
 
 def trace_to_dataset(trace: LabeledTrace) -> tuple:
     """Per-frame feature matrix (raw intensities) and class-index labels."""
-    return trace.channels.astype(float), [label.class_index for label in trace.labels]
+    return trace.channels.astype(float), list(map(CLASS_INDEX.__getitem__, trace.labels))
 
 
 def save_model(model: MlpModel, sink) -> None:

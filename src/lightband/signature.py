@@ -18,9 +18,16 @@ import numpy as np
 
 from .baseline import BaselineConfig, batch_baselines
 from .ingest import open_text
-from .types import GESTURES, GestureLabel, LabeledTrace, SensorFrame, parse_label, segment_trace
-
-_LABELS = tuple(GestureLabel)  # indexed by GestureLabel value
+from .types import (
+    CLASS_INDEX,
+    CLASS_LABELS,
+    GESTURES,
+    GestureLabel,
+    LabeledTrace,
+    SensorFrame,
+    parse_label,
+    segment_trace,
+)
 
 DEFAULT_ACTIVE_SENSORS = (2, 3, 4)  # 1-based; the short fibers react the most
 DEFAULT_TOLERANCE = 0.10
@@ -47,7 +54,8 @@ class SignatureTable:
 
     Deltas are signed: negative means the sensor dips below the relax
     baseline during the gesture. The table keeps a read-only copy of the
-    deltas, so it is immutable once built and safe to share. rows holds
+    deltas in (gesture, sensor) order, so it is immutable once built, safe
+    to share, and written and printed in that order without a sort. rows holds
     (gesture, signatures in active-sensor order) for each gesture present,
     in GESTURES order: what classify_frame walks on every frame.
     """
@@ -57,13 +65,15 @@ class SignatureTable:
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", MappingProxyType(dict(self.deltas)))
         object.__setattr__(self, "active_sensors", check_active_sensors(self.active_sensors))
-        for (gesture, sensor), delta in self.deltas.items():
+        deltas = dict(self.deltas)
+        for (gesture, sensor), delta in deltas.items():
             if gesture not in GESTURES:
                 raise ValueError(f"{gesture} cannot carry a signature")
             if not math.isfinite(delta):
                 raise ValueError(f"non-finite delta for ({gesture}, sensor {sensor})")
+        ordered = sorted(deltas, key=lambda key: (CLASS_INDEX[key[0]], key[1]))
+        object.__setattr__(self, "deltas", MappingProxyType({k: deltas[k] for k in ordered}))
         present = {g for g, _ in self.deltas}
         rows = []
         for gesture in (g for g in GESTURES if g in present):
@@ -220,8 +230,8 @@ def classify_trace(
     readings = trace.channels[:, cols]
     deltas = batch_baselines(trace.t_rel, readings, cfg)
     np.subtract(readings, deltas, out=deltas)  # reading minus baseline, in place
-    # raw label per frame, as GestureLabel values; RELAX when nothing matches
-    raw = np.full(n, GestureLabel.RELAX.value)
+    # raw label per frame, as a class index; RELAX when nothing matches
+    raw = np.full(n, CLASS_INDEX[GestureLabel.RELAX])
     best_err = np.full(n, math.inf)
     for gesture, sigs in table.rows:
         matched = np.ones(n, dtype=bool)
@@ -234,33 +244,30 @@ def classify_trace(
                     total_err = total_err + err / abs(sig)
         mean_err = total_err / len(sigs)
         better = matched & (mean_err < best_err)
-        raw[better] = gesture.value
+        raw[better] = CLASS_INDEX[gesture]
         best_err[better] = mean_err[better]
     # A frame is TRANSITION unless its raw label has held for the whole
     # history before it: the last transition_horizon raw labels, counting
     # those already in state.
     horizon = state.transition_horizon
-    prior = [label.value for label in state.recent_labels]
+    prior = [CLASS_INDEX[label] for label in state.recent_labels]
     history = np.concatenate([np.array(prior, dtype=raw.dtype), raw])
     changes = np.flatnonzero(history[1:] != history[:-1]) + 1
     run_start = np.zeros(len(history), dtype=np.int64)
     run_start[changes] = changes
     run_start = np.maximum.accumulate(run_start)[len(prior):]
     history_start = np.maximum(np.arange(len(prior), len(history)) - horizon, 0)
-    emitted = np.where(run_start > history_start, GestureLabel.TRANSITION.value, raw)
-    state.recent_labels.extend(_LABELS[v] for v in raw[-horizon:].tolist())
-    return [_LABELS[v] for v in emitted.tolist()]
+    emitted = np.where(run_start > history_start, CLASS_INDEX[GestureLabel.TRANSITION], raw)
+    state.recent_labels.extend(map(CLASS_LABELS.__getitem__, raw[-horizon:].tolist()))
+    return list(map(CLASS_LABELS.__getitem__, emitted.tolist()))
 
 
 def write_signature_csv(table: SignatureTable, sink) -> None:
     """Write `gesture,sensor,delta` rows, full float precision."""
-    rows = sorted(
-        table.deltas.items(), key=lambda item: (item[0][0].value, item[0][1])
-    )
     with open_text(sink, "w") as out:
         out.write(SIGNATURE_CSV_HEADER + "\n" + "".join(
             f"{gesture.name.lower()},{sensor},{delta!r}\n"
-            for (gesture, sensor), delta in rows
+            for (gesture, sensor), delta in table.deltas.items()
         ))
 
 
@@ -283,6 +290,8 @@ def read_signature_csv(source, active=None) -> SignatureTable:
             delta = float(tokens[2])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if (gesture, sensor) in deltas:
+            raise ValueError(f"line {lineno}: duplicate entry for ({gesture}, sensor {sensor})")
         deltas[(gesture, sensor)] = delta
     if active is None:
         active = tuple(sorted({sensor for _, sensor in deltas}))

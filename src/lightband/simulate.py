@@ -18,17 +18,6 @@ from . import signature
 from .ingest import open_text
 from .types import GESTURES, GestureLabel, LabeledTrace, parse_label
 
-ATMOSPHERE_INDEX = 1.000350
-
-
-def refractive_index(c_vacuum: float, c_medium: float) -> float:
-    """Index of refraction from light speeds: c_vacuum / c_medium, >= 1."""
-    if c_vacuum <= 0 or c_medium <= 0:
-        raise ValueError("light speeds must be positive")
-    if c_medium > c_vacuum:
-        raise ValueError("light cannot be faster in the medium than in vacuum")
-    return c_vacuum / c_medium
-
 
 def critical_angle(n_medium: float, n_cladding: float) -> float:
     """Minimum total-internal-reflection angle, in degrees."""
@@ -40,48 +29,6 @@ def critical_angle(n_medium: float, n_cladding: float) -> float:
             f"no total internal reflection: n_cladding/n_medium = {ratio} >= 1"
         )
     return math.degrees(math.asin(ratio))
-
-
-@dataclass(frozen=True)
-class FiberOptics:
-    """A fiber medium against its cladding (the open air by default)."""
-
-    n_medium: float
-    n_cladding: float = ATMOSPHERE_INDEX
-
-    def __post_init__(self):
-        if not self.n_medium > self.n_cladding > 0:
-            raise ValueError(
-                f"need n_medium > n_cladding > 0, got {self.n_medium}, {self.n_cladding}"
-            )
-
-    def critical_angle_deg(self) -> float:
-        return critical_angle(self.n_medium, self.n_cladding)
-
-
-def transmitted_intensity(deflection: float, k: float, i_relax: float) -> int:
-    """Intensity surviving a bend: i_relax * exp(-k * deflection).
-
-    Rounded to the integer sensor scale and clipped to [0, 1023]; strictly
-    decreasing in deflection before clipping.
-    """
-    if deflection < 0:
-        raise ValueError(f"deflection must be non-negative, got {deflection}")
-    if k < 0:
-        raise ValueError(f"attenuation must be non-negative, got {k}")
-    if not 0 <= i_relax <= 1023:
-        raise ValueError(f"relax intensity {i_relax} outside [0, 1023]")
-    return int(np.clip(round(i_relax * math.exp(-k * deflection)), 0, 1023))
-
-
-def attenuation_for_dip(i_relax: float, dip: float, deflection: float = 1.0) -> float:
-    """Attenuation per mm that makes the given deflection dip by `dip`."""
-    if deflection <= 0:
-        raise ValueError("deflection must be positive")
-    target = i_relax + dip
-    if not 0 < target <= i_relax:
-        raise ValueError(f"dip {dip} leaves no transmitted light from {i_relax}")
-    return -math.log(target / i_relax) / deflection
 
 
 @dataclass(frozen=True)

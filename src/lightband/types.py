@@ -42,11 +42,12 @@ class GestureLabel(Enum):
     def __str__(self) -> str:
         return self.name
 
-    @property
-    def class_index(self) -> int:
-        """Stable integer encoding used for one-hot targets and matrices."""
-        return self.value
 
+# The label <-> class index encoding of one-hot targets, network outputs
+# and classify_trace's label arrays. CLASS_LABELS is indexed by class
+# index; CLASS_INDEX inverts it.
+CLASS_LABELS = tuple(GestureLabel)
+CLASS_INDEX = {label: index for index, label in enumerate(CLASS_LABELS)}
 
 # Gestures that carry a signature (everything except RELAX and TRANSITION).
 GESTURES = (GestureLabel.EXTEND, GestureLabel.FIST, GestureLabel.ONE)

@@ -161,6 +161,19 @@ def test_classify_malformed_table(capsys, tmp_path):
     assert code == 1
 
 
+def test_classify_table_with_duplicate_entry_is_domain_error(capsys, tmp_path):
+    trace_path = training_trace(tmp_path)
+    table = tmp_path / "dup.csv"
+    table.write_text("gesture,sensor,delta\nextend,2,-100.0\nextend,2,-5.0\n")
+    code, out, err = run(
+        capsys, "classify", "--trace", str(trace_path), "--table", str(table),
+        "--out", str(tmp_path / "l.csv"),
+    )
+    assert code == 1
+    assert err == "error: line 3: duplicate entry for (EXTEND, sensor 2)\n"
+    assert out == "" and not (tmp_path / "l.csv").exists()
+
+
 def nn_dataset(tmp_path):
     rng = np.random.default_rng(3)
     x0 = rng.normal(300.0, 5.0, size=(40, 5))

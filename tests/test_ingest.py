@@ -127,6 +127,12 @@ def test_write_collection_csv_empty_trace():
     assert sink.getvalue() == COLLECTION_HEADER + "\n"
 
 
+def test_collection_header_text():
+    sink = io.StringIO()
+    write_collection_csv(make_trace([], []), sink)
+    assert sink.getvalue() == "delta Time, Unix Time, ldr1, ldr2, ldr3, ldr4, ldr5, label\n"
+
+
 def test_collection_round_trip_example():
     trace = make_trace(
         [[512, 480, 333, 710, 900], [500, 470, 320, 700, 890], [1, 2, 3, 4, 5]],

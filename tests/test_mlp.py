@@ -13,6 +13,7 @@ from lightband.mlp import (
     MlpConfig,
     MlpModel,
     TrainReport,
+    _as_indices,
     _forward,
     _sigmoid,
     bce_loss,
@@ -32,6 +33,8 @@ from lightband.mlp import (
     write_labels_csv,
     write_metrics_csv,
 )
+
+from lightband.types import GestureLabel
 
 TINY = MlpConfig(input_dim=5, hidden=(3, 3), output_dim=2, dropout_rate=0.0, l2=0.01, seed=123)
 
@@ -286,6 +289,56 @@ def test_trace_to_dataset():
     x, y = trace_to_dataset(trace)
     assert x.tolist() == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
     assert y == [0, 1]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.sampled_from(list(GestureLabel)), max_size=40))
+def test_trace_to_dataset_labels_are_label_values(labels):
+    _, y = trace_to_dataset(make_trace([[0] * 5] * len(labels), labels))
+    assert y == [label.value for label in labels]
+    assert all(type(v) is int for v in y)
+
+
+def reference_one_hot(labels, num_classes: int) -> np.ndarray:
+    """The per-row encoder the vectorised one_hot and _as_indices replace."""
+    indices = [
+        label.value if isinstance(label, GestureLabel) else int(label) for label in labels
+    ]
+    out = np.zeros((len(indices), num_classes))
+    for row, idx in enumerate(indices):
+        if not 0 <= idx < num_classes:
+            raise ValueError(f"class index {idx} outside [0, {num_classes})")
+        out[row, idx] = 1.0
+    return out
+
+
+_MIXED_LABELS = st.lists(
+    st.one_of(
+        st.sampled_from(list(GestureLabel)),
+        st.integers(-2, 7),
+        st.integers(-2, 7).map(np.int64),
+        st.integers(),  # includes values too wide for int64
+    ),
+    max_size=30,
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_MIXED_LABELS, st.integers(1, 6))
+def test_one_hot_and_as_indices_match_per_row_reference(labels, num_classes):
+    try:
+        expected = reference_one_hot(labels, num_classes)
+    except ValueError as exc:
+        for encode in (one_hot, _as_indices):
+            with pytest.raises(ValueError) as caught:
+                encode(labels, num_classes)
+            assert str(caught.value) == str(exc)
+        return
+    got = one_hot(labels, num_classes)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    indices = [l.value if isinstance(l, GestureLabel) else int(l) for l in labels]
+    assert _as_indices(labels, num_classes).tolist() == indices
 
 
 def test_feature_and_label_csv_round_trip():

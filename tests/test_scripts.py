@@ -1,4 +1,5 @@
-"""Smoke tests: the experiment scripts run end to end on the public API."""
+"""Smoke tests: the experiment scripts run end to end on the public API, and
+the benchmark tracer still finds every function it wraps."""
 
 import os
 import subprocess
@@ -34,3 +35,18 @@ def test_experiment_script_runs(tmp_path, script, args, artifacts):
     assert "accuracy:" in done.stdout
     for name in artifacts:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_perfbench_tracer_targets_exist():
+    """perfbench/tracer.py patches each (owner, attr) in TARGETS by reading
+    owner.__dict__; a renamed or deleted target breaks a traced benchmark run.
+    The file is executed from its text, so nothing is written beside it."""
+    path = ROOT / "perfbench" / "tracer.py"
+    namespace = {"__name__": "perfbench_tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    missing = [
+        (owner.__name__, attr)
+        for owner, attr, *_ in namespace["TARGETS"]
+        if attr not in owner.__dict__
+    ]
+    assert missing == []

@@ -372,6 +372,12 @@ def test_signature_csv_bad_header():
         read_signature_csv(io.StringIO("a,b,c\n"))
 
 
+def test_read_signature_csv_rejects_duplicate_entry():
+    text = "gesture,sensor,delta\nextend,2,-100.0\nextend,3,-50.0\nextend,2,-5.0\n"
+    with pytest.raises(ValueError, match=r"^line 4: duplicate entry for \(EXTEND, sensor 2\)$"):
+        read_signature_csv(io.StringIO(text))
+
+
 @pytest.mark.parametrize(
     "active, message",
     [((0, 9), "outside 1..5"), ((6,), "outside 1..5"), ((0,), "outside 1..5"),
@@ -409,6 +415,22 @@ def test_signature_csv_write_read_write_is_byte_identical(table):
     back = read_signature_csv(io.StringIO(text))
     assert back.deltas == table.deltas
     assert _signature_text(back) == text
+
+
+def _gesture_sensor_order(key):
+    return (key[0].value, key[1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(signature_tables(), st.randoms(use_true_random=False))
+def test_signature_table_orders_deltas_whatever_the_input_order(table, random):
+    items = list(table.deltas.items())
+    random.shuffle(items)
+    shuffled = SignatureTable(deltas=dict(items), active_sensors=table.active_sensors)
+    assert list(shuffled.deltas) == sorted(shuffled.deltas, key=_gesture_sensor_order)
+    in_order = dict(sorted(items, key=lambda item: _gesture_sensor_order(item[0])))
+    ordered = SignatureTable(deltas=in_order, active_sensors=table.active_sensors)
+    assert _signature_text(shuffled) == _signature_text(ordered)
 
 
 _SIGNATURE_HEADER_BYTES = (SIGNATURE_CSV_HEADER + "\n").encode()

@@ -10,30 +10,15 @@ from conftest import E, F, O, R, T
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.simulate import (
     DEFAULT_PROFILES,
-    FiberOptics,
     GestureProfile,
     SimConfig,
-    attenuation_for_dip,
     critical_angle,
     read_profile_csv,
     read_script,
-    refractive_index,
     synth_trace,
-    transmitted_intensity,
     write_profile_csv,
 )
 from lightband.types import segment_trace
-
-C_VACUUM = 299_792_458.0
-
-
-def test_refractive_index_examples():
-    assert refractive_index(C_VACUUM, C_VACUUM) == 1.0
-    assert refractive_index(C_VACUUM, C_VACUUM / 1.444) == pytest.approx(1.444)
-    with pytest.raises(ValueError, match="positive"):
-        refractive_index(C_VACUUM, 0.0)
-    with pytest.raises(ValueError, match="faster"):
-        refractive_index(C_VACUUM, C_VACUUM * 1.01)
 
 
 def test_critical_angle_glass_fiber():
@@ -52,28 +37,6 @@ def test_critical_angle_errors():
         critical_angle(1.0, 1.5)
     with pytest.raises(ValueError, match="positive"):
         critical_angle(-1.0, 0.5)
-
-
-def test_fiber_optics_invariant():
-    fiber = FiberOptics(n_medium=1.444)
-    assert fiber.critical_angle_deg() == pytest.approx(43.85, abs=0.05)
-    with pytest.raises(ValueError):
-        FiberOptics(n_medium=1.0)
-
-
-def test_transmitted_intensity():
-    assert transmitted_intensity(0.0, 0.5, 800) == 800
-    k = attenuation_for_dip(800, -223.0)
-    assert transmitted_intensity(1.0, k, 800) == 577
-    assert transmitted_intensity(1e9, 0.5, 800) == 0
-    with pytest.raises(ValueError, match="deflection"):
-        transmitted_intensity(-1.0, 0.5, 800)
-
-
-def test_transmitted_intensity_monotone():
-    k = 0.3
-    values = [transmitted_intensity(d / 10, k, 1000) for d in range(20)]
-    assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_profile_validation():
@@ -199,6 +162,12 @@ def test_profile_csv_round_trip():
     write_profile_csv(DEFAULT_PROFILES, sink)
     back = read_profile_csv(io.StringIO(sink.getvalue()))
     assert set(back) == set(DEFAULT_PROFILES)
+
+
+def test_read_profile_csv_rejects_duplicate_entry():
+    text = "gesture,sensor,delta\nfist,1,-30.0\nfist,1,-35.0\n"
+    with pytest.raises(ValueError, match=r"^line 3: duplicate entry for \(FIST, sensor 1\)$"):
+        read_profile_csv(io.StringIO(text))
 
 
 def reference_synth(script, profiles, cfg):
