@@ -30,14 +30,6 @@ class BaselineConfig:
             raise ValueError(f"window must be finite and positive, got {self.window}")
 
 
-def ewma_step(prev: float, x: float, alpha: float) -> float:
-    """One smoothing step: (1 - alpha) * prev + alpha * x.
-
-    alpha is not checked here; BaselineConfig validates it once.
-    """
-    return (1 - alpha) * prev + alpha * x
-
-
 class BaselineTracker:
     """Streaming per-channel baseline state.
 
@@ -67,13 +59,13 @@ class BaselineTracker:
             )
         self._last_t = t
         cutoff = t - self.cfg.window
+        alpha = self.cfg.alpha
+        keep = 1 - alpha
+        ewma = self._ewma
         baselines = []
-        for ch in range(NUM_CHANNELS):
-            x = frame.channels[ch]
-            prev = self._ewma[ch]
-            smoothed = x if prev is None else ewma_step(prev, x, self.cfg.alpha)
-            self._ewma[ch] = smoothed
-            window = self._maxima[ch]
+        for ch, (x, prev, window) in enumerate(zip(frame.channels, ewma, self._maxima)):
+            smoothed = x if prev is None else keep * prev + alpha * x
+            ewma[ch] = smoothed
             while window and window[0][0] <= cutoff:
                 window.popleft()
             while window and window[-1][1] <= smoothed:

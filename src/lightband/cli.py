@@ -172,7 +172,8 @@ def _nn_dataset(args, need_labels: bool) -> tuple:
     x = mlp.load_features_csv(args.x)
     labels = None
     if args.y:
-        labels = mlp.load_labels_csv(args.y)
+        # training sizes its output layer from the labels, so they must be classes
+        labels = mlp.load_labels_csv(args.y, len(CLASS_LABELS) if need_labels else None)
         if len(labels) != x.shape[0]:
             raise ValueError(f"{x.shape[0]} feature rows but {len(labels)} labels")
     if need_labels and labels is None:

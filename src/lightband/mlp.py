@@ -341,9 +341,39 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     return model, report
 
 
+def _predict_row(model: MlpModel, a: np.ndarray) -> int:
+    """Argmax class index of one prepared row, computed with the same bits
+    as the batch path on that row.
+
+    numpy runs a (1, in) @ (out, in).T matmul as a gemv on the C-contiguous
+    weights, so w @ a on the 1-D row is the same BLAS call. The sigmoid
+    is _sigmoid's: the same np.exp, then the same IEEE + and / on Python
+    floats. A NaN output wins, as it does in np.argmax.
+    """
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = w @ a
+        a += b
+        np.maximum(a, 0.0, out=a)
+    z = model.weights[-1] @ a
+    z += model.biases[-1]
+    best, top = 0, -1.0
+    for i, (zi, ei) in enumerate(zip(z.tolist(), np.exp(-np.abs(z)).tolist())):
+        p = 1.0 / (1.0 + ei) if zi >= 0 else ei / (1.0 + ei)
+        if p != p:
+            return i
+        if p > top:
+            best, top = i, p
+    return best
+
+
 def predict_labels(model: MlpModel, x) -> list:
-    """Argmax class index per row; ties break toward the lowest index."""
+    """Argmax class index per row; ties break toward the lowest index.
+
+    A single row skips the batch machinery (see _predict_row).
+    """
     x = _prepare(np.atleast_2d(np.asarray(x, dtype=float)), model.config)
+    if x.shape[0] == 1:
+        return [_predict_row(model, x[0])]
     return np.argmax(_infer(model, x), axis=1).tolist()
 
 
@@ -444,8 +474,11 @@ def load_features_csv(source) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, 5))
 
 
-def load_labels_csv(source) -> list:
-    """Label file: one class index per line."""
+def load_labels_csv(source, num_classes: int = None) -> list:
+    """Label file: one class index per line.
+
+    With num_classes given, an index outside [0, num_classes) is an error.
+    """
     with open_text(source) as handle:
         lines = handle.read().splitlines()
     labels = []
@@ -453,9 +486,12 @@ def load_labels_csv(source) -> list:
         if not line.strip():
             continue
         try:
-            labels.append(int(line.strip()))
+            label = int(line.strip())
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer label") from None
+        if num_classes is not None and not 0 <= label < num_classes:
+            raise ValueError(f"line {lineno}: class index {label} outside [0, {num_classes})")
+        labels.append(label)
     return labels
 
 

@@ -53,9 +53,11 @@ class SignatureTable:
     """Per-(gesture, sensor) intensity deltas for the active sensors.
 
     Deltas are signed: negative means the sensor dips below the relax
-    baseline during the gesture. The table keeps a read-only copy of the
-    deltas in (gesture, sensor) order, so it is immutable once built, safe
-    to share, and written and printed in that order without a sort. rows holds
+    baseline during the gesture. Every delta is for an active sensor, so
+    read_signature_csv accepts whatever write_signature_csv writes. The
+    table keeps a read-only copy of the deltas in (gesture, sensor) order,
+    so it is immutable once built, safe to share, and written and printed
+    in that order without a sort. rows holds
     (gesture, signatures in active-sensor order) for each gesture present,
     in GESTURES order: what classify_frame walks on every frame.
     """
@@ -70,6 +72,10 @@ class SignatureTable:
         for (gesture, sensor), delta in deltas.items():
             if gesture not in GESTURES:
                 raise ValueError(f"{gesture} cannot carry a signature")
+            if sensor not in self.active_sensors:
+                raise ValueError(
+                    f"({gesture}, sensor {sensor}) is not among active sensors {self.active_sensors}"
+                )
             if not math.isfinite(delta):
                 raise ValueError(f"non-finite delta for ({gesture}, sensor {sensor})")
         ordered = sorted(deltas, key=lambda key: (CLASS_INDEX[key[0]], key[1]))
@@ -203,10 +209,9 @@ def classify_frame(
                 best = gesture
                 best_err = mean_err
     raw = best if best is not None else GestureLabel.RELAX
-    emitted = raw
-    if any(prev is not raw for prev in state.recent_labels):
-        emitted = GestureLabel.TRANSITION
-    state.recent_labels.append(raw)
+    recent = state.recent_labels
+    emitted = raw if recent.count(raw) == len(recent) else GestureLabel.TRANSITION
+    recent.append(raw)
     return emitted
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import R, flat_rows, make_trace, random_rows
-from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines, ewma_step
+from conftest import R, ReferenceTracker, flat_rows, make_trace, random_rows
+from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines
 from lightband.types import SensorFrame
 
 
@@ -32,14 +32,22 @@ def brute_force_baselines(frames, alpha, window):
     return out
 
 
+def ewma_after(prev, x, alpha):
+    """The tracker's smoothed value after a frame of prev, then one of x."""
+    tracker = BaselineTracker(BaselineConfig(alpha=alpha))
+    for t, value in enumerate((prev, x)):
+        tracker.update(SensorFrame(t_rel=float(t), t_unix=float(t), channels=[value] * 5))
+    return tracker.smoothed[0]
+
+
 def test_ewma_examples():
-    assert ewma_step(100.0, 200.0, 0.2) == 120.0
-    assert ewma_step(7.0, 42.0, 1.0) == 42.0
+    assert ewma_after(100, 200, 0.2) == 120.0
+    assert ewma_after(7, 42, 1.0) == 42.0
 
 
-@given(st.floats(-1e6, 1e6), st.floats(0.01, 1.0))
+@given(st.integers(0, 1023), st.floats(0.01, 1.0))
 def test_ewma_fixed_point_on_constant(c, alpha):
-    assert ewma_step(c, c, alpha) == pytest.approx(c)
+    assert ewma_after(c, c, alpha) == pytest.approx(c)
 
 
 def test_ewma_alpha_range():
@@ -187,3 +195,15 @@ def test_batch_baselines_equal_streaming_tracker(case):
 def test_batch_baselines_reject_non_monotonic_time():
     with pytest.raises(ValueError, match="non-monotonic"):
         batch_baselines([0.0, 0.04, 0.02], flat_rows(10, 3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(timestamped_streams())
+def test_update_bitwise_equals_ewma_step_reference(case):
+    t, rows, cfg = case
+    tracker, reference = BaselineTracker(cfg), ReferenceTracker(cfg)
+    for ti, row in zip(t.tolist(), rows.tolist()):
+        frame = SensorFrame(t_rel=ti, t_unix=ti, channels=row)
+        # repr tells 800 from 800.0 and keeps every bit of a float
+        assert list(map(repr, tracker.update(frame))) == list(map(repr, reference.update(frame)))
+        assert list(map(repr, tracker.smoothed)) == list(map(repr, reference.smoothed))

@@ -373,6 +373,23 @@ def test_nn_train_rejects_non_finite_features(capsys, tmp_path, value):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("bad", [-1, 10**7, 10**23])
+def test_nn_train_rejects_a_label_outside_the_classes(capsys, tmp_path, bad):
+    x_path, y_path = nn_dataset(tmp_path)
+    lines = y_path.read_text().splitlines()
+    lines[4] = str(bad)
+    y_path.write_text("\n".join(lines) + "\n")
+    model_path = tmp_path / "model.txt"
+    code, out, err = run(
+        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
+        "--model", str(model_path), "--split", "60", "--epochs", "1",
+    )
+    assert code == 1
+    assert err == f"error: line 5: class index {bad} outside [0, 5)\n"
+    assert out == ""
+    assert not model_path.exists()
+
+
 def test_nn_predict_rejects_non_finite_features(capsys, tmp_path):
     x_path, y_path = nn_dataset(tmp_path)
     model_path = tmp_path / "model.txt"

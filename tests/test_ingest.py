@@ -194,6 +194,11 @@ def test_collection_write_read_write_is_byte_identical(trace):
         assert np.array_equal(getattr(back, column), getattr(trace, column))
 
 
+@given(_values)
+def test_parse_serial_line_round_trips_device_lines(values):
+    assert parse_serial_line(",".join(map(str, values)) + "\r\n") == values
+
+
 _HEADER_BYTES = (COLLECTION_HEADER + "\n").encode()
 
 
@@ -214,6 +219,29 @@ _BAD_TOKENS = st.one_of(
     ]),
     st.text(max_size=6),
 )
+
+
+@st.composite
+def mutated_serial_lines(draw):
+    tokens = [str(v) for v in draw(_values)]
+    tokens[draw(st.integers(0, 4))] = draw(_BAD_TOKENS)
+    return ",".join(tokens) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
+    st.text(max_size=40),
+    mutated_serial_lines(),
+))
+def test_parse_serial_line_random_input_raises_only_value_error(line):
+    try:
+        values = parse_serial_line(line)
+    except ValueError:
+        return
+    # what a line that parses must hold: five decimal integers in range
+    assert values == [int(token) for token in line.split(",")]
+    assert all(0 <= v <= 1023 for v in values)
 
 
 @st.composite

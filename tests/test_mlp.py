@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 
@@ -15,6 +16,8 @@ from lightband.mlp import (
     TrainReport,
     _as_indices,
     _forward,
+    _infer,
+    _prepare,
     _sigmoid,
     bce_loss,
     forward,
@@ -655,3 +658,127 @@ def test_load_model_mutated_lines_raise_only_value_error(text):
     except ValueError:
         return
     assert len(model.weights) == len(model.config.layer_dims)
+
+
+def batch_predict(model, rows):
+    """predict_labels through the batch path alone: the one-row oracle."""
+    x = _prepare(np.atleast_2d(np.asarray(rows, dtype=float)), model.config)
+    return np.argmax(_infer(model, x), axis=1).tolist()
+
+
+_ONE_ROW_MODELS = {
+    (hidden, normalize): init_model(
+        MlpConfig(hidden=hidden, output_dim=5, normalize=normalize, seed=len(hidden)),
+        np.random.default_rng(len(hidden) + normalize),
+    )
+    for hidden in ((3,), (8, 6), (100, 100))
+    for normalize in (False, True)
+}
+
+_ONE_ROW_INPUTS = st.one_of(
+    st.lists(st.integers(0, 1023), min_size=5, max_size=5),
+    st.lists(st.floats(), min_size=5, max_size=5),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(sorted(_ONE_ROW_MODELS)), _ONE_ROW_INPUTS)
+def test_one_row_predict_equals_batch_path(key, row):
+    model = _ONE_ROW_MODELS[key]
+    with np.errstate(all="ignore"):  # inf and NaN readings on purpose
+        assert predict_labels(model, [row]) == batch_predict(model, [row])
+        assert predict_labels(model, np.asarray(row, dtype=float)) == batch_predict(model, row)
+
+
+def test_one_row_predict_equals_batch_path_on_overflowing_rows():
+    # every row of these five values: hidden values go inf, and some outputs
+    # NaN (first at index 0 or later) while others stay finite
+    rows = list(itertools.product([1e308, -1e308, 1.7e308, -1.7e308, 0.0], repeat=5))
+    nan_later = 0
+    with np.errstate(all="ignore"):
+        for model in _ONE_ROW_MODELS.values():
+            for row in rows:
+                assert predict_labels(model, [row]) == batch_predict(model, [row])
+                out = _infer(model, _prepare(np.array([row]), model.config))[0]
+                nan_later += bool(np.isnan(out).any() and not np.isnan(out[0]))
+    assert nan_later > 0
+
+
+def test_one_row_predict_ties_and_nan_outputs_match_batch_path():
+    zero = zero_model()  # both outputs 0.5
+    saturated = zero_model()
+    saturated.biases[-1][:] = [40.0, 50.0]  # both outputs round to 1.0
+    nan_second = zero_model(MlpConfig(hidden=(3,), output_dim=3, dropout_rate=0.0))
+    nan_second.biases[-1][:] = [1.0, np.nan, 2.0]
+    for model, want in ((zero, 0), (saturated, 0), (nan_second, 1)):
+        assert predict_labels(model, [[0.0] * 5]) == batch_predict(model, [[0.0] * 5]) == [want]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.binary(max_size=300))
+def test_feature_and_label_files_from_random_bytes_raise_only_value_error(data):
+    for load in (load_features_csv, load_labels_csv):
+        try:
+            load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        except ValueError:  # UnicodeDecodeError is one too
+            pass
+
+
+@st.composite
+def mutated_feature_and_label_texts(draw):
+    """A valid features file and labels file, one line of each mutated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    x_sink, y_sink = io.StringIO(), io.StringIO()
+    write_features_csv(np.rint(rng.uniform(0, 1023, size=(n, 5))), x_sink)
+    write_labels_csv(rng.integers(0, 5, size=n).tolist(), y_sink)
+    texts = []
+    for text in (x_sink.getvalue(), y_sink.getvalue()):
+        lines = text.splitlines(keepends=True)
+        row = draw(st.integers(0, n - 1))
+        tokens = lines[row].rstrip("\n").split(",")
+        kind = draw(st.sampled_from(["replace", "drop", "add", "delete", "duplicate", "blank"]))
+        pos = draw(st.integers(0, len(tokens)))
+        if kind == "replace" and pos < len(tokens):
+            tokens[pos] = draw(_BAD_MODEL_TOKENS)
+        elif kind == "drop" and pos < len(tokens):
+            del tokens[pos]
+        elif kind == "add":
+            tokens.insert(pos, draw(_BAD_MODEL_TOKENS))
+        lines[row] = ",".join(tokens) + "\n"
+        if kind == "delete":
+            del lines[row]
+        elif kind == "duplicate":
+            lines.insert(row, lines[row])
+        elif kind == "blank":
+            lines.insert(row, draw(st.sampled_from(["\n", " \n", "\r\n"])))
+        texts.append("".join(lines))
+    return texts
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_feature_and_label_texts())
+def test_feature_and_label_files_mutated_lines_raise_only_value_error(texts):
+    x_text, y_text = texts
+    # what a file that loads must hold: its non-blank lines, parsed as given
+    try:
+        x = load_features_csv(io.StringIO(x_text))
+    except ValueError:
+        pass
+    else:
+        rows = [list(map(float, line.split(","))) for line in x_text.splitlines() if line.strip()]
+        assert x.tolist() == rows and np.isfinite(x).all()
+    try:
+        labels = load_labels_csv(io.StringIO(y_text), 5)
+    except ValueError:
+        pass
+    else:
+        assert labels == [int(line) for line in y_text.splitlines() if line.strip()]
+        assert all(0 <= label < 5 for label in labels)
+
+
+def test_load_labels_csv_range_check_names_the_file_line():
+    text = "0\n\n4\n7\n"
+    assert load_labels_csv(io.StringIO(text)) == [0, 4, 7]
+    with pytest.raises(ValueError, match=r"^line 4: class index 7 outside \[0, 5\)$"):
+        load_labels_csv(io.StringIO(text), 5)

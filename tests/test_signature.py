@@ -1,11 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, flat_rows, make_trace
+from conftest import E, F, O, R, T, ReferenceTracker, flat_rows, make_trace
 from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.signature import (
     SIGNATURE_CSV_HEADER,
@@ -271,6 +272,48 @@ def test_classify_trace_equals_streaming_replay(case):
     assert list(batch_state.recent_labels) == list(replay_state.recent_labels)
 
 
+def reference_classify_frame(frame, baselines, table, state):
+    """classify_frame with the TRANSITION check as an any() over the history:
+    the reference for the streaming classifier."""
+    active = table.active_sensors
+    deltas = [frame.channels[sensor - 1] - baselines[sensor - 1] for sensor in active]
+    best = None
+    best_err = math.inf
+    for gesture, sigs in table.rows:
+        total_err = 0.0
+        for delta, sig in zip(deltas, sigs):
+            err = abs(delta - sig)
+            if err > state.tolerance * abs(sig):
+                break
+            total_err += err / abs(sig) if sig != 0 else 0.0
+        else:
+            mean_err = total_err / len(active)
+            if mean_err < best_err:
+                best = gesture
+                best_err = mean_err
+    raw = best if best is not None else R
+    emitted = raw
+    if any(prev is not raw for prev in state.recent_labels):
+        emitted = T
+    state.recent_labels.append(raw)
+    return emitted
+
+
+@settings(deadline=None, max_examples=150)
+@given(classify_trace_cases())
+def test_streaming_chain_bitwise_equals_reference_chain(case):
+    trace, table, cfg, tolerance, horizon, prior = case
+    tracker, state = BaselineTracker(cfg), ClassifierState(tolerance, horizon, recent_labels=prior)
+    ref_tracker = ReferenceTracker(cfg)
+    ref_state = ClassifierState(tolerance, horizon, recent_labels=prior)
+    for frame in trace.frames:
+        baselines, ref_baselines = tracker.update(frame), ref_tracker.update(frame)
+        assert list(map(repr, baselines)) == list(map(repr, ref_baselines))
+        label = classify_frame(frame, baselines, table, state)
+        assert label is reference_classify_frame(frame, ref_baselines, table, ref_state)
+        assert list(state.recent_labels) == list(ref_state.recent_labels)
+
+
 NOISE_FREE = SimConfig(
     gesture_hold=1.4,
     relax_hold=2.0,
@@ -415,6 +458,43 @@ def test_signature_csv_write_read_write_is_byte_identical(table):
     back = read_signature_csv(io.StringIO(text))
     assert back.deltas == table.deltas
     assert _signature_text(back) == text
+
+
+@pytest.mark.parametrize("sensor", [9, 1, 0])
+def test_table_rejects_a_delta_for_an_inactive_sensor(sensor):
+    deltas = {(E, 2): -100.0, (E, 3): -150.0, (E, 4): -223.0, (E, sensor): 5.0}
+    with pytest.raises(ValueError, match=f"sensor {sensor}.*active sensors"):
+        SignatureTable(deltas=deltas, active_sensors=(2, 3, 4))
+
+
+@st.composite
+def tables_with_stray_sensors(draw):
+    """Complete deltas for the active sensors plus, sometimes, entries for
+    sensors outside them (0..9)."""
+    active = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True)))
+    gestures = draw(st.lists(st.sampled_from(GESTURES), unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    deltas = {(g, s): draw(values) for g in gestures for s in active}
+    stray = st.tuples(st.sampled_from(GESTURES), st.integers(0, 9).filter(lambda s: s not in active))
+    for key in draw(st.lists(stray, max_size=2)):
+        deltas[key] = draw(values)
+    return deltas, active
+
+
+@settings(deadline=None, max_examples=150)
+@given(tables_with_stray_sensors())
+def test_every_table_that_builds_reads_back_from_its_file(case):
+    deltas, active = case
+    stray = [key for key in deltas if key[1] not in active]
+    try:
+        table = SignatureTable(deltas=deltas, active_sensors=active)
+    except ValueError:
+        assert stray
+        return
+    assert not stray
+    text = _signature_text(table)
+    assert read_signature_csv(io.StringIO(text), active=active) == table
+    assert read_signature_csv(io.StringIO(text)).deltas == table.deltas
 
 
 def _gesture_sensor_order(key):
