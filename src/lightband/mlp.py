@@ -8,6 +8,7 @@ per-epoch shuffling, fully deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -131,11 +132,12 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows
+def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+    # exp of a non-positive argument never overflows; 1 / d where z >= 0,
+    # else e / d
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(z >= 0, 1.0, e), d, out=out)
 
 
 def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> tuple:
@@ -153,37 +155,6 @@ def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> tuple:
     return weights, biases
 
 
-def _forward(model: MlpModel, x: np.ndarray, training: bool, rng) -> tuple:
-    """Run the layer stack; returns (output, cache) with cache of
-    (inputs, pre-activations, dropped activations, dropout scales)."""
-    cfg = model.config
-    last = len(model.weights) - 1
-    rate = cfg.dropout_rate if training else 0.0
-    if rate > 0 and rng is None:
-        raise ValueError("training forward pass with dropout needs an rng")
-    inputs = [x]
-    zs = []
-    scales = []
-    a = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        zs.append(z)
-        if i == last:
-            a = _sigmoid(z)
-            scales.append(None)
-        else:
-            a = np.maximum(z, 0.0)
-            if rate > 0:
-                # inverted dropout: scale kept units so inference needs no rescale
-                scale = np.where(rng.random(a.shape) >= rate, 1.0 / (1.0 - rate), 0.0)
-                a = a * scale
-                scales.append(scale)
-            else:
-                scales.append(None)
-        inputs.append(a)
-    return a, (inputs, zs, scales)
-
-
 def _infer(model: MlpModel, a: np.ndarray, bufs=None) -> np.ndarray:
     """Inference output for a batch of rows, keeping no per-layer cache.
 
@@ -197,11 +168,93 @@ def _infer(model: MlpModel, a: np.ndarray, bufs=None) -> np.ndarray:
     return a
 
 
+class _Workspace:
+    """Buffers for the training step on up to `rows` rows, allocated once.
+
+    Per layer, each (rows, fan_out): the pre-activation z, the activation
+    a (the next layer's input), the backward delta and a bool buffer (the
+    dropout keep mask, then z > 0); with dropout also the uniforms and the
+    dropout scale. Then one buffer per hidden weight matrix for its L2
+    gradient term.
+    """
+
+    def __init__(self, cfg: MlpConfig, rows: int, rate: float):
+        self.rows = rows
+        self.rate = rate
+        self.l2x2 = 2.0 * cfg.l2
+        shapes = [(rows, fan_out) for _, fan_out in cfg.layer_dims]
+        self.z = [np.empty(shape) for shape in shapes]
+        self.a = [np.empty(shape) for shape in shapes]
+        self.delta = [np.empty(shape) for shape in shapes]
+        self.keep = [np.empty(shape, dtype=bool) for shape in shapes]
+        self.uniform = [np.empty(shape) for shape in shapes] if rate > 0 else []
+        self.scale = [np.empty(shape) for shape in shapes] if rate > 0 else []
+        self.l2_term = [np.empty((fan_out, fan_in)) for fan_in, fan_out in cfg.layer_dims[:-1]]
+
+    def head(self, m: int) -> "_Workspace":
+        """The same buffers cut to their first m rows, for a short batch."""
+        head = copy.copy(self)
+        head.rows = m
+        for name in ("z", "a", "delta", "keep", "uniform", "scale"):
+            setattr(head, name, [buf[:m] for buf in getattr(self, name)])
+        return head
+
+
+def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target=None,
+                grads_w=None, grads_b=None) -> np.ndarray:
+    """One training step on the rows of x, computed in ws: the forward pass
+    with inverted dropout at ws.rate, then, when target is given, the batch
+    gradient of every weight and bias written into grads_w and grads_b.
+    Returns the network output.
+
+    Each value takes the IEEE operations, in the order, of
+    relu(x @ w.T + b) * scale and its backprop. The dropout scale is
+    (uniform >= rate) * (1 / (1 - rate)): a kept unit is 1.0 * k = k and a
+    dropped one 0.0 * k = 0.0, as np.where(keep, k, 0.0) gives.
+    """
+    last = len(model.weights) - 1
+    rate = ws.rate
+    if rate > 0 and rng is None:
+        raise ValueError("training forward pass with dropout needs an rng")
+    a = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(a, w.T, out=ws.z[i])
+        z += b
+        if i == last:
+            a = _sigmoid(z, out=ws.a[i])
+        else:
+            a = np.maximum(z, 0.0, out=ws.a[i])
+            if rate > 0:
+                np.greater_equal(rng.random(out=ws.uniform[i]), rate, out=ws.keep[i])
+                a *= np.multiply(ws.keep[i], 1.0 / (1.0 - rate), out=ws.scale[i])
+    if target is None:
+        return a
+    n_rows, n_out = target.shape
+    delta = np.subtract(a, target, out=ws.delta[last])
+    delta /= n_out * n_rows
+    for i in range(last, -1, -1):
+        np.matmul(delta.T, ws.a[i - 1] if i else x, out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
+        if i < last:
+            grads_w[i] += np.multiply(model.weights[i], ws.l2x2, out=ws.l2_term[i])
+        if i > 0:
+            upstream = np.matmul(delta, model.weights[i], out=ws.delta[i - 1])
+            if rate > 0:
+                upstream *= ws.scale[i - 1]
+            upstream *= np.greater(ws.z[i - 1], 0.0, out=ws.keep[i - 1])
+            delta = upstream
+    return a
+
+
 def forward(model: MlpModel, x, training: bool = False, rng=None) -> np.ndarray:
     """Network output for a single input vector or a batch of rows."""
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
-    out = _forward(model, rows, True, rng)[0] if training else _infer(model, rows)
+    if training:
+        ws = _Workspace(model.config, rows.shape[0], model.config.dropout_rate)
+        out = _train_step(model, ws, rows, rng)
+    else:
+        out = _infer(model, rows)
     return out[0] if x.ndim == 1 else out
 
 
@@ -216,34 +269,18 @@ def bce_loss(pred, target, model: MlpModel = None, l2: float = 0.0) -> float:
     target = np.atleast_2d(np.asarray(target, dtype=float))
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    return _mean_bce(pred, target) + (0.0 if model is None else _l2_penalty(model, l2))
+
+
+def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
     p = np.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
-    data = -np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
-    penalty = 0.0
-    if model is not None and l2 > 0:
-        penalty = l2 * sum(float(np.sum(w * w)) for w in model.regularized())
-    return float(data) + penalty
+    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
 
 
-def _gradients_into(model: MlpModel, x: np.ndarray, target: np.ndarray, rng, training: bool,
-                    grads_w: list, grads_b: list) -> np.ndarray:
-    """Write the batch gradient of every weight and bias into grads_w and
-    grads_b (arrays of the parameters' shapes); returns the network output."""
-    cfg = model.config
-    out, (inputs, zs, scales) = _forward(model, x, training, rng)
-    n_rows, n_out = target.shape
-    last = len(model.weights) - 1
-    delta = (out - target) / (n_out * n_rows)
-    for i in range(last, -1, -1):
-        np.matmul(delta.T, inputs[i], out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
-        if i < last:
-            grads_w[i] += 2.0 * cfg.l2 * model.weights[i]
-        if i > 0:
-            upstream = delta @ model.weights[i]
-            if scales[i - 1] is not None:
-                upstream = upstream * scales[i - 1]
-            delta = upstream * (zs[i - 1] > 0)
-    return out
+def _l2_penalty(model: MlpModel, l2: float) -> float:
+    if l2 > 0:
+        return l2 * sum(float(np.sum(w * w)) for w in model.regularized())
+    return 0.0
 
 
 def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None,
@@ -251,7 +288,9 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=N
     """Batch loss and analytic gradients for every weight and bias."""
     grads_w = [np.empty_like(w) for w in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]
-    out = _gradients_into(model, x, target, rng, training, grads_w, grads_b)
+    rate = model.config.dropout_rate if training else 0.0
+    ws = _Workspace(model.config, len(x), rate)
+    out = _train_step(model, ws, x, rng, target, grads_w, grads_b)
     return bce_loss(out, target, model, model.config.l2), grads_w, grads_b
 
 
@@ -275,7 +314,8 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     epoch with dropout off. All randomness (init, shuffling, dropout) flows
     from cfg.seed, so identical calls produce identical weights. Parameters,
     gradients and Adam moments each live in one flat buffer updated in
-    place, and the per-epoch scoring reuses buffers allocated once per call.
+    place; every training step computes in one _Workspace, and the
+    per-epoch scoring reuses buffers, all allocated once per call.
     """
     x = _prepare(x, cfg)
     if x.shape[0] == 0:
@@ -309,11 +349,13 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     step = 0
     report = TrainReport()
     n = x.shape[0]
+    ws = _Workspace(cfg, min(cfg.batch_size, n), cfg.dropout_rate)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _gradients_into(model, x[batch], targets[batch], rng, True, grads_w, grads_b)
+            batch_ws = ws if len(batch) == ws.rows else ws.head(len(batch))
+            _train_step(model, batch_ws, x[batch], rng, targets[batch], grads_w, grads_b)
             step += 1
             # Adam in place, each IEEE operation in the order of
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
@@ -331,12 +373,13 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
             t2 *= cfg.learning_rate
             t2 /= t1
             params -= t2
+        penalty = _l2_penalty(model, cfg.l2)
         train_pred = _infer(model, x, train_bufs)
-        report.train_loss.append(bce_loss(train_pred, targets, model, cfg.l2))
+        report.train_loss.append(_mean_bce(train_pred, targets) + penalty)
         report.train_acc.append(_accuracy(train_pred, indices))
         if val is not None:
             val_pred = _infer(model, val[0], val_bufs)
-            report.val_loss.append(bce_loss(val_pred, val[1], model, cfg.l2))
+            report.val_loss.append(_mean_bce(val_pred, val[1]) + penalty)
             report.val_acc.append(_accuracy(val_pred, val[2]))
     return model, report
 
@@ -373,7 +416,13 @@ def predict_labels(model: MlpModel, x) -> list:
     """
     x = _prepare(np.atleast_2d(np.asarray(x, dtype=float)), model.config)
     if x.shape[0] == 1:
-        return [_predict_row(model, x[0])]
+        row = x[0]
+        if not all(map(math.isfinite, row.tolist())):
+            raise ValueError("row 0: non-finite feature value")
+        return [_predict_row(model, row)]
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))}: non-finite feature value")
     return np.argmax(_infer(model, x), axis=1).tolist()
 
 

@@ -1,9 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from conftest import E, F, O, T as TRANSITION
+from conftest import E, F, O, reference_train, T as TRANSITION
 from lightband import mlp
 from lightband.cli import main
 from lightband.ingest import read_collection_csv, write_collection_csv
@@ -229,6 +230,35 @@ def test_nn_train_from_trace(capsys, tmp_path):
     )
     assert code == 0
     assert "accuracy:" in out  # trace labels serve as ground truth
+
+
+@pytest.mark.parametrize("batch, normalize", [(20, False), (7, True)])
+def test_nn_train_files_equal_the_per_tensor_reference(capsys, tmp_path, batch, normalize):
+    # a criterion-4-style trace (short holds and ramps), one gesture of each
+    cfg = SimConfig(gesture_hold=1.2, relax_hold=0.8, transition_time=0.2,
+                    noise_sigma=2.0, drift=0.05, seed=8)
+    trace_path = tmp_path / "trace.csv"
+    write_collection_csv(synth_trace([E, F, O], DEFAULT_PROFILES, cfg), str(trace_path))
+    model_path, metrics_path = tmp_path / "model.txt", tmp_path / "metrics.csv"
+    code, _, _ = run(
+        capsys, "nn", "train", "--trace", str(trace_path), "--model", str(model_path),
+        "--metrics", str(metrics_path), "--split", "240", "--epochs", "3",
+        "--batch-size", str(batch), "--dropout", "0.3", "--l2", "0.01", "--seed", "5",
+        *(["--normalize"] if normalize else []),
+    )
+    assert code == 0
+
+    x, labels = mlp.trace_to_dataset(read_collection_csv(str(trace_path)))
+    ref_cfg = mlp.MlpConfig(output_dim=max(labels) + 1, dropout_rate=0.3, l2=0.01, epochs=3,
+                            batch_size=batch, seed=5, normalize=normalize)
+    model, report = reference_train(x[:240], labels[:240], ref_cfg,
+                                    validation=(x[240:], labels[240:]))
+    model_text, metrics_text = io.StringIO(), io.StringIO()
+    mlp.save_model(model, model_text)
+    mlp.write_metrics_csv(report, metrics_text)
+    assert model_path.read_text() == model_text.getvalue()
+    assert metrics_path.read_text() == metrics_text.getvalue()
+    assert len(metrics_text.getvalue().splitlines()) == 4  # the header and 3 epochs
 
 
 def test_nn_train_needs_labels(capsys, tmp_path):

@@ -8,14 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, R, make_trace
+from conftest import (
+    E,
+    R,
+    make_trace,
+    reference_forward,
+    reference_gradients,
+    reference_sigmoid,
+    reference_train,
+)
+from lightband import mlp
 from lightband.mlp import (
     MODEL_MAGIC,
     MlpConfig,
     MlpModel,
     TrainReport,
     _as_indices,
-    _forward,
     _infer,
     _prepare,
     _sigmoid,
@@ -156,7 +164,7 @@ def test_gradients_match_with_dropout_masks_fixed():
     )
 
     def eval_loss():
-        out, _ = _forward(model, x, True, np.random.default_rng(90))
+        out = forward(model, x, training=True, rng=np.random.default_rng(90))
         return bce_loss(out, targets, model, l2=cfg.l2)
 
     assert loss == pytest.approx(eval_loss())
@@ -282,9 +290,11 @@ def test_inverted_dropout_preserves_expectation():
         config=cfg,
     )
     x = np.ones((100_000, 1))
-    _, (inputs, _, _) = _forward(model, x, True, np.random.default_rng(123))
-    dropped = inputs[1]  # hidden activations after dropout scaling
-    assert abs(float(dropped.mean()) - 1.0) < 0.01
+    out = forward(model, x, training=True, rng=np.random.default_rng(123))
+    # the hidden unit is 1 / (1 - rate) where kept and 0 where dropped, and
+    # the output is its sigmoid, so a kept unit reads above 0.5
+    kept = float(np.mean(out > 0.5))
+    assert abs(kept / (1.0 - cfg.dropout_rate) - 1.0) < 0.01
 
 
 def test_trace_to_dataset():
@@ -397,98 +407,6 @@ def test_train_rejects_non_finite_rows():
         train(x, labels, cfg, validation=(bad, labels))
 
 
-# --- reference: the per-tensor training loop that the flat-buffer train() replaced ---
-
-
-def reference_sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def reference_forward(model, x, training, rng):
-    last = len(model.weights) - 1
-    rate = model.config.dropout_rate if training else 0.0
-    inputs, zs, scales = [x], [], []
-    a = x
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        zs.append(z)
-        scale = None
-        if i == last:
-            a = reference_sigmoid(z)
-        else:
-            a = np.maximum(z, 0.0)
-            if rate > 0:
-                scale = (rng.random(a.shape) >= rate) / (1.0 - rate)
-                a = a * scale
-        scales.append(scale)
-        inputs.append(a)
-    return a, (inputs, zs, scales)
-
-
-def reference_gradients(model, x, target, rng):
-    l2 = model.config.l2
-    out, (inputs, zs, scales) = reference_forward(model, x, True, rng)
-    n_rows, n_out = target.shape
-    last = len(model.weights) - 1
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    delta = (out - target) / (n_out * n_rows)
-    for i in range(last, -1, -1):
-        grads_w[i] = delta.T @ inputs[i]
-        grads_b[i] = delta.sum(axis=0)
-        if i < last:
-            grads_w[i] += 2.0 * l2 * model.weights[i]
-        if i > 0:
-            upstream = delta @ model.weights[i]
-            if scales[i - 1] is not None:
-                upstream = upstream * scales[i - 1]
-            delta = upstream * (zs[i - 1] > 0)
-    return grads_w + grads_b
-
-
-def reference_train(x, labels, cfg, validation=None):
-    def prepare(rows):
-        rows = np.asarray(rows, dtype=float)
-        return rows / 1023.0 if cfg.normalize else rows
-
-    def score(rows, indices, losses, accs):
-        pred = reference_forward(model, rows, False, None)[0]
-        losses.append(bce_loss(pred, one_hot(indices, cfg.output_dim), model, cfg.l2))
-        accs.append(float(np.mean(np.argmax(pred, axis=1) == np.array(indices))))
-
-    x = prepare(x)
-    targets = one_hot(labels, cfg.output_dim)
-    rng = np.random.default_rng(cfg.seed)
-    model = init_model(cfg, rng)
-    params = model.weights + model.biases
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
-    step = 0
-    report = TrainReport()
-    n = x.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            grads = reference_gradients(model, x[batch], targets[batch], rng)
-            step += 1
-            for i, (p, g) in enumerate(zip(params, grads)):
-                adam_m[i] = cfg.beta1 * adam_m[i] + (1 - cfg.beta1) * g
-                adam_v[i] = cfg.beta2 * adam_v[i] + (1 - cfg.beta2) * g * g
-                m_hat = adam_m[i] / (1 - cfg.beta1**step)
-                v_hat = adam_v[i] / (1 - cfg.beta2**step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        score(x, labels, report.train_loss, report.train_acc)
-        if validation is not None:
-            score(prepare(validation[0]), validation[1], report.val_loss, report.val_acc)
-    return model, report
-
-
 def intensity_problem(n, classes, seed):
     rng = np.random.default_rng(seed)
     labels = [int(v) for v in rng.integers(0, classes, size=n)]
@@ -506,19 +424,36 @@ def intensity_problem(n, classes, seed):
         ((100, 100), 0.3, 0.01, 20, True, False),
         ((100, 100), 0.0, 0.01, 1, False, True),
         ((12, 9), 0.2, 0.05, 11, True, True),
+        ((5, 4), 0.3, 0.01, 50, True, False),  # one batch, shorter than batch_size
+        ((7,), 0.4, 0.01, 8, True, False),  # one hidden layer with dropout
+        ((6, 5), 0.3, 0.0, 9, False, True),  # dropout without the L2 term
     ],
 )
 def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val, normalize):
     x, labels = intensity_problem(45, 4, seed=len(hidden) + batch)
     validation = (x[30:], labels[30:]) if with_val else None
-    cfg = MlpConfig(hidden=hidden, output_dim=4, dropout_rate=dropout, l2=l2, epochs=4,
-                    batch_size=batch, seed=batch, normalize=normalize)
-    model, report = train(x[:30], labels[:30], cfg, validation=validation)
-    ref_model, ref_report = reference_train(x[:30], labels[:30], cfg, validation=validation)
-    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
-        assert np.array_equal(got, want)
-    assert report == ref_report
-    assert len(report.val_loss) == (4 if with_val else 0)
+    for epochs in (0, 4):
+        cfg = MlpConfig(hidden=hidden, output_dim=4, dropout_rate=dropout, l2=l2, epochs=epochs,
+                        batch_size=batch, seed=batch, normalize=normalize)
+        model, report = train(x[:30], labels[:30], cfg, validation=validation)
+        ref_model, ref_report = reference_train(x[:30], labels[:30], cfg, validation=validation)
+        for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+            assert got.tobytes() == want.tobytes()
+        assert report == ref_report
+        assert len(report.val_loss) == (epochs if with_val else 0)
+
+    # on the trained model, the public training-mode calls run train's step
+    rows = _prepare(x[:30], cfg)
+    targets = one_hot(labels[:30], 4)
+    loss, grads_w, grads_b = loss_and_gradients(
+        model, rows, targets, rng=np.random.default_rng(99), training=True
+    )
+    want = reference_gradients(model, rows, targets, np.random.default_rng(99))
+    assert [g.tobytes() for g in grads_w + grads_b] == [g.tobytes() for g in want]
+    want_out = reference_forward(model, rows, True, np.random.default_rng(99))[0]
+    got_out = forward(model, rows, training=True, rng=np.random.default_rng(99))
+    assert got_out.tobytes() == want_out.tobytes()
+    assert loss == bce_loss(want_out, targets, model, l2)
 
 
 def test_sigmoid_bitwise_equals_masked_reference():
@@ -532,8 +467,20 @@ def test_inference_forward_bitwise_equals_training_path():
     cfg = MlpConfig(output_dim=5, seed=8)
     model = init_model(cfg, np.random.default_rng(8))
     x, _ = intensity_problem(64, 5, seed=8)
-    assert forward(model, x[0]).tobytes() == _forward(model, x[:1], False, None)[0][0].tobytes()
-    assert forward(model, x).tobytes() == _forward(model, x, False, None)[0].tobytes()
+    one_row = reference_forward(model, x[:1], False, None)[0][0]
+    assert forward(model, x[0]).tobytes() == one_row.tobytes()
+    assert forward(model, x).tobytes() == reference_forward(model, x, False, None)[0].tobytes()
+
+
+def test_trainings_with_different_shapes_share_no_workspace():
+    x, labels = intensity_problem(40, 3, seed=2)
+    first = MlpConfig(hidden=(8,), output_dim=3, batch_size=7, epochs=3, seed=1)
+    other = MlpConfig(hidden=(5, 4), output_dim=3, batch_size=13, epochs=3, seed=1)
+    alone = _model_text(train(x, labels, first)[0])
+    train(x, labels, other)
+    assert _model_text(train(x, labels, first)[0]) == alone
+    # no array outlives a call at module level
+    assert not [v for v in vars(mlp).values() if isinstance(v, np.ndarray)]
 
 
 def test_models_trained_back_to_back_share_no_memory():
@@ -685,9 +632,26 @@ _ONE_ROW_INPUTS = st.one_of(
 @given(st.sampled_from(sorted(_ONE_ROW_MODELS)), _ONE_ROW_INPUTS)
 def test_one_row_predict_equals_batch_path(key, row):
     model = _ONE_ROW_MODELS[key]
-    with np.errstate(all="ignore"):  # inf and NaN readings on purpose
+    if not all(map(math.isfinite, row)):
+        # a NaN or inf reading is refused on the one-row and the batch path
+        for rows, bad in (([row], 0), (row, 0), ([[0.0] * 5, row], 1)):
+            with pytest.raises(ValueError, match=f"^row {bad}: non-finite feature value$"):
+                predict_labels(model, rows)
+        return
+    with np.errstate(all="ignore"):  # overflowing readings on purpose
         assert predict_labels(model, [row]) == batch_predict(model, [row])
         assert predict_labels(model, np.asarray(row, dtype=float)) == batch_predict(model, row)
+
+
+def test_predict_labels_rejects_non_finite_rows():
+    model = _ONE_ROW_MODELS[(3,), False]
+    for value in (np.nan, np.inf, -np.inf):
+        bad = [value, 0.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="^row 0: non-finite feature value$"):
+            predict_labels(model, [bad])
+        with pytest.raises(ValueError, match="^row 2: non-finite feature value$"):
+            predict_labels(model, [[1.0] * 5, [2.0] * 5, bad, bad])
+    assert predict_labels(model, np.zeros((0, 5))) == []
 
 
 def test_one_row_predict_equals_batch_path_on_overflowing_rows():

@@ -18,7 +18,7 @@ from lightband.simulate import (
     synth_trace,
     write_profile_csv,
 )
-from lightband.types import segment_trace
+from lightband.types import parse_label, segment_trace
 
 
 def test_critical_angle_glass_fiber():
@@ -155,6 +155,50 @@ def test_read_script():
         read_script(io.StringIO("extend\nrelax\n"))
     with pytest.raises(ValueError, match="line 1"):
         read_script(io.StringIO("wave\n"))
+
+
+_SCRIPT_LINES = st.sampled_from(["extend", "fist", "one", "EXTEND", " Fist ", "oNe\t"])
+_BAD_SCRIPT_LINES = st.one_of(
+    st.sampled_from([
+        "", " ", "relax", "TRANSITION", "wave", "extend fist", "extend,", "ext", "\x00",
+        "\u2028", "fist\x1cone", "0", "-1", "nan",
+    ]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def mutated_scripts(draw):
+    """A valid script with one line replaced, added, deleted or doubled."""
+    lines = draw(st.lists(_SCRIPT_LINES, min_size=1, max_size=8))
+    row = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["replace", "add", "delete", "duplicate"]))
+    if kind == "replace":
+        lines[row] = draw(_BAD_SCRIPT_LINES)
+    elif kind == "add":
+        lines.insert(row, draw(_BAD_SCRIPT_LINES))
+    elif kind == "delete":
+        del lines[row]
+    else:
+        lines.insert(row, lines[row])
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=60), st.text(max_size=60), mutated_scripts()))
+def test_read_script_random_input_raises_only_value_error(data):
+    if isinstance(data, bytes):
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    else:
+        stream = io.StringIO(data, newline="")
+    try:
+        gestures = read_script(stream)
+    except ValueError:  # UnicodeDecodeError is one too
+        return
+    # what a script that reads must hold: its non-blank lines as labels
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    assert gestures == [parse_label(line) for line in text.splitlines() if line.strip()]
+    assert all(g in (E, F, O) for g in gestures)
 
 
 def test_profile_csv_round_trip():
