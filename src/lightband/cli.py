@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a run too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

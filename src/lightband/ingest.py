@@ -12,7 +12,7 @@ import os
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -89,6 +89,34 @@ def open_text(target, mode: str = "r"):
         yield target
 
 
+def text_lines(source):
+    """Yield each line of a path, a text stream or an iterable, end stripped.
+
+    A path is opened with newline="", so "\r\n", "\r" and "\n" end a line
+    and nothing else does (str.splitlines would also split at "\f" or
+    "\u2028"); a stream or iterable gives a line per item. Blank lines too.
+    """
+    with open_text(source) as lines:
+        for line in lines:
+            yield line.rstrip("\r\n")
+
+
+def numbered_rows(source, parse_line: Callable[[str], object], first: int = 1):
+    """Yield (line number, parse_line(line)) for each non-blank line of source.
+
+    Lines come from text_lines(source), numbered from `first`; a line of
+    whitespace is blank. A ValueError from parse_line is raised again as
+    "line N: <message>".
+    """
+    for lineno, line in enumerate(text_lines(source), start=first):
+        if line.strip():
+            try:
+                row = parse_line(line)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            yield lineno, row
+
+
 def read_collection_csv(source) -> LabeledTrace:
     """Read a collection CSV (path or open text stream) into a LabeledTrace.
 
@@ -98,12 +126,11 @@ def read_collection_csv(source) -> LabeledTrace:
     rows are read a block of ROW_BLOCK lines at a time, so memory stays near
     the size of the final arrays. A block of rows as the writer spells them
     is converted a column at a time (_canonical_columns); any other block,
-    blank lines and errors included, is parsed row by row, which names the
-    line of every error.
+    blank lines and errors included, is parsed row by row through
+    numbered_rows, which names the line of every error.
     """
     t_rel, t_unix, channels = array("d"), array("d"), array("q")
     labels, linenos = [], array("q")
-    label_tokens = {}  # label text -> GestureLabel, parsed once per spelling
     with open_text(source) as stream:
         lines = iter(stream)
         header = next(lines, None)
@@ -123,30 +150,11 @@ def read_collection_csv(source) -> LabeledTrace:
                 labels.extend(block_labels)
                 linenos.extend(range(first, first + len(block)))
             else:
-                for lineno, raw in enumerate(block, start=first):
-                    line = raw.rstrip("\r\n")
-                    if not line.strip():
-                        continue
-                    if line.endswith(","):
-                        line = line[:-1]
-                    tokens = line.split(",")
-                    if len(tokens) != 8:
-                        raise ValueError(
-                            f"line {lineno}: expected 8 fields, got {len(tokens)}"
-                        )
-                    try:
-                        t_rel.append(float(tokens[0]))
-                        t_unix.append(float(tokens[1]))
-                        channels.extend(map(int, tokens[2:7]))
-                    except (ValueError, OverflowError) as exc:  # too large for int64: overflow
-                        raise ValueError(f"line {lineno}: malformed row: {exc}") from None
-                    token = tokens[7]
-                    label = label_tokens.get(token)
-                    if label is None:
-                        try:
-                            label = label_tokens[token] = parse_label(token)
-                        except ValueError as exc:
-                            raise ValueError(f"line {lineno}: {exc}") from None
+                rows = numbered_rows(block, _parse_collection_row, first)
+                for lineno, (row_t_rel, row_t_unix, row_channels, label) in rows:
+                    t_rel.append(row_t_rel)
+                    t_unix.append(row_t_unix)
+                    channels.extend(row_channels)
                     labels.append(label)
                     linenos.append(lineno)
             first += len(block)
@@ -161,6 +169,18 @@ def read_collection_csv(source) -> LabeledTrace:
         )
     except FrameError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
+
+
+def _parse_collection_row(line: str) -> tuple:
+    """(t_rel, t_unix, int64 intensities, label) of one data row."""
+    tokens = line.removesuffix(",").split(",")
+    if len(tokens) != 8:
+        raise ValueError(f"expected 8 fields, got {len(tokens)}")
+    try:
+        values = float(tokens[0]), float(tokens[1]), array("q", map(int, tokens[2:7]))
+    except (ValueError, OverflowError) as exc:  # too large for int64: overflow
+        raise ValueError(f"malformed row: {exc}") from None
+    return *values, parse_label(tokens[7])
 
 
 def _canonical_columns(block: list):
@@ -229,24 +249,16 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
 
 
 def read_frames_from_line_stream(
-    source: Iterable[str],
-    interval: float = DEFAULT_SAMPLE_INTERVAL,
-    label: GestureLabel = GestureLabel.RELAX,
+    source: Iterable[str], interval: float = DEFAULT_SAMPLE_INTERVAL
 ) -> LabeledTrace:
     """Wrap raw device lines into a trace with synthesized timestamps.
 
-    Frames get t_rel = index * interval and the given default label (RELAX
-    unless stated otherwise). Parse failures carry the 1-based line number.
+    Frames get t_rel = index * interval and the RELAX label. Parse failures
+    carry the 1-based line number.
     """
     channels = array("q")
-    with open_text(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
-            if not raw.strip():
-                continue
-            try:
-                channels.extend(parse_serial_line(raw))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+    for _, values in numbered_rows(source, parse_serial_line):
+        channels.extend(values)
     n = len(channels) // NUM_CHANNELS
     with np.errstate(invalid="ignore"):  # 0 * inf; LabeledTrace rejects the interval
         t_rel = np.arange(n) * interval
@@ -254,6 +266,6 @@ def read_frames_from_line_stream(
         t_rel=t_rel,
         t_unix=t_rel,
         channels=np.frombuffer(channels, dtype=np.int64).reshape(n, NUM_CHANNELS),
-        labels=(label,) * n,
+        labels=(GestureLabel.RELAX,) * n,
         sample_interval=interval,
     )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .ingest import open_text
+from .ingest import numbered_rows, open_text, text_lines
 from .types import CLASS_INDEX, GestureLabel, LabeledTrace
 
 PRED_EPS = 1e-7
@@ -83,10 +83,6 @@ class MlpModel:
     weights: list
     biases: list
     config: MlpConfig
-
-    def regularized(self) -> list:
-        """Weight matrices carrying the L2 penalty (hidden layers only)."""
-        return self.weights[:-1]
 
 
 @dataclass
@@ -262,8 +258,8 @@ def bce_loss(pred, target, model: MlpModel = None, l2: float = 0.0) -> float:
     """Mean binary cross-entropy over outputs plus the L2 weight penalty.
 
     Predictions are clamped to [PRED_EPS, 1 - PRED_EPS] before the logs. The
-    penalty is l2 * sum of squared weights over the model's regularized
-    layers, matching the 2 * l2 * W gradient used in training.
+    penalty is l2 * sum of squared hidden-layer weights (the output layer
+    has none), matching the 2 * l2 * W gradient used in training.
     """
     pred = np.atleast_2d(np.asarray(pred, dtype=float))
     target = np.atleast_2d(np.asarray(target, dtype=float))
@@ -279,7 +275,7 @@ def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
 
 def _l2_penalty(model: MlpModel, l2: float) -> float:
     if l2 > 0:
-        return l2 * sum(float(np.sum(w * w)) for w in model.regularized())
+        return l2 * sum(float(np.sum(w * w)) for w in model.weights[:-1])
     return 0.0
 
 
@@ -455,8 +451,7 @@ def save_model(model: MlpModel, sink) -> None:
 
 
 def load_model(source) -> MlpModel:
-    with open_text(source) as handle:
-        lines = handle.read().splitlines()
+    lines = list(text_lines(source))
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError("unsupported model format (bad magic line)")
     if len(lines) < 2:
@@ -504,23 +499,21 @@ def load_model(source) -> MlpModel:
 
 def load_features_csv(source) -> np.ndarray:
     """Headerless feature CSV: five comma-separated numbers per row."""
-    with open_text(source) as handle:
-        lines = handle.read().splitlines()
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if len(tokens) != 5:
-            raise ValueError(f"line {lineno}: expected 5 columns, got {len(tokens)}")
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric feature value") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"line {lineno}: non-finite feature value")
-        rows.append(row)
+    rows = [row for _, row in numbered_rows(source, _parse_feature_row)]
     return np.array(rows) if rows else np.zeros((0, 5))
+
+
+def _parse_feature_row(line: str) -> list:
+    tokens = line.split(",")
+    if len(tokens) != 5:
+        raise ValueError(f"expected 5 columns, got {len(tokens)}")
+    try:
+        row = [float(t) for t in tokens]
+    except ValueError:
+        raise ValueError("non-numeric feature value") from None
+    if not all(map(math.isfinite, row)):
+        raise ValueError("non-finite feature value")
+    return row
 
 
 def load_labels_csv(source, num_classes: int = None) -> list:
@@ -528,20 +521,17 @@ def load_labels_csv(source, num_classes: int = None) -> list:
 
     With num_classes given, an index outside [0, num_classes) is an error.
     """
-    with open_text(source) as handle:
-        lines = handle.read().splitlines()
-    labels = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+
+    def parse_label_line(line: str) -> int:
         try:
-            label = int(line.strip())
+            label = int(line)
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer label") from None
+            raise ValueError("non-integer label") from None
         if num_classes is not None and not 0 <= label < num_classes:
-            raise ValueError(f"line {lineno}: class index {label} outside [0, {num_classes})")
-        labels.append(label)
-    return labels
+            raise ValueError(f"class index {label} outside [0, {num_classes})")
+        return label
+
+    return [label for _, label in numbered_rows(source, parse_label_line)]
 
 
 def write_features_csv(x, sink) -> None:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .baseline import BaselineConfig, batch_baselines
-from .ingest import open_text
+from .ingest import numbered_rows, open_text, text_lines
 from .types import (
     CLASS_INDEX,
     CLASS_LABELS,
@@ -38,9 +38,11 @@ SIGNATURE_CSV_HEADER = "gesture,sensor,delta"
 
 
 def check_active_sensors(active) -> tuple:
-    """Active sensors as a tuple of distinct 1-based indices in 1..5."""
+    """Active sensors as a tuple of distinct 1-based int indices in 1..5."""
     active = tuple(active)
     for sensor in active:
+        if not isinstance(sensor, int) or isinstance(sensor, bool):
+            raise ValueError(f"sensor index must be an integer, got {sensor!r}")
         if not 1 <= sensor <= 5:
             raise ValueError(f"sensor index {sensor} outside 1..5")
     if len(set(active)) != len(active):
@@ -97,10 +99,7 @@ class SignatureTable:
 
 
 def generate_signatures(
-    traces,
-    active=DEFAULT_ACTIVE_SENSORS,
-    gestures=GESTURES,
-    min_segment_frames: int = MIN_SEGMENT_FRAMES,
+    traces, active=DEFAULT_ACTIVE_SENSORS, gestures=GESTURES
 ) -> SignatureTable:
     """Learn a SignatureTable from labeled traces.
 
@@ -110,7 +109,7 @@ def generate_signatures(
     The signature is the average of these deltas over all such pairs.
 
     Raises ValueError if a requested gesture has no relax/gesture pair, or
-    if a segment used by a pair is shorter than min_segment_frames.
+    if a segment used by a pair is shorter than MIN_SEGMENT_FRAMES.
     """
     active = check_active_sensors(active)
     gestures = tuple(gestures)
@@ -128,10 +127,10 @@ def generate_signatures(
                 continue
             _, r_start, r_end = segments[prev]
             for name, seg_len in (("relax", r_end - r_start), (label.name, end - start)):
-                if seg_len < min_segment_frames:
+                if seg_len < MIN_SEGMENT_FRAMES:
                     raise ValueError(
                         f"{name} segment of {seg_len} frames is shorter than "
-                        f"{min_segment_frames}"
+                        f"{MIN_SEGMENT_FRAMES}"
                     )
             gesture_mean = _segment_means(trace, start, end)
             relax_mean = _segment_means(trace, r_start, r_end)
@@ -169,11 +168,12 @@ class ClassifierState:
             raise ValueError(
                 f"tolerance must be finite and non-negative, got {self.tolerance}"
             )
-        if self.transition_horizon < 1:
-            raise ValueError(
-                f"transition_horizon must be at least 1, got {self.transition_horizon}"
-            )
-        self.recent_labels = deque(self.recent_labels, maxlen=self.transition_horizon)
+        horizon = self.transition_horizon
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise ValueError(f"transition_horizon must be an integer, got {horizon!r}")
+        if horizon < 1:
+            raise ValueError(f"transition_horizon must be at least 1, got {horizon}")
+        self.recent_labels = deque(self.recent_labels, maxlen=horizon)
 
 
 def classify_frame(
@@ -278,26 +278,23 @@ def write_signature_csv(table: SignatureTable, sink) -> None:
 
 def read_signature_csv(source, active=None) -> SignatureTable:
     """Read a signature table; active sensors default to those in the file."""
-    with open_text(source) as handle:
-        lines = [line.rstrip("\r\n") for line in handle]
-    if not lines or lines[0].strip() != SIGNATURE_CSV_HEADER:
-        raise ValueError("missing or malformed signature header")
-    deltas = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    seen = set()
+
+    def parse_row(line: str) -> tuple:
         tokens = [t.strip() for t in line.split(",")]
         if len(tokens) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(tokens)}")
-        try:
-            gesture = parse_label(tokens[0])
-            sensor = int(tokens[1])
-            delta = float(tokens[2])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if (gesture, sensor) in deltas:
-            raise ValueError(f"line {lineno}: duplicate entry for ({gesture}, sensor {sensor})")
-        deltas[(gesture, sensor)] = delta
+            raise ValueError(f"expected 3 fields, got {len(tokens)}")
+        key = parse_label(tokens[0]), int(tokens[1])
+        delta = float(tokens[2])
+        if key in seen:
+            raise ValueError(f"duplicate entry for ({key[0]}, sensor {key[1]})")
+        seen.add(key)
+        return key, delta
+
+    lines = text_lines(source)
+    if next(lines, "").strip() != SIGNATURE_CSV_HEADER:
+        raise ValueError("missing or malformed signature header")
+    deltas = dict(row for _, row in numbered_rows(lines, parse_row, first=2))
     if active is None:
         active = tuple(sorted({sensor for _, sensor in deltas}))
     return SignatureTable(deltas=deltas, active_sensors=tuple(active))

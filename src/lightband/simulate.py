@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import signature
-from .ingest import open_text
+from .ingest import numbered_rows
 from .types import GESTURES, GestureLabel, LabeledTrace, parse_label
 
 
@@ -172,20 +172,14 @@ def synth_trace(script, profiles=DEFAULT_PROFILES, cfg: SimConfig = SimConfig())
 
 def read_script(source) -> list:
     """Script file: one gesture name (EXTEND, FIST or ONE) per line."""
-    with open_text(source) as handle:
-        lines = handle.read().splitlines()
-    gestures = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            gesture = parse_label(line)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if gesture not in GESTURES:
-            raise ValueError(f"line {lineno}: {gesture} cannot be scripted")
-        gestures.append(gesture)
-    return gestures
+    return [gesture for _, gesture in numbered_rows(source, _parse_script_line)]
+
+
+def _parse_script_line(line: str) -> GestureLabel:
+    gesture = parse_label(line)
+    if gesture not in GESTURES:
+        raise ValueError(f"{gesture} cannot be scripted")
+    return gesture
 
 
 def read_profile_csv(source) -> tuple:

@@ -166,9 +166,9 @@ class LabeledTrace:
 
     The arrays are read-only copies, validated once for the whole trace:
     finite non-negative t_rel spaced within 50% of sample_interval, finite
-    t_unix, and integer intensities in [0, 1023]. A failure tied to one
-    frame raises FrameError with that frame's row. `frames` is a per-frame
-    view for code that walks readings one at a time.
+    t_unix, integer intensities in [0, 1023], and GestureLabel labels. A
+    failure tied to one frame raises FrameError with that frame's row.
+    `frames` is a per-frame view for code that walks readings one at a time.
     """
 
     t_rel: np.ndarray = ()  # (N,) float64 seconds since trace start
@@ -190,6 +190,9 @@ class LabeledTrace:
             raise ValueError(
                 f"t_rel, t_unix, channels and labels differ in length: {lengths}"
             )
+        if not {GestureLabel}.issuperset(map(type, labels)):
+            row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
+            raise FrameError(row, f"label must be a GestureLabel, got {labels[row]!r}")
         _reject_first(
             ~(np.isfinite(t_rel) & (t_rel >= 0)),
             lambda row: f"t_rel must be finite and non-negative, got {t_rel[row]}",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 
 from lightband.baseline import BaselineTracker
@@ -9,6 +11,14 @@ E = GestureLabel.EXTEND
 F = GestureLabel.FIST
 O = GestureLabel.ONE
 T = GestureLabel.TRANSITION
+
+
+def file_lines(text: str) -> list:
+    """The lines of a file holding text: each ends at "\r\n", "\r" or "\n".
+
+    The readers' line rule, written independently of them.
+    """
+    return re.split(r"\r\n|\r|\n", text)
 
 
 def make_trace(channel_rows, labels, interval=0.02):

@@ -96,6 +96,18 @@ def test_simulate_bad_script_content(capsys, tmp_path):
     assert code == 2
 
 
+def test_simulate_duration_too_long_to_hold_is_domain_error(capsys, tmp_path):
+    # numpy refuses the 355 PiB allocation at once, so the test takes no memory
+    out = tmp_path / "o.csv"
+    code, _, err = run(
+        capsys, "simulate", "--script", script_file(tmp_path), "--out", str(out),
+        "--relax-hold", "1e15",
+    )
+    assert code == 1
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_with_profile_file(capsys, tmp_path):
     profiles = tmp_path / "profiles.csv"
     write_profile_csv(DEFAULT_PROFILES, str(profiles))

@@ -353,6 +353,50 @@ IO_FORMATS = {
 }
 
 
+# The six line readers -> (read, header line or None, two good rows, a bad row)
+LINE_READERS = {
+    "collection": (
+        read_collection_csv,
+        COLLECTION_HEADER,
+        ("0.0,0.0,1,2,3,4,5,relax,", "0.02,0.0,1,2,3,4,5,extend,"),
+        "0.04,0.0,1,2,3,relax,",
+    ),
+    "serial": (read_frames_from_line_stream, None, ("1,2,3,4,5", "6,7,8,9,10"), "1,2,3"),
+    "signature": (
+        read_signature_csv, "gesture,sensor,delta", ("extend,2,-1.5", "extend,3,-2.5"), "fist,4"
+    ),
+    "script": (read_script, None, ("extend", "fist"), "relax"),
+    "features": (mlp.load_features_csv, None, ("1,2,3,4,5", "6,7,8,9,10.5"), "1,2,x,4,5"),
+    "labels": (mlp.load_labels_csv, None, ("0", "3"), "x"),
+}
+
+
+def _line_reader_sources(tmp_path, text):
+    """The same text as a path and as a stream that keeps every line end."""
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text.encode())
+    return [str(path), io.StringIO(text, newline="")]
+
+
+@pytest.mark.parametrize("name", LINE_READERS)
+def test_line_readers_share_one_line_rule(tmp_path, name):
+    read, header, good, bad = LINE_READERS[name]
+    head = [header] if header else []
+    # "\r\n" and bare "\r" line ends, and a blank line before the bad row
+    lines = head + list(good) + ["  ", bad]
+    text = "".join(line + end for line, end in zip(lines, ["\r\n", "\r"] * len(lines)))
+    for source in _line_reader_sources(tmp_path, text):
+        with pytest.raises(ValueError, match=f"^line {len(lines)}: "):
+            read(source)
+    read(io.StringIO("\r".join(head + list(good)), newline=""))  # the good rows read
+    # characters str.splitlines also splits at stay inside their line
+    for char in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        text = "\n".join(head + [char.join(good)]) + "\n"
+        for source in _line_reader_sources(tmp_path, text):
+            with pytest.raises(ValueError, match=f"^line {len(head) + 1}: "):
+                read(source)
+
+
 def _comparable(value):
     if isinstance(value, mlp.MlpModel):
         arrays = value.weights + value.biases

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     E,
     R,
+    file_lines,
     make_trace,
     reference_forward,
     reference_gradients,
@@ -270,6 +271,20 @@ def test_load_model_truncated():
     truncated = "\n".join(lines[: len(lines) // 2]) + "\n"
     with pytest.raises(ValueError, match="truncated|weight row"):
         load_model(io.StringIO(truncated))
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_load_model_ends_lines_only_at_line_ends(char):
+    """str.splitlines ends a line at these characters too; the model file's
+    positional parse must not see an extra line after a weight row."""
+    model, _, _ = tiny_problem()
+    sink = io.StringIO()
+    save_model(model, sink)
+    lines = sink.getvalue().split("\n")
+    assert lines[2].startswith("layer ")
+    lines[3] += char  # the first weight row; float() ignores the whitespace
+    back = load_model(io.StringIO("\r\n".join(lines), newline=""))
+    assert all(np.array_equal(a, b) for a, b in zip(back.weights, model.weights))
 
 
 def test_load_model_non_finite():
@@ -726,18 +741,18 @@ def test_feature_and_label_files_mutated_lines_raise_only_value_error(texts):
     x_text, y_text = texts
     # what a file that loads must hold: its non-blank lines, parsed as given
     try:
-        x = load_features_csv(io.StringIO(x_text))
+        x = load_features_csv(io.StringIO(x_text, newline=""))
     except ValueError:
         pass
     else:
-        rows = [list(map(float, line.split(","))) for line in x_text.splitlines() if line.strip()]
+        rows = [list(map(float, line.split(","))) for line in file_lines(x_text) if line.strip()]
         assert x.tolist() == rows and np.isfinite(x).all()
     try:
-        labels = load_labels_csv(io.StringIO(y_text), 5)
+        labels = load_labels_csv(io.StringIO(y_text, newline=""), 5)
     except ValueError:
         pass
     else:
-        assert labels == [int(line) for line in y_text.splitlines() if line.strip()]
+        assert labels == [int(line) for line in file_lines(y_text) if line.strip()]
         assert all(0 <= label < 5 for label in labels)
 
 

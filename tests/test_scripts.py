@@ -1,6 +1,8 @@
 """Smoke tests: the experiment scripts run end to end on the public API, and
-the benchmark tracer still finds every function it wraps."""
+the benchmark still finds every lightband name it uses."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -50,3 +52,48 @@ def test_perfbench_tracer_targets_exist():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def _lightband_references(tree) -> list:
+    """(module, attribute path) for each name the code reads off lightband.
+
+    Covers `from lightband[.module] import name` and attribute chains on a
+    name bound by `import lightband` or `from lightband import module`.
+    """
+    bound, refs = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names
+                         if a.name.split(".")[0] == "lightband")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lightband"):
+            for alias in node.names:
+                if node.module == "lightband":  # a module: importing it checks it
+                    bound[alias.asname or alias.name] = f"lightband.{alias.name}"
+                    refs.append((f"lightband.{alias.name}", []))
+                else:
+                    refs.append((node.module, [alias.name]))
+    for node in ast.walk(tree):
+        path = []
+        while isinstance(node, ast.Attribute):
+            path.insert(0, node.attr)
+            node = node.value
+        if path and isinstance(node, ast.Name) and node.id in bound:
+            refs.append((bound[node.id], path))
+    return refs
+
+
+def test_perfbench_lightband_references_exist():
+    """Every lightband module attribute perfbench/*.py reads must exist, so
+    a rename or deletion fails here rather than in a benchmark run."""
+    missing, checked = [], 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for module, attrs in _lightband_references(ast.parse(path.read_text())):
+            value = importlib.import_module(module)
+            for attr in attrs:
+                if not hasattr(value, attr):
+                    missing.append(f"{path.name}: {module}.{'.'.join(attrs)}")
+                    break
+                value = getattr(value, attr)
+            checked += 1
+    assert missing == []
+    assert checked > 50  # the workloads and the tracer were read

@@ -352,6 +352,21 @@ def test_classify_trace_deterministic():
     assert classify_trace(trace, table) == classify_trace(trace, table)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"transition_horizon": 2.5}, "transition_horizon must be an integer, got 2.5"),
+        ({"transition_horizon": True}, "transition_horizon must be an integer, got True"),
+        ({"transition_horizon": 0}, "transition_horizon must be at least 1"),
+        ({"tolerance": float("nan")}, "tolerance must be finite"),
+        ({"tolerance": -0.1}, "tolerance must be finite and non-negative"),
+    ],
+)
+def test_classifier_state_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ClassifierState(**kwargs)
+
+
 def test_classify_trace_shorter_than_horizon():
     trace = make_trace(flat_rows(800, 5), [R] * 5)
     predicted = classify_trace(trace, SMALL_TABLE)
@@ -424,7 +439,8 @@ def test_read_signature_csv_rejects_duplicate_entry():
 @pytest.mark.parametrize(
     "active, message",
     [((0, 9), "outside 1..5"), ((6,), "outside 1..5"), ((0,), "outside 1..5"),
-     ((2, -1), "outside 1..5"), ((2, 2, 3), "repeat")],
+     ((2, -1), "outside 1..5"), ((2, 2, 3), "repeat"), ((2.0, 3, 4), "must be an integer"),
+     ((2, True), "must be an integer"), (("2",), "must be an integer")],
 )
 def test_generate_signatures_rejects_bad_sensors_before_indexing(active, message):
     trace = make_trace(flat_rows(800, 10) + flat_rows(700, 10), [R] * 10 + [E] * 10)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T
+from conftest import E, F, O, R, T, file_lines
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.simulate import (
     DEFAULT_PROFILES,
@@ -197,7 +197,7 @@ def test_read_script_random_input_raises_only_value_error(data):
         return
     # what a script that reads must hold: its non-blank lines as labels
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    assert gestures == [parse_label(line) for line in text.splitlines() if line.strip()]
+    assert gestures == [parse_label(line) for line in file_lines(text) if line.strip()]
     assert all(g in (E, F, O) for g in gestures)
 
 

@@ -1,6 +1,7 @@
 import copy
 import io
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
@@ -110,6 +111,12 @@ def test_trace_validation_names_the_frame():
     with pytest.raises(FrameError, match="t_unix") as caught:
         LabeledTrace(t_rel=[0.0], t_unix=[float("nan")], channels=[[0] * 5], labels=[R])
     assert caught.value.index == 0
+    # a label that is not a GestureLabel, even one that names a member
+    for bad in ("relax", 0, None, [R]):
+        message = re.escape(f"label must be a GestureLabel, got {bad!r}")
+        with pytest.raises(FrameError, match=message) as caught:
+            make_trace(flat_rows(10, 3), [R, R, bad])
+        assert caught.value.index == 2
 
 
 def test_trace_columns_are_read_only_copies():
