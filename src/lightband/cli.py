@@ -42,14 +42,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--script", required=True, help="file with one gesture name per line")
     p.add_argument("--profiles", help="gesture,sensor,delta CSV (built-in defaults if omitted)")
     p.add_argument("--out", required=True, help="collection CSV to write")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--interval", type=float, default=0.02)
-    p.add_argument("--noise-sigma", type=float, default=2.0)
-    p.add_argument("--drift", type=float, default=0.05)
-    p.add_argument("--gesture-hold", type=float, default=5.0)
-    p.add_argument("--relax-hold", type=float, default=2.0)
-    p.add_argument("--transition-time", type=float, default=0.2)
-    p.add_argument("--baselines", type=_baseline_levels, default=simulate.DEFAULT_BASELINE_LEVELS)
+    sim = simulate.SimConfig
+    p.add_argument("--seed", type=int, default=sim.seed)
+    p.add_argument("--interval", type=float, default=sim.sample_interval)
+    p.add_argument("--noise-sigma", type=float, default=sim.noise_sigma)
+    p.add_argument("--drift", type=float, default=sim.drift)
+    p.add_argument("--gesture-hold", type=float, default=sim.gesture_hold)
+    p.add_argument("--relax-hold", type=float, default=sim.relax_hold)
+    p.add_argument("--transition-time", type=float, default=sim.transition_time)
+    p.add_argument("--baselines", type=_baseline_levels, default=sim.baseline_levels)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train-signatures", help="learn a signature table from labeled traces")
@@ -62,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="collection CSV to classify")
     p.add_argument("--table", required=True, help="signature CSV")
     p.add_argument("--out", required=True, help="t_rel,label CSV to write")
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--window", type=float, default=4.0)
+    p.add_argument("--alpha", type=float, default=BaselineConfig.alpha)
+    p.add_argument("--window", type=float, default=BaselineConfig.window)
     p.add_argument("--tolerance", type=float, default=signature.DEFAULT_TOLERANCE)
     p.add_argument("--horizon", type=int, default=signature.DEFAULT_TRANSITION_HORIZON)
     p.set_defaults(func=cmd_classify)
@@ -77,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", help="per-epoch metrics CSV (train only)")
     p.add_argument("--out", help="predicted class-index file (predict only)")
     p.add_argument("--split", type=int, default=880, help="train/test boundary row")
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--l2", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    net = mlp.MlpConfig
+    p.add_argument("--epochs", type=int, default=net.epochs)
+    p.add_argument("--batch-size", type=int, default=net.batch_size)
+    p.add_argument("--dropout", type=float, default=net.dropout_rate)
+    p.add_argument("--l2", type=float, default=net.l2)
+    p.add_argument("--seed", type=int, default=net.seed)
     p.add_argument("--normalize", action="store_true", help="scale intensities to [0, 1]")
     p.set_defaults(func=cmd_nn)
 
@@ -106,11 +108,10 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
         )
         script = simulate.read_script(args.script)
-        profiles = (
-            simulate.read_profile_csv(args.profiles)
-            if args.profiles
-            else simulate.DEFAULT_PROFILES
-        )
+        profiles = simulate.DEFAULT_PROFILES
+        if args.profiles:
+            profiles = signature.read_signature_csv(args.profiles)
+            simulate.profile_deltas(profiles)  # an all-zero gesture is a usage error
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import open_text
-from .types import SCOREABLE_CLASSES, GestureLabel
+from .types import CLASS_INDEX, CLASS_LABELS, SCOREABLE_CLASSES
 
-PREDICTED_COLUMNS = SCOREABLE_CLASSES + (GestureLabel.TRANSITION,)
-
-# A label's position in PREDICTED_COLUMNS is its row as a truth (TRANSITION's
-# is past the last row) and its column as a prediction.
-_POSITION = {label: pos for pos, label in enumerate(PREDICTED_COLUMNS)}
+# The scoreable classes, then TRANSITION. A label's class index is its row
+# as a truth (TRANSITION's is past the last row) and its column as a
+# prediction.
+PREDICTED_COLUMNS = CLASS_LABELS
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class ConfusionMatrix:
 
 def _positions(labels) -> np.ndarray:
     try:
-        return np.fromiter(map(_POSITION.__getitem__, labels), dtype=np.intp)
+        return np.fromiter(map(CLASS_INDEX.__getitem__, labels), dtype=np.intp)
     except (KeyError, TypeError):  # TypeError: an unhashable non-label
         raise ValueError("labels must be GestureLabel members") from None
 

@@ -107,17 +107,26 @@ def init_model(cfg: MlpConfig, rng: np.random.Generator) -> MlpModel:
 
 
 def _as_indices(labels, num_classes: int) -> np.ndarray:
-    """Class indices of labels given as GestureLabels or ints.
+    """Class indices of labels given as GestureLabels or ints (not bools).
 
-    Raises ValueError naming the first index outside [0, num_classes).
+    Raises ValueError naming the first label that is neither, else the
+    first index outside [0, num_classes).
     """
-    indices = [CLASS_INDEX[l] if isinstance(l, GestureLabel) else int(l) for l in labels]
+    indices = list(map(_class_index, labels))
     # min and max compare Python ints, so an index too wide for int64 is
     # reported as out of range rather than overflowing the array below
     if indices and (min(indices) < 0 or max(indices) >= num_classes):
         bad = next(i for i in indices if not 0 <= i < num_classes)
         raise ValueError(f"class index {bad} outside [0, {num_classes})")
     return np.array(indices, dtype=np.intp)
+
+
+def _class_index(label) -> int:
+    if isinstance(label, GestureLabel):
+        return CLASS_INDEX[label]
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        return int(label)
+    raise ValueError(f"class index must be an integer, got {label!r}")
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

@@ -16,13 +16,13 @@ import numpy as np
 
 from . import signature
 from .ingest import numbered_rows
-from .types import GESTURES, GestureLabel, LabeledTrace, parse_label
+from .types import DEFAULT_SAMPLE_INTERVAL, GESTURES, GestureLabel, LabeledTrace, parse_label
 
 
 def critical_angle(n_medium: float, n_cladding: float) -> float:
     """Minimum total-internal-reflection angle, in degrees."""
-    if n_medium <= 0 or n_cladding <= 0:
-        raise ValueError("refractive indices must be positive")
+    if not all(math.isfinite(n) and n > 0 for n in (n_medium, n_cladding)):
+        raise ValueError("refractive indices must be finite and positive")
     ratio = n_cladding / n_medium
     if ratio >= 1:
         raise ValueError(
@@ -31,46 +31,48 @@ def critical_angle(n_medium: float, n_cladding: float) -> float:
     return math.degrees(math.asin(ratio))
 
 
-@dataclass(frozen=True)
-class GestureProfile:
-    """Per-sensor steady-state intensity change for one gesture."""
-
-    gesture: GestureLabel
-    deltas: tuple  # 5 signed intensity deltas relative to the relax level
-
-    def __post_init__(self):
-        if self.gesture not in GESTURES:
-            raise ValueError(f"{self.gesture} is not a scriptable gesture")
-        deltas = tuple(float(d) for d in self.deltas)
-        object.__setattr__(self, "deltas", deltas)
-        if len(deltas) != 5:
-            raise ValueError(f"expected 5 deltas, got {len(deltas)}")
-        if any(not math.isfinite(d) for d in deltas):
-            raise ValueError("deltas must be finite")
-        if all(d == 0 for d in deltas):
-            raise ValueError("at least one delta must be nonzero")
-
+ALL_SENSORS = (1, 2, 3, 4, 5)
 
 # Calibrated defaults: sensor 4 dips by 223 for EXTEND; the short fibers
 # (sensors 2-4) carry the bulk of the change, the long ones (1 and 5) little.
-DEFAULT_PROFILES = (
-    GestureProfile(GestureLabel.EXTEND, (-20.0, -150.0, -180.0, -223.0, -12.0)),
-    GestureProfile(GestureLabel.FIST, (-35.0, -210.0, -120.0, -130.0, -25.0)),
-    GestureProfile(GestureLabel.ONE, (-15.0, -110.0, -150.0, -175.0, -60.0)),
+DEFAULT_PROFILES = signature.SignatureTable(
+    deltas={
+        (gesture, sensor): delta
+        for gesture, deltas in (
+            (GestureLabel.EXTEND, (-20.0, -150.0, -180.0, -223.0, -12.0)),
+            (GestureLabel.FIST, (-35.0, -210.0, -120.0, -130.0, -25.0)),
+            (GestureLabel.ONE, (-15.0, -110.0, -150.0, -175.0, -60.0)),
+        )
+        for sensor, delta in zip(ALL_SENSORS, deltas)
+    },
+    active_sensors=ALL_SENSORS,
 )
 
-DEFAULT_BASELINE_LEVELS = (340.0, 760.0, 650.0, 800.0, 930.0)
+
+def profile_deltas(profiles: signature.SignatureTable) -> dict:
+    """Each gesture's steady-state change on sensors 1-5, from a signature table.
+
+    A sensor the table does not list changes by 0.0. Raises ValueError for a
+    gesture whose changes are all zero.
+    """
+    by_gesture = {}
+    for gesture, _ in profiles.rows:
+        deltas = [float(profiles.deltas.get((gesture, s), 0.0)) for s in ALL_SENSORS]
+        if not any(deltas):
+            raise ValueError(f"{gesture} profile: at least one delta must be nonzero")
+        by_gesture[gesture] = deltas
+    return by_gesture
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    sample_interval: float = 0.02
+    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
     gesture_hold: float = 5.0
     relax_hold: float = 2.0
     transition_time: float = 0.2
     noise_sigma: float = 2.0  # per-sample Gaussian read noise, intensity units
     drift: float = 0.05  # random-walk step sigma per sample on the relax level
-    baseline_levels: tuple = DEFAULT_BASELINE_LEVELS
+    baseline_levels: tuple = (340.0, 760.0, 650.0, 800.0, 930.0)
     seed: int = 0
     start_unix: float = 1_577_836_800.0
 
@@ -100,21 +102,24 @@ class SimConfig:
         return n
 
 
-def synth_trace(script, profiles=DEFAULT_PROFILES, cfg: SimConfig = SimConfig()) -> LabeledTrace:
+def synth_trace(
+    script, profiles: signature.SignatureTable = DEFAULT_PROFILES, cfg: SimConfig = SimConfig()
+) -> LabeledTrace:
     """Generate a labeled trace for a scripted gesture sequence.
 
+    profiles gives each gesture's change per sensor (see profile_deltas).
     Each scripted gesture produces: a RELAX hold, a linear TRANSITION ramp
     into the gesture, the gesture hold, and a ramp back. An empty script
     produces a single RELAX hold. Values are rounded to the sensor's integer
     scale and clipped to [0, 1023].
     """
-    by_gesture = {p.gesture: p for p in profiles}
+    by_gesture = profile_deltas(profiles)
     script = list(script)
     for gesture in script:
-        profile = by_gesture.get(gesture)
-        if profile is None:
+        deltas = by_gesture.get(gesture)
+        if deltas is None:
             raise ValueError(f"no profile for scripted gesture {gesture}")
-        for ch, delta in enumerate(profile.deltas):
+        for ch, delta in enumerate(deltas):
             target = cfg.baseline_levels[ch] + delta
             if not 0 <= target <= 1023:
                 raise ValueError(
@@ -132,7 +137,7 @@ def synth_trace(script, profiles=DEFAULT_PROFILES, cfg: SimConfig = SimConfig())
     if not script:
         sections.append(relax)
     for gesture in script:
-        deltas = np.array(by_gesture[gesture].deltas)
+        deltas = np.array(by_gesture[gesture])
         sections.append(relax)
         sections.append((GestureLabel.TRANSITION, deltas, ramp_up))
         sections.append((gesture, deltas, np.ones(n_hold)))
@@ -180,28 +185,3 @@ def _parse_script_line(line: str) -> GestureLabel:
     if gesture not in GESTURES:
         raise ValueError(f"{gesture} cannot be scripted")
     return gesture
-
-
-def read_profile_csv(source) -> tuple:
-    """Profile file: same `gesture,sensor,delta` schema as signature tables.
-
-    Sensors missing from the file default to a delta of zero.
-    """
-    table = signature.read_signature_csv(source)
-    profiles = {}
-    for (gesture, sensor), delta in table.deltas.items():
-        profiles.setdefault(gesture, [0.0] * 5)[sensor - 1] = delta
-    return tuple(
-        GestureProfile(gesture, tuple(deltas)) for gesture, deltas in profiles.items()
-    )
-
-
-def write_profile_csv(profiles, sink) -> None:
-    """Write profiles as a 5-sensor signature table, in (gesture, sensor) order."""
-    deltas = {
-        (p.gesture, sensor): delta
-        for p in profiles
-        for sensor, delta in enumerate(p.deltas, start=1)
-    }
-    table = signature.SignatureTable(deltas=deltas, active_sensors=(1, 2, 3, 4, 5))
-    signature.write_signature_csv(table, sink)

@@ -52,13 +52,9 @@ CLASS_INDEX = {label: index for index, label in enumerate(CLASS_LABELS)}
 # Gestures that carry a signature (everything except RELAX and TRANSITION).
 GESTURES = (GestureLabel.EXTEND, GestureLabel.FIST, GestureLabel.ONE)
 
-# Row/column order of scoreable classes in confusion matrices.
-SCOREABLE_CLASSES = (
-    GestureLabel.RELAX,
-    GestureLabel.EXTEND,
-    GestureLabel.FIST,
-    GestureLabel.ONE,
-)
+# Row/column order of scoreable classes in confusion matrices: every label
+# but TRANSITION, in class-index order.
+SCOREABLE_CLASSES = tuple(l for l in CLASS_LABELS if l is not GestureLabel.TRANSITION)
 
 # A label's text in the collection CSV and the classify label file.
 LABEL_TEXT = {label: label.name.lower() for label in GestureLabel}

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import E, F, O, reference_train, T as TRANSITION
 from lightband import mlp
-from lightband.cli import main
+from lightband.baseline import BaselineConfig
+from lightband.cli import build_parser, main
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.signature import (
     SignatureTable,
@@ -15,7 +16,7 @@ from lightband.signature import (
     read_signature_csv,
     write_signature_csv,
 )
-from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace, write_profile_csv
+from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
 from lightband.types import ROW_BLOCK, GestureLabel
 
 
@@ -44,6 +45,10 @@ def test_physics_cladding_above_medium(capsys):
 
 def test_physics_non_numeric(capsys):
     assert run(capsys, "physics", "glass", "air")[0] == 2
+    for indices in (("nan", "1.0"), ("inf", "1.0"), ("1.444", "nan")):
+        code, out, err = run(capsys, "physics", *indices)
+        assert (code, out) == (2, "")
+        assert err == "error: refractive indices must be finite and positive\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -108,15 +113,94 @@ def test_simulate_duration_too_long_to_hold_is_domain_error(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_simulate_with_profile_file(capsys, tmp_path):
+def simulate_with_profiles(capsys, tmp_path, profile_text, script="extend\n", *extra):
     profiles = tmp_path / "profiles.csv"
-    write_profile_csv(DEFAULT_PROFILES, str(profiles))
+    profiles.write_text(profile_text)
     out_csv = tmp_path / "trace.csv"
-    code, _, _ = run(
-        capsys, "simulate", "--script", script_file(tmp_path, "extend\n"),
-        "--profiles", str(profiles), "--out", str(out_csv), *SIM_ARGS,
+    code, _, err = run(
+        capsys, "simulate", "--script", script_file(tmp_path, script),
+        "--profiles", str(profiles), "--out", str(out_csv), *SIM_ARGS, *extra,
     )
+    return code, err, out_csv
+
+
+def test_simulate_with_profile_file(capsys, tmp_path):
+    sink = io.StringIO()
+    write_signature_csv(DEFAULT_PROFILES, sink)
+    code, _, out_csv = simulate_with_profiles(capsys, tmp_path, sink.getvalue())
     assert code == 0
+    default_csv = tmp_path / "default.csv"
+    assert run(
+        capsys, "simulate", "--script", script_file(tmp_path, "extend\n"),
+        "--out", str(default_csv), *SIM_ARGS,
+    )[0] == 0
+    assert out_csv.read_bytes() == default_csv.read_bytes()
+
+
+def test_simulate_profile_without_sensors_1_and_5_leaves_them_unchanged(capsys, tmp_path):
+    text = "gesture,sensor,delta\nextend,2,-150.0\nextend,3,-180.0\nextend,4,-223.0\n"
+    code, _, out_csv = simulate_with_profiles(capsys, tmp_path, text, "extend\nextend\n")
+    assert code == 0
+    zeros_on_1_and_5 = SignatureTable(
+        deltas={(E, s): d for s, d in zip(range(1, 6), (0.0, -150.0, -180.0, -223.0, 0.0))},
+        active_sensors=(1, 2, 3, 4, 5),
+    )
+    cfg = SimConfig(gesture_hold=0.4, relax_hold=0.3, transition_time=0.1)
+    expected = io.StringIO(newline="")
+    write_collection_csv(synth_trace([E, E], zeros_on_1_and_5, cfg), expected)
+    assert out_csv.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "extend,2\n",  # malformed row
+        "extend,2,-100.0\nextend,2,-90.0\n",  # duplicate (gesture, sensor)
+        "relax,2,-100.0\n",
+        "transition,2,-100.0\n",
+        "extend,2,-100.0\nfist,2,0.0\n",  # an all-zero gesture, even unscripted
+        "extend,2,-100.0\nfist,3,-50.0\n",  # gestures listing different sensors
+        "extend,2,nan\n",
+    ],
+)
+def test_simulate_rejected_profile_file_is_usage_error(capsys, tmp_path, rows):
+    code, err, out_csv = simulate_with_profiles(capsys, tmp_path, "gesture,sensor,delta\n" + rows)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+def test_simulate_scripted_gesture_without_profile_is_domain_error(capsys, tmp_path):
+    code, err, out_csv = simulate_with_profiles(
+        capsys, tmp_path, "gesture,sensor,delta\nextend,2,-100.0\n", "extend\nfist\n",
+    )
+    assert code == 1
+    assert err == "error: no profile for scripted gesture FIST\n"
+    assert not out_csv.exists()
+
+
+def _defaults(command, *required):
+    args = build_parser().parse_args([command, *required])
+    return {name: value for name, value in vars(args).items() if name not in ("command", "func")}
+
+
+def test_option_defaults_come_from_the_config_dataclasses():
+    sim = SimConfig()
+    assert _defaults("simulate", "--script", "s", "--out", "o") == {
+        "script": "s", "profiles": None, "out": "o", "seed": sim.seed,
+        "interval": sim.sample_interval, "noise_sigma": sim.noise_sigma, "drift": sim.drift,
+        "gesture_hold": sim.gesture_hold, "relax_hold": sim.relax_hold,
+        "transition_time": sim.transition_time, "baselines": sim.baseline_levels,
+    }
+    baseline = BaselineConfig()
+    classify = _defaults("classify", "--trace", "t", "--table", "s", "--out", "o")
+    assert (classify["alpha"], classify["window"]) == (baseline.alpha, baseline.window)
+    nn = _defaults("nn", "train", "--model", "m")
+    cfg = mlp.MlpConfig()
+    assert {k: nn[k] for k in ("epochs", "batch_size", "dropout", "l2", "seed", "normalize")} == {
+        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "dropout": cfg.dropout_rate,
+        "l2": cfg.l2, "seed": cfg.seed, "normalize": cfg.normalize,
+    }
 
 
 def training_trace(tmp_path, seed=21):

@@ -22,7 +22,7 @@ from lightband.ingest import (
     write_collection_csv,
 )
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
-from lightband.simulate import DEFAULT_PROFILES, read_profile_csv, read_script, write_profile_csv
+from lightband.simulate import read_script
 from lightband.types import ROW_BLOCK, FrameError, GestureLabel, LabeledTrace, parse_label
 
 
@@ -333,7 +333,6 @@ IO_FORMATS = {
         read_signature_csv,
         None,
     ),
-    "profile": (lambda sink: write_profile_csv(DEFAULT_PROFILES, sink), read_profile_csv, None),
     "script": (None, read_script, "extend\nfist\n\none\n"),
     "model": (lambda sink: mlp.save_model(_MODEL, sink), mlp.load_model, None),
     "features": (

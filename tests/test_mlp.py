@@ -329,9 +329,14 @@ def test_trace_to_dataset_labels_are_label_values(labels):
 
 def reference_one_hot(labels, num_classes: int) -> np.ndarray:
     """The per-row encoder the vectorised one_hot and _as_indices replace."""
-    indices = [
-        label.value if isinstance(label, GestureLabel) else int(label) for label in labels
-    ]
+    indices = []
+    for label in labels:
+        if isinstance(label, GestureLabel):
+            indices.append(label.value)
+        elif isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+            indices.append(int(label))
+        else:
+            raise ValueError(f"class index must be an integer, got {label!r}")
     out = np.zeros((len(indices), num_classes))
     for row, idx in enumerate(indices):
         if not 0 <= idx < num_classes:
@@ -346,6 +351,8 @@ _MIXED_LABELS = st.lists(
         st.integers(-2, 7),
         st.integers(-2, 7).map(np.int64),
         st.integers(),  # includes values too wide for int64
+        st.floats(-2, 7),  # 2.9 is not class 2
+        st.booleans(),  # True is not class 1
     ),
     max_size=30,
 )

@@ -24,7 +24,9 @@ from lightband.types import GESTURES, segment_trace
 
 def table_from_profiles(profiles=DEFAULT_PROFILES, active=(2, 3, 4)):
     deltas = {
-        (p.gesture, sensor): p.deltas[sensor - 1] for p in profiles for sensor in active
+        (gesture, sensor): profiles.delta(gesture, sensor)
+        for gesture, _ in profiles.rows
+        for sensor in active
     }
     return SignatureTable(deltas=deltas, active_sensors=active)
 

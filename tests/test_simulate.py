@@ -8,17 +8,24 @@ from hypothesis import strategies as st
 
 from conftest import E, F, O, R, T, file_lines
 from lightband.ingest import read_collection_csv, write_collection_csv
+from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import (
+    ALL_SENSORS,
     DEFAULT_PROFILES,
-    GestureProfile,
     SimConfig,
     critical_angle,
-    read_profile_csv,
     read_script,
     synth_trace,
-    write_profile_csv,
 )
 from lightband.types import parse_label, segment_trace
+
+
+def profile_table(rows, sensors=ALL_SENSORS):
+    """A profile table from {gesture: deltas in sensor order}."""
+    return SignatureTable(
+        deltas={(g, s): d for g, deltas in rows.items() for s, d in zip(sensors, deltas)},
+        active_sensors=sensors,
+    )
 
 
 def test_critical_angle_glass_fiber():
@@ -37,15 +44,18 @@ def test_critical_angle_errors():
         critical_angle(1.0, 1.5)
     with pytest.raises(ValueError, match="positive"):
         critical_angle(-1.0, 0.5)
+    for n_medium, n_cladding in ((math.nan, 1.0), (math.inf, 1.0), (1.444, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            critical_angle(n_medium, n_cladding)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError, match="scriptable"):
-        GestureProfile(R, (-1.0, 0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="nonzero"):
-        GestureProfile(E, (0.0,) * 5)
-    with pytest.raises(ValueError, match="5 deltas"):
-        GestureProfile(E, (-1.0,))
+    # an all-zero gesture is rejected, also one the script does not use
+    with pytest.raises(ValueError, match=r"^EXTEND profile: at least one delta must be nonzero$"):
+        synth_trace([E], profile_table({E: (0.0, -0.0, 0.0, 0.0, 0.0)}))
+    profiles = profile_table({E: (-100.0,), F: (0.0,)}, sensors=(2,))
+    with pytest.raises(ValueError, match="FIST profile"):
+        synth_trace([E], profiles)
 
 
 def test_sim_config_validation():
@@ -79,9 +89,8 @@ def test_zero_noise_plateau_deltas_equal_profile():
     cfg = SimConfig(noise_sigma=0.0, drift=0.0, gesture_hold=1.0, relax_hold=1.0)
     trace = synth_trace([E, F, O], DEFAULT_PROFILES, cfg)
     segments = segment_trace(trace)
-    profiles = {p.gesture: p for p in DEFAULT_PROFILES}
     for idx, (label, start, end) in enumerate(segments):
-        if label not in profiles:
+        if label not in (E, F, O):
             continue
         _, r_start, r_end = segments[idx - 2]  # relax precedes the up-ramp
         for ch in range(5):
@@ -91,7 +100,7 @@ def test_zero_noise_plateau_deltas_equal_profile():
             gesture_mean = sum(f.channels[ch] for f in trace.frames[start:end]) / (
                 end - start
             )
-            assert gesture_mean - relax_mean == profiles[label].deltas[ch]
+            assert gesture_mean - relax_mean == DEFAULT_PROFILES.delta(label, ch + 1)
 
 
 def test_segment_structure_matches_script():
@@ -118,10 +127,10 @@ def test_channels_always_in_range(seed, noise, drift):
         noise_sigma=noise, drift=drift, seed=seed,
         baseline_levels=(30.0, 990.0, 500.0, 800.0, 100.0),
     )
-    profiles = (
-        GestureProfile(E, (-25.0, -100.0, -300.0, -223.0, 20.0)),
-        GestureProfile(F, (10.0, 30.0, -400.0, -100.0, -90.0)),
-    )
+    profiles = profile_table({
+        E: (-25.0, -100.0, -300.0, -223.0, 20.0),
+        F: (10.0, 30.0, -400.0, -100.0, -90.0),
+    })
     trace = synth_trace([E, F], profiles, cfg)
     for frame in trace.frames:
         assert all(0 <= v <= 1023 for v in frame.channels)
@@ -129,12 +138,12 @@ def test_channels_always_in_range(seed, noise, drift):
 
 def test_missing_profile_error():
     with pytest.raises(ValueError, match="no profile"):
-        synth_trace([O], DEFAULT_PROFILES[:2], SimConfig())
+        synth_trace([O], profile_table({E: (-1.0,), F: (-1.0,)}, sensors=(1,)), SimConfig())
 
 
 def test_out_of_range_configuration_error():
     cfg = SimConfig(baseline_levels=(100.0, 760.0, 650.0, 800.0, 930.0))
-    profiles = (GestureProfile(E, (-150.0, -150.0, -180.0, -223.0, -12.0)),)
+    profiles = profile_table({E: (-150.0, -150.0, -180.0, -223.0, -12.0)})
     with pytest.raises(ValueError, match="channel 1"):
         synth_trace([E], profiles, cfg)
 
@@ -203,15 +212,11 @@ def test_read_script_random_input_raises_only_value_error(data):
 
 def test_profile_csv_round_trip():
     sink = io.StringIO()
-    write_profile_csv(DEFAULT_PROFILES, sink)
-    back = read_profile_csv(io.StringIO(sink.getvalue()))
-    assert set(back) == set(DEFAULT_PROFILES)
-
-
-def test_read_profile_csv_rejects_duplicate_entry():
-    text = "gesture,sensor,delta\nfist,1,-30.0\nfist,1,-35.0\n"
-    with pytest.raises(ValueError, match=r"^line 3: duplicate entry for \(FIST, sensor 1\)$"):
-        read_profile_csv(io.StringIO(text))
+    write_signature_csv(DEFAULT_PROFILES, sink)
+    assert sink.getvalue().splitlines()[1:6] == [
+        "extend,1,-20.0", "extend,2,-150.0", "extend,3,-180.0", "extend,4,-223.0", "extend,5,-12.0",
+    ]
+    assert read_signature_csv(io.StringIO(sink.getvalue())) == DEFAULT_PROFILES
 
 
 def reference_synth(script, profiles, cfg):
@@ -219,7 +224,6 @@ def reference_synth(script, profiles, cfg):
 
     Returns (channel rows, labels).
     """
-    by_gesture = {p.gesture: p for p in profiles}
     n_ramp = cfg.frames_for(cfg.transition_time)
     ramp_up = [j / (n_ramp + 1) for j in range(1, n_ramp + 1)]
     relax = (R, None, [0.0] * cfg.frames_for(cfg.relax_hold))
@@ -235,7 +239,7 @@ def reference_synth(script, profiles, cfg):
     levels = np.array(cfg.baseline_levels, dtype=float)
     rows, labels = [], []
     for label, gesture, progresses in sections:
-        deltas = np.array(by_gesture[gesture].deltas) if gesture else np.zeros(5)
+        deltas = np.array([profiles.deltas.get((gesture, s), 0.0) for s in range(1, 6)])
         for progress in progresses:
             levels = levels + rng.normal(0.0, cfg.drift, size=5)
             values = levels + deltas * progress + rng.normal(0.0, cfg.noise_sigma, size=5)
