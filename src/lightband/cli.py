@@ -14,13 +14,13 @@ from dataclasses import replace
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import CLASS_LABELS, LABEL_TEXT, ROW_BLOCK, GestureLabel
+from .types import CLASS_LABELS, LABEL_TEXT, NUM_CHANNELS, ROW_BLOCK, GestureLabel
 
 
 def _baseline_levels(text: str) -> tuple:
     values = tuple(float(v) for v in text.split(","))
-    if len(values) != 5:
-        raise argparse.ArgumentTypeError("expected 5 comma-separated levels")
+    if len(values) != NUM_CHANNELS:
+        raise argparse.ArgumentTypeError(f"expected {NUM_CHANNELS} comma-separated levels")
     return values
 
 
@@ -163,13 +163,8 @@ def cmd_classify(args) -> int:
 
 
 def _nn_dataset(args, need_labels: bool) -> tuple:
-    if args.trace and (args.x or args.y):
-        raise ValueError("give either --trace or --x/--y, not both")
     if args.trace:
-        trace = ingest.read_collection_csv(args.trace)
-        return mlp.trace_to_dataset(trace)
-    if not args.x:
-        raise ValueError("need --trace or --x")
+        return mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
     x = mlp.load_features_csv(args.x)
     labels = None
     if args.y:
@@ -177,14 +172,19 @@ def _nn_dataset(args, need_labels: bool) -> tuple:
         labels = mlp.load_labels_csv(args.y, len(CLASS_LABELS) if need_labels else None)
         if len(labels) != x.shape[0]:
             raise ValueError(f"{x.shape[0]} feature rows but {len(labels)} labels")
-    if need_labels and labels is None:
-        raise ValueError("training needs labels: give --trace or --y")
     return x, labels
 
 
 def cmd_nn(args) -> int:
-    if args.mode == "train":
-        try:
+    training = args.mode == "train"
+    try:
+        if args.trace and (args.x or args.y):
+            raise ValueError("give either --trace or --x/--y, not both")
+        if not (args.trace or args.x):
+            raise ValueError("need --trace or --x")
+        if training:
+            if not (args.trace or args.y):
+                raise ValueError("training needs labels: give --trace or --y")
             if args.split < 0:
                 raise ValueError(f"--split must be >= 0, got {args.split}")
             cfg = mlp.MlpConfig(
@@ -195,10 +195,11 @@ def cmd_nn(args) -> int:
                 seed=args.seed,
                 normalize=args.normalize,
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        x, labels = _nn_dataset(args, need_labels=True)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    x, labels = _nn_dataset(args, need_labels=training)
+    if training:
         (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
         if len(y_train) == 0:
             raise ValueError("training split is empty")
@@ -219,7 +220,6 @@ def cmd_nn(args) -> int:
             _print_confusion(y_test, predicted)
         return 0
 
-    x, labels = _nn_dataset(args, need_labels=False)
     model = mlp.load_model(args.model)
     predicted = mlp.predict_labels(model, x)
     if args.out:

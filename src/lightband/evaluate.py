@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import open_text
 from .types import CLASS_INDEX, CLASS_LABELS, SCOREABLE_CLASSES
 
 # The scoreable classes, then TRANSITION. A label's class index is its row
@@ -108,14 +107,3 @@ def render_report(m: ConfusionMatrix) -> str:
     lines.append(f"accuracy: {accuracy_percent(m):.1f}%")
     return "\n".join(lines) + "\n"
 
-
-def write_counts_csv(m: ConfusionMatrix, sink) -> None:
-    """Raw counts as CSV, one row per truth class."""
-    header = "truth," + ",".join(c.name.lower() for c in PREDICTED_COLUMNS) + ",total"
-    lines = [header]
-    for i, cls in enumerate(SCOREABLE_CLASSES):
-        lines.append(
-            ",".join([cls.name.lower()] + [str(c) for c in m.counts[i]] + [str(m.row_total(i))])
-        )
-    with open_text(sink, "w") as out:
-        out.write("\n".join(lines) + "\n")

@@ -12,18 +12,18 @@ import os
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .types import (
     DEFAULT_SAMPLE_INTERVAL,
     INTENSITY_MAX,
+    INTENSITY_MIN,
     LABEL_TEXT,
     NUM_CHANNELS,
     ROW_BLOCK,
     FrameError,
-    GestureLabel,
     LabeledTrace,
     parse_label,
 )
@@ -59,8 +59,8 @@ def parse_serial_line(line: str) -> list:
     values.
     """
     tokens = line.strip().split(",")
-    if len(tokens) != 5:
-        raise ValueError(f"expected 5 comma-separated values, got {len(tokens)}")
+    if len(tokens) != NUM_CHANNELS:
+        raise ValueError(f"expected {NUM_CHANNELS} comma-separated values, got {len(tokens)}")
     values = []
     for token in tokens:
         token = token.strip()
@@ -68,8 +68,8 @@ def parse_serial_line(line: str) -> list:
             value = int(token)
         except ValueError:
             raise ValueError(f"non-integer sensor value: {token!r}") from None
-        if not 0 <= value <= 1023:
-            raise ValueError(f"sensor value {value} outside [0, 1023]")
+        if not INTENSITY_MIN <= value <= INTENSITY_MAX:
+            raise ValueError(f"sensor value {value} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]")
         values.append(value)
     return values
 
@@ -247,25 +247,3 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
                 map(LABEL_TEXT.__getitem__, trace.labels[start:end]),
             )))
 
-
-def read_frames_from_line_stream(
-    source: Iterable[str], interval: float = DEFAULT_SAMPLE_INTERVAL
-) -> LabeledTrace:
-    """Wrap raw device lines into a trace with synthesized timestamps.
-
-    Frames get t_rel = index * interval and the RELAX label. Parse failures
-    carry the 1-based line number.
-    """
-    channels = array("q")
-    for _, values in numbered_rows(source, parse_serial_line):
-        channels.extend(values)
-    n = len(channels) // NUM_CHANNELS
-    with np.errstate(invalid="ignore"):  # 0 * inf; LabeledTrace rejects the interval
-        t_rel = np.arange(n) * interval
-    return LabeledTrace(
-        t_rel=t_rel,
-        t_unix=t_rel,
-        channels=np.frombuffer(channels, dtype=np.int64).reshape(n, NUM_CHANNELS),
-        labels=(GestureLabel.RELAX,) * n,
-        sample_interval=interval,
-    )

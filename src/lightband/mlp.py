@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ingest import numbered_rows, open_text, text_lines
-from .types import CLASS_INDEX, GestureLabel, LabeledTrace
+from .types import CLASS_INDEX, INTENSITY_MAX, NUM_CHANNELS, GestureLabel, LabeledTrace
 
 PRED_EPS = 1e-7
 
@@ -309,7 +309,7 @@ def _prepare(x, cfg: MlpConfig) -> np.ndarray:
         raise ValueError(
             f"expected feature matrix with {cfg.input_dim} columns, got {x.shape}"
         )
-    return x / 1023.0 if cfg.normalize else x
+    return x / INTENSITY_MAX if cfg.normalize else x
 
 
 def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
@@ -509,13 +509,13 @@ def load_model(source) -> MlpModel:
 def load_features_csv(source) -> np.ndarray:
     """Headerless feature CSV: five comma-separated numbers per row."""
     rows = [row for _, row in numbered_rows(source, _parse_feature_row)]
-    return np.array(rows) if rows else np.zeros((0, 5))
+    return np.array(rows) if rows else np.zeros((0, NUM_CHANNELS))
 
 
 def _parse_feature_row(line: str) -> list:
     tokens = line.split(",")
-    if len(tokens) != 5:
-        raise ValueError(f"expected 5 columns, got {len(tokens)}")
+    if len(tokens) != NUM_CHANNELS:
+        raise ValueError(f"expected {NUM_CHANNELS} columns, got {len(tokens)}")
     try:
         row = [float(t) for t in tokens]
     except ValueError:

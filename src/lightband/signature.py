@@ -22,6 +22,7 @@ from .types import (
     CLASS_INDEX,
     CLASS_LABELS,
     GESTURES,
+    NUM_CHANNELS,
     GestureLabel,
     LabeledTrace,
     SensorFrame,
@@ -43,8 +44,8 @@ def check_active_sensors(active) -> tuple:
     for sensor in active:
         if not isinstance(sensor, int) or isinstance(sensor, bool):
             raise ValueError(f"sensor index must be an integer, got {sensor!r}")
-        if not 1 <= sensor <= 5:
-            raise ValueError(f"sensor index {sensor} outside 1..5")
+        if not 1 <= sensor <= NUM_CHANNELS:
+            raise ValueError(f"sensor index {sensor} outside 1..{NUM_CHANNELS}")
     if len(set(active)) != len(active):
         raise ValueError(f"sensor indices repeat in {active}")
     return active

@@ -16,7 +16,16 @@ import numpy as np
 
 from . import signature
 from .ingest import numbered_rows
-from .types import DEFAULT_SAMPLE_INTERVAL, GESTURES, GestureLabel, LabeledTrace, parse_label
+from .types import (
+    DEFAULT_SAMPLE_INTERVAL,
+    GESTURES,
+    INTENSITY_MAX,
+    INTENSITY_MIN,
+    NUM_CHANNELS,
+    GestureLabel,
+    LabeledTrace,
+    parse_label,
+)
 
 
 def critical_angle(n_medium: float, n_cladding: float) -> float:
@@ -31,7 +40,7 @@ def critical_angle(n_medium: float, n_cladding: float) -> float:
     return math.degrees(math.asin(ratio))
 
 
-ALL_SENSORS = (1, 2, 3, 4, 5)
+ALL_SENSORS = tuple(range(1, NUM_CHANNELS + 1))
 
 # Calibrated defaults: sensor 4 dips by 223 for EXTEND; the short fibers
 # (sensors 2-4) carry the bulk of the change, the long ones (1 and 5) little.
@@ -87,10 +96,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0 or self.drift < 0:
             raise ValueError("noise_sigma and drift must be non-negative")
-        if len(self.baseline_levels) != 5:
-            raise ValueError("need 5 baseline levels")
-        if any(not 0 < level < 1023 for level in self.baseline_levels):
-            raise ValueError("baseline levels must lie inside (0, 1023)")
+        if len(self.baseline_levels) != NUM_CHANNELS:
+            raise ValueError(f"need {NUM_CHANNELS} baseline levels")
+        if any(not INTENSITY_MIN < level < INTENSITY_MAX for level in self.baseline_levels):
+            raise ValueError(f"baseline levels must lie inside ({INTENSITY_MIN}, {INTENSITY_MAX})")
 
     def frames_for(self, duration: float) -> int:
         n = int(round(duration / self.sample_interval))
@@ -121,10 +130,10 @@ def synth_trace(
             raise ValueError(f"no profile for scripted gesture {gesture}")
         for ch, delta in enumerate(deltas):
             target = cfg.baseline_levels[ch] + delta
-            if not 0 <= target <= 1023:
+            if not INTENSITY_MIN <= target <= INTENSITY_MAX:
                 raise ValueError(
                     f"{gesture} drives channel {ch + 1} to {target}, "
-                    "outside [0, 1023]"
+                    f"outside [{INTENSITY_MIN}, {INTENSITY_MAX}]"
                 )
 
     # (label, profile deltas, per-frame progress toward them) sections
@@ -133,7 +142,7 @@ def synth_trace(
     n_ramp = cfg.frames_for(cfg.transition_time)
     n_hold = cfg.frames_for(cfg.gesture_hold)
     ramp_up = np.arange(1, n_ramp + 1) / (n_ramp + 1)
-    relax = (GestureLabel.RELAX, np.zeros(5), np.zeros(n_relax))
+    relax = (GestureLabel.RELAX, np.zeros(NUM_CHANNELS), np.zeros(n_relax))
     if not script:
         sections.append(relax)
     for gesture in script:
@@ -154,7 +163,7 @@ def synth_trace(
     # normals reproduces that stream. The steps' running sum from the
     # baseline levels gives each frame's relax levels. The arithmetic runs
     # in place (IEEE + and * commute), which keeps peak memory low.
-    z = np.random.default_rng(cfg.seed).standard_normal((n, 2, 5))
+    z = np.random.default_rng(cfg.seed).standard_normal((n, 2, NUM_CHANNELS))
     values, noise = z[:, 0], z[:, 1]
     values *= cfg.drift
     values += 0.0
@@ -164,7 +173,7 @@ def synth_trace(
     noise *= cfg.noise_sigma
     noise += 0.0
     values += noise
-    np.clip(np.rint(values, out=values), 0, 1023, out=values)
+    np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
     t_rel = np.arange(n) * cfg.sample_interval
     return LabeledTrace(
         t_rel=t_rel,

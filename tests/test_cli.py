@@ -1,5 +1,7 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,11 +361,35 @@ def test_nn_train_files_equal_the_per_tensor_reference(capsys, tmp_path, batch, 
 
 def test_nn_train_needs_labels(capsys, tmp_path):
     x_path, _ = nn_dataset(tmp_path)
-    code, _, err = run(
+    code, out, err = run(
         capsys, "nn", "train", "--x", str(x_path), "--model", str(tmp_path / "m.txt")
     )
-    assert code == 1
-    assert "labels" in err
+    assert (code, out) == (2, "")
+    assert err == "error: training needs labels: give --trace or --y\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
+BOTH_SOURCES = "give either --trace or --x/--y, not both"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train"], "need --trace or --x"),
+        (["predict"], "need --trace or --x"),
+        (["train", "--trace", "train21.csv", "--x", "X.csv"], BOTH_SOURCES),
+        (["predict", "--trace", "train21.csv", "--y", "Y.csv"], BOTH_SOURCES),
+    ],
+    ids=["train-no-data", "predict-no-data", "train-both", "predict-both"],
+)
+def test_nn_data_flag_misuse_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    nn_dataset(tmp_path)
+    training_trace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "nn", *argv, "--model", "m.txt")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_nn_predict_label_length_mismatch(capsys, tmp_path):
@@ -634,3 +660,29 @@ def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_p
     assert code == 0
     assert "labels outside the gesture set; skipping confusion report" in out
     assert "accuracy:" not in out
+
+
+def test_readme_experiments_meet_the_acceptance_thresholds(capsys, tmp_path, monkeypatch):
+    """Runs each `lightband` line of the README's Experiments block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Experiments\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("lightband ")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sig.txt").write_text("extend\nfist\none\n" * 2)
+    (tmp_path / "mlp.txt").write_text("extend\nfist\none\n" * 4)
+    assert [argv[0] for argv in commands] == [
+        "simulate", "simulate", "train-signatures", "classify", "simulate", "nn",
+    ]
+    accuracy = {}
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        for line in out.splitlines():
+            if line.startswith("accuracy: "):
+                accuracy[argv[0]] = float(line.removeprefix("accuracy: ").removesuffix("%"))
+    assert accuracy["classify"] >= 99.0
+    assert accuracy["nn"] >= 95.0
+    for name in ("train.csv", "eval.csv", "signatures.csv", "labels.csv", "dataset.csv",
+                 "model.txt", "metrics.csv"):
+        assert (tmp_path / name).stat().st_size > 0, name

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +10,6 @@ from lightband.evaluate import (
     accuracy_percent,
     confusion,
     render_report,
-    write_counts_csv,
 )
 from lightband.types import GestureLabel
 
@@ -122,16 +119,6 @@ def test_counts_validation():
         ConfusionMatrix(counts=((-1, 0, 0, 0, 0),) + ((0,) * 5,) * 3)
     with pytest.raises(ValueError, match="4 rows"):
         ConfusionMatrix(counts=((0,) * 5,) * 3)
-
-
-def test_counts_csv():
-    m = confusion([R, E, T], [R, T, E])
-    sink = io.StringIO()
-    write_counts_csv(m, sink)
-    lines = sink.getvalue().splitlines()
-    assert lines[0] == "truth,relax,extend,fist,one,transition,total"
-    assert lines[1] == "relax,1,0,0,0,0,1"
-    assert lines[2] == "extend,0,0,0,0,1,1"
 
 
 def brute_force_counts(truth, pred):

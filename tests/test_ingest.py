@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import E, F, O, R, T, make_trace, random_rows
 from lightband import ingest, mlp
-from lightband.evaluate import confusion, write_counts_csv
 from lightband.ingest import (
     COLLECTION_HEADER,
     COLLECTION_HEADER_FIELDS,
@@ -18,7 +17,6 @@ from lightband.ingest import (
     open_text,
     parse_serial_line,
     read_collection_csv,
-    read_frames_from_line_stream,
     write_collection_csv,
 )
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
@@ -292,29 +290,6 @@ def test_read_collection_csv_row_errors_name_their_line():
         read_collection_csv(io.StringIO(text))
 
 
-def test_read_frames_from_line_stream():
-    lines = ["100,200,300,400,500\n", "101,201,301,401,501\r\n", "102,202,302,402,502\n"]
-    trace = read_frames_from_line_stream(iter(lines), interval=0.02)
-    assert [f.t_rel for f in trace.frames] == [0.0, 0.02, 0.04]
-    assert all(label is R for label in trace.labels)
-    assert trace.frames[1].channels == (101, 201, 301, 401, 501)
-
-
-def test_read_frames_from_line_stream_empty():
-    assert len(read_frames_from_line_stream(iter([]), interval=0.02)) == 0
-
-
-def test_read_frames_from_line_stream_bad_line_number():
-    lines = ["1,2,3,4,5\n", "1,2,3\n"]
-    with pytest.raises(ValueError, match="line 2"):
-        read_frames_from_line_stream(iter(lines), interval=0.02)
-
-
-def test_read_frames_from_line_stream_bad_interval():
-    with pytest.raises(ValueError, match="interval"):
-        read_frames_from_line_stream(iter([]), interval=0.0)
-
-
 _MODEL = mlp.init_model(mlp.MlpConfig(hidden=(3,), output_dim=2), np.random.default_rng(0))
 
 # format -> (write(sink) or None, read(source) or None, text used when no writer)
@@ -324,7 +299,6 @@ IO_FORMATS = {
         read_collection_csv,
         None,
     ),
-    "serial": (None, read_frames_from_line_stream, "1,2,3,4,5\r\n6,7,8,9,10\n"),
     "signature": (
         lambda sink: write_signature_csv(
             SignatureTable(deltas={(g, s): -s * 10.5 for g in (E, F, O) for s in (2, 3, 4)}),
@@ -348,11 +322,10 @@ IO_FORMATS = {
         None,
         None,
     ),
-    "counts": (lambda sink: write_counts_csv(confusion([R, E, T], [R, T, E]), sink), None, None),
 }
 
 
-# The six line readers -> (read, header line or None, two good rows, a bad row)
+# The five line readers -> (read, header line or None, two good rows, a bad row)
 LINE_READERS = {
     "collection": (
         read_collection_csv,
@@ -360,7 +333,6 @@ LINE_READERS = {
         ("0.0,0.0,1,2,3,4,5,relax,", "0.02,0.0,1,2,3,4,5,extend,"),
         "0.04,0.0,1,2,3,relax,",
     ),
-    "serial": (read_frames_from_line_stream, None, ("1,2,3,4,5", "6,7,8,9,10"), "1,2,3"),
     "signature": (
         read_signature_csv, "gesture,sensor,delta", ("extend,2,-1.5", "extend,3,-2.5"), "fist,4"
     ),

@@ -1,5 +1,4 @@
 import copy
-import io
 import pickle
 import re
 from collections import Counter
@@ -10,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import E, F, R, T, flat_rows, make_trace
-from lightband.ingest import read_frames_from_line_stream
 from lightband.types import (
     LABEL_TEXT,
     FrameError,
@@ -90,8 +88,6 @@ def test_sample_interval_must_be_finite_and_positive(interval):
     message = "sample_interval must be finite and positive"
     with pytest.raises(ValueError, match=message):
         LabeledTrace(sample_interval=interval)
-    with pytest.raises(ValueError, match=message):
-        read_frames_from_line_stream(io.StringIO("1,2,3,4,5\n6,7,8,9,10\n"), interval=interval)
 
 
 def test_trace_validation_names_the_frame():
