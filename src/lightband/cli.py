@@ -17,6 +17,20 @@ from .baseline import BaselineConfig
 from .types import CLASS_LABELS, LABEL_TEXT, NUM_CHANNELS, ROW_BLOCK, GestureLabel
 
 
+# nn train's default train/test boundary row
+NN_SPLIT = 880
+
+# nn option (argparse dest) -> the MlpConfig field it sets; train only
+_TRAIN_OPTIONS = {
+    "epochs": "epochs",
+    "batch_size": "batch_size",
+    "dropout": "dropout_rate",
+    "l2": "l2",
+    "seed": "seed",
+    "normalize": "normalize",
+}
+
+
 def _baseline_levels(text: str) -> tuple:
     values = tuple(float(v) for v in text.split(","))
     if len(values) != NUM_CHANNELS:
@@ -75,16 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="headerless 5-column feature CSV")
     p.add_argument("--y", help="class-index label file (one per line)")
     p.add_argument("--model", required=True, help="model file (written by train, read by predict)")
-    p.add_argument("--metrics", help="per-epoch metrics CSV (train only)")
     p.add_argument("--out", help="predicted class-index file (predict only)")
-    p.add_argument("--split", type=int, default=880, help="train/test boundary row")
+    # train-only options default to None, so predict can tell one was given;
+    # training fills the unset ones from MlpConfig (see _train_config)
     net = mlp.MlpConfig
-    p.add_argument("--epochs", type=int, default=net.epochs)
-    p.add_argument("--batch-size", type=int, default=net.batch_size)
-    p.add_argument("--dropout", type=float, default=net.dropout_rate)
-    p.add_argument("--l2", type=float, default=net.l2)
-    p.add_argument("--seed", type=int, default=net.seed)
-    p.add_argument("--normalize", action="store_true", help="scale intensities to [0, 1]")
+    p.add_argument("--metrics", help="per-epoch metrics CSV (train only)")
+    p.add_argument("--split", type=int, help=f"train/test boundary row (default {NN_SPLIT})")
+    p.add_argument("--epochs", type=int, help=f"default {net.epochs}")
+    p.add_argument("--batch-size", type=int, help=f"default {net.batch_size}")
+    p.add_argument("--dropout", type=float, help=f"default {net.dropout_rate}")
+    p.add_argument("--l2", type=float, help=f"default {net.l2}")
+    p.add_argument("--seed", type=int, help=f"default {net.seed}")
+    p.add_argument("--normalize", action="store_true", default=None,
+                   help="scale intensities to [0, 1]")
     p.set_defaults(func=cmd_nn)
 
     p = sub.add_parser("physics", help="print the critical angle for a fiber")
@@ -147,7 +164,7 @@ def cmd_classify(args) -> int:
     trace = ingest.read_collection_csv(args.trace)
     table = signature.read_signature_csv(args.table)
     predicted = signature.classify_trace(trace, table, cfg, state)
-    with open(args.out, "w", newline="") as handle:
+    with ingest.open_text(args.out, "w") as handle:
         handle.write("t_rel,label\n")
         for start in range(0, len(predicted), ROW_BLOCK):
             end = start + ROW_BLOCK
@@ -160,6 +177,13 @@ def cmd_classify(args) -> int:
     matrix = evaluate.confusion(trace.labels, predicted)
     print(evaluate.render_report(matrix), end="")
     return 0
+
+
+def _train_config(args) -> mlp.MlpConfig:
+    """The nn training options given on the command line, over MlpConfig's
+    defaults for the rest."""
+    options = {field: getattr(args, dest) for dest, field in _TRAIN_OPTIONS.items()}
+    return mlp.MlpConfig(**{k: v for k, v in options.items() if v is not None})
 
 
 def _nn_dataset(args, need_labels: bool) -> tuple:
@@ -178,6 +202,11 @@ def _nn_dataset(args, need_labels: bool) -> tuple:
 def cmd_nn(args) -> int:
     training = args.mode == "train"
     try:
+        other_mode = ["out"] if training else ["metrics", "split", *_TRAIN_OPTIONS]
+        given = [f"--{dest.replace('_', '-')}" for dest in other_mode
+                 if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"nn {args.mode} does not take {', '.join(given)}")
         if args.trace and (args.x or args.y):
             raise ValueError("give either --trace or --x/--y, not both")
         if not (args.trace or args.x):
@@ -185,22 +214,16 @@ def cmd_nn(args) -> int:
         if training:
             if not (args.trace or args.y):
                 raise ValueError("training needs labels: give --trace or --y")
-            if args.split < 0:
-                raise ValueError(f"--split must be >= 0, got {args.split}")
-            cfg = mlp.MlpConfig(
-                dropout_rate=args.dropout,
-                l2=args.l2,
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                seed=args.seed,
-                normalize=args.normalize,
-            )
+            split = NN_SPLIT if args.split is None else args.split
+            if split < 0:
+                raise ValueError(f"--split must be >= 0, got {split}")
+            cfg = _train_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     x, labels = _nn_dataset(args, need_labels=training)
     if training:
-        (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
+        (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, split)
         if len(y_train) == 0:
             raise ValueError("training split is empty")
         cfg = replace(cfg, output_dim=max(labels) + 1)

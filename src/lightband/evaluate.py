@@ -43,10 +43,6 @@ class ConfusionMatrix:
         object.__setattr__(self, "counts", counts)
 
     @property
-    def classes(self) -> tuple:
-        return SCOREABLE_CLASSES
-
-    @property
     def total(self) -> int:
         return sum(sum(row) for row in self.counts)
 

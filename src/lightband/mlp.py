@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ingest import numbered_rows, open_text, text_lines
-from .types import CLASS_INDEX, INTENSITY_MAX, NUM_CHANNELS, GestureLabel, LabeledTrace
+from .types import CLASS_INDEX, INTENSITY_MAX, NUM_CHANNELS, ROW_BLOCK, GestureLabel, LabeledTrace
 
 PRED_EPS = 1e-7
 
@@ -160,17 +160,38 @@ def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> tuple:
     return weights, biases
 
 
-def _infer(model: MlpModel, a: np.ndarray, bufs=None) -> np.ndarray:
-    """Inference output for a batch of rows, keeping no per-layer cache.
+def _infer_buffers(cfg: MlpConfig, n: int) -> list:
+    """One hidden-activation buffer per hidden layer, tall enough for the
+    largest block of an _infer pass over n rows: min(n, 2 * ROW_BLOCK - 1)."""
+    rows = min(n, 2 * ROW_BLOCK - 1)
+    return [np.empty((rows, fan_out)) for _, fan_out in cfg.layer_dims[:-1]]
 
-    bufs, when given, holds one (rows, out) array per layer to compute in.
+
+def _infer(model: MlpModel, x: np.ndarray, bufs=None) -> np.ndarray:
+    """Inference output for the rows of x, keeping no per-layer cache.
+
+    The network runs over blocks of ROW_BLOCK rows; a tail shorter than
+    ROW_BLOCK joins the block before it, so fewer than 2 * ROW_BLOCK rows are
+    one block. Every gemm thus covers at least ROW_BLOCK rows (or all of x),
+    where OpenBLAS gives each row the bits of one whole-array gemm. Hidden
+    activations live in bufs (from _infer_buffers, allocated here when not
+    given); only the (rows, output_dim) output is as tall as x.
     """
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(a, w.T, out=None if bufs is None else bufs[i])
-        z += b
-        a = _sigmoid(z) if i == last else np.maximum(z, 0.0, out=z)
-    return a
+    n = x.shape[0]
+    if bufs is None:
+        bufs = _infer_buffers(model.config, n)
+    out = np.empty((n, model.config.output_dim))
+    edges = [*range(0, max(n // ROW_BLOCK, 1) * ROW_BLOCK, ROW_BLOCK), n]
+    for start, end in zip(edges, edges[1:]):
+        a = x[start:end]
+        for w, b, buf in zip(model.weights[:-1], model.biases[:-1], bufs):
+            z = np.matmul(a, w.T, out=buf[: end - start])
+            z += b
+            a = np.maximum(z, 0.0, out=z)
+        z = np.matmul(a, model.weights[-1].T, out=out[start:end])
+        z += model.biases[-1]
+        _sigmoid(z, out=z)
+    return out
 
 
 class _Workspace:
@@ -320,7 +341,8 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     from cfg.seed, so identical calls produce identical weights. Parameters,
     gradients and Adam moments each live in one flat buffer updated in
     place; every training step computes in one _Workspace, and the
-    per-epoch scoring reuses buffers, all allocated once per call.
+    per-epoch scoring of both row sets in one set of _infer_buffers, each
+    allocated once per call.
     """
     x = _prepare(x, cfg)
     if x.shape[0] == 0:
@@ -338,8 +360,7 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
             raise ValueError("non-finite value in validation features")
         val_indices = _as_indices(validation[1], cfg.output_dim)
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
-        val_bufs = [np.empty((x_val.shape[0], fan_out)) for _, fan_out in cfg.layer_dims]
-    train_bufs = [np.empty((x.shape[0], fan_out)) for _, fan_out in cfg.layer_dims]
+    score_bufs = _infer_buffers(cfg, max(x.shape[0], 0 if val is None else val[0].shape[0]))
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, rng)
@@ -379,11 +400,11 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
             t2 /= t1
             params -= t2
         penalty = _l2_penalty(model, cfg.l2)
-        train_pred = _infer(model, x, train_bufs)
+        train_pred = _infer(model, x, score_bufs)
         report.train_loss.append(_mean_bce(train_pred, targets) + penalty)
         report.train_acc.append(_accuracy(train_pred, indices))
         if val is not None:
-            val_pred = _infer(model, val[0], val_bufs)
+            val_pred = _infer(model, val[0], score_bufs)
             report.val_loss.append(_mean_bce(val_pred, val[1]) + penalty)
             report.val_acc.append(_accuracy(val_pred, val[2]))
     return model, report
@@ -541,11 +562,6 @@ def load_labels_csv(source, num_classes: int = None) -> list:
         return label
 
     return [label for _, label in numbered_rows(source, parse_label_line)]
-
-
-def write_features_csv(x, sink) -> None:
-    with open_text(sink, "w") as out:
-        out.write("".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(x)))
 
 
 def write_labels_csv(labels, sink) -> None:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 
 from lightband.baseline import BaselineTracker
+from lightband.ingest import open_text
 from lightband.mlp import TrainReport, bce_loss, init_model, one_hot
 from lightband.types import NUM_CHANNELS, GestureLabel, LabeledTrace
 
@@ -36,6 +37,13 @@ def flat_rows(value, n, channels=5):
 
 def random_rows(rng: np.random.Generator, n):
     return [[int(v) for v in rng.integers(0, 1024, size=5)] for _ in range(n)]
+
+
+def write_features_csv(x, sink) -> None:
+    """Headerless feature CSV, one repr'd float per value: the --x file
+    `lightband nn` reads with mlp.load_features_csv."""
+    with open_text(sink, "w") as out:
+        out.write("".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(x)))
 
 
 def ewma_step(prev, x, alpha):
@@ -102,6 +110,15 @@ def reference_forward(model, x, training, rng):
         scales.append(scale)
         inputs.append(a)
     return a, (inputs, zs, scales)
+
+
+def reference_labels(model, x):
+    """Argmax class per row of the whole-array inference forward pass on
+    the prepared rows: the oracle for predict_labels, which runs blocks."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if model.config.normalize:
+        x = x / 1023.0
+    return np.argmax(reference_forward(model, x, False, None)[0], axis=1).tolist()
 
 
 def reference_gradients(model, x, target, rng):

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import E, F, O, reference_train, T as TRANSITION
+from conftest import E, F, O, reference_labels, reference_train, write_features_csv, T as TRANSITION
 from lightband import mlp
 from lightband.baseline import BaselineConfig
-from lightband.cli import build_parser, main
+from lightband.cli import NN_SPLIT, _train_config, build_parser, main
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.signature import (
     SignatureTable,
@@ -197,12 +197,16 @@ def test_option_defaults_come_from_the_config_dataclasses():
     baseline = BaselineConfig()
     classify = _defaults("classify", "--trace", "t", "--table", "s", "--out", "o")
     assert (classify["alpha"], classify["window"]) == (baseline.alpha, baseline.window)
+    # nn's train-only options parse to None, so predict can refuse them;
+    # training takes each one left unset from MlpConfig
+    train_only = ("metrics", "split", "epochs", "batch_size", "dropout", "l2", "seed", "normalize")
     nn = _defaults("nn", "train", "--model", "m")
-    cfg = mlp.MlpConfig()
-    assert {k: nn[k] for k in ("epochs", "batch_size", "dropout", "l2", "seed", "normalize")} == {
-        "epochs": cfg.epochs, "batch_size": cfg.batch_size, "dropout": cfg.dropout_rate,
-        "l2": cfg.l2, "seed": cfg.seed, "normalize": cfg.normalize,
-    }
+    assert {k: nn[k] for k in train_only} == dict.fromkeys(train_only)
+    parser = build_parser()
+    assert _train_config(parser.parse_args(["nn", "train", "--model", "m"])) == mlp.MlpConfig()
+    given = parser.parse_args(["nn", "train", "--model", "m", "--dropout", "0.1", "--normalize"])
+    assert _train_config(given) == mlp.MlpConfig(dropout_rate=0.1, normalize=True)
+    assert NN_SPLIT == 880
 
 
 def training_trace(tmp_path, seed=21):
@@ -282,7 +286,7 @@ def nn_dataset(tmp_path):
     x = x[order]
     labels = [0 if i < 40 else 1 for i in order]
     x_path, y_path = tmp_path / "X.csv", tmp_path / "Y.csv"
-    mlp.write_features_csv(x, str(x_path))
+    write_features_csv(x, str(x_path))
     mlp.write_labels_csv(labels, str(y_path))
     return x_path, y_path
 
@@ -390,6 +394,53 @@ def test_nn_data_flag_misuse_is_usage_error(capsys, tmp_path, monkeypatch, argv,
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, flags, named",
+    [
+        ("train", ["--out", "pred.csv"], "--out"),
+        ("predict", ["--metrics", "m.csv", "--epochs", "7", "--split", "5"],
+         "--metrics, --split, --epochs"),
+        ("predict", ["--batch-size", "20", "--dropout", "0.3", "--l2", "0.01", "--seed", "1"],
+         "--batch-size, --dropout, --l2, --seed"),
+        ("predict", ["--normalize"], "--normalize"),
+    ],
+    ids=["train-out", "predict-metrics-epochs-split", "predict-hyperparameters",
+         "predict-normalize"],
+)
+def test_nn_other_mode_options_are_usage_errors(capsys, tmp_path, monkeypatch, mode, flags, named):
+    x_path, y_path = nn_dataset(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    data = ["--x", str(x_path), "--y", str(y_path)]
+    run(capsys, "nn", "train", *data, "--model", "trained.txt", "--split", "80", "--epochs", "1")
+    model = "trained.txt" if mode == "predict" else "new.txt"
+    code, out, err = run(capsys, "nn", mode, *data, "--model", model, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: nn {mode} does not take {named}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.csv", "Y.csv", "trained.txt"]
+
+
+def test_nn_predict_on_a_long_trace_equals_the_whole_array_reference(capsys, tmp_path):
+    # 6,290 rows: two row blocks, the second holding a 146-row tail
+    trace = synth_trace([E, F, O] * 5 + [E, F], DEFAULT_PROFILES, SimConfig(seed=6))
+    assert len(trace) > 2 * ROW_BLOCK and len(trace) % ROW_BLOCK < 255
+    trace_path, model_path = tmp_path / "long.csv", tmp_path / "model.txt"
+    write_collection_csv(trace, str(trace_path))
+    code, _, _ = run(
+        capsys, "nn", "train", "--trace", str(trace_path), "--model", str(model_path),
+        "--split", "4000", "--epochs", "5",
+    )
+    assert code == 0
+    out_path = tmp_path / "pred.csv"
+    code, _, _ = run(
+        capsys, "nn", "predict", "--trace", str(trace_path), "--model", str(model_path),
+        "--out", str(out_path),
+    )
+    assert code == 0
+    want = reference_labels(mlp.load_model(str(model_path)), mlp.trace_to_dataset(trace)[0])
+    assert len(set(want)) > 1
+    assert out_path.read_text() == "".join(f"{label}\n" for label in want)
 
 
 def test_nn_predict_label_length_mismatch(capsys, tmp_path):

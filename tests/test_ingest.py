@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, make_trace, random_rows
+from conftest import E, F, O, R, T, make_trace, random_rows, write_features_csv
 from lightband import ingest, mlp
 from lightband.ingest import (
     COLLECTION_HEADER,
@@ -310,7 +310,7 @@ IO_FORMATS = {
     "script": (None, read_script, "extend\nfist\n\none\n"),
     "model": (lambda sink: mlp.save_model(_MODEL, sink), mlp.load_model, None),
     "features": (
-        lambda sink: mlp.write_features_csv([[1.5, 2, 3, 4, 5], [6, 7, 8, 9, 10.25]], sink),
+        lambda sink: write_features_csv([[1.5, 2, 3, 4, 5], [6, 7, 8, 9, 10.25]], sink),
         mlp.load_features_csv,
         None,
     ),

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from conftest import (
     make_trace,
     reference_forward,
     reference_gradients,
+    reference_labels,
     reference_sigmoid,
     reference_train,
+    write_features_csv,
 )
 from lightband import mlp
 from lightband.mlp import (
@@ -41,12 +44,11 @@ from lightband.mlp import (
     split_dataset,
     trace_to_dataset,
     train,
-    write_features_csv,
     write_labels_csv,
     write_metrics_csv,
 )
 
-from lightband.types import GestureLabel
+from lightband.types import ROW_BLOCK, GestureLabel
 
 TINY = MlpConfig(input_dim=5, hidden=(3, 3), output_dim=2, dropout_rate=0.0, l2=0.01, seed=123)
 
@@ -492,6 +494,57 @@ def test_inference_forward_bitwise_equals_training_path():
     one_row = reference_forward(model, x[:1], False, None)[0][0]
     assert forward(model, x[0]).tobytes() == one_row.tobytes()
     assert forward(model, x).tobytes() == reference_forward(model, x, False, None)[0].tobytes()
+
+
+_BLOCK_MODELS = {
+    normalize: init_model(
+        MlpConfig(output_dim=5, normalize=normalize, seed=12), np.random.default_rng(12)
+    )
+    for normalize in (False, True)
+}
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 255, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7, 3 * ROW_BLOCK - 1,
+     22_200],
+)
+def test_blocked_inference_equals_whole_array_reference(n, normalize):
+    # _infer runs blocks of ROW_BLOCK rows, a short tail joining the block
+    # before it; every output byte and label is the whole-array pass's
+    model = _BLOCK_MODELS[normalize]
+    x = np.rint(np.random.default_rng(n).uniform(0, 1023, size=(n, 5)))
+    want = reference_forward(model, _prepare(x, model.config), False, None)[0]
+    assert forward(model, _prepare(x, model.config)).tobytes() == want.tobytes()
+    labels = predict_labels(model, x)
+    assert labels == reference_labels(model, x) == np.argmax(want, axis=1).tolist()
+    assert n < 255 or len(set(labels)) > 1
+
+
+def test_predict_labels_holds_one_row_block_of_activations():
+    # the whole-array pass held two 40,000 x 100 float64 arrays (64 MB)
+    model = _BLOCK_MODELS[False]
+    x = np.rint(np.random.default_rng(4).uniform(0, 1023, size=(40_000, 5)))
+    tracemalloc.start()
+    try:
+        labels = predict_labels(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 40_000
+    assert peak < 16 * 2**20
+
+
+def test_train_scores_long_validation_sets_as_the_whole_array_reference():
+    x, labels = intensity_problem(2 * ROW_BLOCK + 37, 3, seed=6)
+    cfg = MlpConfig(hidden=(16, 8), output_dim=3, epochs=2, seed=6)
+    validation = (x[30:], labels[30:])
+    model, report = train(x[:30], labels[:30], cfg, validation=validation)
+    ref_model, ref_report = reference_train(x[:30], labels[:30], cfg, validation=validation)
+    assert report == ref_report
+    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_trainings_with_different_shapes_share_no_workspace():
