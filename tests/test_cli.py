@@ -1,6 +1,7 @@
 import io
 import json
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -713,15 +714,49 @@ def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_p
     assert "accuracy:" not in out
 
 
-def test_readme_experiments_meet_the_acceptance_thresholds(capsys, tmp_path, monkeypatch):
-    """Runs each `lightband` line of the README's Experiments block."""
+def readme_experiments(tmp_path, monkeypatch):
+    """The argv of each `lightband` line of the README's Experiments block,
+    with the working directory moved to tmp_path and the scripts written."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("\n## Experiments\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("lightband ")]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sig.txt").write_text("extend\nfist\none\n" * 2)
     (tmp_path / "mlp.txt").write_text("extend\nfist\none\n" * 4)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lightband ")]
+
+
+SIGNATURE_OUTPUTS = ("train.csv", "eval.csv", "signatures.csv", "labels.csv")
+
+
+def test_classify_out_to_a_directory_is_usage_error(capsys, tmp_path):
+    trace_path = training_trace(tmp_path)
+    table_path = tmp_path / "table.csv"
+    assert run(capsys, "train-signatures", str(trace_path), "--out", str(table_path))[0] == 0
+    code, _, err = run(
+        capsys, "classify", "--trace", str(trace_path), "--table", str(table_path),
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rerunning_the_signature_experiment_rewrites_the_same_bytes(
+    capsys, tmp_path, monkeypatch
+):
+    commands = readme_experiments(tmp_path, monkeypatch)[:4]
+    runs = []
+    for _ in range(2):
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0, argv
+        runs.append({name: (tmp_path / name).read_bytes() for name in SIGNATURE_OUTPUTS})
+        (tmp_path / "labels.csv").chmod(0o600)
+    assert runs[0] == runs[1]
+    assert stat.S_IMODE((tmp_path / "labels.csv").stat().st_mode) == 0o600
+
+
+def test_readme_experiments_meet_the_acceptance_thresholds(capsys, tmp_path, monkeypatch):
+    """Runs each `lightband` line of the README's Experiments block."""
+    commands = readme_experiments(tmp_path, monkeypatch)
     assert [argv[0] for argv in commands] == [
         "simulate", "simulate", "train-signatures", "classify", "simulate", "nn",
     ]
@@ -734,6 +769,5 @@ def test_readme_experiments_meet_the_acceptance_thresholds(capsys, tmp_path, mon
                 accuracy[argv[0]] = float(line.removeprefix("accuracy: ").removesuffix("%"))
     assert accuracy["classify"] >= 99.0
     assert accuracy["nn"] >= 95.0
-    for name in ("train.csv", "eval.csv", "signatures.csv", "labels.csv", "dataset.csv",
-                 "model.txt", "metrics.csv"):
+    for name in SIGNATURE_OUTPUTS + ("dataset.csv", "model.txt", "metrics.csv"):
         assert (tmp_path / name).stat().st_size > 0, name

@@ -1,5 +1,7 @@
 import functools
 import io
+import os
+import stat
 from array import array
 from unittest.mock import patch
 
@@ -386,6 +388,10 @@ def test_writers_give_same_bytes_to_path_and_stream(tmp_path, name):
     write(sink)
     assert not sink.closed  # a caller's stream stays open
     assert path.read_bytes() == sink.getvalue().encode()
+    # rewriting an existing, longer file leaves the same bytes
+    path.write_text("stale row\n" * 10_000)
+    write(str(path))
+    assert path.read_bytes() == sink.getvalue().encode()
 
 
 @pytest.mark.parametrize("name", [n for n, (_, r, _) in IO_FORMATS.items() if r])
@@ -400,6 +406,133 @@ def test_readers_give_same_result_from_path_and_stream(tmp_path, name):
     from_path = _comparable(read(str(path)))
     assert from_path == _comparable(read(path))  # PathLike as well as str
     assert from_path == _comparable(read(io.StringIO(text)))
+
+
+# --- open_text's "w" mode: replace a plain file, write anything else in place ---
+
+
+def _rewrite(path):
+    with open_text(path, "w") as out:
+        out.write("new bytes\n")
+
+
+def _plain_rewrite(path):
+    with open(path, "w", newline="") as out:
+        out.write("new bytes\n")
+
+
+def test_open_text_replaces_a_plain_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old bytes\n")
+    # a reader holding the old file keeps it; a truncated file would read
+    # empty or the new bytes (inode numbers prove nothing: ext4 reuses them)
+    with open(path) as old:
+        _rewrite(path)
+        assert old.read() == "old bytes\n"
+    assert path.read_text() == "new bytes\n"
+
+
+@pytest.mark.parametrize("bits", [0o600, 0o640, 0o664, 0o700, 0o777])
+def test_open_text_keeps_the_mode_bits_of_a_replaced_file(tmp_path, bits):
+    path = tmp_path / "out.csv"
+    path.write_text("old bytes\n")
+    path.chmod(bits)
+    _rewrite(path)
+    assert stat.S_IMODE(path.stat().st_mode) == bits
+    assert path.read_text() == "new bytes\n"
+
+
+def test_open_text_replacement_is_never_wider_when_fchmod_fails(tmp_path, monkeypatch):
+    def refuse(fd, mode):
+        raise PermissionError("fchmod refused")
+
+    monkeypatch.setattr(os, "fchmod", refuse)
+    path = tmp_path / "out.csv"
+    path.write_text("old bytes\n")
+    path.chmod(0o600)
+    _rewrite(path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == "new bytes\n"
+
+
+def _symlink(path, monkeypatch):
+    """Move the file aside and leave a symlink to it at path."""
+    target = path.with_name(path.name + ".target")
+    path.rename(target)
+    path.symlink_to(target.name)
+
+
+def _foreign(path, monkeypatch):
+    """Make geteuid() name someone other than the file's owner."""
+    owner = path.stat().st_uid
+    monkeypatch.setattr(os, "geteuid", lambda: owner + 1)
+
+
+def _refuse_unlink(path):
+    raise PermissionError("unlink refused")
+
+
+# kind -> what turns a fresh regular file at path into that kind of output
+IN_PLACE_OUTPUTS = {
+    "hard link": lambda path, monkeypatch: os.link(path, path.with_name("link.csv")),
+    "symlink": _symlink,
+    "read-only": lambda path, monkeypatch: path.chmod(0o444),
+    "another user's": _foreign,
+    "in a directory that refuses unlink": lambda path, monkeypatch: monkeypatch.setattr(
+        os, "unlink", _refuse_unlink
+    ),
+}
+
+
+def _names_and_bytes(path):
+    """Every name beside path with its bytes, link target, mode and links."""
+    return sorted(
+        (p.name, p.read_bytes(), os.readlink(p) if p.is_symlink() else None,
+         stat.S_IMODE(p.lstat().st_mode), p.lstat().st_nlink)
+        for p in path.parent.iterdir()
+    )
+
+
+def _outcome(path, rewrite):
+    """What rewriting path does: the error, what an old reader sees, the files."""
+    with open(path) as old:
+        try:
+            rewrite(path)
+            error = None
+        except OSError as exc:
+            error = type(exc)
+        seen = old.read()
+    return error, seen, _names_and_bytes(path)
+
+
+@pytest.mark.parametrize("kind", IN_PLACE_OUTPUTS)
+def test_open_text_writes_other_outputs_as_plain_open_does(tmp_path, monkeypatch, kind):
+    outcomes = []
+    for side, rewrite in (("ours", _rewrite), ("twin", _plain_rewrite)):
+        path = tmp_path / side / "out.csv"
+        path.parent.mkdir()
+        path.write_text("old bytes\n")
+        path.chmod(0o640)
+        IN_PLACE_OUTPUTS[kind](path, monkeypatch)
+        outcomes.append(_outcome(path, rewrite))
+    assert outcomes[0] == outcomes[1]
+    if kind != "read-only" or os.geteuid() == 0:  # written in place, not replaced
+        assert outcomes[0][:2] == (None, "new bytes\n")
+
+
+def test_open_text_leaves_other_targets_to_plain_open(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        _rewrite(tmp_path)
+    _rewrite(os.devnull)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)  # opening it for writing would wait for a reader
+    for target in (fifo, tmp_path / "missing.csv", tmp_path):
+        assert ingest._replacing_opener(target) is None
+    stream = io.StringIO("old bytes\n")
+    with open_text(stream, "w") as out:
+        assert out is stream
+    assert (stream.getvalue(), stream.tell(), stream.closed) == ("old bytes\n", 0, False)
 
 
 # --- The block codec against the row-by-row reader and f-string writer ---
