@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import os
 import stat
+import warnings
 from array import array
 from contextlib import contextmanager, suppress
-from itertools import chain, islice, repeat
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -43,28 +44,37 @@ COLLECTION_HEADER = ", ".join(COLLECTION_HEADER_FIELDS)
 _ROW_FORMAT = "{!r},{!r},{},{},{},{},{},{},\n".format
 
 # Canonical intensity text, "0" to "1023": the writer's table, indexed by
-# the (validated) intensities, and the reader's inverse.
+# the (validated) intensities.
 _INTENSITY_TEXT = np.array([str(v) for v in range(INTENSITY_MAX + 1)], dtype=object)
-_INTENSITY_BY_TEXT = {text: value for value, text in enumerate(_INTENSITY_TEXT)}
 _LABEL_BY_TEXT = {text: label for label, text in LABEL_TEXT.items()}
-# What is left of a line after its trailing comma: a line end, or nothing
-# on a last line without one.
-_LINE_ENDS = frozenset(("", "\n", "\r", "\r\n"))
+# The bytes a written row is made of (repr() of a float may add "e", "+",
+# "-", "inf" or "nan"), and the row as loadtxt parses it. The label field is
+# one character wider than "transition", so that no longer token is cut down
+# to a label's spelling; the 9th field must be empty.
+_CANONICAL_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz.+-,\r\n"
+_CANONICAL_ROW = np.dtype([
+    ("t_rel", "f8"),
+    ("t_unix", "f8"),
+    ("channels", "i8", (NUM_CHANNELS,)),
+    ("label", "U11"),
+    ("empty", "U1"),
+])
 
 
 def parse_serial_line(line: str) -> list:
     """Parse one device line into five intensity integers.
 
-    Tolerates surrounding whitespace and a trailing carriage return. Raises
-    ValueError on wrong field count, non-integer tokens, or out-of-range
-    values.
+    Each token goes to int() as it is, so whitespace around a value, a
+    trailing carriage return included, is tolerated exactly where int()
+    tolerates it (not U+001C to U+001F, which str.strip() would remove).
+    Raises ValueError on wrong field count, non-integer tokens, or
+    out-of-range values.
     """
-    tokens = line.strip().split(",")
+    tokens = line.split(",")
     if len(tokens) != NUM_CHANNELS:
         raise ValueError(f"expected {NUM_CHANNELS} comma-separated values, got {len(tokens)}")
     values = []
     for token in tokens:
-        token = token.strip()
         try:
             value = int(token)
         except ValueError:
@@ -166,7 +176,7 @@ def read_collection_csv(source) -> LabeledTrace:
     the five intensities, and a label; a trailing comma is tolerated. The
     rows are read a block of ROW_BLOCK lines at a time, so memory stays near
     the size of the final arrays. A block of rows as the writer spells them
-    is converted a column at a time (_canonical_columns); any other block,
+    is parsed by numpy's loadtxt (_canonical_columns); any other block,
     blank lines and errors included, is parsed row by row through
     numbered_rows, which names the line of every error.
     """
@@ -185,8 +195,8 @@ def read_collection_csv(source) -> LabeledTrace:
             columns = _canonical_columns(block)
             if columns is not None:
                 block_t_rel, block_t_unix, block_channels, block_labels = columns
-                t_rel.extend(block_t_rel)
-                t_unix.extend(block_t_unix)
+                t_rel.frombytes(block_t_rel)
+                t_unix.frombytes(block_t_unix)
                 channels.frombytes(block_channels)
                 labels.extend(block_labels)
                 linenos.extend(range(first, first + len(block)))
@@ -228,32 +238,36 @@ def _canonical_columns(block: list):
     """A block of canonical rows as column values, or None for any other block.
 
     A canonical row is what write_collection_csv writes: 9 comma-separated
-    fields, the last of them empty but for the line end; intensities spelled
-    "0" to "1023"; a lower-case label; and times that float() parses. Such a
-    block gives exactly what the row-by-row parse gives, without a Python
-    call per row: (t_rel, t_unix) as arrays of doubles, the intensities as
-    row-major int64 bytes, and the labels.
+    fields, the last of them empty but for the line end, in the writer's
+    alphabet (_CANONICAL_BYTES). numpy's loadtxt parses such a block in C and
+    gives what the row-by-row parse gives: (t_rel, t_unix) as float64 bytes,
+    the intensities as row-major int64 bytes, and the labels. The alphabet
+    check comes first: loadtxt strips characters that int() and float() do
+    not (U+001C to U+001F), and numpy 2.4.6's loadtxt can crash the
+    interpreter on a non-BMP character in an integer field. A block that
+    loadtxt rejects or warns about, that has a blank line, or that holds a
+    label other than the five lower-case spellings is declined too.
     """
-    try:
-        columns = tuple(zip(*map(str.split, block, repeat(",")), strict=True))
-    except ValueError:  # rows of unequal width
-        return None
-    if len(columns) != 9 or not _LINE_ENDS.issuperset(columns[8]):
+    text = "".join(block)
+    if not text.isascii() or text.encode().translate(None, _CANONICAL_BYTES):
         return None
     try:
-        intensities = np.fromiter(
-            map(_INTENSITY_BY_TEXT.__getitem__, chain.from_iterable(columns[2:7])),
-            dtype=np.int64,
-            count=NUM_CHANNELS * len(block),
-        )
-        return (
-            array("d", map(float, columns[0])),
-            array("d", map(float, columns[1])),
-            intensities.reshape(NUM_CHANNELS, -1).T.tobytes(),
-            list(map(_LABEL_BY_TEXT.__getitem__, columns[7])),
-        )
-    except (KeyError, ValueError):  # a token spelled otherwise, or a bad float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                block, dtype=_CANONICAL_ROW, delimiter=",", comments=None, ndmin=1
+            )
+        labels = list(map(_LABEL_BY_TEXT.__getitem__, rows["label"].tolist()))
+    except (ValueError, KeyError, Warning):  # a token loadtxt refuses, an unknown label
         return None
+    if len(rows) != len(block) or rows["empty"].view(np.uint32).any():
+        return None  # a blank line was skipped, or a 9th field holds text
+    return (
+        rows["t_rel"].tobytes(),
+        rows["t_unix"].tobytes(),
+        rows["channels"].tobytes(),
+        labels,
+    )
 
 
 def _infer_interval(t_rel: np.ndarray) -> float:

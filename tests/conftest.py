@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import lightband
 from lightband.baseline import BaselineTracker
-from lightband.ingest import open_text
+from lightband.ingest import COLLECTION_HEADER, open_text
 from lightband.mlp import TrainReport, bce_loss, init_model, one_hot
 from lightband.types import NUM_CHANNELS, GestureLabel, LabeledTrace
 
@@ -20,6 +25,32 @@ def file_lines(text: str) -> list:
     The readers' line rule, written independently of them.
     """
     return re.split(r"\r\n|\r|\n", text)
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run this Python on args in a child process that imports this lightband.
+
+    A crash in the child (a signal) shows as a negative return code instead
+    of taking the test session down with it. Output is UTF-8 text.
+    """
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(lightband.__file__).parent.parent), env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, encoding="utf-8", timeout=120
+    )
+
+
+# A non-BMP character, which numpy 2.4.6's loadtxt can crash on in an int64
+# field, and a collection file that holds it in line 3's second intensity.
+NON_BMP = "\U000fa7e4"
+
+
+def write_non_bmp_collection(path) -> None:
+    rows = [f"{i * 0.02!r},0.0,1,2,3,4,5,relax," for i in range(8)]
+    rows[1] = f"0.02,0.0,1,{NON_BMP},3,4,5,relax,"
+    path.write_text(COLLECTION_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
 def make_trace(channel_rows, labels, interval=0.02):

@@ -7,7 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import E, F, O, reference_labels, reference_train, write_features_csv, T as TRANSITION
+from conftest import (
+    NON_BMP,
+    E,
+    F,
+    O,
+    reference_labels,
+    reference_train,
+    run_python,
+    write_features_csv,
+    write_non_bmp_collection,
+    T as TRANSITION,
+)
 from lightband import mlp
 from lightband.baseline import BaselineConfig
 from lightband.cli import NN_SPLIT, _train_config, build_parser, main
@@ -276,6 +287,21 @@ def test_classify_table_with_duplicate_entry_is_domain_error(capsys, tmp_path):
     assert code == 1
     assert err == "error: line 3: duplicate entry for (EXTEND, sensor 2)\n"
     assert out == "" and not (tmp_path / "l.csv").exists()
+
+
+def test_classify_trace_with_a_non_bmp_intensity_is_domain_error(tmp_path):
+    trace_path, table = tmp_path / "non_bmp.csv", tmp_path / "sig.csv"
+    write_non_bmp_collection(trace_path)
+    write_signature_csv(DEFAULT_PROFILES, table)
+    child = run_python(
+        "-m", "lightband.cli", "classify", "--trace", str(trace_path), "--table", str(table),
+        "--out", str(tmp_path / "l.csv"),
+    )
+    assert child.returncode == 1, (child.returncode, child.stderr)  # not a signal
+    assert child.stderr == (
+        f"error: line 3: malformed row: invalid literal for int() with base 10: {NON_BMP!r}\n"
+    )
+    assert child.stdout == "" and not (tmp_path / "l.csv").exists()
 
 
 def nn_dataset(tmp_path):

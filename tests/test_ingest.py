@@ -2,6 +2,7 @@ import functools
 import io
 import os
 import stat
+import warnings
 from array import array
 from unittest.mock import patch
 
@@ -10,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, make_trace, random_rows, write_features_csv
+from conftest import (
+    NON_BMP,
+    E,
+    F,
+    O,
+    R,
+    T,
+    make_trace,
+    random_rows,
+    run_python,
+    write_features_csv,
+    write_non_bmp_collection,
+)
 from lightband import ingest, mlp
 from lightband.ingest import (
     COLLECTION_HEADER,
@@ -212,11 +225,24 @@ def test_read_collection_csv_random_bytes_raise_only_value_error(data):
         pass
 
 
+# Tokens on which numpy's loadtxt and int()/float() part ways: whitespace that
+# only one of them strips, a digit int() reads, a non-BMP character (which can
+# crash numpy 2.4.6's loadtxt in an int64 field), float and hex spellings of an
+# integer, an upper-case exponent, comment and quote characters, and labels
+# one character longer than "transition".
+_GAP_CHARS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c", "\t", "\x00"]
+_TOKENIZER_GAP = [
+    *(f"{c}1023" for c in _GAP_CHARS), *(f"5{c}" for c in _GAP_CHARS), "\x1c7\x1f",
+    "\u0661", NON_BMP, f"1{NON_BMP}", "1.0", "1e2", "1E5", "#", '"0.0"',
+    "transitionx", "transitions", "transitionxx",
+]
+
 _BAD_TOKENS = st.one_of(
     st.sampled_from([
         "", " ", "x", "nan", "inf", "-inf", "1e999", "-1", "1024", "0.5", " 3 ", "1_0",
         "-0.0", "99999999999999999999", "relax", "JUMP", "\x00", "0x10", "1e308",
     ]),
+    st.sampled_from(_TOKENIZER_GAP),
     st.text(max_size=6),
 )
 
@@ -661,7 +687,9 @@ def _int_variants(value: int) -> list:
     """Spellings of an intensity that int() reads but the writer never writes."""
     text = str(value)
     return [f" {text}", f"{text} ", f"0{text}", f"+{text}", f"-{text}", f"{text[0]}_{text}",
-            str(value + 1024), "-1", "1024", "1023 ", "00", "99999999999999999999"]
+            str(value + 1024), "-1", "1024", "1023 ", "00", "99999999999999999999",
+            *(f"{c}{text}" for c in _GAP_CHARS), *(f"{text}{c}" for c in _GAP_CHARS),
+            "\u0661", f"{text}{NON_BMP}", NON_BMP, "1.0", "1e2", "0x10"]
 
 
 _BAD_ROW_KINDS = ["blank", "no_comma", "tail", "int", "label", "float", "fields", "crlf", "cr"]
@@ -687,7 +715,8 @@ def mutated_codec_texts(draw):
         elif kind == "no_comma":
             lines[row] = line[:-2] + "\n"
         elif kind == "tail":  # a ninth field after the trailing comma
-            lines[row] = line[:-1] + draw(st.sampled_from(["x", " ", ",", "\t"])) + "\n"
+            tail = draw(st.sampled_from(["x", " ", ",", "\t", "#", "\x1c"]))
+            lines[row] = line[:-1] + tail + "\n"
         elif kind == "int":
             pos = draw(st.integers(2, 6))
             if fields[pos].isdigit():
@@ -695,13 +724,15 @@ def mutated_codec_texts(draw):
         elif kind == "label":
             fields[7] = draw(st.sampled_from(
                 [fields[7].upper(), fields[7].title(), f" {fields[7]}", f"{fields[7]} ",
-                 "jump", "", "relax\t", "Transition"]
+                 "jump", "", "relax\t", "Transition", "transitionx", "transitions",
+                 "transitionxx", f"{fields[7]}\x1f", f"\x0b{fields[7]}"]
             ))
         elif kind == "float":
             pos = draw(st.integers(0, 1))
             fields[pos] = draw(st.sampled_from(
                 [f" {fields[pos]}", f"{fields[pos]} ", "x", "", "nan", "inf", "1e999", "1_0",
-                 "0x10", f"+{fields[pos]}"]
+                 "0x10", f"+{fields[pos]}", "1E5", f"{fields[pos]}E5", "#", '"0.0"', "\u0661",
+                 f"\x1c{fields[pos]}", f"{fields[pos]}\x0c", f"\t{fields[pos]}", NON_BMP]
             ))
         elif kind == "fields":
             if draw(st.booleans()):
@@ -755,8 +786,61 @@ def test_reader_matches_row_reference_on_listed_cases():
         text().replace("\n", "\r\n"),
         text().replace("\n", "\r"),
         text()[:-1],
+        # where loadtxt and int()/float() part ways
+        *(text((2, f"0.04,0.0,{c}1023,2,3,4,5,relax,")) for c in _GAP_CHARS),
+        *(text((2, f"0.04,0.0,1,2,3,4,1023{c},relax,")) for c in _GAP_CHARS),
+        *(text((2, f"{c}0.04,0.0,1,2,3,4,5,relax,")) for c in _GAP_CHARS),
+        text((2, "0.04,0.0,\u0661,2,3,4,5,relax,")),
+        text((2, f"0.04,0.0,{NON_BMP},2,3,4,5,relax,")),
+        text((2, f"0.04,{NON_BMP},1,2,3,4,5,relax,")),
+        text((2, f"0.04,0.0,1,2,3,4,5,relax{NON_BMP},")),
+        text((2, "0.04,0.0,1.0,2,3,4,5,relax,")),
+        text((2, "0.04,0.0,1,2,1e2,4,5,relax,")),
+        text((2, "0.04,0.0,1,2,3,0x10,5,relax,")),
+        text((2, "4E-2,0.0,1,2,3,4,5,relax,")),
+        text((2, "0.04,1E5,1,2,3,4,5,relax,")),
+        text((2, "0.04,0.0,1,2,3,4,5,relax,#")),
+        text((2, "#0.04,0.0,1,2,3,4,5,relax,")),
+        text((2, '"0.04",0.0,1,2,3,4,5,relax,')),
+        text((2, '0.04,"0.0",1,2,3,4,5,relax,')),
+        text((2, "0.04,0.0,1,2,3,4,5,transitionx,")),
+        text((2, "0.04,0.0,1,2,3,4,5,transitions,")),
+        text((2, "0.04,0.0,1,2,3,4,5,transitionxx,")),
     ]
-    for block in (1, 2, 4, ROW_BLOCK):
+    for block in (1, 2, 4, 7, ROW_BLOCK):
         with patch.object(ingest, "ROW_BLOCK", block):
             for case in cases:
                 assert_reads_like_reference(case)
+
+
+def test_reader_reports_a_non_bmp_intensity_without_crashing(tmp_path):
+    path = tmp_path / "non_bmp.csv"
+    write_non_bmp_collection(path)
+    message = f"line 3: malformed row: invalid literal for int() with base 10: {NON_BMP!r}"
+    for _ in range(4):  # an unguarded loadtxt crashes about one child in two
+        child = run_python("-c", (
+            "import sys\n"
+            "from lightband.ingest import read_collection_csv\n"
+            "try:\n"
+            "    read_collection_csv(sys.argv[1])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        ), str(path))
+        assert child.returncode == 0, (child.returncode, child.stderr)  # not a signal
+        assert child.stdout == message + "\n"
+    assert _read_outcome(reference_read_collection_csv, path.read_text()) == f"ValueError: {message}"
+
+
+def test_reader_declines_a_block_that_loadtxt_warns_about():
+    """numpy 1.x is said to read "1.0" into an int64 field with a warning."""
+    text = _collection_text(_codec_trace(9, 0))
+    real_loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        rows = real_loadtxt(*args, **kwargs)
+        rows["channels"] += 1
+        warnings.warn("parsed a float as an integer", DeprecationWarning)
+        return rows
+
+    with patch.object(np, "loadtxt", warning_loadtxt):
+        assert_reads_like_reference(text)
