@@ -20,16 +20,6 @@ from .types import CLASS_LABELS, LABEL_TEXT, NUM_CHANNELS, ROW_BLOCK, GestureLab
 # nn train's default train/test boundary row
 NN_SPLIT = 880
 
-# nn option (argparse dest) -> the MlpConfig field it sets; train only
-_TRAIN_OPTIONS = {
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "dropout": "dropout_rate",
-    "l2": "l2",
-    "seed": "seed",
-    "normalize": "normalize",
-}
-
 
 def _baseline_levels(text: str) -> tuple:
     values = tuple(float(v) for v in text.split(","))
@@ -83,26 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=signature.DEFAULT_TRANSITION_HORIZON)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("nn", help="train or run the neural classifier")
-    p.add_argument("mode", choices=["train", "predict"])
-    p.add_argument("--trace", help="collection CSV providing features and labels")
-    p.add_argument("--x", help="headerless 5-column feature CSV")
-    p.add_argument("--y", help="class-index label file (one per line)")
-    p.add_argument("--model", required=True, help="model file (written by train, read by predict)")
-    p.add_argument("--out", help="predicted class-index file (predict only)")
-    # train-only options default to None, so predict can tell one was given;
-    # training fills the unset ones from MlpConfig (see _train_config)
+    nn = sub.add_parser("nn", help="train or run the neural classifier")
+    modes = nn.add_subparsers(dest="mode", required=True)
+    train = modes.add_parser("train", help="train a model on labeled features")
+    predict = modes.add_parser("predict", help="predict class indices with a model")
+    for p in (train, predict):
+        p.add_argument("--trace", help="collection CSV providing features and labels")
+        p.add_argument("--x", help="headerless 5-column feature CSV")
+        p.add_argument("--y", help="class-index label file (one per line)")
+        p.add_argument("--model", required=True, help="model file")
+        p.set_defaults(func=cmd_nn)
+    predict.add_argument("--out", help="predicted class-index file")
     net = mlp.MlpConfig
-    p.add_argument("--metrics", help="per-epoch metrics CSV (train only)")
-    p.add_argument("--split", type=int, help=f"train/test boundary row (default {NN_SPLIT})")
-    p.add_argument("--epochs", type=int, help=f"default {net.epochs}")
-    p.add_argument("--batch-size", type=int, help=f"default {net.batch_size}")
-    p.add_argument("--dropout", type=float, help=f"default {net.dropout_rate}")
-    p.add_argument("--l2", type=float, help=f"default {net.l2}")
-    p.add_argument("--seed", type=int, help=f"default {net.seed}")
-    p.add_argument("--normalize", action="store_true", default=None,
-                   help="scale intensities to [0, 1]")
-    p.set_defaults(func=cmd_nn)
+    train.add_argument("--metrics", help="per-epoch metrics CSV")
+    train.add_argument("--split", type=int, default=NN_SPLIT, help="train/test boundary row")
+    train.add_argument("--epochs", type=int, default=net.epochs)
+    train.add_argument("--batch-size", type=int, default=net.batch_size)
+    train.add_argument("--dropout", dest="dropout_rate", type=float, default=net.dropout_rate)
+    train.add_argument("--l2", type=float, default=net.l2)
+    train.add_argument("--seed", type=int, default=net.seed)
+    train.add_argument("--normalize", action="store_true", help="scale intensities to [0, 1]")
 
     p = sub.add_parser("physics", help="print the critical angle for a fiber")
     p.add_argument("n_medium", type=float)
@@ -179,13 +169,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _train_config(args) -> mlp.MlpConfig:
-    """The nn training options given on the command line, over MlpConfig's
-    defaults for the rest."""
-    options = {field: getattr(args, dest) for dest, field in _TRAIN_OPTIONS.items()}
-    return mlp.MlpConfig(**{k: v for k, v in options.items() if v is not None})
-
-
 def _nn_dataset(args, need_labels: bool) -> tuple:
     if args.trace:
         return mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
@@ -202,11 +185,6 @@ def _nn_dataset(args, need_labels: bool) -> tuple:
 def cmd_nn(args) -> int:
     training = args.mode == "train"
     try:
-        other_mode = ["out"] if training else ["metrics", "split", *_TRAIN_OPTIONS]
-        given = [f"--{dest.replace('_', '-')}" for dest in other_mode
-                 if getattr(args, dest) is not None]
-        if given:
-            raise ValueError(f"nn {args.mode} does not take {', '.join(given)}")
         if args.trace and (args.x or args.y):
             raise ValueError("give either --trace or --x/--y, not both")
         if not (args.trace or args.x):
@@ -214,16 +192,18 @@ def cmd_nn(args) -> int:
         if training:
             if not (args.trace or args.y):
                 raise ValueError("training needs labels: give --trace or --y")
-            split = NN_SPLIT if args.split is None else args.split
-            if split < 0:
-                raise ValueError(f"--split must be >= 0, got {split}")
-            cfg = _train_config(args)
+            if args.split < 0:
+                raise ValueError(f"--split must be >= 0, got {args.split}")
+            cfg = mlp.MlpConfig(
+                epochs=args.epochs, batch_size=args.batch_size, dropout_rate=args.dropout_rate,
+                l2=args.l2, seed=args.seed, normalize=args.normalize,
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     x, labels = _nn_dataset(args, need_labels=training)
     if training:
-        (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, split)
+        (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
         if len(y_train) == 0:
             raise ValueError("training split is empty")
         cfg = replace(cfg, output_dim=max(labels) + 1)

@@ -469,7 +469,13 @@ def trace_to_dataset(trace: LabeledTrace) -> tuple:
 
 
 def save_model(model: MlpModel, sink) -> None:
-    """Versioned text serialization; load_model inverts it exactly."""
+    """Versioned text serialization; load_model inverts it exactly.
+
+    A non-finite parameter raises before the sink is opened, since
+    load_model would refuse the file.
+    """
+    if not all(np.isfinite(arr).all() for arr in model.weights + model.biases):
+        raise ValueError("non-finite parameter in model; not saving it")
     lines = [MODEL_MAGIC, json.dumps(asdict(model.config))]
     for w, b in zip(model.weights, model.biases):
         lines.append(f"layer {w.shape[0]} {w.shape[1]}")

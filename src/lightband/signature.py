@@ -10,6 +10,7 @@ value, and a freshly changed label is smoothed to TRANSITION.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -174,6 +175,8 @@ class ClassifierState:
             raise ValueError(f"transition_horizon must be an integer, got {horizon!r}")
         if horizon < 1:
             raise ValueError(f"transition_horizon must be at least 1, got {horizon}")
+        if horizon > sys.maxsize:  # the history deque's maxlen is a C ssize_t
+            raise ValueError(f"transition_horizon must be at most {sys.maxsize}, got {horizon}")
         self.recent_labels = deque(self.recent_labels, maxlen=horizon)
 
 

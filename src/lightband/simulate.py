@@ -102,7 +102,13 @@ class SimConfig:
             raise ValueError(f"baseline levels must lie inside ({INTENSITY_MIN}, {INTENSITY_MAX})")
 
     def frames_for(self, duration: float) -> int:
-        n = int(round(duration / self.sample_interval))
+        ratio = duration / self.sample_interval
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"duration {duration}s yields too many samples at interval "
+                f"{self.sample_interval}s"
+            )
+        n = int(round(ratio))
         if n < 1:
             raise ValueError(
                 f"duration {duration}s yields no samples at interval "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +16,7 @@ INTENSITY_MAX = 1023
 DEFAULT_SAMPLE_INTERVAL = 0.02
 
 # Rows converted between arrays and Python values or text at a time: by
-# LabeledTrace.rows() and by the collection CSV and label file codecs.
+# LabeledTrace.frames and by the collection CSV and label file codecs.
 ROW_BLOCK = 2048
 
 
@@ -164,7 +163,7 @@ class LabeledTrace:
     finite non-negative t_rel spaced within 50% of sample_interval, finite
     t_unix, integer intensities in [0, 1023], and GestureLabel labels. A
     failure tied to one frame raises FrameError with that frame's row.
-    `frames` is a per-frame view for code that walks readings one at a time.
+    `frames` yields SensorFrames for code that walks readings one at a time.
     """
 
     t_rel: np.ndarray = ()  # (N,) float64 seconds since trace start
@@ -224,60 +223,23 @@ class LabeledTrace:
             and np.array_equal(self.channels, other.channels)
         )
 
-    def rows(self):
-        """Yield (t_rel, t_unix, channel list, label) per frame as Python values.
+    @property
+    def frames(self):
+        """A new pass over the trace as SensorFrames, one frame at a time.
 
-        The arrays are converted a block of rows at a time, so a pass over
-        the rows never holds Python objects for the whole trace at once.
+        For per-frame code such as the streaming baseline tracker and
+        classifier; batch and random-access code reads the arrays. The
+        arrays are converted a block of rows at a time, so a pass never
+        holds Python objects for the whole trace at once.
         """
         for start in range(0, len(self), ROW_BLOCK):
             end = start + ROW_BLOCK
-            yield from zip(
+            yield from map(
+                SensorFrame,
                 self.t_rel[start:end].tolist(),
                 self.t_unix[start:end].tolist(),
                 self.channels[start:end].tolist(),
-                self.labels[start:end],
             )
-
-    @property
-    def frames(self) -> "FrameView":
-        """The trace as a read-only sequence of SensorFrames.
-
-        For per-frame code such as the streaming baseline tracker and
-        classifier; batch code reads the arrays.
-        """
-        return FrameView(self)
-
-
-class FrameView(Sequence):
-    """A trace's frames as SensorFrames, each built when it is reached.
-
-    Iterating holds one frame at a time, never the whole trace as objects.
-    Views compare equal to any sequence of equal frames.
-    """
-
-    def __init__(self, trace: LabeledTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
-        i = range(len(self))[index]  # IndexError past either end
-        trace = self._trace
-        return SensorFrame(
-            float(trace.t_rel[i]), float(trace.t_unix[i]), trace.channels[i].tolist()
-        )
-
-    def __iter__(self):
-        return (SensorFrame(t, u, c) for t, u, c, _ in self._trace.rows())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or len(self) != len(other):
-            return False
-        return all(a == b for a, b in zip(self, other))
 
 
 def segment_trace(trace: LabeledTrace) -> list:

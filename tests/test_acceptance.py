@@ -233,7 +233,7 @@ def test_criterion_7_format_fidelity(tmp_path):
     lines = path.read_text().splitlines()
     trailing = all(line.endswith(",") for line in lines[1:])
     back = read_collection_csv(str(path))
-    identity = back.frames == trace.frames and back.labels == trace.labels
+    identity = list(back.frames) == list(trace.frames) and back.labels == trace.labels
 
     corrupt = [
         "1,2,3,4",            # too few fields

@@ -68,7 +68,7 @@ def test_config_validation():
 def test_first_frame_initializes_to_reading():
     trace = make_trace([[800, 10, 500, 1023, 0]], [R])
     tracker = BaselineTracker()
-    assert tracker.update(trace.frames[0]) == [800, 10, 500, 1023, 0]
+    assert tracker.update(next(trace.frames)) == [800, 10, 500, 1023, 0]
 
 
 def test_constant_stream_is_fixed_point():
@@ -146,10 +146,10 @@ def test_square_wave_keeps_relax_plateau_estimate():
 
 def test_non_monotonic_timestamp_rejected():
     tracker = BaselineTracker()
-    trace = make_trace(flat_rows(10, 2), [R, R])
-    tracker.update(trace.frames[1])
+    first, second = make_trace(flat_rows(10, 2), [R, R]).frames
+    tracker.update(second)
     with pytest.raises(ValueError, match="non-monotonic"):
-        tracker.update(trace.frames[0])
+        tracker.update(first)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import io
 import json
 import shlex
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from conftest import (
 )
 from lightband import mlp
 from lightband.baseline import BaselineConfig
-from lightband.cli import NN_SPLIT, _train_config, build_parser, main
+from lightband.cli import NN_SPLIT, build_parser, main
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.signature import (
     SignatureTable,
@@ -127,6 +128,17 @@ def test_simulate_duration_too_long_to_hold_is_domain_error(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_simulate_interval_too_small_to_count_samples_is_domain_error(capsys, tmp_path):
+    out = tmp_path / "o.csv"
+    code, _, err = run(
+        capsys, "simulate", "--script", script_file(tmp_path), "--out", str(out),
+        "--interval", "1e-320",
+    )
+    assert code == 1
+    assert err == "error: duration 2.0s yields too many samples at interval 1e-320s\n"
+    assert not out.exists()
+
+
 def simulate_with_profiles(capsys, tmp_path, profile_text, script="extend\n", *extra):
     profiles = tmp_path / "profiles.csv"
     profiles.write_text(profile_text)
@@ -209,15 +221,20 @@ def test_option_defaults_come_from_the_config_dataclasses():
     baseline = BaselineConfig()
     classify = _defaults("classify", "--trace", "t", "--table", "s", "--out", "o")
     assert (classify["alpha"], classify["window"]) == (baseline.alpha, baseline.window)
-    # nn's train-only options parse to None, so predict can refuse them;
-    # training takes each one left unset from MlpConfig
-    train_only = ("metrics", "split", "epochs", "batch_size", "dropout", "l2", "seed", "normalize")
-    nn = _defaults("nn", "train", "--model", "m")
-    assert {k: nn[k] for k in train_only} == dict.fromkeys(train_only)
-    parser = build_parser()
-    assert _train_config(parser.parse_args(["nn", "train", "--model", "m"])) == mlp.MlpConfig()
-    given = parser.parse_args(["nn", "train", "--model", "m", "--dropout", "0.1", "--normalize"])
-    assert _train_config(given) == mlp.MlpConfig(dropout_rate=0.1, normalize=True)
+    # nn train's options default to MlpConfig's fields and NN_SPLIT; predict has none
+    net = mlp.MlpConfig()
+    shared = {"mode", "trace", "x", "y", "model"}
+    train = _defaults("nn", "train", "--model", "m")
+    assert {k: v for k, v in train.items() if k not in shared} == {
+        "metrics": None, "split": NN_SPLIT, "epochs": net.epochs, "batch_size": net.batch_size,
+        "dropout_rate": net.dropout_rate, "l2": net.l2, "seed": net.seed,
+        "normalize": net.normalize,
+    }
+    assert set(_defaults("nn", "predict", "--model", "m")) == shared | {"out"}
+    given = build_parser().parse_args(
+        ["nn", "train", "--model", "m", "--dropout", "0.1", "--normalize"]
+    )
+    assert (given.dropout_rate, given.normalize) == (0.1, True)
     assert NN_SPLIT == 880
 
 
@@ -424,19 +441,17 @@ def test_nn_data_flag_misuse_is_usage_error(capsys, tmp_path, monkeypatch, argv,
 
 
 @pytest.mark.parametrize(
-    "mode, flags, named",
+    "mode, flags",
     [
-        ("train", ["--out", "pred.csv"], "--out"),
-        ("predict", ["--metrics", "m.csv", "--epochs", "7", "--split", "5"],
-         "--metrics, --split, --epochs"),
-        ("predict", ["--batch-size", "20", "--dropout", "0.3", "--l2", "0.01", "--seed", "1"],
-         "--batch-size, --dropout, --l2, --seed"),
-        ("predict", ["--normalize"], "--normalize"),
+        ("train", ["--out", "pred.csv"]),
+        ("predict", ["--metrics", "m.csv", "--epochs", "7", "--split", "5"]),
+        ("predict", ["--batch-size", "20", "--dropout", "0.3", "--l2", "0.01", "--seed", "1"]),
+        ("predict", ["--normalize"]),
     ],
     ids=["train-out", "predict-metrics-epochs-split", "predict-hyperparameters",
          "predict-normalize"],
 )
-def test_nn_other_mode_options_are_usage_errors(capsys, tmp_path, monkeypatch, mode, flags, named):
+def test_nn_other_mode_options_are_usage_errors(capsys, tmp_path, monkeypatch, mode, flags):
     x_path, y_path = nn_dataset(tmp_path)
     monkeypatch.chdir(tmp_path)
     data = ["--x", str(x_path), "--y", str(y_path)]
@@ -444,7 +459,7 @@ def test_nn_other_mode_options_are_usage_errors(capsys, tmp_path, monkeypatch, m
     model = "trained.txt" if mode == "predict" else "new.txt"
     code, out, err = run(capsys, "nn", mode, *data, "--model", model, *flags)
     assert (code, out) == (2, "")
-    assert err == f"error: nn {mode} does not take {named}\n"
+    assert all(flag in err for flag in flags if flag.startswith("--"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["X.csv", "Y.csv", "trained.txt"]
 
 
@@ -654,6 +669,21 @@ def test_nn_split_negative_is_usage_error_past_end_is_domain_error(capsys, tmp_p
     assert not model_path.exists()
 
 
+def test_nn_train_diverging_to_nan_writes_no_model(capsys, tmp_path):
+    cfg = SimConfig(seed=3, gesture_hold=1.2, relax_hold=0.8)
+    trace_path = tmp_path / "t.csv"
+    write_collection_csv(synth_trace([E, F, O], DEFAULT_PROFILES, cfg), str(trace_path))
+    model_path, metrics_path = tmp_path / "m.txt", tmp_path / "met.csv"
+    with np.errstate(all="ignore"):
+        code, out, err = run(
+            capsys, "nn", "train", "--trace", str(trace_path), "--model", str(model_path),
+            "--split", "100", "--epochs", "3", "--l2", "1e308", "--metrics", str(metrics_path),
+        )
+    assert (code, out) == (1, "")
+    assert err == "error: non-finite parameter in model; not saving it\n"
+    assert not model_path.exists() and not metrics_path.exists()
+
+
 def test_nn_split_checked_before_data_is_read(capsys, tmp_path):
     missing = tmp_path / "missing.csv"
     code, _, err = run(
@@ -678,7 +708,8 @@ def test_train_signatures_bad_active_sensors_are_usage_errors(capsys, tmp_path, 
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--tolerance", "nan"), ("--horizon", "0"), ("--alpha", "2"), ("--window", "-1")],
+    [("--tolerance", "nan"), ("--horizon", "0"), ("--alpha", "2"), ("--window", "-1"),
+     ("--horizon", str(sys.maxsize + 1))],
 )
 def test_classify_options_checked_before_inputs_are_read(capsys, tmp_path, option, value):
     bad_trace = tmp_path / "bad.csv"
@@ -749,6 +780,19 @@ def readme_experiments(tmp_path, monkeypatch):
     (tmp_path / "sig.txt").write_text("extend\nfist\none\n" * 2)
     (tmp_path / "mlp.txt").write_text("extend\nfist\none\n" * 4)
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lightband ")]
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("lightband ")]
+    assert [argv[0] for argv in commands] == [
+        "physics", "simulate", "train-signatures", "classify", "nn", "nn",
+    ]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 SIGNATURE_OUTPUTS = ("train.csv", "eval.csv", "signatures.csv", "labels.csv")

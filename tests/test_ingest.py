@@ -86,7 +86,7 @@ def test_read_collection_csv_collector_row():
     text = COLLECTION_HEADER + "\n" + "0.12,1577836800.1,512,480,333,710,900,relax,\n"
     trace = read_collection_csv(io.StringIO(text))
     assert len(trace) == 1
-    frame = trace.frames[0]
+    (frame,) = trace.frames
     assert frame.t_rel == 0.12
     assert frame.t_unix == 1577836800.1
     assert frame.channels == (512, 480, 333, 710, 900)
@@ -101,7 +101,7 @@ def test_read_collection_csv_header_only():
 def test_read_collection_csv_row_without_trailing_comma():
     text = COLLECTION_HEADER + "\n" + "0.12,1577836800.1,512,480,333,710,900,relax\n"
     trace = read_collection_csv(io.StringIO(text))
-    assert trace.frames[0].channels == (512, 480, 333, 710, 900)
+    assert next(trace.frames).channels == (512, 480, 333, 710, 900)
 
 
 def test_read_collection_csv_header_spacing_insensitive():
@@ -154,7 +154,7 @@ def test_collection_round_trip_example():
     sink = io.StringIO()
     write_collection_csv(trace, sink)
     back = read_collection_csv(io.StringIO(sink.getvalue()))
-    assert back.frames == trace.frames
+    assert list(back.frames) == list(trace.frames)
     assert back.labels == trace.labels
 
 
@@ -170,7 +170,7 @@ def test_collection_round_trip_random(seed, n, interval):
     sink = io.StringIO()
     write_collection_csv(trace, sink)
     back = read_collection_csv(io.StringIO(sink.getvalue()))
-    assert back.frames == trace.frames
+    assert list(back.frames) == list(trace.frames)
     assert back.labels == trace.labels
 
 
@@ -616,7 +616,9 @@ def reference_collection_text(trace) -> str:
     names = {label: label.name.lower() for label in GestureLabel}
     return COLLECTION_HEADER + "\n" + "".join(
         f"{t},{u},{c[0]},{c[1]},{c[2]},{c[3]},{c[4]},{names[label]},\n"
-        for t, u, c, label in trace.rows()
+        for t, u, c, label in zip(
+            trace.t_rel.tolist(), trace.t_unix.tolist(), trace.channels.tolist(), trace.labels
+        )
     )
 
 

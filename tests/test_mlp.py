@@ -299,6 +299,22 @@ def test_load_model_non_finite():
         load_model(io.StringIO(text.replace(first_value, "inf", 1)))
 
 
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_save_model_refuses_a_non_finite_parameter_and_keeps_the_old_file(tmp_path, where):
+    model, _, _ = tiny_problem()
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    before = path.read_bytes()
+    (model.weights if where == "weight" else model.biases)[-1][0] = np.inf
+    with pytest.raises(ValueError, match="non-finite parameter"):
+        save_model(model, str(path))
+    assert path.read_bytes() == before
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="non-finite parameter"):
+        save_model(model, sink)
+    assert sink.getvalue() == ""
+
+
 def test_inverted_dropout_preserves_expectation():
     cfg = MlpConfig(input_dim=1, hidden=(1,), output_dim=1, dropout_rate=0.3, seed=0)
     model = MlpModel(

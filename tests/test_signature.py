@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ SMALL_TABLE = SignatureTable(
 
 def frame_with_deltas(deltas, baseline=800, trace_index=0):
     row = [baseline + deltas.get(s, 0) for s in range(1, 6)]
-    return make_trace([row], [R], interval=0.02).frames[0]
+    return next(make_trace([row], [R], interval=0.02).frames)
 
 
 def test_table_validation():
@@ -199,7 +200,7 @@ def classify_cases(draw):
                 scale = rng.choice([1.0, 0.95, 1.05, 0.8, 1.3])
                 value = base[s - 1] + deltas[(gestures[target], s)] * scale
                 row[s - 1] = np.clip(np.rint(value), 0, 1023)
-        frames.append(make_trace([[int(v) for v in row]], [R]).frames[0])
+        frames.append(next(make_trace([[int(v) for v in row]], [R]).frames))
         baselines.append([float(v) for v in base])
     tolerance = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 2.0)))
     horizon = draw(st.integers(1, 12))
@@ -362,11 +363,20 @@ def test_classify_trace_deterministic():
         ({"transition_horizon": 0}, "transition_horizon must be at least 1"),
         ({"tolerance": float("nan")}, "tolerance must be finite"),
         ({"tolerance": -0.1}, "tolerance must be finite and non-negative"),
+        (
+            {"transition_horizon": sys.maxsize + 1},
+            f"transition_horizon must be at most {sys.maxsize}",
+        ),
     ],
 )
 def test_classifier_state_rejects_bad_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ClassifierState(**kwargs)
+
+
+def test_classifier_state_takes_a_horizon_up_to_sys_maxsize():
+    state = ClassifierState(transition_horizon=sys.maxsize)
+    assert state.recent_labels.maxlen == sys.maxsize
 
 
 def test_classify_trace_shorter_than_horizon():

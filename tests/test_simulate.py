@@ -81,7 +81,7 @@ def test_zero_noise_extend_plateau_matches_calibration():
     segments = segment_trace(trace)
     assert [s[0] for s in segments] == [R, T, E, T]
     _, start, end = segments[2]
-    plateau = {f.channels[3] for f in trace.frames[start:end]}
+    plateau = set(trace.channels[start:end, 3].tolist())
     assert plateau == {577}  # 800 relax level dipping by 223
 
 
@@ -94,12 +94,8 @@ def test_zero_noise_plateau_deltas_equal_profile():
             continue
         _, r_start, r_end = segments[idx - 2]  # relax precedes the up-ramp
         for ch in range(5):
-            relax_mean = sum(f.channels[ch] for f in trace.frames[r_start:r_end]) / (
-                r_end - r_start
-            )
-            gesture_mean = sum(f.channels[ch] for f in trace.frames[start:end]) / (
-                end - start
-            )
+            relax_mean = sum(trace.channels[r_start:r_end, ch].tolist()) / (r_end - r_start)
+            gesture_mean = sum(trace.channels[start:end, ch].tolist()) / (end - start)
             assert gesture_mean - relax_mean == DEFAULT_PROFILES.delta(label, ch + 1)
 
 
@@ -114,9 +110,9 @@ def test_determinism_under_seed():
     cfg = SimConfig(gesture_hold=0.5, relax_hold=0.3, seed=42)
     a = synth_trace([E, F], DEFAULT_PROFILES, cfg)
     b = synth_trace([E, F], DEFAULT_PROFILES, cfg)
-    assert a.frames == b.frames and a.labels == b.labels
+    assert list(a.frames) == list(b.frames) and a.labels == b.labels
     c = synth_trace([E, F], DEFAULT_PROFILES, SimConfig(gesture_hold=0.5, relax_hold=0.3, seed=43))
-    assert c.frames != a.frames
+    assert list(c.frames) != list(a.frames)
 
 
 @settings(deadline=None, max_examples=15)
@@ -154,7 +150,7 @@ def test_generated_trace_round_trips_through_csv():
     sink = io.StringIO()
     write_collection_csv(trace, sink)
     back = read_collection_csv(io.StringIO(sink.getvalue()))
-    assert back.frames == trace.frames
+    assert list(back.frames) == list(trace.frames)
     assert back.labels == trace.labels
 
 

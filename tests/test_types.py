@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import E, F, R, T, flat_rows, make_trace
 from lightband.types import (
     LABEL_TEXT,
+    ROW_BLOCK,
     FrameError,
     GestureLabel,
     LabeledTrace,
@@ -128,17 +129,32 @@ def test_trace_columns_are_read_only_copies():
 
 def test_frames_view():
     trace = make_trace([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15]], [R, E, F])
+    first, second, third = trace.frames
+    assert second == SensorFrame(t_rel=0.02, t_unix=0.02, channels=(6, 7, 8, 9, 10))
+    assert third.channels == (11, 12, 13, 14, 15)
     frames = trace.frames
-    assert len(frames) == 3
-    assert frames[1] == SensorFrame(t_rel=0.02, t_unix=0.02, channels=(6, 7, 8, 9, 10))
-    assert frames[-1].channels == (11, 12, 13, 14, 15)
-    assert frames[1:] == (frames[1], frames[2])
-    assert list(frames) == [frames[0], frames[1], frames[2]]
-    assert frames == tuple(frames) and frames == trace.frames
-    assert frames != frames[:2]
-    with pytest.raises(IndexError):
-        frames[3]
-    assert len(LabeledTrace().frames) == 0
+    assert next(frames) == first
+    assert list(frames) == [second, third]  # a pass resumes where it stopped
+    assert list(trace.frames) == [first, second, third]  # each access is a new pass
+    assert list(LabeledTrace().frames) == []
+
+
+def test_frames_across_row_blocks_match_the_arrays():
+    n = 2 * ROW_BLOCK + 1
+    rng = np.random.default_rng(5)
+    t_rel = np.arange(n) * 0.02
+    trace = LabeledTrace(
+        t_rel=t_rel, t_unix=1.6e9 + t_rel, channels=rng.integers(0, 1024, size=(n, 5)),
+        labels=(R,) * n,
+    )
+    expected = [
+        SensorFrame(trace.t_rel[i], trace.t_unix[i], trace.channels[i]) for i in range(n)
+    ]
+    frames = trace.frames
+    assert next(frames) == expected[0]
+    assert list(trace.frames) == expected  # a second access starts again at row 0
+    assert list(frames) == expected[1:]
+    assert all(type(f.t_rel) is float and type(f.t_unix) is float for f in trace.frames)
 
 
 def test_segment_examples():
