@@ -35,8 +35,23 @@ def _sensor_set(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses an argument it does not know itself.
+
+    argparse hands a subcommand's unknown arguments back to the root
+    parser, whose usage line names no subcommand; here the subcommand's
+    own parser reports them, with its usage line (`lightband nn predict`).
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lightband",
         description="Gesture recognition pipeline for 5-channel light-intensity streams.",
     )

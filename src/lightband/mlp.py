@@ -342,7 +342,8 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     gradients and Adam moments each live in one flat buffer updated in
     place; every training step computes in one _Workspace, and the
     per-epoch scoring of both row sets in one set of _infer_buffers, each
-    allocated once per call.
+    allocated once per call. Raises ValueError at the end of the first
+    epoch whose training loss is not finite.
     """
     x = _prepare(x, cfg)
     if x.shape[0] == 0:
@@ -376,37 +377,43 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     report = TrainReport()
     n = x.shape[0]
     ws = _Workspace(cfg, min(cfg.batch_size, n), cfg.dropout_rate)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            batch_ws = ws if len(batch) == ws.rows else ws.head(len(batch))
-            _train_step(model, batch_ws, x[batch], rng, targets[batch], grads_w, grads_b)
-            step += 1
-            # Adam in place, each IEEE operation in the order of
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            adam_m *= cfg.beta1
-            np.multiply(grads, 1 - cfg.beta1, out=t1)
-            adam_m += t1
-            adam_v *= cfg.beta2
-            np.multiply(grads, 1 - cfg.beta2, out=t1)
-            t1 *= grads
-            adam_v += t1
-            np.divide(adam_v, 1 - cfg.beta2**step, out=t1)
-            np.sqrt(t1, out=t1)
-            t1 += cfg.adam_eps
-            np.divide(adam_m, 1 - cfg.beta1**step, out=t2)
-            t2 *= cfg.learning_rate
-            t2 /= t1
-            params -= t2
-        penalty = _l2_penalty(model, cfg.l2)
-        train_pred = _infer(model, x, score_bufs)
-        report.train_loss.append(_mean_bce(train_pred, targets) + penalty)
-        report.train_acc.append(_accuracy(train_pred, indices))
-        if val is not None:
-            val_pred = _infer(model, val[0], score_bufs)
-            report.val_loss.append(_mean_bce(val_pred, val[1]) + penalty)
-            report.val_acc.append(_accuracy(val_pred, val[2]))
+    # a diverging run ends in the ValueError below; numpy's overflow and
+    # invalid-value warnings on the way would only add lines to stderr
+    with np.errstate(all="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                batch_ws = ws if len(batch) == ws.rows else ws.head(len(batch))
+                _train_step(model, batch_ws, x[batch], rng, targets[batch], grads_w, grads_b)
+                step += 1
+                # Adam in place, each IEEE operation in the order of
+                # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                adam_m *= cfg.beta1
+                np.multiply(grads, 1 - cfg.beta1, out=t1)
+                adam_m += t1
+                adam_v *= cfg.beta2
+                np.multiply(grads, 1 - cfg.beta2, out=t1)
+                t1 *= grads
+                adam_v += t1
+                np.divide(adam_v, 1 - cfg.beta2**step, out=t1)
+                np.sqrt(t1, out=t1)
+                t1 += cfg.adam_eps
+                np.divide(adam_m, 1 - cfg.beta1**step, out=t2)
+                t2 *= cfg.learning_rate
+                t2 /= t1
+                params -= t2
+            penalty = _l2_penalty(model, cfg.l2)
+            train_pred = _infer(model, x, score_bufs)
+            loss = _mean_bce(train_pred, targets) + penalty
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
+            report.train_loss.append(loss)
+            report.train_acc.append(_accuracy(train_pred, indices))
+            if val is not None:
+                val_pred = _infer(model, val[0], score_bufs)
+                report.val_loss.append(_mean_bce(val_pred, val[1]) + penalty)
+                report.val_acc.append(_accuracy(val_pred, val[2]))
     return model, report
 
 
@@ -415,18 +422,21 @@ def _predict_row(model: MlpModel, a: np.ndarray) -> int:
     as the batch path on that row.
 
     numpy runs a (1, in) @ (out, in).T matmul as a gemv on the C-contiguous
-    weights, so w @ a on the 1-D row is the same BLAS call. The sigmoid
-    is _sigmoid's: the same np.exp, then the same IEEE + and / on Python
-    floats. A NaN output wins, as it does in np.argmax.
+    weights, and w.dot(a) on the 1-D row is that same BLAS call without
+    matmul's ufunc dispatch. The sigmoid is _sigmoid's: the same abs,
+    negative and exp ufuncs in that order, then the same IEEE + and / on
+    Python floats. A NaN output wins, as it does in np.argmax.
     """
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = w @ a
-        a += b
+        a = w.dot(a)
+        np.add(a, b, out=a)
         np.maximum(a, 0.0, out=a)
-    z = model.weights[-1] @ a
-    z += model.biases[-1]
+    z = model.weights[-1].dot(a)
+    np.add(z, model.biases[-1], out=z)
+    e = np.absolute(z)
+    np.exp(np.negative(e, out=e), out=e)
     best, top = 0, -1.0
-    for i, (zi, ei) in enumerate(zip(z.tolist(), np.exp(-np.abs(z)).tolist())):
+    for i, (zi, ei) in enumerate(zip(z.tolist(), e.tolist())):
         p = 1.0 / (1.0 + ei) if zi >= 0 else ei / (1.0 + ei)
         if p != p:
             return i
@@ -438,14 +448,18 @@ def _predict_row(model: MlpModel, a: np.ndarray) -> int:
 def predict_labels(model: MlpModel, x) -> list:
     """Argmax class index per row; ties break toward the lowest index.
 
-    A single row skips the batch machinery (see _predict_row).
+    A single row, shaped (input_dim,) or (1, input_dim), is converted once
+    and skips the batch machinery (see _predict_row); every other shape
+    takes the batch path.
     """
-    x = _prepare(np.atleast_2d(np.asarray(x, dtype=float)), model.config)
-    if x.shape[0] == 1:
-        row = x[0]
+    cfg = model.config
+    x = np.asarray(x, dtype=float)
+    if x.shape == (1, cfg.input_dim) or x.shape == (cfg.input_dim,):
+        row = x.ravel()
         if not all(map(math.isfinite, row.tolist())):
             raise ValueError("row 0: non-finite feature value")
-        return [_predict_row(model, row)]
+        return [_predict_row(model, row / INTENSITY_MAX if cfg.normalize else row)]
+    x = _prepare(np.atleast_2d(x), cfg)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))}: non-finite feature value")

@@ -73,7 +73,7 @@ def parse_label(text: str) -> GestureLabel:
 def _check_intensity(value) -> int:
     try:
         as_int = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
         raise ValueError(f"channel value is not an integer: {value!r}") from None
     if as_int != value:
         raise ValueError(f"channel value is not an integer: {value!r}")
@@ -100,7 +100,12 @@ class SensorFrame:
         channels = tuple(self.channels)
         if len(channels) != NUM_CHANNELS:
             raise ValueError(f"expected {NUM_CHANNELS} channels, got {len(channels)}")
-        object.__setattr__(self, "channels", tuple(_check_intensity(v) for v in channels))
+        # plain ints in range, as parse_serial_line and trace.frames give,
+        # are kept as they are; anything else is checked value by value
+        if not (set(map(type, channels)) == {int}
+                and INTENSITY_MIN <= min(channels) and max(channels) <= INTENSITY_MAX):
+            channels = tuple(_check_intensity(v) for v in channels)
+        object.__setattr__(self, "channels", channels)
 
 
 class FrameError(ValueError):

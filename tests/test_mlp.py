@@ -2,7 +2,10 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -447,6 +450,24 @@ def test_train_rejects_non_finite_rows():
         train(x, labels, cfg, validation=(bad, labels))
 
 
+def test_train_stops_at_the_first_non_finite_epoch_loss():
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 1023, size=(40, 5))
+    labels = rng.integers(0, 5, size=40).tolist()
+    # Adam steps of ~7e152 per weight overflow the L2 penalty a few epochs in
+    cfg = MlpConfig(hidden=(4,), epochs=8, learning_rate=7e152, dropout_rate=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay off
+        message = r"^training diverged at epoch \d+: non-finite loss$"
+        with pytest.raises(ValueError, match=message) as info:
+            train(x, labels, cfg)
+    epoch = int(re.search(r"epoch (\d+)", str(info.value))[1])
+    assert epoch > 1
+    _, report = train(x, labels, replace(cfg, epochs=epoch - 1))
+    assert len(report.train_loss) == epoch - 1
+    assert all(map(math.isfinite, report.train_loss))
+
+
 def intensity_problem(n, classes, seed):
     rng = np.random.default_rng(seed)
     labels = [int(v) for v in rng.integers(0, classes, size=n)]
@@ -729,9 +750,23 @@ def test_one_row_predict_equals_batch_path(key, row):
             with pytest.raises(ValueError, match=f"^row {bad}: non-finite feature value$"):
                 predict_labels(model, rows)
         return
+    want = batch_predict(model, [row])
+    # the live loop's [[...]] list, a 1-D list, a (1, 5) and a 1-D array
+    forms = ([row], row, np.asarray([row], dtype=float), np.asarray(row, dtype=float))
     with np.errstate(all="ignore"):  # overflowing readings on purpose
-        assert predict_labels(model, [row]) == batch_predict(model, [row])
-        assert predict_labels(model, np.asarray(row, dtype=float)) == batch_predict(model, row)
+        assert [predict_labels(model, form) for form in forms] == [want] * len(forms)
+
+
+def test_predict_labels_other_shapes_take_the_batch_path():
+    model = _ONE_ROW_MODELS[(3,), False]
+    # a 1-D row of the wrong width is reported as the one-row matrix it becomes
+    for x, shape in (([1.0] * 4, (1, 4)), (3.0, (1, 1)), (np.zeros((1, 1, 5)), (1, 1, 5)),
+                     (np.zeros((5, 1)), (5, 1))):
+        message = f"^expected feature matrix with 5 columns, got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            predict_labels(model, x)
+    rows = np.arange(10.0).reshape(2, 5)
+    assert predict_labels(model, rows) == batch_predict(model, rows)
 
 
 def test_predict_labels_rejects_non_finite_rows():

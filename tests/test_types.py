@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E, F, R, T, flat_rows, make_trace
@@ -16,6 +16,7 @@ from lightband.types import (
     GestureLabel,
     LabeledTrace,
     SensorFrame,
+    _check_intensity,
     parse_label,
     segment_trace,
 )
@@ -66,6 +67,45 @@ def test_sensor_frame_validation():
         SensorFrame(t_rel=-0.1, t_unix=0.0, channels=[0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="integer"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0.5, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="^channel value is not an integer: inf$"):
+        SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, 0, float("inf"), 0, 0])
+
+
+_CHANNEL_VALUES = st.one_of(
+    st.integers(-2, 1025),
+    st.booleans(),
+    st.integers(-2, 1025).map(np.int64),
+    st.integers(-2, 1025).map(float),
+    st.floats(),
+    st.sampled_from([2**70, -(2**70), 1023.0000000000001, -0.0]),
+)
+
+
+@st.composite
+def channel_lists(draw):
+    """Five in-range ints, some of them swapped for any other channel value."""
+    values = draw(st.lists(st.integers(0, 1023), min_size=5, max_size=5))
+    for i in draw(st.sets(st.integers(0, 4))):
+        values[i] = draw(_CHANNEL_VALUES)
+    return values
+
+
+@settings(max_examples=300)
+@given(channel_lists(), st.booleans())
+def test_sensor_frame_channels_equal_the_per_value_check(values, as_tuple):
+    # the oracle: SensorFrame's check one value at a time, as before the
+    # fast path for in-range plain ints
+    channels = tuple(values) if as_tuple else values
+    try:
+        want = tuple(_check_intensity(v) for v in values)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            SensorFrame(t_rel=0.0, t_unix=0.0, channels=channels)
+        assert str(info.value) == str(exc)
+        return
+    got = SensorFrame(t_rel=0.0, t_unix=0.0, channels=channels).channels
+    assert got == want
+    assert list(map(type, got)) == [int] * 5
 
 
 def test_trace_validation():
