@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import CLASS_LABELS, LABEL_TEXT, NUM_CHANNELS, ROW_BLOCK, GestureLabel
+from .types import CLASS_LABELS, NUM_CHANNELS, GestureLabel
 
 
 # nn train's default train/test boundary row
@@ -169,15 +169,7 @@ def cmd_classify(args) -> int:
     trace = ingest.read_collection_csv(args.trace)
     table = signature.read_signature_csv(args.table)
     predicted = signature.classify_trace(trace, table, cfg, state)
-    with ingest.open_text(args.out, "w") as handle:
-        handle.write("t_rel,label\n")
-        for start in range(0, len(predicted), ROW_BLOCK):
-            end = start + ROW_BLOCK
-            handle.write("".join(map(
-                "{!r},{}\n".format,
-                trace.t_rel[start:end].tolist(),
-                map(LABEL_TEXT.__getitem__, predicted[start:end]),
-            )))
+    ingest.write_label_file(trace.t_rel, predicted, args.out)
     print(f"wrote {len(predicted)} labels to {args.out}")
     matrix = evaluate.confusion(trace.labels, predicted)
     print(evaluate.render_report(matrix), end="")

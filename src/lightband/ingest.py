@@ -1,4 +1,4 @@
-"""Readers and writers for the device line protocol and the collection CSV.
+"""Codecs of the device line protocol and the collection CSV; the label-file writer.
 
 The device emits ASCII lines of five comma-separated intensities. The
 collection file is a CSV with a fixed 8-field header; its writer appends a
@@ -13,7 +13,7 @@ import stat
 import warnings
 from array import array
 from contextlib import contextmanager, suppress
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Callable
 
 import numpy as np
@@ -41,11 +41,13 @@ COLLECTION_HEADER_FIELDS = (
     "label",
 )
 COLLECTION_HEADER = ", ".join(COLLECTION_HEADER_FIELDS)
-_ROW_FORMAT = "{!r},{!r},{},{},{},{},{},{},\n".format
 
-# Canonical intensity text, "0" to "1023": the writer's table, indexed by
-# the (validated) intensities.
-_INTENSITY_TEXT = np.array([str(v) for v in range(INTENSITY_MAX + 1)], dtype=object)
+# The writers' text tables: an intensity with its comma ("512,"), indexed by
+# the (validated) intensities, and a label ending a row, in the collection
+# CSV ("relax,\n") and in the label file ("relax\n").
+_INTENSITY_FIELD = np.array([f"{v}," for v in range(INTENSITY_MAX + 1)], dtype=object)
+_COLLECTION_ROW_END = {label: f"{text},\n" for label, text in LABEL_TEXT.items()}
+_LABEL_ROW_END = {label: f"{text}\n" for label, text in LABEL_TEXT.items()}
 _LABEL_BY_TEXT = {text: label for label, text in LABEL_TEXT.items()}
 # The bytes a written row is made of (repr() of a float may add "e", "+",
 # "-", "inf" or "nan"), and the row as loadtxt parses it. The label field is
@@ -286,19 +288,35 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
     """Write a trace in the collection format, trailing commas included.
 
     Reading the result back yields a trace with identical frames and labels.
-    A block of ROW_BLOCK rows at a time is formatted by one row template
-    mapped over its columns: times through repr(), intensities and labels
-    through text tables.
+    A block of ROW_BLOCK rows at a time is one join over column iterators:
+    times through repr() then a comma, intensities and labels through text
+    tables whose entries carry their comma or their row end.
     """
     with open_text(sink, "w") as out:
         out.write(COLLECTION_HEADER + "\n")
         for start in range(0, len(trace), ROW_BLOCK):
-            end = start + ROW_BLOCK
-            out.write("".join(map(
-                _ROW_FORMAT,
-                trace.t_rel[start:end].tolist(),
-                trace.t_unix[start:end].tolist(),
-                *_INTENSITY_TEXT[trace.channels[start:end]].T.tolist(),
-                map(LABEL_TEXT.__getitem__, trace.labels[start:end]),
-            )))
+            block = slice(start, start + ROW_BLOCK)
+            out.write("".join(chain.from_iterable(zip(
+                map(repr, trace.t_rel[block].tolist()), repeat(","),
+                map(repr, trace.t_unix[block].tolist()), repeat(","),
+                *_INTENSITY_FIELD[trace.channels[block]].T.tolist(),
+                map(_COLLECTION_ROW_END.__getitem__, trace.labels[block]),
+            ))))
 
+
+def write_label_file(t_rel: np.ndarray, labels, sink) -> None:
+    """Write classify's label file: a "t_rel,label" header, then a row per frame.
+
+    A row is repr(t), a comma and the label's text, joined block by block as
+    in write_collection_csv. Raises ValueError if the lengths differ.
+    """
+    if len(t_rel) != len(labels):
+        raise ValueError(f"{len(t_rel)} times but {len(labels)} labels")
+    with open_text(sink, "w") as out:
+        out.write("t_rel,label\n")
+        for start in range(0, len(labels), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            out.write("".join(chain.from_iterable(zip(
+                map(repr, t_rel[block].tolist()), repeat(","),
+                map(_LABEL_ROW_END.__getitem__, labels[block]),
+            ))))

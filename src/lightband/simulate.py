@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -158,7 +159,7 @@ def synth_trace(
         sections.append((gesture, deltas, np.ones(n_hold)))
         sections.append((GestureLabel.TRANSITION, deltas, ramp_up[::-1]))
 
-    labels = tuple(label for label, _, progress in sections for _ in progress)
+    labels = tuple(chain.from_iterable(repeat(l, len(p)) for l, _, p in sections))
     n = len(labels)
     targets = np.repeat(
         [deltas for _, deltas, _ in sections], [len(p) for _, _, p in sections], axis=0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -253,9 +254,8 @@ def segment_trace(trace: LabeledTrace) -> list:
     Returns (label, start_index, end_index) triples with end exclusive,
     covering every index exactly once, in trace order.
     """
-    n = len(trace)
-    if n == 0:
+    if len(trace) == 0:
         raise ValueError("cannot segment an empty trace")
-    labels = np.array(trace.labels, dtype=object)
-    starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
-    return [(trace.labels[s], s, e) for s, e in zip(starts, starts[1:] + [n])]
+    runs = [(label, len(list(run))) for label, run in groupby(trace.labels)]
+    ends = accumulate(length for _, length in runs)
+    return [(label, end - length, end) for (label, length), end in zip(runs, ends)]

@@ -33,7 +33,7 @@ from lightband.signature import (
     write_signature_csv,
 )
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
-from lightband.types import ROW_BLOCK, GestureLabel
+from lightband.types import ROW_BLOCK, GestureLabel, LabeledTrace
 
 
 def run(capsys, *argv):
@@ -749,6 +749,43 @@ def test_classify_label_file_matches_f_string_format(capsys, tmp_path):
         f"{t},{names[label]}\n" for t, label in zip(trace.t_rel.tolist(), predicted)
     )
     assert labels_path.read_bytes() == expected.encode()
+
+
+# awkward t_rel columns: (first time, spacing); repr() gives "-0.0", exponent
+# forms such as "3.0000000000000004e-05", and "1.0000000000000004e+16"
+_AWKWARD_TIMES = {"negative_zero": (-0.0, 0.02), "exponent": (0.0, 1e-05), "offset": (1e16, 4.0)}
+
+
+@pytest.mark.parametrize("kind", sorted(_AWKWARD_TIMES))
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_classify_label_file_matches_f_string_reference_on_awkward_times(
+    capsys, tmp_path, kind, n
+):
+    base = synth_trace([E, F, O] * 2, DEFAULT_PROFILES, SimConfig(seed=5))
+    first, interval = _AWKWARD_TIMES[kind]
+    t_rel = first + np.arange(n) * interval
+    t_rel[:1] = first  # keeps the sign of -0.0
+    trace = LabeledTrace(
+        t_rel=t_rel, t_unix=base.t_unix[:n], channels=base.channels[:n],
+        labels=base.labels[:n], sample_interval=interval,
+    )
+    trace_path, table_path = tmp_path / "trace.csv", tmp_path / "table.csv"
+    labels_path = tmp_path / "labels.csv"
+    write_collection_csv(trace, str(trace_path))
+    table = generate_signatures([base])
+    write_signature_csv(table, str(table_path))
+    code, _, err = run(
+        capsys, "classify", "--trace", str(trace_path), "--table", str(table_path),
+        "--out", str(labels_path),
+    )
+    assert (code, err) == (0, "")
+    predicted = classify_trace(read_collection_csv(str(trace_path)), table)
+    expected = "t_rel,label\n" + "".join(
+        f"{t!r},{label.name.lower()}\n" for t, label in zip(t_rel.tolist(), predicted)
+    )
+    assert labels_path.read_bytes() == expected.encode()
+    if n:
+        assert expected.splitlines()[1].split(",")[0] == repr(first)
 
 
 @pytest.mark.parametrize("bad", [-1, 5])

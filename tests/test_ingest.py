@@ -33,6 +33,7 @@ from lightband.ingest import (
     parse_serial_line,
     read_collection_csv,
     write_collection_csv,
+    write_label_file,
 )
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import read_script
@@ -661,6 +662,30 @@ def test_writer_matches_f_string_writer_at_block_edges(n):
     text = _collection_text(trace)
     assert text == reference_collection_text(trace)
     assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("n", [1, 4, ROW_BLOCK + 1])
+def test_writer_matches_f_string_writer_on_t_unix_extremes(n):
+    extremes = [-0.0, 5e-324, -1e300, 1.7976931348623157e308]
+    trace = _codec_trace(n, 1)
+    trace = LabeledTrace(
+        t_rel=trace.t_rel,
+        t_unix=[extremes[i % len(extremes)] for i in range(n)],
+        channels=trace.channels,
+        labels=trace.labels,
+        sample_interval=trace.sample_interval,
+    )
+    text = _collection_text(trace)
+    assert text == reference_collection_text(trace)
+    assert text.splitlines()[1].split(",")[1] == "-0.0"
+    assert_reads_like_reference(text)
+
+
+def test_label_file_rejects_times_and_labels_of_different_lengths():
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="2 times but 1 labels"):
+        write_label_file(np.array([0.0, 0.02]), [R], sink)
+    assert sink.getvalue() == ""
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -228,3 +228,22 @@ def test_segments_cover_trace(labels):
     # maximal runs: adjacent segments carry different labels
     for (a, _, _), (b, _, _) in zip(segments, segments[1:]):
         assert a != b
+
+
+def reference_segments(labels) -> list:
+    """The brute-force segmenter: a new segment wherever the label changes."""
+    segments = []
+    for i, label in enumerate(labels):
+        if segments and segments[-1][0] is label:
+            segments[-1][2] = i + 1
+        else:
+            segments.append([label, i, i + 1])
+    return [tuple(segment) for segment in segments]
+
+
+@given(st.lists(st.sampled_from(ALL_LABELS), min_size=1, max_size=80))
+def test_segment_trace_matches_brute_force_loop(labels):
+    trace = make_trace(flat_rows(100, len(labels)), labels)
+    segments = segment_trace(trace)
+    assert segments == reference_segments(labels)
+    assert all(type(start) is int and type(end) is int for _, start, end in segments)
