@@ -1,7 +1,7 @@
 """Fold several perfbench/run.py runs of a parent and a change into BENCH_<pr>.json.
 
     python3 scripts/fold_bench.py --pr N --title "..." --parent-commit SHA \\
-        --claim sig_batch:frames_per_ref --seen-seeds 1 --note order="..." \\
+        [--claim sig_batch:frames_per_ref] --seen-seeds 1 --note order="..." \\
         --parent runs/parent/*.out --change runs/change/*.out > BENCH_N.json
 
 Each input file holds the stdout of one `perfbench/run.py` run: its `report`
@@ -9,7 +9,17 @@ line (workload, seed, trace mode, machine) and its last line, the result
 (correct, attempted, failed, metrics). Untraced runs are folded per workload
 and side: for every metric the median, the inclusive quartiles and the
 (seed, value) runs. Traced runs (--trace 1) are folded the same way under
-"traced". The k-th parent run of a workload and seed pairs with the k-th
+"traced".
+
+The no_regression block holds, per untraced workload and BENCHMARK.json
+end-to-end metric, the two medians, the change median as a share of the
+parent's beside the metric's bound, the parent's interquartile range as a
+share of its median, and a verdict: `ok`; `worse`, when the change median is
+worse than the parent's by more than the bound; or `unresolved`, when the
+parent's spread exceeds the bound, unless every change run beats every
+parent run.
+
+With --claim, the k-th parent run of a workload and seed pairs with the k-th
 change run of it, in the order given; the claim block counts the pairs in
 which the change is better on the claimed metric (BENCHMARK.json gives the
 direction) and holds `met` when it is better in at least nine of ten pairs
@@ -93,6 +103,39 @@ def wins(table, higher_is_better) -> int:
     return sum(c > p if higher_is_better else c < p for *_, p, c in table)
 
 
+def verdicts(entry, end_to_end) -> dict:
+    """The no-regression figures of one folded workload, per end-to-end metric
+    of BENCHMARK.json that its runs report."""
+    out = {}
+    for spec in end_to_end:
+        name, bound, higher = spec["name"], spec["bound"], spec["better"] == "higher"
+        if name not in entry["parent"]["metrics"]:
+            continue
+        parent, change = (entry[side]["metrics"][name] for side in ("parent", "change"))
+        p_runs, c_runs = ([v for _, v in m["runs"]] for m in (parent, change))
+        beats_all = min(c_runs) > max(p_runs) if higher else max(c_runs) < min(p_runs)
+        share = iqr_share = None
+        if parent["median"]:
+            share = change["median"] / parent["median"]
+            iqr_share = (parent["q3"] - parent["q1"]) / abs(parent["median"])
+        if beats_all:
+            verdict = "ok"
+        elif share is None or iqr_share > bound:
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if (1 - share if higher else share - 1) > bound else "ok"
+        out[name] = {
+            "better": spec["better"],
+            "parent_median": parent["median"],
+            "change_median": change["median"],
+            "change_share": share,
+            "bound": bound,
+            "parent_iqr_share": iqr_share,
+            "verdict": verdict,
+        }
+    return out
+
+
 def benchmark_revision(root: Path) -> str:
     spec_path = root / "BENCHMARK.json"
     digest = hashlib.sha256(spec_path.read_bytes())
@@ -104,8 +147,11 @@ def benchmark_revision(root: Path) -> str:
     return digest.hexdigest()
 
 
-def fold(parent_runs, change_runs, claim, higher_is_better, seen_seeds) -> dict:
-    workload, metric = claim
+def fold(parent_runs, change_runs, end_to_end, claim, seen_seeds) -> dict:
+    """The folded runs; claim is (workload, metric) or None."""
+    if claim:
+        metric = claim[1]
+        higher_is_better = next(m["better"] == "higher" for m in end_to_end if m["name"] == metric)
     groups = defaultdict(lambda: {"parent": [], "change": []})
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         for run in runs:
@@ -120,13 +166,29 @@ def fold(parent_runs, change_runs, claim, higher_is_better, seen_seeds) -> dict:
                 m: entry["change"]["metrics"][m]["median"] / v["median"]
                 for m, v in entry["parent"]["metrics"].items() if v["median"]
             }
-            table = pairs(sides["parent"], sides["change"], metric)
-            entry[f"{metric}_pairs"] = {
-                "pairs": len(table),
-                "change_wins": wins(table, higher_is_better),
-                "per_pair": table,
-            }
+            if claim:
+                table = pairs(sides["parent"], sides["change"], metric)
+                entry[f"{metric}_pairs"] = {
+                    "pairs": len(table),
+                    "change_wins": wins(table, higher_is_better),
+                    "per_pair": table,
+                }
         sections["traced" if trace else "workloads"][name] = entry
+    seeds = sorted({run["seed"] for run in parent_runs + change_runs if not run["trace"]})
+    out = {
+        "seeds": seeds,
+        "seeds_used_while_writing": sorted(seen_seeds),
+        "unseen_seeds": [seed for seed in seeds if seed not in seen_seeds],
+        "no_regression": {name: verdicts(entry, end_to_end)
+                          for name, entry in sections["workloads"].items()},
+    }
+    if claim:
+        out["claim"] = _claim(sections, claim, higher_is_better, seen_seeds)
+    return {**out, **sections}
+
+
+def _claim(sections, claim, higher_is_better, seen_seeds) -> dict:
+    workload, metric = claim
     if workload not in sections["workloads"]:
         raise ValueError(f"no untraced {workload} runs to claim a gain on")
     claimed = sections["workloads"][workload]
@@ -136,25 +198,18 @@ def fold(parent_runs, change_runs, claim, higher_is_better, seen_seeds) -> dict:
     unseen = [row for row in table if row[0] not in seen_seeds]
     iqr = parent["q3"] - parent["q1"]
     gain = change_median - parent["median"] if higher_is_better else parent["median"] - change_median
-    seeds = sorted({run["seed"] for run in parent_runs + change_runs if not run["trace"]})
     return {
-        "seeds": seeds,
-        "seeds_used_while_writing": sorted(seen_seeds),
-        "unseen_seeds": [seed for seed in seeds if seed not in seen_seeds],
-        "claim": {
-            "workload": workload,
-            "metric": metric,
-            "better": "higher" if higher_is_better else "lower",
-            "parent_median": parent["median"],
-            "change_median": change_median,
-            "parent_iqr": iqr,
-            "change_wins": won,
-            "pairs": len(table),
-            "unseen_change_wins": wins(unseen, higher_is_better),
-            "unseen_pairs": len(unseen),
-            "met": bool(table) and won >= math.ceil(0.9 * len(table)) and gain > iqr,
-        },
-        **sections,
+        "workload": workload,
+        "metric": metric,
+        "better": "higher" if higher_is_better else "lower",
+        "parent_median": parent["median"],
+        "change_median": change_median,
+        "parent_iqr": iqr,
+        "change_wins": won,
+        "pairs": len(table),
+        "unseen_change_wins": wins(unseen, higher_is_better),
+        "unseen_pairs": len(unseen),
+        "met": bool(table) and won >= math.ceil(0.9 * len(table)) and gain > iqr,
     }
 
 
@@ -163,7 +218,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--title", required=True)
     parser.add_argument("--parent-commit", required=True)
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC, for a change that claims a gain")
     parser.add_argument("--seen-seeds", type=int, nargs="*", default=[],
                         help="seeds measured while the change was written")
     parser.add_argument("--parent", nargs="+", required=True, help="run.py output files")
@@ -172,16 +227,18 @@ def main(argv=None) -> int:
                         help="a free-text field to add, such as how the runs were ordered")
     args = parser.parse_args(argv)
 
-    workload, _, metric = args.claim.partition(":")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-    if metric not in directions:
-        parser.error(f"--claim metric must be one of {sorted(directions)}")
+    claim = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        names = sorted(m["name"] for m in spec["end_to_end"])
+        if metric not in names:
+            parser.error(f"--claim metric must be one of {names}")
+        claim = (workload, metric)
     parent_runs = [read_run(path) for path in args.parent]
     change_runs = [read_run(path) for path in args.change]
     machine = parent_runs[0]["machine"]
-    folded = fold(parent_runs, change_runs, (workload, metric), directions[metric],
-                  set(args.seen_seeds))
+    folded = fold(parent_runs, change_runs, spec["end_to_end"], claim, set(args.seen_seeds))
     out = {
         "pr": args.pr,
         "title": args.title,

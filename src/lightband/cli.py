@@ -22,9 +22,12 @@ NN_SPLIT = 880
 
 
 def _baseline_levels(text: str) -> tuple:
-    values = tuple(float(v) for v in text.split(","))
+    try:
+        values = tuple(map(float, text.split(",")))
+    except ValueError:
+        values = ()
     if len(values) != NUM_CHANNELS:
-        raise argparse.ArgumentTypeError(f"expected {NUM_CHANNELS} comma-separated levels")
+        raise argparse.ArgumentTypeError(f"expected {NUM_CHANNELS} comma-separated numbers")
     return values
 
 

@@ -64,6 +64,8 @@ class MlpConfig:
             raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def layer_dims(self) -> tuple:
@@ -284,20 +286,6 @@ def forward(model: MlpModel, x, training: bool = False, rng=None) -> np.ndarray:
     return out[0] if x.ndim == 1 else out
 
 
-def bce_loss(pred, target, model: MlpModel = None, l2: float = 0.0) -> float:
-    """Mean binary cross-entropy over outputs plus the L2 weight penalty.
-
-    Predictions are clamped to [PRED_EPS, 1 - PRED_EPS] before the logs. The
-    penalty is l2 * sum of squared hidden-layer weights (the output layer
-    has none), matching the 2 * l2 * W gradient used in training.
-    """
-    pred = np.atleast_2d(np.asarray(pred, dtype=float))
-    target = np.atleast_2d(np.asarray(target, dtype=float))
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return _mean_bce(pred, target) + (0.0 if model is None else _l2_penalty(model, l2))
-
-
 def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
     p = np.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
     return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
@@ -311,13 +299,13 @@ def _l2_penalty(model: MlpModel, l2: float) -> float:
 
 def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None,
                        training: bool = True) -> tuple:
-    """Batch loss and analytic gradients for every weight and bias."""
+    """Batch loss (clamped mean BCE plus L2 penalty) and gradients of every parameter."""
     grads_w = [np.empty_like(w) for w in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]
     rate = model.config.dropout_rate if training else 0.0
     ws = _Workspace(model.config, len(x), rate)
     out = _train_step(model, ws, x, rng, target, grads_w, grads_b)
-    return bce_loss(out, target, model, model.config.l2), grads_w, grads_b
+    return _mean_bce(out, target) + _l2_penalty(model, model.config.l2), grads_w, grads_b
 
 
 def _accuracy(pred: np.ndarray, indices: np.ndarray) -> float:
@@ -501,49 +489,52 @@ def save_model(model: MlpModel, sink) -> None:
 
 
 def load_model(source) -> MlpModel:
+    """Read a model that save_model wrote. Each ValueError names its line,
+    "line N: ..."; only blank lines may follow the last bias row."""
     lines = list(text_lines(source))
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError("unsupported model format (bad magic line)")
-    if len(lines) < 2:
-        raise ValueError("truncated model data: missing config")
-    try:
-        raw_cfg = json.loads(lines[1])
-    except RecursionError:
-        raise ValueError("model config nested too deeply") from None
-    keys = [f.name for f in fields(MlpConfig)]
-    if not isinstance(raw_cfg, dict) or set(raw_cfg) != set(keys):
-        raise ValueError(f"model config must be a JSON object with keys {keys}")
-    try:
-        cfg = MlpConfig(**raw_cfg)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad model config value: {exc}") from None
-    pos = 2
-    weights = []
-    biases = []
-    for fan_in, fan_out in cfg.layer_dims:
-        header = f"layer {fan_out} {fan_in}"
-        if pos >= len(lines) or lines[pos] != header:
-            raise ValueError(f"truncated or inconsistent model data at line {pos + 1}")
-        pos += 1
-        rows = []
-        for _ in range(fan_out):
-            if pos >= len(lines):
-                raise ValueError("truncated model data inside a weight matrix")
-            rows.append([float(v) for v in lines[pos].split()])
-            if len(rows[-1]) != fan_in:
-                raise ValueError(f"bad weight row width at line {pos + 1}")
-            pos += 1
-        if pos >= len(lines):
-            raise ValueError("truncated model data: missing bias row")
-        bias = [float(v) for v in lines[pos].split()]
-        if len(bias) != fan_out:
-            raise ValueError(f"bad bias width at line {pos + 1}")
-        pos += 1
-        weights.append(np.array(rows))
-        biases.append(np.array(bias))
-    for arr in weights + biases:
-        if not np.all(np.isfinite(arr)):
+    lineno = 0  # the line being read, from 1; past the end for a short file
+
+    def take(what: str) -> str:
+        nonlocal lineno
+        lineno += 1
+        if lineno > len(lines):
+            raise ValueError(f"truncated model data: missing {what}")
+        return lines[lineno - 1]
+
+    def values(width: int, what: str) -> list:
+        row = [float(v) for v in take(what).split()]
+        if len(row) != width:
+            raise ValueError(f"bad {what} width: expected {width} values, got {len(row)}")
+        if not all(map(math.isfinite, row)):
             raise ValueError("non-finite parameter in model data")
+        return row
+
+    try:
+        if take("magic line") != MODEL_MAGIC:
+            raise ValueError("unsupported model format (bad magic line)")
+        try:
+            raw_cfg = json.loads(take("config"))
+        except RecursionError:
+            raise ValueError("model config nested too deeply") from None
+        keys = [f.name for f in fields(MlpConfig)]
+        if not isinstance(raw_cfg, dict) or set(raw_cfg) != set(keys):
+            raise ValueError(f"model config must be a JSON object with keys {keys}")
+        try:
+            cfg = MlpConfig(**raw_cfg)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad model config value: {exc}") from None
+        weights, biases = [], []
+        for fan_in, fan_out in cfg.layer_dims:
+            header = f"layer {fan_out} {fan_in}"
+            if take(header) != header:
+                raise ValueError(f"inconsistent model data: expected {header!r}")
+            weights.append(np.array([values(fan_in, "weight row") for _ in range(fan_out)]))
+            biases.append(np.array(values(fan_out, "bias row")))
+        while lineno < len(lines):
+            if take("").strip():
+                raise ValueError("data after the last layer")
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
     return MlpModel(weights=weights, biases=biases, config=cfg)
 
 

@@ -96,9 +96,6 @@ class SignatureTable:
             rows.append((gesture, sigs))
         object.__setattr__(self, "rows", tuple(rows))
 
-    def delta(self, gesture: GestureLabel, sensor: int) -> float:
-        return self.deltas[(gesture, sensor)]
-
 
 def generate_signatures(
     traces, active=DEFAULT_ACTIVE_SENSORS, gestures=GESTURES
@@ -280,8 +277,8 @@ def write_signature_csv(table: SignatureTable, sink) -> None:
         ))
 
 
-def read_signature_csv(source, active=None) -> SignatureTable:
-    """Read a signature table; active sensors default to those in the file."""
+def read_signature_csv(source) -> SignatureTable:
+    """Read a signature table; its active sensors are those in the file, sorted."""
     seen = set()
 
     def parse_row(line: str) -> tuple:
@@ -299,6 +296,4 @@ def read_signature_csv(source, active=None) -> SignatureTable:
     if next(lines, "").strip() != SIGNATURE_CSV_HEADER:
         raise ValueError("missing or malformed signature header")
     deltas = dict(row for _, row in numbered_rows(lines, parse_row, first=2))
-    if active is None:
-        active = tuple(sorted({sensor for _, sensor in deltas}))
-    return SignatureTable(deltas=deltas, active_sensors=tuple(active))
+    return SignatureTable(deltas=deltas, active_sensors=tuple(sorted({s for _, s in deltas})))

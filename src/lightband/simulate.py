@@ -95,8 +95,9 @@ class SimConfig:
         for name in ("sample_interval", "gesture_hold", "relax_hold", "transition_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.noise_sigma < 0 or self.drift < 0:
-            raise ValueError("noise_sigma and drift must be non-negative")
+        for name in ("noise_sigma", "drift", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if len(self.baseline_levels) != NUM_CHANNELS:
             raise ValueError(f"need {NUM_CHANNELS} baseline levels")
         if any(not INTENSITY_MIN < level < INTENSITY_MAX for level in self.baseline_levels):

@@ -9,7 +9,7 @@ import numpy as np
 import lightband
 from lightband.baseline import BaselineTracker
 from lightband.ingest import COLLECTION_HEADER, open_text
-from lightband.mlp import TrainReport, bce_loss, init_model, one_hot
+from lightband.mlp import PRED_EPS, TrainReport, init_model, one_hot
 from lightband.types import NUM_CHANNELS, GestureLabel, LabeledTrace
 
 R = GestureLabel.RELAX
@@ -143,6 +143,15 @@ def reference_forward(model, x, training, rng):
     return a, (inputs, zs, scales)
 
 
+def reference_bce(pred, target, model, l2):
+    """Mean binary cross-entropy of predictions clamped to [PRED_EPS,
+    1 - PRED_EPS], plus l2 times the hidden weights' squared sum: the loss
+    train reports and loss_and_gradients returns."""
+    p = np.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
+    bce = -np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))
+    return float(bce) + l2 * sum(float(np.sum(w * w)) for w in model.weights[:-1])
+
+
 def reference_labels(model, x):
     """Argmax class per row of the whole-array inference forward pass on
     the prepared rows: the oracle for predict_labels, which runs blocks."""
@@ -180,7 +189,7 @@ def reference_train(x, labels, cfg, validation=None):
 
     def score(rows, indices, losses, accs):
         pred = reference_forward(model, rows, False, None)[0]
-        losses.append(bce_loss(pred, one_hot(indices, cfg.output_dim), model, cfg.l2))
+        losses.append(reference_bce(pred, one_hot(indices, cfg.output_dim), model, cfg.l2))
         accs.append(float(np.mean(np.argmax(pred, axis=1) == np.array(indices))))
 
     x = prepare(x)

@@ -8,14 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import E, F, O, R, make_trace
+from conftest import E, F, O, R, make_trace, reference_bce
 from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.cli import main
 from lightband.evaluate import accuracy, accuracy_percent, confusion
 from lightband.ingest import parse_serial_line, read_collection_csv, write_collection_csv
 from lightband.mlp import (
     MlpConfig,
-    bce_loss,
     forward,
     init_model,
     loss_and_gradients,
@@ -128,15 +127,15 @@ def test_criterion_2_signature_pipeline_accuracy(sig_run):
     acc = accuracy(matrix)
     check(
         2,
-        matrix.total >= 1400 and acc >= 0.99 and sig_run["elapsed"] < 10.0,
-        f"{matrix.total} scorable frames, accuracy {acc:.4f} "
+        matrix.sum() >= 1400 and acc >= 0.99 and sig_run["elapsed"] < 10.0,
+        f"{matrix.sum()} scorable frames, accuracy {acc:.4f} "
         f"({accuracy_percent(matrix):.1f}%), {sig_run['elapsed']:.2f}s",
     )
 
 
 def test_criterion_3_signature_learning_fidelity(sig_run):
-    assert DEFAULT_PROFILES.delta(E, 4) == -223.0
-    learned = sig_run["table"].delta(E, 4)
+    assert DEFAULT_PROFILES.deltas[(E, 4)] == -223.0
+    learned = sig_run["table"].deltas[(E, 4)]
     check(
         3,
         abs(learned - (-223.0)) <= 5.0,
@@ -173,7 +172,7 @@ def test_criterion_5_gradient_oracle():
     _, grads_w, grads_b = loss_and_gradients(model, x, targets, training=False)
 
     def eval_loss():
-        return bce_loss(forward(model, x), targets, model, l2=cfg.l2)
+        return reference_bce(forward(model, x), targets, model, cfg.l2)
 
     h = 1e-5
     worst = 0.0
@@ -285,13 +284,13 @@ def test_criterion_9_confusion_arithmetic():
     truth = [R] * 654 + [E] * 280 + [F] * 280 + [O] * 280
     pred = [R] * 652 + [O] * 2 + [E] * 280 + [F] * 280 + [O] * 280
     matrix = confusion(truth, pred)
-    correct = sum(matrix.counts[i][i] for i in range(4))
+    correct = np.trace(matrix)
     check(
         9,
-        matrix.total == 1494
+        matrix.sum() == 1494
         and correct == 1492
-        and matrix.counts[0] == (652, 0, 0, 2, 0)
+        and matrix[0].tolist() == [652, 0, 0, 2, 0]
         and accuracy_percent(matrix) == 99.8,
-        f"{correct} of {matrix.total} correct, reported accuracy "
+        f"{correct} of {matrix.sum()} correct, reported accuracy "
         f"{accuracy_percent(matrix):.1f}%",
     )

@@ -259,7 +259,7 @@ def test_train_signatures_and_classify_round_trip(capsys, tmp_path):
     assert code == 0
     assert "extend" in out
     table = read_signature_csv(str(table_path))
-    assert table.delta(E, 4) == pytest.approx(-223, abs=3)
+    assert table.deltas[(E, 4)] == pytest.approx(-223, abs=3)
 
     labels_path = tmp_path / "labels.csv"
     eval_path = training_trace(tmp_path, seed=22)
@@ -697,6 +697,41 @@ def test_nn_split_checked_before_data_is_read(capsys, tmp_path):
     )
     assert code == 2
     assert "--split" in err
+
+
+@pytest.mark.parametrize("command", [["simulate", "--script"], ["nn", "train", "--trace"]])
+def test_negative_seed_checked_before_inputs_are_read(capsys, tmp_path, command):
+    bad_input = tmp_path / "bad.csv"
+    bad_input.write_text("not a script or a collection file\n")
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(
+        capsys, *command, str(bad_input), "--out" if command[0] == "simulate" else "--model",
+        str(out_path), "--seed=-1",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be non-negative, got -1\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("levels, code, message", [
+    ("300,700,600,750,900", 0, ""),
+    ("300,700,600", 2, "argument --baselines: expected 5 comma-separated numbers\n"),
+    ("300,700,x,750,900", 2, "argument --baselines: expected 5 comma-separated numbers\n"),
+    ("300,700,600,750,nan", 2, "error: baseline levels must lie inside (0, 1023)\n"),
+])
+def test_simulate_baselines_option(capsys, tmp_path, levels, code, message):
+    script, out_csv = tmp_path / "script.txt", tmp_path / "out.csv"
+    script.write_text("")
+    got, _, err = run(
+        capsys, "simulate", "--script", str(script), "--out", str(out_csv),
+        f"--baselines={levels}", "--noise-sigma=0", "--drift=0",
+    )
+    assert got == code
+    assert err.endswith(message)
+    if code:
+        assert not out_csv.exists()
+    else:  # without noise or drift, an empty script holds the levels
+        assert read_collection_csv(str(out_csv)).channels[0].tolist() == [300, 700, 600, 750, 900]
 
 
 @pytest.mark.parametrize("active", ["0,9", "6", "0", "2,x", "-1", "2,2,3"])

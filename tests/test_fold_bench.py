@@ -24,14 +24,16 @@ def run_output(tmp_path, side, index, workload, seed, rate, setup, trace=0):
     return str(path)
 
 
-def folded(tmp_path, parent, change, claim, *extra):
-    """Fold (workload, seed, rate, setup) runs per side; the parsed BENCH dict."""
+def folded(tmp_path, parent, change, claim=None, *extra):
+    """Fold (workload, seed, rate, setup) runs per side, with --claim when
+    claim is given; the parsed BENCH dict."""
     paths = {side: [run_output(tmp_path, side, i, *run) for i, run in enumerate(runs)]
              for side, runs in (("parent", parent), ("change", change))}
     out = io.StringIO()
     with redirect_stdout(out):
         assert fold_bench.main(["--pr", "7", "--title", "t", "--parent-commit", "abc",
-                                "--claim", claim, "--note", "order=alternating", *extra,
+                                *(["--claim", claim] if claim else []),
+                                "--note", "order=alternating", *extra,
                                 "--parent", *paths["parent"], "--change", *paths["change"]]) == 0
     return json.loads(out.getvalue())
 
@@ -70,3 +72,27 @@ def test_fold_bench_claims_a_lower_is_better_metric(tmp_path, change_setups, met
     claim = folded(tmp_path, parent, change, "nn_train:setup_s")["claim"]
     assert claim["better"] == "lower" and claim["change_wins"] == 4
     assert claim["met"] is met
+
+
+# parent frames_per_ref 100-103: an IQR of 1.5 on a median of 101.5
+@pytest.mark.parametrize("parent_setups, change_rates, change_setups, verdicts", [
+    ([1.0] * 4, [99, 100, 101, 102], [1.3] * 4, ("ok", "worse")),
+    ([1.0] * 4, [70, 80, 80, 80], [1.2] * 4, ("worse", "ok")),
+    # a parent setup_s IQR of 0.3 on a median of 1.0 exceeds the 0.25 bound
+    ([1.0, 0.4, 1.6, 1.0], [101] * 4, [1.3] * 4, ("ok", "unresolved")),
+    ([1.0, 0.4, 1.6, 1.0], [101] * 4, [0.3] * 4, ("ok", "ok")),  # every change run beats
+])
+def test_fold_bench_without_a_claim_checks_each_bound(
+    tmp_path, parent_setups, change_rates, change_setups, verdicts
+):
+    seeds = [1, 2, 3, 4]
+    parent = [("sig_batch", s, r, v) for s, r, v in zip(seeds, [100, 101, 102, 103], parent_setups)]
+    change = [("sig_batch", s, r, v) for s, r, v in zip(seeds, change_rates, change_setups)]
+    bench = folded(tmp_path, parent, change)
+    assert "claim" not in bench and "frames_per_ref_pairs" not in bench["workloads"]["sig_batch"]
+    checks = bench["no_regression"]["sig_batch"]
+    assert (checks["frames_per_ref"]["verdict"], checks["setup_s"]["verdict"]) == verdicts
+    rate = checks["frames_per_ref"]
+    assert (rate["parent_median"], rate["bound"], rate["better"]) == (101.5, 0.2, "higher")
+    assert rate["change_share"] == rate["change_median"] / 101.5
+    assert rate["parent_iqr_share"] == pytest.approx(1.5 / 101.5)

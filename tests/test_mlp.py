@@ -17,6 +17,7 @@ from conftest import (
     R,
     file_lines,
     make_trace,
+    reference_bce,
     reference_forward,
     reference_gradients,
     reference_labels,
@@ -34,7 +35,6 @@ from lightband.mlp import (
     _infer,
     _prepare,
     _sigmoid,
-    bce_loss,
     forward,
     init_model,
     load_features_csv,
@@ -133,22 +133,28 @@ def anything_differs(a, b):
 
 
 def test_bce_loss_values():
-    pred = np.full((1, 4), 0.5)
-    target = one_hot([1], 4)
-    assert bce_loss(pred, target) == pytest.approx(math.log(2))
-    perfect = one_hot([1], 4)
-    assert bce_loss(perfect, perfect) < 1e-6
-    with pytest.raises(ValueError, match="shape"):
-        bce_loss(np.zeros((1, 3)), np.zeros((1, 4)))
+    # zero weights put every output at sigmoid(0) = 0.5: a loss of log 2
+    cfg = replace(TINY, l2=0.0)
+    model, x, targets = tiny_problem(cfg=cfg)
+    for w, b in zip(model.weights, model.biases):
+        w[:] = 0.0
+        b[:] = 0.0
+    assert loss_and_gradients(model, x, targets, training=False)[0] == pytest.approx(math.log(2))
+    # +-50 on the output bias: sigmoid gives exactly 1.0 and 2e-22, which
+    # the clamp keeps inside the logs
+    model.biases[-1][:] = [-50.0, 50.0]
+    loss = loss_and_gradients(model, x, one_hot([1] * len(x), 2), training=False)[0]
+    assert 0 < loss < 1e-6
 
 
 def test_bce_loss_includes_weight_penalty():
     model, x, targets = tiny_problem()
-    pred = forward(model, x)
-    bare = bce_loss(pred, targets)
-    with_penalty = bce_loss(pred, targets, model, l2=TINY.l2)
+    with_penalty = loss_and_gradients(model, x, targets, training=False)[0]
+    bare_model = replace(model, config=replace(TINY, l2=0.0))
+    bare = loss_and_gradients(bare_model, x, targets, training=False)[0]
     expected = TINY.l2 * sum(float(np.sum(w * w)) for w in model.weights[:-1])
     assert with_penalty - bare == pytest.approx(expected)
+    assert with_penalty == reference_bce(forward(model, x), targets, model, TINY.l2)
 
 
 def test_gradients_match_finite_differences():
@@ -156,7 +162,7 @@ def test_gradients_match_finite_differences():
     loss, grads_w, grads_b = loss_and_gradients(model, x, targets, training=False)
 
     def eval_loss():
-        return bce_loss(forward(model, x), targets, model, l2=TINY.l2)
+        return reference_bce(forward(model, x), targets, model, TINY.l2)
 
     assert loss == pytest.approx(eval_loss())
     assert max_relative_error(model, grads_w, grads_b, eval_loss) < 1e-4
@@ -171,7 +177,7 @@ def test_gradients_match_with_dropout_masks_fixed():
 
     def eval_loss():
         out = forward(model, x, training=True, rng=np.random.default_rng(90))
-        return bce_loss(out, targets, model, l2=cfg.l2)
+        return reference_bce(out, targets, model, cfg.l2)
 
     assert loss == pytest.approx(eval_loss())
     assert max_relative_error(model, grads_w, grads_b, eval_loss) < 1e-4
@@ -290,6 +296,25 @@ def test_load_model_ends_lines_only_at_line_ends(char):
     lines[3] += char  # the first weight row; float() ignores the whitespace
     back = load_model(io.StringIO("\r\n".join(lines), newline=""))
     assert all(np.array_equal(a, b) for a, b in zip(back.weights, model.weights))
+
+
+def test_load_model_names_the_line_of_a_non_numeric_weight():
+    text = _model_text(tiny_problem()[0])
+    lines = text.splitlines()
+    lines[4] = "abc " + lines[4].split(" ", 1)[1]  # the second weight row of layer 1
+    with pytest.raises(ValueError, match="^line 5: could not convert string to float: 'abc'$"):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_load_model_refuses_data_after_the_last_layer():
+    text = _model_text(tiny_problem()[0])
+    n_lines = len(text.splitlines())
+    with pytest.raises(ValueError, match=f"^line {n_lines + 1}: data after the last layer$"):
+        load_model(io.StringIO(text + "garbage here\n"))
+    with pytest.raises(ValueError, match=f"^line {n_lines + 3}: data after the last layer$"):
+        load_model(io.StringIO(text + "\n \n1.0\n"))
+    # blank lines carry no data
+    assert _model_text(load_model(io.StringIO(text + "\n\t\n"))) == text
 
 
 def test_load_model_non_finite():
@@ -514,7 +539,7 @@ def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val,
     want_out = reference_forward(model, rows, True, np.random.default_rng(99))[0]
     got_out = forward(model, rows, training=True, rng=np.random.default_rng(99))
     assert got_out.tobytes() == want_out.tobytes()
-    assert loss == bce_loss(want_out, targets, model, l2)
+    assert loss == reference_bce(want_out, targets, model, l2)
 
 
 def test_sigmoid_bitwise_equals_masked_reference():
@@ -618,6 +643,11 @@ def test_config_requires_integer_dims_and_counts_and_a_bool_normalize(field, val
         MlpConfig(**{field: value})
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        MlpConfig(seed=-1)
+
+
 def test_load_model_deeply_nested_config_is_a_value_error():
     with pytest.raises(ValueError, match="config"):
         load_model(io.StringIO(MODEL_MAGIC + "\n" + "[" * 100_000 + "\n"))
@@ -714,7 +744,8 @@ def mutated_model_texts(draw):
 def test_load_model_mutated_lines_raise_only_value_error(text):
     try:
         model = load_model(io.StringIO(text))
-    except ValueError:
+    except ValueError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc))
         return
     assert len(model.weights) == len(model.config.layer_dims)
 

@@ -65,6 +65,8 @@ def test_sim_config_validation():
         SimConfig(baseline_levels=(0.0, 500, 500, 500, 500))
     with pytest.raises(ValueError, match="5 baseline"):
         SimConfig(baseline_levels=(500, 500))
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        SimConfig(seed=-1)
 
 
 def test_empty_script_is_one_relax_hold():
@@ -96,7 +98,7 @@ def test_zero_noise_plateau_deltas_equal_profile():
         for ch in range(5):
             relax_mean = sum(trace.channels[r_start:r_end, ch].tolist()) / (r_end - r_start)
             gesture_mean = sum(trace.channels[start:end, ch].tolist()) / (end - start)
-            assert gesture_mean - relax_mean == DEFAULT_PROFILES.delta(label, ch + 1)
+            assert gesture_mean - relax_mean == DEFAULT_PROFILES.deltas[(label, ch + 1)]
 
 
 def test_segment_structure_matches_script():
