@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .types import (
-    DEFAULT_SAMPLE_INTERVAL,
     INTENSITY_MAX,
     INTENSITY_MIN,
     LABEL_TEXT,
@@ -180,7 +179,9 @@ def read_collection_csv(source) -> LabeledTrace:
     the size of the final arrays. A block of rows as the writer spells them
     is parsed by numpy's loadtxt (_canonical_columns); any other block,
     blank lines and errors included, is parsed row by row through
-    numbered_rows, which names the line of every error.
+    numbered_rows, which names the line of every error. LabeledTrace then
+    checks the whole trace (times strictly increasing, every step within 50%
+    of the median step); a frame it rejects is reported by its line too.
     """
     t_rel, t_unix, channels = array("d"), array("d"), array("q")
     labels, linenos = [], array("q")
@@ -211,14 +212,12 @@ def read_collection_csv(source) -> LabeledTrace:
                     labels.append(label)
                     linenos.append(lineno)
             first += len(block)
-    t_rel = np.frombuffer(t_rel, dtype=np.float64)
     try:
         return LabeledTrace(
-            t_rel=t_rel,
+            t_rel=np.frombuffer(t_rel, dtype=np.float64),
             t_unix=np.frombuffer(t_unix, dtype=np.float64),
             channels=np.frombuffer(channels, dtype=np.int64).reshape(-1, NUM_CHANNELS),
             labels=labels,
-            sample_interval=_infer_interval(t_rel),
         )
     except FrameError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
@@ -270,18 +269,6 @@ def _canonical_columns(block: list):
         rows["channels"].tobytes(),
         labels,
     )
-
-
-def _infer_interval(t_rel: np.ndarray) -> float:
-    """Median frame spacing; the default when there is none to measure.
-
-    Non-finite times also get the default, so that LabeledTrace reports
-    them by row instead of as a non-finite interval.
-    """
-    if len(t_rel) < 2 or not np.isfinite(t_rel).all():
-        return DEFAULT_SAMPLE_INTERVAL
-    with np.errstate(over="ignore"):
-        return float(np.median(np.diff(t_rel)))
 
 
 def write_collection_csv(trace: LabeledTrace, sink) -> None:

@@ -8,7 +8,6 @@ per-epoch shuffling, fully deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -197,7 +196,7 @@ def _infer(model: MlpModel, x: np.ndarray, bufs=None) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers for the training step on up to `rows` rows, allocated once.
+    """Buffers for the training step on `rows` rows, allocated once.
 
     Per layer, each (rows, fan_out): the pre-activation z, the activation
     a (the next layer's input), the backward delta and a bool buffer (the
@@ -207,7 +206,6 @@ class _Workspace:
     """
 
     def __init__(self, cfg: MlpConfig, rows: int, rate: float):
-        self.rows = rows
         self.rate = rate
         self.l2x2 = 2.0 * cfg.l2
         shapes = [(rows, fan_out) for _, fan_out in cfg.layer_dims]
@@ -218,14 +216,6 @@ class _Workspace:
         self.uniform = [np.empty(shape) for shape in shapes] if rate > 0 else []
         self.scale = [np.empty(shape) for shape in shapes] if rate > 0 else []
         self.l2_term = [np.empty((fan_out, fan_in)) for fan_in, fan_out in cfg.layer_dims[:-1]]
-
-    def head(self, m: int) -> "_Workspace":
-        """The same buffers cut to their first m rows, for a short batch."""
-        head = copy.copy(self)
-        head.rows = m
-        for name in ("z", "a", "delta", "keep", "uniform", "scale"):
-            setattr(head, name, [buf[:m] for buf in getattr(self, name)])
-        return head
 
 
 def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target=None,
@@ -328,7 +318,8 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     epoch with dropout off. All randomness (init, shuffling, dropout) flows
     from cfg.seed, so identical calls produce identical weights. Parameters,
     gradients and Adam moments each live in one flat buffer updated in
-    place; every training step computes in one _Workspace, and the
+    place; every training step computes in the _Workspace of its batch
+    height (one for full batches, one for a shorter last batch), and the
     per-epoch scoring of both row sets in one set of _infer_buffers, each
     allocated once per call. Raises ValueError at the end of the first
     epoch whose training loss is not finite.
@@ -364,7 +355,9 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     step = 0
     report = TrainReport()
     n = x.shape[0]
-    ws = _Workspace(cfg, min(cfg.batch_size, n), cfg.dropout_rate)
+    # batch heights: full batches, and the last batch, which may be shorter
+    heights = {min(cfg.batch_size, n), (n - 1) % cfg.batch_size + 1}
+    workspaces = {m: _Workspace(cfg, m, cfg.dropout_rate) for m in heights}
     # a diverging run ends in the ValueError below; numpy's overflow and
     # invalid-value warnings on the way would only add lines to stderr
     with np.errstate(all="ignore"):
@@ -372,8 +365,8 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                batch_ws = ws if len(batch) == ws.rows else ws.head(len(batch))
-                _train_step(model, batch_ws, x[batch], rng, targets[batch], grads_w, grads_b)
+                ws = workspaces[len(batch)]
+                _train_step(model, ws, x[batch], rng, targets[batch], grads_w, grads_b)
                 step += 1
                 # Adam in place, each IEEE operation in the order of
                 # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
@@ -514,6 +507,8 @@ def load_model(source) -> MlpModel:
             raise ValueError("unsupported model format (bad magic line)")
         try:
             raw_cfg = json.loads(take("config"))
+        except json.JSONDecodeError as exc:  # str(exc) adds json's own line number
+            raise ValueError(f"config is not JSON: {exc.msg} at column {exc.colno}") from None
         except RecursionError:
             raise ValueError("model config nested too deeply") from None
         keys = [f.name for f in fields(MlpConfig)]

@@ -18,7 +18,6 @@ import numpy as np
 from . import signature
 from .ingest import numbered_rows
 from .types import (
-    DEFAULT_SAMPLE_INTERVAL,
     GESTURES,
     INTENSITY_MAX,
     INTENSITY_MIN,
@@ -76,7 +75,7 @@ def profile_deltas(profiles: signature.SignatureTable) -> dict:
 
 @dataclass(frozen=True)
 class SimConfig:
-    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
+    sample_interval: float = 0.02  # seconds between readings
     gesture_hold: float = 5.0
     relax_hold: float = 2.0
     transition_time: float = 0.2
@@ -88,6 +87,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "baseline_levels", tuple(self.baseline_levels))
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for name in ("sample_interval", "gesture_hold", "relax_hold", "transition_time",
                      "noise_sigma", "drift", "start_unix"):
             if not math.isfinite(getattr(self, name)):
@@ -188,7 +189,6 @@ def synth_trace(
         t_unix=cfg.start_unix + t_rel,
         channels=values,
         labels=labels,
-        sample_interval=cfg.sample_interval,
     )
 
 

@@ -13,9 +13,6 @@ NUM_CHANNELS = 5
 INTENSITY_MIN = 0
 INTENSITY_MAX = 1023
 
-# Canonical sample spacing of the sensor stream (seconds).
-DEFAULT_SAMPLE_INTERVAL = 0.02
-
 # Rows converted between arrays and Python values or text at a time: by
 # LabeledTrace.frames and by the collection CSV and label file codecs.
 ROW_BLOCK = 2048
@@ -166,9 +163,10 @@ class LabeledTrace:
     """A trace held as columns: N timestamps, N x 5 intensities, N labels.
 
     The arrays are read-only copies, validated once for the whole trace:
-    finite non-negative t_rel spaced within 50% of sample_interval, finite
-    t_unix, integer intensities in [0, 1023], and GestureLabel labels. A
-    failure tied to one frame raises FrameError with that frame's row.
+    finite non-negative, strictly increasing t_rel whose every step lies
+    within 50% of the median step, finite t_unix, integer intensities in
+    [0, 1023], and GestureLabel labels. A failure tied to one frame raises
+    FrameError with that frame's row.
     `frames` yields SensorFrames for code that walks readings one at a time.
     """
 
@@ -176,12 +174,8 @@ class LabeledTrace:
     t_unix: np.ndarray = ()  # (N,) float64 absolute seconds; carried, never interpreted
     channels: np.ndarray = ()  # (N, 5) int64 intensities
     labels: tuple = ()
-    sample_interval: float = DEFAULT_SAMPLE_INTERVAL
 
     def __post_init__(self):
-        interval = self.sample_interval
-        if not (math.isfinite(interval) and interval > 0):
-            raise ValueError(f"sample_interval must be finite and positive, got {interval}")
         t_rel = _time_column(self.t_rel, "t_rel")
         t_unix = _time_column(self.t_unix, "t_unix")
         channels = _intensity_matrix(self.channels)
@@ -201,16 +195,20 @@ class LabeledTrace:
         _reject_first(
             ~np.isfinite(t_unix), lambda row: f"t_unix must be finite, got {t_unix[row]}"
         )
+        # each check flags the later frame of the offending pair
         dt = np.diff(t_rel)
-        lo = 0.5 * interval * (1 - 1e-9)
-        hi = 1.5 * interval * (1 + 1e-9)
-
-        def describe(row):  # row is the later frame of the offending pair
-            if dt[row - 1] <= 0:
-                return f"t_rel must be strictly increasing ({t_rel[row - 1]} -> {t_rel[row]})"
-            return f"frame spacing {dt[row - 1]} outside 50% of sample_interval {interval}"
-
-        _reject_first(np.concatenate(([False], (dt <= 0) | (dt < lo) | (dt > hi))), describe)
+        _reject_first(
+            np.concatenate(([False], dt <= 0)),
+            lambda row: f"t_rel must be strictly increasing ({t_rel[row - 1]} -> {t_rel[row]})",
+        )
+        if len(dt):
+            median = float(np.median(dt))
+            lo = 0.5 * median * (1 - 1e-9)
+            hi = 1.5 * median * (1 + 1e-9)
+            _reject_first(
+                np.concatenate(([False], (dt < lo) | (dt > hi))),
+                lambda row: f"frame spacing {dt[row - 1]} outside 50% of the median step {median}",
+            )
         for name, value in (("t_rel", t_rel), ("t_unix", t_unix), ("channels", channels)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "labels", labels)
@@ -223,7 +221,6 @@ class LabeledTrace:
             return NotImplemented
         return (
             self.labels == other.labels
-            and self.sample_interval == other.sample_interval
             and np.array_equal(self.t_rel, other.t_rel)
             and np.array_equal(self.t_unix, other.t_unix)
             and np.array_equal(self.channels, other.channels)

@@ -57,8 +57,7 @@ def make_trace(channel_rows, labels, interval=0.02):
     """Build a trace with evenly spaced timestamps from raw channel rows."""
     t_rel = np.arange(len(channel_rows)) * interval
     return LabeledTrace(
-        t_rel=t_rel, t_unix=t_rel, channels=channel_rows, labels=tuple(labels),
-        sample_interval=interval,
+        t_rel=t_rel, t_unix=t_rel, channels=channel_rows, labels=tuple(labels)
     )
 
 

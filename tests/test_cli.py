@@ -801,8 +801,7 @@ def test_classify_label_file_matches_f_string_reference_on_awkward_times(
     t_rel = first + np.arange(n) * interval
     t_rel[:1] = first  # keeps the sign of -0.0
     trace = LabeledTrace(
-        t_rel=t_rel, t_unix=base.t_unix[:n], channels=base.channels[:n],
-        labels=base.labels[:n], sample_interval=interval,
+        t_rel=t_rel, t_unix=base.t_unix[:n], channels=base.channels[:n], labels=base.labels[:n]
     )
     trace_path, table_path = tmp_path / "trace.csv", tmp_path / "table.csv"
     labels_path = tmp_path / "labels.csv"

@@ -1,6 +1,7 @@
 import functools
 import io
 import os
+import re
 import stat
 import warnings
 from array import array
@@ -28,7 +29,6 @@ from lightband import ingest, mlp
 from lightband.ingest import (
     COLLECTION_HEADER,
     COLLECTION_HEADER_FIELDS,
-    _infer_interval,
     open_text,
     parse_serial_line,
     read_collection_csv,
@@ -193,7 +193,6 @@ def collection_traces(draw):
         t_unix=start_unix + t_rel,
         channels=rng.integers(0, 1024, size=(n, 5)),
         labels=[GestureLabel(int(v)) for v in rng.integers(0, 5, size=n)],
-        sample_interval=interval,
     )
 
 
@@ -316,6 +315,18 @@ def test_read_collection_csv_row_errors_name_their_line():
         read_collection_csv(io.StringIO(text))
     text = COLLECTION_HEADER + "\n0.0,0.0,1,2,3,4,99999999999999999999,relax,\n"
     with pytest.raises(ValueError, match="line 2: malformed row"):
+        read_collection_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("times, message", [
+    (["0.1", "0.08", "0.06", "0.04"], "line 3: t_rel must be strictly increasing (0.1 -> 0.08)"),
+    (["0.0", "0.02", "0.02", "0.04"], "line 4: t_rel must be strictly increasing (0.02 -> 0.02)"),
+    (["0.0", "", "0.02", "0.01"], "line 5: t_rel must be strictly increasing (0.02 -> 0.01)"),
+], ids=["decreasing", "repeated", "after_a_blank_line"])
+def test_read_collection_csv_names_the_line_where_time_stops_increasing(times, message):
+    rows = [f"{t},0.0,1,2,3,4,5,relax," if t else "" for t in times]
+    text = COLLECTION_HEADER + "\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_collection_csv(io.StringIO(text))
 
 
@@ -599,14 +610,12 @@ def reference_read_collection_csv(source) -> LabeledTrace:
             linenos.append(lineno)
     if not header_seen:
         raise ValueError("missing or malformed header: empty input")
-    t_rel = np.frombuffer(t_rel, dtype=np.float64)
     try:
         return LabeledTrace(
-            t_rel=t_rel,
+            t_rel=np.frombuffer(t_rel, dtype=np.float64),
             t_unix=np.frombuffer(t_unix, dtype=np.float64),
             channels=np.frombuffer(channels, dtype=np.int64).reshape(-1, 5),
             labels=labels,
-            sample_interval=_infer_interval(t_rel),
         )
     except FrameError as exc:
         raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
@@ -647,7 +656,6 @@ def _codec_trace(n: int, seed: int) -> LabeledTrace:
         t_unix=1_700_000_000.123 + t_rel,
         channels=rng.choice([0, 1, 9, 10, 99, 100, 512, 1022, 1023], size=(n, 5)),
         labels=[GestureLabel(int(v)) for v in rng.integers(0, 5, size=n)],
-        sample_interval=interval,
     )
 
 
@@ -673,7 +681,6 @@ def test_writer_matches_f_string_writer_on_t_unix_extremes(n):
         t_unix=[extremes[i % len(extremes)] for i in range(n)],
         channels=trace.channels,
         labels=trace.labels,
-        sample_interval=trace.sample_interval,
     )
     text = _collection_text(trace)
     assert text == reference_collection_text(trace)
@@ -702,7 +709,6 @@ def test_writer_and_reader_match_references_on_random_traces(data, block, n):
         channels=data.draw(st.lists(st.lists(st.integers(0, 1023), min_size=5, max_size=5),
                                     min_size=n, max_size=n)),
         labels=data.draw(st.lists(st.sampled_from(list(GestureLabel)), min_size=n, max_size=n)),
-        sample_interval=interval,
     )
     with patch.object(ingest, "ROW_BLOCK", block):
         text = _collection_text(trace)

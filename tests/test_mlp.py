@@ -317,6 +317,18 @@ def test_load_model_refuses_data_after_the_last_layer():
     assert _model_text(load_model(io.StringIO(text + "\n\t\n"))) == text
 
 
+@pytest.mark.parametrize("config, message", [
+    ("{bad", "Expecting property name enclosed in double quotes at column 2"),
+    ("[1,2", "Expecting ',' delimiter at column 5"),
+    ('{"a": 1} x', "Extra data at column 10"),
+])
+def test_load_model_names_one_line_for_a_config_that_is_not_json(config, message):
+    lines = _model_text(tiny_problem()[0]).splitlines()
+    lines[1] = config
+    with pytest.raises(ValueError, match=f"^line 2: config is not JSON: {re.escape(message)}$"):
+        load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
 def test_load_model_non_finite():
     model, _, _ = tiny_problem()
     sink = io.StringIO()
@@ -746,6 +758,7 @@ def test_load_model_mutated_lines_raise_only_value_error(text):
         model = load_model(io.StringIO(text))
     except ValueError as exc:
         assert re.match(r"line [1-9][0-9]*: ", str(exc))
+        assert not re.search(r"line \d+ column", str(exc))  # json's own position
         return
     assert len(model.weights) == len(model.config.layer_dims)
 

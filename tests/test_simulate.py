@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,11 @@ def test_sim_config_validation():
         SimConfig(baseline_levels=(500, 500))
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         SimConfig(seed=-1)
+    # not an int, or a bool: refused before synth_trace hands it to numpy
+    for seed in (1.5, True, np.int64(1), "1", None):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(seed=seed)
 
 
 def test_empty_script_is_one_relax_hold():

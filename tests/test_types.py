@@ -1,6 +1,7 @@
 import copy
 import pickle
 import re
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -112,23 +113,63 @@ def test_trace_validation():
     with pytest.raises(ValueError, match="length"):
         make_trace(flat_rows(10, 3), [R, R])
     with pytest.raises(ValueError, match="increasing"):
-        LabeledTrace(
-            t_rel=[0.0, 0.0], t_unix=[0.0, 0.0], channels=flat_rows(0, 2), labels=[R, R],
-            sample_interval=0.02,
-        )
-    # spacing more than 50% off the nominal interval
-    with pytest.raises(ValueError, match="spacing"):
-        LabeledTrace(
-            t_rel=[0.0, 0.05], t_unix=[0.0, 0.0], channels=flat_rows(0, 2), labels=[R, R],
-            sample_interval=0.02,
-        )
+        LabeledTrace(t_rel=[0.0, 0.0], t_unix=[0.0, 0.0], channels=flat_rows(0, 2), labels=[R, R])
+    # one uneven step among even ones, more than 50% off the median step
+    for t_rel, row, step in (([0, 1, 2, 4, 5, 6], 3, 2.0), ([0, 1, 2, 2.25, 3.25], 3, 0.25)):
+        message = f"^frame spacing {step} outside 50% of the median step 1.0$"
+        with pytest.raises(FrameError, match=message) as caught:
+            LabeledTrace(t_rel, t_rel, flat_rows(0, len(t_rel)), [R] * len(t_rel))
+        assert caught.value.index == row
+    # within 50% of the median, and any spacing of two frames, passes
+    for t_rel in ([0, 1, 2, 3.5, 4.5], [0, 1, 2, 2.5, 3.5], [0.0, 7.0]):
+        LabeledTrace(t_rel, t_rel, flat_rows(0, len(t_rel)), [R] * len(t_rel))
+    # the increasing check is a pass of its own: a later repeat is reported
+    # before an earlier spacing fault
+    t_rel = [0, 1, 3, 4, 4]
+    message = r"^t_rel must be strictly increasing \(4.0 -> 4.0\)$"
+    with pytest.raises(FrameError, match=message) as caught:
+        LabeledTrace(t_rel, t_rel, flat_rows(0, 5), [R] * 5)
+    assert caught.value.index == 4
 
 
-@pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0, -0.02])
-def test_sample_interval_must_be_finite_and_positive(interval):
-    message = "sample_interval must be finite and positive"
-    with pytest.raises(ValueError, match=message):
-        LabeledTrace(sample_interval=interval)
+def reference_time_fault(t_rel):
+    """(row, message) of the first time fault of a trace whose times are
+    finite and non-negative, or None: the rule step by step in Python."""
+    steps = [later - earlier for earlier, later in zip(t_rel, t_rel[1:])]
+    for row, step in enumerate(steps, 1):
+        if step <= 0:
+            return row, f"t_rel must be strictly increasing ({t_rel[row - 1]} -> {t_rel[row]})"
+    if steps:
+        median = statistics.median(steps)
+        for row, step in enumerate(steps, 1):
+            if not 0.5 * median * (1 - 1e-9) <= step <= 1.5 * median * (1 + 1e-9):
+                return row, f"frame spacing {step} outside 50% of the median step {median}"
+    return None
+
+
+# mostly even steps, then zero, negative and uneven ones: about 60% of the
+# drawn traces fail the increasing check, 15% the spacing check
+_STEPS = st.one_of(
+    st.sampled_from([0.02] * 12 + [0.0, -0.0, -0.02, 0.01, 0.00999, 0.03, 0.0301, 0.05]),
+    st.floats(0.012, 0.028),
+    st.floats(-0.05, 0.1),
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([0.0, 1.0, 1e6]), st.lists(_STEPS, max_size=12))
+def test_time_checks_equal_the_per_step_reference(start, steps):
+    t_rel = [start + 1.0]  # room for 12 steps back of at most 0.05
+    for step in steps:
+        t_rel.append(t_rel[-1] + step)
+    want = reference_time_fault(t_rel)
+    n = len(t_rel)
+    try:
+        LabeledTrace(t_rel, [0.0] * n, flat_rows(0, n), [R] * n)
+    except FrameError as exc:
+        assert (exc.index, str(exc)) == want
+        return
+    assert want is None
 
 
 def test_trace_validation_names_the_frame():
