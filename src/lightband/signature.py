@@ -52,72 +52,70 @@ def check_active_sensors(active) -> tuple:
     return active
 
 
+def check_entry(gesture, sensor, delta) -> None:
+    """Refuse a (gesture, sensor) -> delta entry that no SignatureTable holds."""
+    if gesture not in GESTURES:
+        raise ValueError(f"{gesture} cannot carry a signature")
+    check_active_sensors((sensor,))
+    if not math.isfinite(delta):
+        raise ValueError(f"non-finite delta for ({gesture}, sensor {sensor})")
+
+
 @dataclass(frozen=True)
 class SignatureTable:
-    """Per-(gesture, sensor) intensity deltas for the active sensors.
+    """Per-(gesture, sensor) intensity deltas; the sensors they name, sorted,
+    are the active sensors, and each gesture present needs all of them.
 
     Deltas are signed: negative means the sensor dips below the relax
-    baseline during the gesture. Every delta is for an active sensor, so
-    read_signature_csv accepts whatever write_signature_csv writes. The
-    table keeps a read-only copy of the deltas in (gesture, sensor) order,
-    so it is immutable once built, safe to share, and written and printed
-    in that order without a sort. rows holds
-    (gesture, signatures in active-sensor order) for each gesture present,
-    in GESTURES order: what classify_frame walks on every frame.
+    baseline during the gesture. The table keeps a read-only copy of the
+    deltas in (gesture, sensor) order, so it is immutable once built, safe
+    to share, equal to the table read back from its file, and written and
+    printed in that order without a sort. rows holds (gesture, signatures
+    in active-sensor order) for each gesture present, in GESTURES order:
+    what classify_frame walks on every frame.
     """
 
     deltas: dict  # (GestureLabel, sensor index 1..5) -> float; kept read-only
-    active_sensors: tuple = DEFAULT_ACTIVE_SENSORS
+    active_sensors: tuple = field(init=False)
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "active_sensors", check_active_sensors(self.active_sensors))
         deltas = dict(self.deltas)
         for (gesture, sensor), delta in deltas.items():
-            if gesture not in GESTURES:
-                raise ValueError(f"{gesture} cannot carry a signature")
-            if sensor not in self.active_sensors:
-                raise ValueError(
-                    f"({gesture}, sensor {sensor}) is not among active sensors {self.active_sensors}"
-                )
-            if not math.isfinite(delta):
-                raise ValueError(f"non-finite delta for ({gesture}, sensor {sensor})")
+            check_entry(gesture, sensor, delta)
         ordered = sorted(deltas, key=lambda key: (CLASS_INDEX[key[0]], key[1]))
         object.__setattr__(self, "deltas", MappingProxyType({k: deltas[k] for k in ordered}))
+        object.__setattr__(self, "active_sensors", tuple(sorted({s for _, s in deltas})))
         present = {g for g, _ in self.deltas}
         rows = []
         for gesture in (g for g in GESTURES if g in present):
             for sensor in self.active_sensors:
                 if (gesture, sensor) not in self.deltas:
-                    raise ValueError(
-                        f"missing entry for ({gesture}, sensor {sensor})"
-                    )
+                    raise ValueError(f"missing entry for ({gesture}, sensor {sensor})")
             sigs = tuple(self.deltas[(gesture, s)] for s in self.active_sensors)
             rows.append((gesture, sigs))
         object.__setattr__(self, "rows", tuple(rows))
 
 
-def generate_signatures(
-    traces, active=DEFAULT_ACTIVE_SENSORS, gestures=GESTURES
-) -> SignatureTable:
-    """Learn a SignatureTable from labeled traces.
+def generate_signatures(traces, active=DEFAULT_ACTIVE_SENSORS) -> SignatureTable:
+    """Learn EXTEND, FIST and ONE signatures over the active sensors.
 
     For every gesture segment preceded by a RELAX segment (one intervening
-    TRANSITION segment is skipped), the per-sensor delta is the mean
-    intensity of the gesture segment minus the mean of that relax segment.
-    The signature is the average of these deltas over all such pairs.
+    TRANSITION segment is skipped), the delta on each active sensor is the
+    mean intensity of the gesture segment minus the mean of that relax
+    segment. The signature is the average of these deltas over all such
+    pairs. The table's sensors are the active ones, sorted.
 
-    Raises ValueError if a requested gesture has no relax/gesture pair, or
-    if a segment used by a pair is shorter than MIN_SEGMENT_FRAMES.
+    Raises ValueError if a gesture has no relax/gesture pair, or if a
+    segment used by a pair is shorter than MIN_SEGMENT_FRAMES.
     """
-    active = check_active_sensors(active)
-    gestures = tuple(gestures)
-    sums = {}
-    counts = {}
+    cols = [sensor - 1 for sensor in check_active_sensors(active)]
+    sums = dict.fromkeys(GESTURES, 0.0)  # gesture -> summed delta vector
+    counts = dict.fromkeys(GESTURES, 0)
     for trace in traces:
         segments = segment_trace(trace)
         for idx, (label, start, end) in enumerate(segments):
-            if label not in gestures:
+            if label not in GESTURES:
                 continue
             prev = idx - 1
             if prev >= 0 and segments[prev][0] is GestureLabel.TRANSITION:
@@ -131,23 +129,22 @@ def generate_signatures(
                         f"{name} segment of {seg_len} frames is shorter than "
                         f"{MIN_SEGMENT_FRAMES}"
                     )
-            gesture_mean = _segment_means(trace, start, end)
-            relax_mean = _segment_means(trace, r_start, r_end)
-            for sensor in active:
-                key = (label, sensor)
-                delta = gesture_mean[sensor - 1] - relax_mean[sensor - 1]
-                sums[key] = sums.get(key, 0.0) + delta
-                counts[key] = counts.get(key, 0) + 1
-    for gesture in gestures:
-        if not any(g is gesture for g, _ in counts):
+            delta = _segment_means(trace, start, end, cols)
+            delta -= _segment_means(trace, r_start, r_end, cols)
+            sums[label] += delta
+            counts[label] += 1
+    deltas = {}
+    for gesture, count in counts.items():
+        if not count:
             raise ValueError(f"no relax/gesture pairs found for {gesture}")
-    deltas = {key: sums[key] / counts[key] for key in sums}
-    return SignatureTable(deltas=deltas, active_sensors=active)
+        means = (sums[gesture] / count).tolist()
+        deltas.update(((gesture, col + 1), mean) for col, mean in zip(cols, means))
+    return SignatureTable(deltas)
 
 
-def _segment_means(trace: LabeledTrace, start: int, end: int) -> list:
+def _segment_means(trace: LabeledTrace, start: int, end: int, cols: list) -> np.ndarray:
     # int64 sums are exact, so this equals adding the readings one at a time
-    return (trace.channels[start:end].sum(axis=0) / (end - start)).tolist()
+    return trace.channels[start:end, cols].sum(axis=0) / (end - start)
 
 
 @dataclass
@@ -278,7 +275,7 @@ def write_signature_csv(table: SignatureTable, sink) -> None:
 
 
 def read_signature_csv(source) -> SignatureTable:
-    """Read a signature table; its active sensors are those in the file, sorted."""
+    """Read a signature table; an entry error names its 1-based line."""
     seen = set()
 
     def parse_row(line: str) -> tuple:
@@ -287,6 +284,7 @@ def read_signature_csv(source) -> SignatureTable:
             raise ValueError(f"expected 3 fields, got {len(tokens)}")
         key = parse_label(tokens[0]), int(tokens[1])
         delta = float(tokens[2])
+        check_entry(*key, delta)
         if key in seen:
             raise ValueError(f"duplicate entry for ({key[0]}, sensor {key[1]})")
         seen.add(key)
@@ -295,5 +293,4 @@ def read_signature_csv(source) -> SignatureTable:
     lines = text_lines(source)
     if next(lines, "").strip() != SIGNATURE_CSV_HEADER:
         raise ValueError("missing or malformed signature header")
-    deltas = dict(row for _, row in numbered_rows(lines, parse_row, first=2))
-    return SignatureTable(deltas=deltas, active_sensors=tuple(sorted({s for _, s in deltas})))
+    return SignatureTable(dict(row for _, row in numbered_rows(lines, parse_row, first=2)))

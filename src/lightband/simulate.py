@@ -54,7 +54,6 @@ DEFAULT_PROFILES = signature.SignatureTable(
         )
         for sensor, delta in zip(ALL_SENSORS, deltas)
     },
-    active_sensors=ALL_SENSORS,
 )
 
 

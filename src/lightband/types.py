@@ -202,7 +202,10 @@ class LabeledTrace:
             lambda row: f"t_rel must be strictly increasing ({t_rel[row - 1]} -> {t_rel[row]})",
         )
         if len(dt):
-            median = float(np.median(dt))
+            # np.median's own arithmetic on np.partition; np.median imports numpy.ma
+            half = len(dt) // 2
+            mid = np.partition(dt, [(len(dt) - 1) // 2, half])
+            median = float(mid[half] if len(dt) % 2 else (mid[half - 1] + mid[half]) / 2)
             lo = 0.5 * median * (1 - 1e-9)
             hi = 1.5 * median * (1 + 1e-9)
             _reject_first(

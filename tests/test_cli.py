@@ -170,7 +170,6 @@ def test_simulate_profile_without_sensors_1_and_5_leaves_them_unchanged(capsys, 
     assert code == 0
     zeros_on_1_and_5 = SignatureTable(
         deltas={(E, s): d for s, d in zip(range(1, 6), (0.0, -150.0, -180.0, -223.0, 0.0))},
-        active_sensors=(1, 2, 3, 4, 5),
     )
     cfg = SimConfig(gesture_hold=0.4, relax_hold=0.3, transition_time=0.1)
     expected = io.StringIO(newline="")
@@ -305,6 +304,47 @@ def test_classify_table_with_duplicate_entry_is_domain_error(capsys, tmp_path):
     assert code == 1
     assert err == "error: line 3: duplicate entry for (EXTEND, sensor 2)\n"
     assert out == "" and not (tmp_path / "l.csv").exists()
+
+
+# a signature-file row no table can hold, and the error it is refused with
+BAD_TABLE_ROWS = [
+    ("extend,7,-1.0", "sensor index 7 outside 1..5"),
+    ("relax,2,-1.0", "RELAX cannot carry a signature"),
+    ("extend,2,nan", "non-finite delta for (EXTEND, sensor 2)"),
+]
+
+
+@pytest.mark.parametrize("row, message", BAD_TABLE_ROWS)
+def test_classify_table_entry_error_names_its_line(capsys, tmp_path, row, message):
+    trace_path = training_trace(tmp_path)
+    table = tmp_path / "bad.csv"
+    table.write_text(f"gesture,sensor,delta\n{row}\nextend,3,-1.0\n")
+    code, out, err = run(
+        capsys, "classify", "--trace", str(trace_path), "--table", str(table),
+        "--out", str(tmp_path / "l.csv"),
+    )
+    assert (code, out, err) == (1, "", f"error: line 2: {message}\n")
+    assert not (tmp_path / "l.csv").exists()
+
+
+@pytest.mark.parametrize("row, message", BAD_TABLE_ROWS)
+def test_simulate_profile_entry_error_names_its_line(capsys, tmp_path, row, message):
+    code, err, out_csv = simulate_with_profiles(
+        capsys, tmp_path, f"gesture,sensor,delta\n{row}\nextend,3,-1.0\n"
+    )
+    assert (code, err) == (2, f"error: line 2: {message}\n")
+    assert not out_csv.exists()
+
+
+def test_train_signatures_writes_the_same_table_whatever_the_sensor_order(capsys, tmp_path):
+    trace_path = training_trace(tmp_path)
+    tables = []
+    for active in ("4,2,3", "2,3,4"):
+        out = tmp_path / f"{active.replace(',', '')}.csv"
+        argv = ["train-signatures", str(trace_path), "--out", str(out), "--active", active]
+        assert run(capsys, *argv)[0] == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_classify_trace_with_a_non_bmp_intensity_is_domain_error(tmp_path):

@@ -20,7 +20,7 @@ from lightband.signature import (
     write_signature_csv,
 )
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
-from lightband.types import GESTURES, segment_trace
+from lightband.types import GESTURES, GestureLabel, segment_trace
 
 
 def table_from_profiles(profiles=DEFAULT_PROFILES, active=(2, 3, 4)):
@@ -29,7 +29,7 @@ def table_from_profiles(profiles=DEFAULT_PROFILES, active=(2, 3, 4)):
         for gesture, _ in profiles.rows
         for sensor in active
     }
-    return SignatureTable(deltas=deltas, active_sensors=active)
+    return SignatureTable(deltas=deltas)
 
 
 SMALL_TABLE = SignatureTable(
@@ -47,12 +47,58 @@ def frame_with_deltas(deltas, baseline=800, trace_index=0):
 
 
 def test_table_validation():
-    with pytest.raises(ValueError, match="missing entry"):
-        SignatureTable(deltas={(E, 2): -100.0, (E, 3): -150.0})
+    with pytest.raises(ValueError, match=r"^missing entry for \(EXTEND, sensor 4\)$"):
+        SignatureTable(deltas={(E, 2): -100.0, (E, 3): -150.0, (F, 4): -1.0})
+    with pytest.raises(ValueError, match=r"^missing entry for \(FIST, sensor 2\)$"):
+        SignatureTable(deltas={(E, 2): -100.0, (E, 3): -150.0, (F, 3): -1.0})
     with pytest.raises(ValueError, match="signature"):
         SignatureTable(deltas={(R, 2): -1.0, (R, 3): -1.0, (R, 4): -1.0})
     with pytest.raises(ValueError, match="finite"):
         SignatureTable(deltas={(E, s): float("nan") for s in (2, 3, 4)})
+
+
+# (row of a signature file, the entry it holds, the error both are refused with)
+BAD_ENTRIES = [
+    ("extend,7,-1.0", (E, 7, -1.0), "sensor index 7 outside 1..5"),
+    ("extend,0,-1.0", (E, 0, -1.0), "sensor index 0 outside 1..5"),
+    ("relax,2,-1.0", (R, 2, -1.0), "RELAX cannot carry a signature"),
+    ("transition,2,-1.0", (T, 2, -1.0), "TRANSITION cannot carry a signature"),
+    ("extend,2,nan", (E, 2, math.nan), "non-finite delta for (EXTEND, sensor 2)"),
+    ("fist,3,-inf", (F, 3, -math.inf), "non-finite delta for (FIST, sensor 3)"),
+]
+
+
+@pytest.mark.parametrize("row, entry, message", BAD_ENTRIES)
+def test_table_and_file_refuse_an_entry_with_one_message(row, entry, message):
+    gesture, sensor, delta = entry
+    with pytest.raises(ValueError) as built:
+        SignatureTable(deltas={(gesture, sensor): delta})
+    assert str(built.value) == message
+    text = f"{SIGNATURE_CSV_HEADER}\n{row}\nextend,2,-1.0\n"
+    with pytest.raises(ValueError) as read:
+        read_signature_csv(io.StringIO(text))
+    assert str(read.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize("sensor", [2.0, True, "2", np.int64(2)])
+def test_table_refuses_a_sensor_index_that_is_not_an_int(sensor):
+    with pytest.raises(ValueError) as caught:
+        SignatureTable(deltas={(E, sensor): -1.0})
+    assert str(caught.value) == f"sensor index must be an integer, got {sensor!r}"
+
+
+def test_table_sensors_are_those_its_deltas_name_sorted():
+    table = SignatureTable(deltas={(F, s): -1.0 for s in (5, 1, 3)})
+    assert table.active_sensors == (1, 3, 5)
+    assert table.rows == ((F, (-1.0, -1.0, -1.0)),)
+    assert SignatureTable(deltas={}).active_sensors == ()
+
+
+def trace_with_pairs(rows, labels):
+    """rows and labels (ending in a gesture), then a relax/FIST and a
+    relax/ONE pair, so that every gesture has a relax/gesture pair."""
+    tail = flat_rows(800, 10) + flat_rows(700, 10) + flat_rows(800, 10) + flat_rows(650, 10)
+    return make_trace(rows + tail, labels + [R] * 10 + [F] * 10 + [R] * 10 + [O] * 10)
 
 
 def test_generate_signature_from_segment_means():
@@ -61,40 +107,50 @@ def test_generate_signature_from_segment_means():
         + [[800, 750, 720, 690, 800]] * 10
         + [[800, 700, 650, 577, 800]] * 40
     )
-    trace = make_trace(rows, [R] * 40 + [T] * 10 + [E] * 40)
-    table = generate_signatures([trace], gestures=(E,))
-    assert table.deltas[(E, 4)] == -223.0
-    assert table.deltas[(E, 2)] == -100.0
-    assert table.deltas[(E, 3)] == -150.0
+    trace = trace_with_pairs(rows, [R] * 40 + [T] * 10 + [E] * 40)
+    table = generate_signatures([trace])
+    assert table.deltas == {
+        (E, 2): -100.0, (E, 3): -150.0, (E, 4): -223.0,
+        (F, 2): -100.0, (F, 3): -100.0, (F, 4): -100.0,
+        (O, 2): -150.0, (O, 3): -150.0, (O, 4): -150.0,
+    }
     assert table.active_sensors == (2, 3, 4)
 
 
 def test_generate_signature_averages_pairs():
     rows = flat_rows(800, 10) + flat_rows(700, 10) + flat_rows(800, 10) + flat_rows(680, 10)
-    trace = make_trace(rows, [R] * 10 + [E] * 10 + [R] * 10 + [E] * 10)
-    table = generate_signatures([trace], gestures=(E,))
+    trace = trace_with_pairs(rows, [R] * 10 + [E] * 10 + [R] * 10 + [E] * 10)
+    table = generate_signatures([trace])
     assert table.deltas[(E, 2)] == -110.0
+
+
+def test_generate_signature_table_is_the_same_whatever_the_sensor_order():
+    trace = synth_trace([E, F, O], DEFAULT_PROFILES, SimConfig(seed=3))
+    table = generate_signatures([trace], (4, 2, 5, 3))
+    assert table == generate_signatures([trace], (2, 3, 4, 5))
+    assert table.active_sensors == (2, 3, 4, 5)
+    assert table == read_signature_csv(io.StringIO(_signature_text(table)))
 
 
 def test_generate_signature_no_pairs():
     trace = make_trace(flat_rows(800, 20), [R] * 10 + [E] * 10)
-    with pytest.raises(ValueError, match="FIST"):
-        generate_signatures([trace], gestures=(F,))
+    with pytest.raises(ValueError, match="^no relax/gesture pairs found for FIST$"):
+        generate_signatures([trace])
 
 
 def test_generate_signature_requires_adjacent_relax():
     # EXTEND preceded by FIST, not RELAX: no usable pair for EXTEND
     rows = flat_rows(800, 10) + flat_rows(700, 10) + flat_rows(650, 10)
-    trace = make_trace(rows, [R] * 10 + [F] * 10 + [E] * 10)
-    with pytest.raises(ValueError, match="EXTEND"):
-        generate_signatures([trace], gestures=(E,))
+    trace = trace_with_pairs(rows, [R] * 10 + [F] * 10 + [E] * 10)
+    with pytest.raises(ValueError, match="^no relax/gesture pairs found for EXTEND$"):
+        generate_signatures([trace])
 
 
 def test_generate_signature_short_segment():
     rows = flat_rows(800, 3) + flat_rows(700, 10)
-    trace = make_trace(rows, [R] * 3 + [E] * 10)
+    trace = trace_with_pairs(rows, [R] * 3 + [E] * 10)
     with pytest.raises(ValueError, match="shorter"):
-        generate_signatures([trace], gestures=(E,))
+        generate_signatures([trace])
 
 
 def test_classify_frame_matches_learned_deltas():
@@ -204,7 +260,7 @@ def classify_cases(draw):
         baselines.append([float(v) for v in base])
     tolerance = draw(st.one_of(st.sampled_from([0.0, 0.1, 0.25]), st.floats(0.0, 2.0)))
     horizon = draw(st.integers(1, 12))
-    table = SignatureTable(deltas=deltas, active_sensors=active)
+    table = SignatureTable(deltas=deltas)
     return table, frames, baselines, tolerance, horizon
 
 
@@ -251,7 +307,7 @@ def classify_trace_cases(draw):
     prior = draw(st.lists(st.sampled_from([R, E, F, O]), max_size=15))
     return (
         make_trace(rows, labels),
-        SignatureTable(deltas=deltas, active_sensors=active),
+        SignatureTable(deltas=deltas),
         BaselineConfig(alpha=alpha, window=window),
         tolerance,
         horizon,
@@ -433,8 +489,8 @@ def test_signature_csv_round_trip():
     sink = io.StringIO()
     write_signature_csv(table, sink)
     back = read_signature_csv(io.StringIO(sink.getvalue()))
-    assert back.deltas == table.deltas
-    assert back.active_sensors == table.active_sensors
+    assert back == table
+    assert back.active_sensors == (2, 3, 4)
 
 
 def test_signature_csv_bad_header():
@@ -457,20 +513,15 @@ def test_read_signature_csv_rejects_duplicate_entry():
 def test_generate_signatures_rejects_bad_sensors_before_indexing(active, message):
     trace = make_trace(flat_rows(800, 10) + flat_rows(700, 10), [R] * 10 + [E] * 10)
     with pytest.raises(ValueError, match=message):
-        generate_signatures([trace], active=active, gestures=(E,))
-    with pytest.raises(ValueError, match=message):
-        SignatureTable(deltas={}, active_sensors=active)
+        generate_signatures([trace], active=active)
 
 
 @st.composite
 def signature_tables(draw):
-    active = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
+    sensors = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True))
     gestures = draw(st.lists(st.sampled_from(GESTURES), unique=True))
     deltas = st.floats(allow_nan=False, allow_infinity=False)
-    return SignatureTable(
-        deltas={(g, s): draw(deltas) for g in gestures for s in active},
-        active_sensors=tuple(active),
-    )
+    return SignatureTable(deltas={(g, s): draw(deltas) for g in gestures for s in sensors})
 
 
 def _signature_text(table) -> str:
@@ -484,47 +535,35 @@ def _signature_text(table) -> str:
 def test_signature_csv_write_read_write_is_byte_identical(table):
     text = _signature_text(table)
     back = read_signature_csv(io.StringIO(text))
-    assert back.deltas == table.deltas
+    assert back == table
     assert _signature_text(back) == text
 
 
-@pytest.mark.parametrize("sensor", [9, 1, 0])
-def test_table_rejects_a_delta_for_an_inactive_sensor(sensor):
-    deltas = {(E, 2): -100.0, (E, 3): -150.0, (E, 4): -223.0, (E, sensor): 5.0}
-    with pytest.raises(ValueError, match=f"sensor {sensor}.*active sensors"):
-        SignatureTable(deltas=deltas, active_sensors=(2, 3, 4))
-
-
 @st.composite
-def tables_with_stray_sensors(draw):
-    """Complete deltas for the active sensors plus, sometimes, entries for
-    sensors outside them (0..9)."""
-    active = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True)))
+def delta_dicts(draw):
+    """Deltas that may or may not make a table: a full gesture-by-sensor
+    grid, sometimes with an entry taken out or a stray entry (any label,
+    sensor 0..6) put in."""
+    sensors = draw(st.lists(st.integers(1, 5), max_size=5, unique=True))
     gestures = draw(st.lists(st.sampled_from(GESTURES), unique=True))
     values = st.floats(allow_nan=False, allow_infinity=False)
-    deltas = {(g, s): draw(values) for g in gestures for s in active}
-    stray = st.tuples(st.sampled_from(GESTURES), st.integers(0, 9).filter(lambda s: s not in active))
+    deltas = {(g, s): draw(values) for g in gestures for s in sensors}
+    if deltas and draw(st.booleans()):
+        del deltas[draw(st.sampled_from(list(deltas)))]
+    stray = st.tuples(st.sampled_from(list(GestureLabel)), st.integers(0, 6))
     for key in draw(st.lists(stray, max_size=2)):
         deltas[key] = draw(values)
-    return deltas, active
+    return deltas
 
 
 @settings(deadline=None, max_examples=150)
-@given(tables_with_stray_sensors())
-def test_every_table_that_builds_reads_back_from_its_file(case):
-    deltas, active = case
-    stray = [key for key in deltas if key[1] not in active]
+@given(delta_dicts())
+def test_every_table_that_builds_reads_back_from_its_file(deltas):
     try:
-        table = SignatureTable(deltas=deltas, active_sensors=active)
+        table = SignatureTable(deltas=deltas)
     except ValueError:
-        assert stray
         return
-    assert not stray
-    text = _signature_text(table)
-    read = read_signature_csv(io.StringIO(text))
-    assert read.deltas == table.deltas
-    # the file holds no sensor order, and a table without gesture rows no sensors
-    assert read.active_sensors == (tuple(sorted(active)) if deltas else ())
+    assert read_signature_csv(io.StringIO(_signature_text(table))) == table
 
 
 def _gesture_sensor_order(key):
@@ -536,10 +575,10 @@ def _gesture_sensor_order(key):
 def test_signature_table_orders_deltas_whatever_the_input_order(table, random):
     items = list(table.deltas.items())
     random.shuffle(items)
-    shuffled = SignatureTable(deltas=dict(items), active_sensors=table.active_sensors)
+    shuffled = SignatureTable(deltas=dict(items))
     assert list(shuffled.deltas) == sorted(shuffled.deltas, key=_gesture_sensor_order)
     in_order = dict(sorted(items, key=lambda item: _gesture_sensor_order(item[0])))
-    ordered = SignatureTable(deltas=in_order, active_sensors=table.active_sensors)
+    ordered = SignatureTable(deltas=in_order)
     assert _signature_text(shuffled) == _signature_text(ordered)
 
 

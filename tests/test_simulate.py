@@ -25,7 +25,6 @@ def profile_table(rows, sensors=ALL_SENSORS):
     """A profile table from {gesture: deltas in sensor order}."""
     return SignatureTable(
         deltas={(g, s): d for g, deltas in rows.items() for s, d in zip(sensors, deltas)},
-        active_sensors=sensors,
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, R, T, flat_rows, make_trace
+from conftest import E, F, R, T, flat_rows, make_trace, run_python
 from lightband.types import (
     LABEL_TEXT,
     ROW_BLOCK,
@@ -170,6 +170,22 @@ def test_time_checks_equal_the_per_step_reference(start, steps):
         assert (exc.index, str(exc)) == want
         return
     assert want is None
+
+
+def test_traces_are_checked_without_importing_numpy_ma(tmp_path):
+    """np.median imports numpy.ma (about 2 MB) on its first call; the
+    median step comes from np.partition instead."""
+    child = run_python("-c", (
+        "import sys\n"
+        "from lightband.ingest import read_collection_csv, write_collection_csv\n"
+        "from lightband.simulate import synth_trace\n"
+        "from lightband.types import GestureLabel\n"
+        "trace = synth_trace([GestureLabel.EXTEND, GestureLabel.FIST])\n"
+        "write_collection_csv(trace, sys.argv[1])\n"
+        "assert read_collection_csv(sys.argv[1]) == trace\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']))\n"
+    ), str(tmp_path / "trace.csv"))
+    assert (child.returncode, child.stderr, child.stdout) == (0, "", "[]\n")
 
 
 def test_trace_validation_names_the_frame():
