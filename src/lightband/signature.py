@@ -69,10 +69,10 @@ class SignatureTable:
     Deltas are signed: negative means the sensor dips below the relax
     baseline during the gesture. The table keeps a read-only copy of the
     deltas in (gesture, sensor) order, so it is immutable once built, safe
-    to share, equal to the table read back from its file, and written and
-    printed in that order without a sort. rows holds (gesture, signatures
-    in active-sensor order) for each gesture present, in GESTURES order:
-    what classify_frame walks on every frame.
+    to share, hashable, equal to the table read back from its file, and
+    written and printed in that order without a sort. rows holds (gesture,
+    signatures in active-sensor order) for each gesture present, in
+    GESTURES order: what classify_frame walks on every frame.
     """
 
     deltas: dict  # (GestureLabel, sensor index 1..5) -> float; kept read-only
@@ -95,6 +95,11 @@ class SignatureTable:
             sigs = tuple(self.deltas[(gesture, s)] for s in self.active_sensors)
             rows.append((gesture, sigs))
         object.__setattr__(self, "rows", tuple(rows))
+
+    def __hash__(self) -> int:
+        # the deltas are kept in (gesture, sensor) order, so equal tables
+        # give the same items in the same order
+        return hash(tuple(self.deltas.items()))
 
 
 def generate_signatures(traces, active=DEFAULT_ACTIVE_SENSORS) -> SignatureTable:
@@ -171,7 +176,11 @@ class ClassifierState:
             raise ValueError(f"transition_horizon must be at least 1, got {horizon}")
         if horizon > sys.maxsize:  # the history deque's maxlen is a C ssize_t
             raise ValueError(f"transition_horizon must be at most {sys.maxsize}, got {horizon}")
-        self.recent_labels = deque(self.recent_labels, maxlen=horizon)
+        recent = tuple(self.recent_labels)
+        for label in recent:
+            if type(label) is not GestureLabel:
+                raise ValueError(f"recent label must be a GestureLabel, got {label!r}")
+        self.recent_labels = deque(recent, maxlen=horizon)
 
 
 def classify_frame(

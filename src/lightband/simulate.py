@@ -128,7 +128,8 @@ def synth_trace(
     Each scripted gesture produces: a RELAX hold, a linear TRANSITION ramp
     into the gesture, the gesture hold, and a ramp back. An empty script
     produces a single RELAX hold. Values are rounded to the sensor's integer
-    scale and clipped to [0, 1023].
+    scale and clipped to [0, 1023]. Raises ValueError if noise_sigma and
+    drift carry the readings past the float64 range.
     """
     by_gesture = profile_deltas(profiles)
     script = list(script)
@@ -173,14 +174,21 @@ def synth_trace(
     # in place (IEEE + and * commute), which keeps peak memory low.
     z = np.random.default_rng(cfg.seed).standard_normal((n, 2, NUM_CHANNELS))
     values, noise = z[:, 0], z[:, 1]
-    values *= cfg.drift
-    values += 0.0
-    values[0] += cfg.baseline_levels
-    np.add.accumulate(values, axis=0, out=values)
-    values += targets
-    noise *= cfg.noise_sigma
-    noise += 0.0
-    values += noise
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            values *= cfg.drift
+            values += 0.0
+            values[0] += cfg.baseline_levels
+            np.add.accumulate(values, axis=0, out=values)
+            values += targets
+            noise *= cfg.noise_sigma
+            noise += 0.0
+            values += noise
+    except FloatingPointError:
+        raise ValueError(
+            f"noise_sigma {cfg.noise_sigma} and drift {cfg.drift} "
+            "overflow the simulated readings"
+        ) from None
     np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
     t_rel = np.arange(n) * cfg.sample_interval
     return LabeledTrace(

@@ -98,8 +98,9 @@ class SensorFrame:
         channels = tuple(self.channels)
         if len(channels) != NUM_CHANNELS:
             raise ValueError(f"expected {NUM_CHANNELS} channels, got {len(channels)}")
-        # plain ints in range, as parse_serial_line and trace.frames give,
-        # are kept as they are; anything else is checked value by value
+        # plain ints in range, as parse_serial_line gives, are kept as they
+        # are; anything else is checked value by value (trace.frames builds
+        # its frames without this check: the trace checked its arrays once)
         if not (set(map(type, channels)) == {int}
                 and INTENSITY_MIN <= min(channels) and max(channels) <= INTENSITY_MAX):
             channels = tuple(_check_intensity(v) for v in channels)
@@ -236,16 +237,24 @@ class LabeledTrace:
         For per-frame code such as the streaming baseline tracker and
         classifier; batch and random-access code reads the arrays. The
         arrays are converted a block of rows at a time, so a pass never
-        holds Python objects for the whole trace at once.
+        holds Python objects for the whole trace at once. The trace checked
+        its arrays once when it was built, so each frame is built from
+        their floats and a tuple of their ints without SensorFrame's
+        per-frame check, which could not fail here.
         """
+        new, set_field = object.__new__, object.__setattr__
         for start in range(0, len(self), ROW_BLOCK):
             end = start + ROW_BLOCK
-            yield from map(
-                SensorFrame,
+            for t_rel, t_unix, channels in zip(
                 self.t_rel[start:end].tolist(),
                 self.t_unix[start:end].tolist(),
-                self.channels[start:end].tolist(),
-            )
+                map(tuple, self.channels[start:end].tolist()),
+            ):
+                frame = new(SensorFrame)
+                set_field(frame, "t_rel", t_rel)
+                set_field(frame, "t_unix", t_unix)
+                set_field(frame, "channels", channels)
+                yield frame
 
 
 def segment_trace(trace: LabeledTrace) -> list:

@@ -794,10 +794,10 @@ def test_one_row_predict_equals_batch_path(key, row):
             with pytest.raises(ValueError, match=f"^row {bad}: non-finite feature value$"):
                 predict_labels(model, rows)
         return
-    want = batch_predict(model, [row])
     # the live loop's [[...]] list, a 1-D list, a (1, 5) and a 1-D array
     forms = ([row], row, np.asarray([row], dtype=float), np.asarray(row, dtype=float))
     with np.errstate(all="ignore"):  # overflowing readings on purpose
+        want = batch_predict(model, [row])
         assert [predict_labels(model, form) for form in forms] == [want] * len(forms)
 
 

@@ -423,6 +423,11 @@ def test_classify_trace_deterministic():
             {"transition_horizon": sys.maxsize + 1},
             f"transition_horizon must be at most {sys.maxsize}",
         ),
+        (
+            {"recent_labels": [R, "relax", 1]},
+            "recent label must be a GestureLabel, got 'relax'",
+        ),
+        ({"recent_labels": (E, 1)}, "recent label must be a GestureLabel, got 1"),
     ],
 )
 def test_classifier_state_rejects_bad_settings(kwargs, message):
@@ -491,6 +496,20 @@ def test_signature_csv_round_trip():
     back = read_signature_csv(io.StringIO(sink.getvalue()))
     assert back == table
     assert back.active_sensors == (2, 3, 4)
+
+
+def test_table_hashes_equal_to_its_read_back_and_keys_a_dict():
+    sink = io.StringIO()
+    write_signature_csv(DEFAULT_PROFILES, sink)
+    back = read_signature_csv(io.StringIO(sink.getvalue()))
+    assert back is not DEFAULT_PROFILES and back == DEFAULT_PROFILES
+    assert hash(back) == hash(DEFAULT_PROFILES)
+    shuffled = SignatureTable(dict(reversed(DEFAULT_PROFILES.deltas.items())))
+    assert hash(shuffled) == hash(DEFAULT_PROFILES)
+    other = SignatureTable({key: delta + 1.0 for key, delta in DEFAULT_PROFILES.deltas.items()})
+    assert {DEFAULT_PROFILES: "default", other: "other"}[back] == "default"
+    assert back in {DEFAULT_PROFILES} and other not in {DEFAULT_PROFILES}
+    assert len({DEFAULT_PROFILES, back, shuffled, other}) == 2
 
 
 def test_signature_csv_bad_header():
@@ -563,7 +582,8 @@ def test_every_table_that_builds_reads_back_from_its_file(deltas):
         table = SignatureTable(deltas=deltas)
     except ValueError:
         return
-    assert read_signature_csv(io.StringIO(_signature_text(table))) == table
+    back = read_signature_csv(io.StringIO(_signature_text(table)))
+    assert back == table and hash(back) == hash(table)
 
 
 def _gesture_sensor_order(key):
@@ -580,6 +600,7 @@ def test_signature_table_orders_deltas_whatever_the_input_order(table, random):
     in_order = dict(sorted(items, key=lambda item: _gesture_sensor_order(item[0])))
     ordered = SignatureTable(deltas=in_order)
     assert _signature_text(shuffled) == _signature_text(ordered)
+    assert shuffled == ordered and hash(shuffled) == hash(ordered)
 
 
 _SIGNATURE_HEADER_BYTES = (SIGNATURE_CSV_HEADER + "\n").encode()

@@ -3,6 +3,7 @@ import pickle
 import re
 import statistics
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -252,6 +253,36 @@ def test_frames_across_row_blocks_match_the_arrays():
     assert list(trace.frames) == expected  # a second access starts again at row 0
     assert list(frames) == expected[1:]
     assert all(type(f.t_rel) is float and type(f.t_unix) is float for f in trace.frames)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+@pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_frames_equal_checked_frames_of_the_same_rows(n, dtype):
+    # trace.frames builds its frames without SensorFrame's check; the
+    # checked constructor, fed the same rows as Python values, is the oracle
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 1024, size=(n, 5)).tolist()
+    if n:
+        rows[0] = [0, 1023, 0, 1023, 512]
+    t_rel = [i * 0.02 for i in range(n)]  # starts at 0.0
+    t_unix = [1.6e9 + t for t in t_rel]
+    trace = LabeledTrace(
+        t_rel=t_rel, t_unix=t_unix, channels=np.array(rows, dtype=dtype).reshape(n, 5),
+        labels=(R,) * n,
+    )
+    frames = list(trace.frames)
+    assert len(frames) == n
+    for frame, t, u, row in zip(frames, t_rel, t_unix, rows):
+        expected = SensorFrame(t_rel=t, t_unix=u, channels=row)
+        assert frame == expected and hash(frame) == hash(expected)
+        assert type(frame.t_rel) is float and type(frame.t_unix) is float
+        assert type(frame.channels) is tuple
+        assert set(map(type, frame.channels)) == {int}
+    if n:
+        assert frames[0].t_rel == 0.0 and frames[0].channels == (0, 1023, 0, 1023, 512)
+        for name in ("t_rel", "t_unix", "channels"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(frames[-1], name, getattr(frames[0], name))
 
 
 def test_segment_examples():
