@@ -93,12 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     nn = sub.add_parser("nn", help="train or run the neural classifier")
     modes = nn.add_subparsers(dest="mode", required=True)
-    train = modes.add_parser("train", help="train a model on labeled features")
+    train = modes.add_parser("train", help="train a model on a labeled trace")
     predict = modes.add_parser("predict", help="predict class indices with a model")
     for p in (train, predict):
-        p.add_argument("--trace", help="collection CSV providing features and labels")
-        p.add_argument("--x", help="headerless 5-column feature CSV")
-        p.add_argument("--y", help="class-index label file (one per line)")
+        p.add_argument("--trace", required=True, help="collection CSV of readings and labels")
         p.add_argument("--model", required=True, help="model file")
         p.set_defaults(func=cmd_nn)
     predict.add_argument("--out", help="predicted class-index file")
@@ -179,29 +177,10 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _nn_dataset(args, need_labels: bool) -> tuple:
-    if args.trace:
-        return mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
-    x = mlp.load_features_csv(args.x)
-    labels = None
-    if args.y:
-        # training sizes its output layer from the labels, so they must be classes
-        labels = mlp.load_labels_csv(args.y, len(CLASS_LABELS) if need_labels else None)
-        if len(labels) != x.shape[0]:
-            raise ValueError(f"{x.shape[0]} feature rows but {len(labels)} labels")
-    return x, labels
-
-
 def cmd_nn(args) -> int:
     training = args.mode == "train"
     try:
-        if args.trace and (args.x or args.y):
-            raise ValueError("give either --trace or --x/--y, not both")
-        if not (args.trace or args.x):
-            raise ValueError("need --trace or --x")
         if training:
-            if not (args.trace or args.y):
-                raise ValueError("training needs labels: give --trace or --y")
             if args.split < 0:
                 raise ValueError(f"--split must be >= 0, got {args.split}")
             cfg = mlp.MlpConfig(
@@ -211,7 +190,7 @@ def cmd_nn(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    x, labels = _nn_dataset(args, need_labels=training)
+    x, labels = mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
     if training:
         (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
         if len(y_train) == 0:
@@ -238,24 +217,19 @@ def cmd_nn(args) -> int:
     if args.out:
         mlp.write_labels_csv(predicted, args.out)
         print(f"wrote {len(predicted)} predictions to {args.out}")
-    if labels is not None:
-        _print_confusion(labels, predicted)
+    _print_confusion(labels, predicted)
     return 0
 
 
 def _print_confusion(truth_indices, predicted_indices) -> None:
-    if not all(map(_known_classes, (truth_indices, predicted_indices))):
+    # a loaded model with more outputs than classes can predict a non-class
+    if predicted_indices and max(predicted_indices) >= len(CLASS_LABELS):
         print("labels outside the gesture set; skipping confusion report")
         return
     truth = list(map(CLASS_LABELS.__getitem__, truth_indices))
     predicted = list(map(CLASS_LABELS.__getitem__, predicted_indices))
     matrix = evaluate.confusion(truth, predicted)
     print(evaluate.render_report(matrix), end="")
-
-
-def _known_classes(indices) -> bool:
-    """Every index is a class index; a bare tuple index would wrap negatives."""
-    return not indices or (min(indices) >= 0 and max(indices) < len(CLASS_LABELS))
 
 
 def cmd_physics(args) -> int:

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .ingest import numbered_rows, open_text, text_lines
-from .types import CLASS_INDEX, INTENSITY_MAX, NUM_CHANNELS, ROW_BLOCK, GestureLabel, LabeledTrace
+from .ingest import open_text, text_lines
+from .types import CLASS_INDEX, INTENSITY_MAX, ROW_BLOCK, GestureLabel, LabeledTrace
 
 PRED_EPS = 1e-7
 
@@ -531,43 +531,6 @@ def load_model(source) -> MlpModel:
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     return MlpModel(weights=weights, biases=biases, config=cfg)
-
-
-def load_features_csv(source) -> np.ndarray:
-    """Headerless feature CSV: five comma-separated numbers per row."""
-    rows = [row for _, row in numbered_rows(source, _parse_feature_row)]
-    return np.array(rows) if rows else np.zeros((0, NUM_CHANNELS))
-
-
-def _parse_feature_row(line: str) -> list:
-    tokens = line.split(",")
-    if len(tokens) != NUM_CHANNELS:
-        raise ValueError(f"expected {NUM_CHANNELS} columns, got {len(tokens)}")
-    try:
-        row = [float(t) for t in tokens]
-    except ValueError:
-        raise ValueError("non-numeric feature value") from None
-    if not all(map(math.isfinite, row)):
-        raise ValueError("non-finite feature value")
-    return row
-
-
-def load_labels_csv(source, num_classes: int = None) -> list:
-    """Label file: one class index per line.
-
-    With num_classes given, an index outside [0, num_classes) is an error.
-    """
-
-    def parse_label_line(line: str) -> int:
-        try:
-            label = int(line)
-        except ValueError:
-            raise ValueError("non-integer label") from None
-        if num_classes is not None and not 0 <= label < num_classes:
-            raise ValueError(f"class index {label} outside [0, {num_classes})")
-        return label
-
-    return [label for _, label in numbered_rows(source, parse_label_line)]
 
 
 def write_labels_csv(labels, sink) -> None:

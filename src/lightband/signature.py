@@ -300,6 +300,9 @@ def read_signature_csv(source) -> SignatureTable:
         return key, delta
 
     lines = text_lines(source)
-    if next(lines, "").strip() != SIGNATURE_CSV_HEADER:
-        raise ValueError("missing or malformed signature header")
+    header = next(lines, None)
+    if header is None:
+        raise ValueError("missing or malformed signature header: empty input")
+    if header.strip() != SIGNATURE_CSV_HEADER:
+        raise ValueError(f"line 1: missing or malformed signature header: {header!r}")
     return SignatureTable(dict(row for _, row in numbered_rows(lines, parse_row, first=2)))

@@ -8,7 +8,7 @@ import numpy as np
 
 import lightband
 from lightband.baseline import BaselineTracker
-from lightband.ingest import COLLECTION_HEADER, open_text
+from lightband.ingest import COLLECTION_HEADER
 from lightband.mlp import PRED_EPS, TrainReport, init_model, one_hot
 from lightband.types import NUM_CHANNELS, GestureLabel, LabeledTrace
 
@@ -67,13 +67,6 @@ def flat_rows(value, n, channels=5):
 
 def random_rows(rng: np.random.Generator, n):
     return [[int(v) for v in rng.integers(0, 1024, size=5)] for _ in range(n)]
-
-
-def write_features_csv(x, sink) -> None:
-    """Headerless feature CSV, one repr'd float per value: the --x file
-    `lightband nn` reads with mlp.load_features_csv."""
-    with open_text(sink, "w") as out:
-        out.write("".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(x)))
 
 
 def ewma_step(prev, x, alpha):

@@ -17,7 +17,6 @@ from conftest import (
     reference_labels,
     reference_train,
     run_python,
-    write_features_csv,
     write_non_bmp_collection,
     T as TRANSITION,
 )
@@ -223,16 +222,16 @@ def test_option_defaults_come_from_the_config_dataclasses():
     assert (classify["alpha"], classify["window"]) == (baseline.alpha, baseline.window)
     # nn train's options default to MlpConfig's fields and NN_SPLIT; predict has none
     net = mlp.MlpConfig()
-    shared = {"mode", "trace", "x", "y", "model"}
-    train = _defaults("nn", "train", "--model", "m")
+    shared = {"mode", "trace", "model"}
+    train = _defaults("nn", "train", "--trace", "t", "--model", "m")
     assert {k: v for k, v in train.items() if k not in shared} == {
         "metrics": None, "split": NN_SPLIT, "epochs": net.epochs, "batch_size": net.batch_size,
         "dropout_rate": net.dropout_rate, "l2": net.l2, "seed": net.seed,
         "normalize": net.normalize,
     }
-    assert set(_defaults("nn", "predict", "--model", "m")) == shared | {"out"}
+    assert set(_defaults("nn", "predict", "--trace", "t", "--model", "m")) == shared | {"out"}
     given = build_parser().parse_args(
-        ["nn", "train", "--model", "m", "--dropout", "0.1", "--normalize"]
+        ["nn", "train", "--trace", "t", "--model", "m", "--dropout", "0.1", "--normalize"]
     )
     assert (given.dropout_rate, given.normalize) == (0.1, True)
     assert NN_SPLIT == 880
@@ -336,6 +335,34 @@ def test_simulate_profile_entry_error_names_its_line(capsys, tmp_path, row, mess
     assert not out_csv.exists()
 
 
+# a signature file without its header, and the error it is refused with
+BAD_TABLE_HEADERS = [
+    ("gesture,sensor\nextend,2,-1.0\n",
+     "line 1: missing or malformed signature header: 'gesture,sensor'"),
+    ("", "missing or malformed signature header: empty input"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_TABLE_HEADERS, ids=["two-fields", "empty"])
+def test_classify_table_header_error_names_its_line(capsys, tmp_path, text, message):
+    trace_path = training_trace(tmp_path)
+    table = tmp_path / "bad.csv"
+    table.write_text(text)
+    code, out, err = run(
+        capsys, "classify", "--trace", str(trace_path), "--table", str(table),
+        "--out", str(tmp_path / "l.csv"),
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "l.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", BAD_TABLE_HEADERS, ids=["two-fields", "empty"])
+def test_simulate_profile_header_error_names_its_line(capsys, tmp_path, text, message):
+    code, err, out_csv = simulate_with_profiles(capsys, tmp_path, text)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not out_csv.exists()
+
+
 def test_train_signatures_writes_the_same_table_whatever_the_sensor_order(capsys, tmp_path):
     trace_path = training_trace(tmp_path)
     tables = []
@@ -362,60 +389,27 @@ def test_classify_trace_with_a_non_bmp_intensity_is_domain_error(tmp_path):
     assert child.stdout == "" and not (tmp_path / "l.csv").exists()
 
 
-def nn_dataset(tmp_path):
-    rng = np.random.default_rng(3)
-    x0 = rng.normal(300.0, 5.0, size=(40, 5))
-    x1 = rng.normal(700.0, 5.0, size=(40, 5))
-    x = np.vstack([x0, x1])
-    order = rng.permutation(80)
-    x = x[order]
-    labels = [0 if i < 40 else 1 for i in order]
-    x_path, y_path = tmp_path / "X.csv", tmp_path / "Y.csv"
-    write_features_csv(x, str(x_path))
-    mlp.write_labels_csv(labels, str(y_path))
-    return x_path, y_path
-
-
-def test_nn_train_and_predict(capsys, tmp_path):
-    x_path, y_path = nn_dataset(tmp_path)
-    model_path = tmp_path / "model.txt"
-    metrics_path = tmp_path / "metrics.csv"
+def test_nn_train_from_trace(capsys, tmp_path):
+    trace_path = training_trace(tmp_path, seed=33)
+    model_path, metrics_path = tmp_path / "model.txt", tmp_path / "metrics.csv"
     code, out, _ = run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path), "--metrics", str(metrics_path),
-        "--split", "60", "--epochs", "30", "--seed", "5",
+        capsys, "nn", "train", "--trace", str(trace_path), "--model", str(model_path),
+        "--metrics", str(metrics_path), "--split", "500", "--epochs", "3", "--seed", "5",
     )
     assert code == 0
-    assert "trained 30 epochs" in out
+    assert f"trained 3 epochs on 500 rows; model -> {model_path}" in out
     assert "accuracy:" in out  # held-out confusion report
     assert metrics_path.read_text().startswith("epoch,")
 
     out_path = tmp_path / "pred.csv"
     code, out, _ = run(
-        capsys, "nn", "predict", "--x", str(x_path), "--y", str(y_path),
+        capsys, "nn", "predict", "--trace", str(trace_path),
         "--model", str(model_path), "--out", str(out_path),
     )
     assert code == 0
-    predictions = [int(v) for v in out_path.read_text().split()]
-    assert len(predictions) == 80
-    assert "accuracy:" in out
-
-
-def test_nn_train_from_trace(capsys, tmp_path):
-    trace_path = training_trace(tmp_path, seed=33)
-    model_path = tmp_path / "model.txt"
-    code, out, _ = run(
-        capsys, "nn", "train", "--trace", str(trace_path),
-        "--model", str(model_path), "--split", "500", "--epochs", "3", "--seed", "5",
-    )
-    assert code == 0
-    assert model_path.exists()
-
-    code, out, _ = run(
-        capsys, "nn", "predict", "--trace", str(trace_path),
-        "--model", str(model_path), "--out", str(tmp_path / "pred.csv"),
-    )
-    assert code == 0
+    n = len(read_collection_csv(str(trace_path)))
+    assert len([int(v) for v in out_path.read_text().split()]) == n
+    assert f"wrote {n} predictions to {out_path}" in out
     assert "accuracy:" in out  # trace labels serve as ground truth
 
 
@@ -448,37 +442,32 @@ def test_nn_train_files_equal_the_per_tensor_reference(capsys, tmp_path, batch, 
     assert len(metrics_text.getvalue().splitlines()) == 4  # the header and 3 epochs
 
 
-def test_nn_train_needs_labels(capsys, tmp_path):
-    x_path, _ = nn_dataset(tmp_path)
-    code, out, err = run(
-        capsys, "nn", "train", "--x", str(x_path), "--model", str(tmp_path / "m.txt")
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: training needs labels: give --trace or --y\n"
-    assert not (tmp_path / "m.txt").exists()
-
-
-BOTH_SOURCES = "give either --trace or --x/--y, not both"
+REQUIRED_TRACE = "the following arguments are required: --trace"
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["train"], "need --trace or --x"),
-        (["predict"], "need --trace or --x"),
-        (["train", "--trace", "train21.csv", "--x", "X.csv"], BOTH_SOURCES),
-        (["predict", "--trace", "train21.csv", "--y", "Y.csv"], BOTH_SOURCES),
+        (["train"], REQUIRED_TRACE),
+        (["predict", "--out", "pred.csv"], REQUIRED_TRACE),
+        (["train", "--trace", "train21.csv", "--x", "X.csv"], "unrecognized arguments: --x X.csv"),
+        (["predict", "--trace", "train21.csv", "--out", "pred.csv", "--y", "Y.csv"],
+         "unrecognized arguments: --y Y.csv"),
     ],
     ids=["train-no-data", "predict-no-data", "train-both", "predict-both"],
 )
 def test_nn_data_flag_misuse_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
-    nn_dataset(tmp_path)
+    # a collection CSV is the only input: a feature or label file is refused
     training_trace(tmp_path)
+    (tmp_path / "X.csv").write_text("1,2,3,4,5\n")
+    (tmp_path / "Y.csv").write_text("0\n")
     monkeypatch.chdir(tmp_path)
+    mode = argv[0]
     code, out, err = run(capsys, "nn", *argv, "--model", "m.txt")
     assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
-    assert not (tmp_path / "m.txt").exists()
+    assert err.startswith(f"usage: lightband nn {mode} [-h] ")
+    assert err.endswith(f"\nlightband nn {mode}: error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.csv", "Y.csv", "train21.csv"]
 
 
 @pytest.mark.parametrize(
@@ -493,9 +482,8 @@ def test_nn_data_flag_misuse_is_usage_error(capsys, tmp_path, monkeypatch, argv,
          "predict-normalize"],
 )
 def test_nn_other_mode_options_are_usage_errors(capsys, tmp_path, monkeypatch, mode, flags):
-    x_path, y_path = nn_dataset(tmp_path)
+    data = ["--trace", str(training_trace(tmp_path))]
     monkeypatch.chdir(tmp_path)
-    data = ["--x", str(x_path), "--y", str(y_path)]
     run(capsys, "nn", "train", *data, "--model", "trained.txt", "--split", "80", "--epochs", "1")
     model = "trained.txt" if mode == "predict" else "new.txt"
     code, out, err = run(capsys, "nn", mode, *data, "--model", model, *flags)
@@ -504,7 +492,7 @@ def test_nn_other_mode_options_are_usage_errors(capsys, tmp_path, monkeypatch, m
     assert err.startswith(f"usage: lightband nn {mode} [-h] ")
     refused = " ".join(flags)
     assert err.endswith(f"\nlightband nn {mode}: error: unrecognized arguments: {refused}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.csv", "Y.csv", "trained.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train21.csv", "trained.txt"]
 
 
 def test_nn_predict_on_a_long_trace_equals_the_whole_array_reference(capsys, tmp_path):
@@ -527,22 +515,6 @@ def test_nn_predict_on_a_long_trace_equals_the_whole_array_reference(capsys, tmp
     want = reference_labels(mlp.load_model(str(model_path)), mlp.trace_to_dataset(trace)[0])
     assert len(set(want)) > 1
     assert out_path.read_text() == "".join(f"{label}\n" for label in want)
-
-
-def test_nn_predict_label_length_mismatch(capsys, tmp_path):
-    x_path, y_path = nn_dataset(tmp_path)
-    model_path = tmp_path / "model.txt"
-    run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path), "--split", "60", "--epochs", "1",
-    )
-    short_y = tmp_path / "short.csv"
-    short_y.write_text("0\n1\n")
-    code, _, err = run(
-        capsys, "nn", "predict", "--x", str(x_path), "--y", str(short_y),
-        "--model", str(model_path),
-    )
-    assert code == 1
 
 
 def _unknown_key(cfg):
@@ -574,7 +546,7 @@ def _missing_hidden(cfg):
     ],
 )
 def test_nn_predict_malformed_model_config(capsys, tmp_path, corrupt):
-    x_path, _ = nn_dataset(tmp_path)
+    trace_path = training_trace(tmp_path)
     model = mlp.init_model(mlp.MlpConfig(hidden=(3,), output_dim=2), np.random.default_rng(0))
     model_path = tmp_path / "model.txt"
     mlp.save_model(model, str(model_path))
@@ -587,7 +559,9 @@ def test_nn_predict_malformed_model_config(capsys, tmp_path, corrupt):
         headers = iter(f"layer {out} {fan_in}" for fan_in, out in zip(dims, dims[1:]))
         lines = [next(headers) if line.startswith("layer ") else line for line in lines]
     model_path.write_text("\n".join(lines) + "\n")
-    code, _, err = run(capsys, "nn", "predict", "--x", str(x_path), "--model", str(model_path))
+    code, _, err = run(
+        capsys, "nn", "predict", "--trace", str(trace_path), "--model", str(model_path)
+    )
     assert code == 1
     assert err.startswith("error:") and "config" in err
 
@@ -635,10 +609,10 @@ def test_non_finite_options_are_usage_errors(capsys, tmp_path, command, option, 
     ],
 )
 def test_nn_invalid_options_are_usage_errors(capsys, tmp_path, option, value):
-    x_path, y_path = nn_dataset(tmp_path)
+    trace_path = training_trace(tmp_path)
     model_path = tmp_path / "model.txt"
     code, _, err = run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
+        capsys, "nn", "train", "--trace", str(trace_path),
         "--model", str(model_path), "--split", "60", "--epochs", "1", f"{option}={value}",
     )
     assert code == 2
@@ -646,70 +620,18 @@ def test_nn_invalid_options_are_usage_errors(capsys, tmp_path, option, value):
     assert not model_path.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_nn_train_rejects_non_finite_features(capsys, tmp_path, value):
-    x_path, y_path = nn_dataset(tmp_path)
-    lines = x_path.read_text().splitlines()
-    lines[7] = ",".join([value] + lines[7].split(",")[1:])
-    x_path.write_text("\n".join(lines) + "\n")
-    model_path = tmp_path / "model.txt"
-    code, _, err = run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path), "--split", "60", "--epochs", "1",
-    )
-    assert code == 1
-    assert "line 8: non-finite feature value" in err
-    assert not model_path.exists()
-
-
-@pytest.mark.parametrize("bad", [-1, 10**7, 10**23])
-def test_nn_train_rejects_a_label_outside_the_classes(capsys, tmp_path, bad):
-    x_path, y_path = nn_dataset(tmp_path)
-    lines = y_path.read_text().splitlines()
-    lines[4] = str(bad)
-    y_path.write_text("\n".join(lines) + "\n")
-    model_path = tmp_path / "model.txt"
-    code, out, err = run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path), "--split", "60", "--epochs", "1",
-    )
-    assert code == 1
-    assert err == f"error: line 5: class index {bad} outside [0, 5)\n"
-    assert out == ""
-    assert not model_path.exists()
-
-
-def test_nn_predict_rejects_non_finite_features(capsys, tmp_path):
-    x_path, y_path = nn_dataset(tmp_path)
-    model_path = tmp_path / "model.txt"
-    code, _, _ = run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path), "--split", "60", "--epochs", "1",
-    )
-    assert code == 0
-    nan_path = tmp_path / "nan.csv"
-    nan_path.write_text("nan,1,2,3,4\n")
-    out_path = tmp_path / "pred.csv"
-    code, _, err = run(
-        capsys, "nn", "predict", "--x", str(nan_path), "--model", str(model_path),
-        "--out", str(out_path),
-    )
-    assert code == 1
-    assert "non-finite feature value" in err
-    assert not out_path.exists()
-
-
 def test_nn_split_negative_is_usage_error_past_end_is_domain_error(capsys, tmp_path):
-    x_path, y_path = nn_dataset(tmp_path)
+    trace_path = training_trace(tmp_path)
+    rows = len(read_collection_csv(str(trace_path)))
     model_path = tmp_path / "model.txt"
-    args = ["nn", "train", "--x", str(x_path), "--y", str(y_path), "--model", str(model_path),
+    args = ["nn", "train", "--trace", str(trace_path), "--model", str(model_path),
             "--epochs", "1"]
     code, _, err = run(capsys, *args, "--split=-1")
     assert code == 2
     assert err.startswith("error:") and "--split" in err
-    code, _, err = run(capsys, *args, "--split=81")
+    code, _, err = run(capsys, *args, f"--split={rows + 1}")
     assert code == 1
-    assert "boundary" in err
+    assert err == f"error: boundary {rows + 1} outside [0, {rows}]\n"
     assert not model_path.exists()
 
 
@@ -732,7 +654,7 @@ def test_nn_train_diverging_to_nan_writes_no_model(capsys, tmp_path):
 def test_nn_split_checked_before_data_is_read(capsys, tmp_path):
     missing = tmp_path / "missing.csv"
     code, _, err = run(
-        capsys, "nn", "train", "--x", str(missing), "--y", str(missing),
+        capsys, "nn", "train", "--trace", str(missing),
         "--model", str(tmp_path / "model.txt"), "--split=-5",
     )
     assert code == 2
@@ -883,29 +805,29 @@ def test_classify_label_file_matches_f_string_reference_on_awkward_times(
         assert expected.splitlines()[1].split(",")[0] == repr(first)
 
 
-@pytest.mark.parametrize("bad", [-1, 5])
-def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_path, bad):
-    x_path, y_path = nn_dataset(tmp_path)
-    model_path = tmp_path / "model.txt"
-    run(
-        capsys, "nn", "train", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path), "--split", "80", "--epochs", "1",
+@pytest.mark.parametrize("winner", [4, 5, 6])
+def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_path, winner):
+    trace_path = training_trace(tmp_path)
+    rows = len(read_collection_csv(str(trace_path)))
+    # winner + 1 outputs, and a last layer whose bias alone makes `winner` win every row
+    cfg = mlp.MlpConfig(hidden=(3,), output_dim=winner + 1)
+    model = mlp.init_model(cfg, np.random.default_rng(0))
+    model.weights[-1][:] = 0.0
+    model.biases[-1][:] = 0.0
+    model.biases[-1][winner] = 1.0
+    model_path, out_path = tmp_path / "model.txt", tmp_path / "pred.csv"
+    mlp.save_model(model, str(model_path))
+    code, out, err = run(
+        capsys, "nn", "predict", "--trace", str(trace_path), "--model", str(model_path),
+        "--out", str(out_path),
     )
-    labels = mlp.load_labels_csv(str(y_path))
-    code, out, _ = run(
-        capsys, "nn", "predict", "--x", str(x_path), "--y", str(y_path),
-        "--model", str(model_path),
-    )
-    assert code == 0 and "accuracy:" in out
-    bad_y = tmp_path / "bad.csv"
-    mlp.write_labels_csv(labels[:-1] + [bad], str(bad_y))
-    code, out, _ = run(
-        capsys, "nn", "predict", "--x", str(x_path), "--y", str(bad_y),
-        "--model", str(model_path),
-    )
-    assert code == 0
-    assert "labels outside the gesture set; skipping confusion report" in out
-    assert "accuracy:" not in out
+    assert (code, err) == (0, "")
+    assert out_path.read_text() == f"{winner}\n" * rows
+    wrote = f"wrote {rows} predictions to {out_path}\n"
+    if winner < 5:  # a class index: the report is printed
+        assert out.startswith(wrote) and "accuracy:" in out
+    else:
+        assert out == wrote + "labels outside the gesture set; skipping confusion report\n"
 
 
 def readme_experiments(tmp_path, monkeypatch):

@@ -22,7 +22,6 @@ from conftest import (
     make_trace,
     random_rows,
     run_python,
-    write_features_csv,
     write_non_bmp_collection,
 )
 from lightband import ingest, mlp
@@ -349,12 +348,7 @@ IO_FORMATS = {
     ),
     "script": (None, read_script, "extend\nfist\n\none\n"),
     "model": (lambda sink: mlp.save_model(_MODEL, sink), mlp.load_model, None),
-    "features": (
-        lambda sink: write_features_csv([[1.5, 2, 3, 4, 5], [6, 7, 8, 9, 10.25]], sink),
-        mlp.load_features_csv,
-        None,
-    ),
-    "labels": (lambda sink: mlp.write_labels_csv([0, 3, 1], sink), mlp.load_labels_csv, None),
+    "labels": (lambda sink: mlp.write_labels_csv([0, 3, 1], sink), None, None),
     "metrics": (
         lambda sink: mlp.write_metrics_csv(
             mlp.TrainReport(train_loss=[0.5, 0.25], train_acc=[0.5, 1.0]), sink
@@ -365,7 +359,7 @@ IO_FORMATS = {
 }
 
 
-# The five line readers -> (read, header line or None, two good rows, a bad row)
+# The three line readers -> (read, header line or None, two good rows, a bad row)
 LINE_READERS = {
     "collection": (
         read_collection_csv,
@@ -377,8 +371,6 @@ LINE_READERS = {
         read_signature_csv, "gesture,sensor,delta", ("extend,2,-1.5", "extend,3,-2.5"), "fist,4"
     ),
     "script": (read_script, None, ("extend", "fist"), "relax"),
-    "features": (mlp.load_features_csv, None, ("1,2,3,4,5", "6,7,8,9,10.5"), "1,2,x,4,5"),
-    "labels": (mlp.load_labels_csv, None, ("0", "3"), "x"),
 }
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import (
     E,
     R,
-    file_lines,
     make_trace,
     reference_bce,
     reference_forward,
@@ -23,7 +22,6 @@ from conftest import (
     reference_labels,
     reference_sigmoid,
     reference_train,
-    write_features_csv,
 )
 from lightband import mlp
 from lightband.mlp import (
@@ -37,8 +35,6 @@ from lightband.mlp import (
     _sigmoid,
     forward,
     init_model,
-    load_features_csv,
-    load_labels_csv,
     load_model,
     loss_and_gradients,
     one_hot,
@@ -47,7 +43,6 @@ from lightband.mlp import (
     split_dataset,
     trace_to_dataset,
     train,
-    write_labels_csv,
     write_metrics_csv,
 )
 
@@ -434,20 +429,6 @@ def test_one_hot_and_as_indices_match_per_row_reference(labels, num_classes):
     assert _as_indices(labels, num_classes).tolist() == indices
 
 
-def test_feature_and_label_csv_round_trip():
-    x = np.array([[1.5, 2, 3, 4, 5], [600, 700, 800, 900, 1000]])
-    labels = [0, 3]
-    fx, fy = io.StringIO(), io.StringIO()
-    write_features_csv(x, fx)
-    write_labels_csv(labels, fy)
-    assert np.array_equal(load_features_csv(io.StringIO(fx.getvalue())), x)
-    assert load_labels_csv(io.StringIO(fy.getvalue())) == labels
-    with pytest.raises(ValueError, match="5 columns"):
-        load_features_csv(io.StringIO("1,2,3\n"))
-    with pytest.raises(ValueError, match="non-integer"):
-        load_labels_csv(io.StringIO("x\n"))
-
-
 def test_metrics_csv():
     x, labels = separable_toy()
     cfg = MlpConfig(output_dim=2, epochs=2, seed=3)
@@ -467,12 +448,6 @@ def test_normalize_flag_round_trips_through_predict():
     model, report = train(x, labels, cfg)
     assert report.train_acc[-1] == 1.0
     assert predict_labels(model, x) == labels
-
-
-def test_load_features_csv_rejects_non_finite():
-    for value in ("nan", "inf", "-inf", "1e999"):
-        with pytest.raises(ValueError, match="line 2: non-finite feature value"):
-            load_features_csv(io.StringIO(f"1,2,3,4,5\n{value},2,3,4,5\n"))
 
 
 def test_train_rejects_non_finite_rows():
@@ -846,73 +821,3 @@ def test_one_row_predict_ties_and_nan_outputs_match_batch_path():
     nan_second.biases[-1][:] = [1.0, np.nan, 2.0]
     for model, want in ((zero, 0), (saturated, 0), (nan_second, 1)):
         assert predict_labels(model, [[0.0] * 5]) == batch_predict(model, [[0.0] * 5]) == [want]
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.binary(max_size=300))
-def test_feature_and_label_files_from_random_bytes_raise_only_value_error(data):
-    for load in (load_features_csv, load_labels_csv):
-        try:
-            load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-        except ValueError:  # UnicodeDecodeError is one too
-            pass
-
-
-@st.composite
-def mutated_feature_and_label_texts(draw):
-    """A valid features file and labels file, one line of each mutated."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 8))
-    x_sink, y_sink = io.StringIO(), io.StringIO()
-    write_features_csv(np.rint(rng.uniform(0, 1023, size=(n, 5))), x_sink)
-    write_labels_csv(rng.integers(0, 5, size=n).tolist(), y_sink)
-    texts = []
-    for text in (x_sink.getvalue(), y_sink.getvalue()):
-        lines = text.splitlines(keepends=True)
-        row = draw(st.integers(0, n - 1))
-        tokens = lines[row].rstrip("\n").split(",")
-        kind = draw(st.sampled_from(["replace", "drop", "add", "delete", "duplicate", "blank"]))
-        pos = draw(st.integers(0, len(tokens)))
-        if kind == "replace" and pos < len(tokens):
-            tokens[pos] = draw(_BAD_MODEL_TOKENS)
-        elif kind == "drop" and pos < len(tokens):
-            del tokens[pos]
-        elif kind == "add":
-            tokens.insert(pos, draw(_BAD_MODEL_TOKENS))
-        lines[row] = ",".join(tokens) + "\n"
-        if kind == "delete":
-            del lines[row]
-        elif kind == "duplicate":
-            lines.insert(row, lines[row])
-        elif kind == "blank":
-            lines.insert(row, draw(st.sampled_from(["\n", " \n", "\r\n"])))
-        texts.append("".join(lines))
-    return texts
-
-
-@settings(deadline=None, max_examples=300)
-@given(mutated_feature_and_label_texts())
-def test_feature_and_label_files_mutated_lines_raise_only_value_error(texts):
-    x_text, y_text = texts
-    # what a file that loads must hold: its non-blank lines, parsed as given
-    try:
-        x = load_features_csv(io.StringIO(x_text, newline=""))
-    except ValueError:
-        pass
-    else:
-        rows = [list(map(float, line.split(","))) for line in file_lines(x_text) if line.strip()]
-        assert x.tolist() == rows and np.isfinite(x).all()
-    try:
-        labels = load_labels_csv(io.StringIO(y_text, newline=""), 5)
-    except ValueError:
-        pass
-    else:
-        assert labels == [int(line) for line in file_lines(y_text) if line.strip()]
-        assert all(0 <= label < 5 for label in labels)
-
-
-def test_load_labels_csv_range_check_names_the_file_line():
-    text = "0\n\n4\n7\n"
-    assert load_labels_csv(io.StringIO(text)) == [0, 4, 7]
-    with pytest.raises(ValueError, match=r"^line 4: class index 7 outside \[0, 5\)$"):
-        load_labels_csv(io.StringIO(text), 5)

@@ -513,8 +513,11 @@ def test_table_hashes_equal_to_its_read_back_and_keys_a_dict():
 
 
 def test_signature_csv_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        read_signature_csv(io.StringIO("a,b,c\n"))
+    header_error = r"^line 1: missing or malformed signature header: 'a,b,c'$"
+    with pytest.raises(ValueError, match=header_error):
+        read_signature_csv(io.StringIO("a,b,c\r\n"))
+    with pytest.raises(ValueError, match="^missing or malformed signature header: empty input$"):
+        read_signature_csv(io.StringIO(""))
 
 
 def test_read_signature_csv_rejects_duplicate_entry():
