@@ -389,7 +389,7 @@ def test_classify_trace_with_a_non_bmp_intensity_is_domain_error(tmp_path):
     assert child.stdout == "" and not (tmp_path / "l.csv").exists()
 
 
-def test_nn_train_from_trace(capsys, tmp_path):
+def test_nn_train_and_predict(capsys, tmp_path):
     trace_path = training_trace(tmp_path, seed=33)
     model_path, metrics_path = tmp_path / "model.txt", tmp_path / "metrics.csv"
     code, out, _ = run(
@@ -410,6 +410,24 @@ def test_nn_train_from_trace(capsys, tmp_path):
     n = len(read_collection_csv(str(trace_path)))
     assert len([int(v) for v in out_path.read_text().split()]) == n
     assert f"wrote {n} predictions to {out_path}" in out
+    assert "accuracy:" in out  # trace labels serve as ground truth
+
+
+def test_nn_train_from_trace(capsys, tmp_path):
+    trace_path = training_trace(tmp_path, seed=33)
+    model_path = tmp_path / "model.txt"
+    code, out, _ = run(
+        capsys, "nn", "train", "--trace", str(trace_path),
+        "--model", str(model_path), "--split", "500", "--epochs", "3", "--seed", "5",
+    )
+    assert code == 0
+    assert model_path.exists()
+
+    code, out, _ = run(
+        capsys, "nn", "predict", "--trace", str(trace_path),
+        "--model", str(model_path), "--out", str(tmp_path / "pred.csv"),
+    )
+    assert code == 0
     assert "accuracy:" in out  # trace labels serve as ground truth
 
 
