@@ -3,13 +3,21 @@
 Hidden layers are rectified-linear with inverted dropout and an L2 weight
 penalty; the output layer is logistic-sigmoid scored with per-output binary
 cross-entropy over one-hot targets. Training is mini-batch Adam with
-per-epoch shuffling, fully deterministic under a fixed seed.
+per-epoch shuffling, fully deterministic under a fixed seed. The public
+entry points run their batch matmuls on one OpenBLAS thread
+(_one_blas_thread), so no result depends on the core count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -20,6 +28,57 @@ from .types import CLASS_INDEX, INTENSITY_MAX, ROW_BLOCK, GestureLabel, LabeledT
 PRED_EPS = 1e-7
 
 MODEL_MAGIC = "lightband-mlp v1"
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when the library or either symbol is missing. Looked up on first
+    use, so importing this module loads nothing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype = ctypes.c_int
+        set_.argtypes = [ctypes.c_int]
+        set_.restype = None
+        return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread; does nothing when
+    _openblas() finds no library.
+
+    The first caller to enter saves the thread count and sets 1, and the
+    last to leave restores it, so overlapping callers on several Python
+    threads (a model is safe for concurrent prediction) never leave the
+    process on one thread. The count is process-wide: other BLAS work that
+    runs meanwhile runs on one thread too.
+    """
+    global _blas_users, _blas_saved
+    with _blas_lock:
+        blas = _openblas()
+        if blas is not None and _blas_users == 0:
+            _blas_saved = blas[0]()
+            blas[1](1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if blas is not None and _blas_users == 0:
+                blas[1](_blas_saved)
 
 
 @dataclass(frozen=True)
@@ -264,6 +323,7 @@ def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target=None
     return a
 
 
+@_one_blas_thread()
 def forward(model: MlpModel, x, training: bool = False, rng=None) -> np.ndarray:
     """Network output for a single input vector or a batch of rows."""
     x = np.asarray(x, dtype=float)
@@ -287,6 +347,7 @@ def _l2_penalty(model: MlpModel, l2: float) -> float:
     return 0.0
 
 
+@_one_blas_thread()
 def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None,
                        training: bool = True) -> tuple:
     """Batch loss (clamped mean BCE plus L2 penalty) and gradients of every parameter."""
@@ -311,6 +372,7 @@ def _prepare(x, cfg: MlpConfig) -> np.ndarray:
     return x / INTENSITY_MAX if cfg.normalize else x
 
 
+@_one_blas_thread()
 def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     """Train with mini-batch Adam; returns (model, per-epoch TrainReport).
 
@@ -444,7 +506,8 @@ def predict_labels(model: MlpModel, x) -> list:
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))}: non-finite feature value")
-    return np.argmax(_infer(model, x), axis=1).tolist()
+    with _one_blas_thread():
+        return np.argmax(_infer(model, x), axis=1).tolist()
 
 
 def split_dataset(x, labels, boundary: int) -> tuple:

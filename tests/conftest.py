@@ -9,7 +9,7 @@ import numpy as np
 import lightband
 from lightband.baseline import BaselineTracker
 from lightband.ingest import COLLECTION_HEADER
-from lightband.mlp import PRED_EPS, TrainReport, init_model, one_hot
+from lightband.mlp import PRED_EPS, TrainReport, _one_blas_thread, init_model, one_hot
 from lightband.types import NUM_CHANNELS, GestureLabel, LabeledTrace
 
 R = GestureLabel.RELAX
@@ -102,7 +102,9 @@ class ReferenceTracker(BaselineTracker):
 
 # --- reference: the per-tensor training loop, allocating a fresh array for
 # every temporary; train(), loss_and_gradients and forward(training=True)
-# are held to it bit for bit ---
+# are held to it bit for bit. Its matmuls run under the same one-thread
+# OpenBLAS rule as mlp's, since a gemm split over threads can round
+# differently ---
 
 
 def reference_sigmoid(z):
@@ -114,6 +116,7 @@ def reference_sigmoid(z):
     return out
 
 
+@_one_blas_thread()
 def reference_forward(model, x, training, rng):
     last = len(model.weights) - 1
     rate = model.config.dropout_rate if training else 0.0
@@ -153,6 +156,7 @@ def reference_labels(model, x):
     return np.argmax(reference_forward(model, x, False, None)[0], axis=1).tolist()
 
 
+@_one_blas_thread()
 def reference_gradients(model, x, target, rng):
     l2 = model.config.l2
     out, (inputs, zs, scales) = reference_forward(model, x, True, rng)

@@ -714,25 +714,23 @@ def test_simulate_baselines_option(capsys, tmp_path, levels, code, message):
         assert read_collection_csv(str(out_csv)).channels[0].tolist() == [300, 700, 600, 750, 900]
 
 
-@pytest.mark.parametrize("option, message", [
-    ("--noise-sigma=1e308", "noise_sigma 1e+308 and drift 0.05 overflow"),
-    ("--drift=1e307", "noise_sigma 2.0 and drift 1e+307 overflow"),
-    ("--drift=1e300", None),  # the walk stays near 1e301; readings clip to 0 and 1023
+@pytest.mark.parametrize("option, value", [
+    ("--noise-sigma", "1e308"),
+    ("--drift", "1e307"),
+    ("--drift", "1e300"),  # exited 0, every reading clipped to 0 or 1023
+    ("--noise-sigma", "1023.5"),
 ])
-def test_simulate_overflowing_noise_or_drift_is_one_error_line(tmp_path, option, message):
-    # a child process, so a numpy warning would reach stderr as a user sees it
+def test_simulate_saturating_noise_or_drift_is_one_usage_error(tmp_path, option, value):
+    # a child process, so anything written to stderr is seen as a user sees it
     out_csv = tmp_path / "out.csv"
     child = run_python(
         "-m", "lightband.cli", "simulate", "--script", script_file(tmp_path),
-        "--out", str(out_csv), option,
+        "--out", str(out_csv), f"{option}={value}",
     )
-    if message is None:
-        assert (child.returncode, child.stderr) == (0, "")
-        assert set(np.unique(read_collection_csv(str(out_csv)).channels)) <= {0, 1023}
-    else:
-        assert child.returncode == 1
-        assert child.stderr == f"error: {message} the simulated readings\n"
-        assert child.stdout == "" and not out_csv.exists()
+    name = option[2:].replace("-", "_")
+    assert child.returncode == 2
+    assert child.stderr == f"error: {name} must be at most the full scale 1023, got {float(value)}\n"
+    assert child.stdout == "" and not out_csv.exists()
 
 
 @pytest.mark.parametrize("active", ["0,9", "6", "0", "2,x", "-1", "2,2,3"])

@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -22,6 +24,7 @@ from conftest import (
     reference_labels,
     reference_sigmoid,
     reference_train,
+    run_python,
 )
 from lightband import mlp
 from lightband.mlp import (
@@ -615,6 +618,170 @@ def test_models_trained_back_to_back_share_no_memory():
     for a in first.weights + first.biases:
         for b in second.weights + second.biases:
             assert not np.shares_memory(a, b)
+
+
+# --- the batch BLAS work runs on one OpenBLAS thread (_one_blas_thread) ---
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and put back after it."""
+    blas = mlp._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_openblas_is_found_in_a_numpy_that_bundles_it():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    bundled = blas["name"] == "scipy-openblas"
+    if bundled and "USE64BITINT" in blas.get("openblas configuration", ""):
+        assert mlp._openblas() is not None
+
+
+# the criterion-4 split trained in one batch, then 64 rows run forward
+_THREAD_COUNT_CHILD = """
+import hashlib, io
+from lightband import mlp
+from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
+from lightband.types import GestureLabel as G
+sim = SimConfig(gesture_hold=1.2, relax_hold=0.8, transition_time=0.2, noise_sigma=2.0,
+                drift=0.05, seed=303)
+trace = synth_trace([G.EXTEND, G.FIST, G.ONE] * 4, DEFAULT_PROFILES, sim)
+x, labels = mlp.trace_to_dataset(trace)
+cfg = mlp.MlpConfig(output_dim=max(labels) + 1, epochs=3, batch_size=1000, seed=404)
+model, _ = mlp.train(x[:880], labels[:880], cfg)
+text = io.StringIO()
+mlp.save_model(model, text)
+print(hashlib.sha256(text.getvalue().encode()).hexdigest())
+print(mlp.forward(model, x[:64]).tobytes().hex())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(blas_threads, monkeypatch):
+    # without the one-thread rule, 2 threads changed both the model and the
+    # outputs: a gemm split over threads rounds differently
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        child = run_python("-c", _THREAD_COUNT_CHILD)
+        assert (child.returncode, child.stderr) == (0, "")
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_train_runs_on_one_blas_thread_and_restores_the_count(blas_threads, monkeypatch):
+    x, labels = intensity_problem(40, 3, seed=2)
+    infer = mlp._infer
+    seen = []
+
+    def scoring(model, rows, bufs=None):
+        seen.append(blas_threads())
+        # a nested entry point leaves the count at 1 for the caller
+        loss_and_gradients(model, rows[:3], one_hot(labels[:3], 3), training=False)
+        seen.append(blas_threads())
+        return infer(model, rows, bufs)
+
+    monkeypatch.setattr(mlp, "_infer", scoring)
+    train(x, labels, MlpConfig(output_dim=3, epochs=2, seed=2))
+    assert seen == [1, 1, 1, 1]
+    assert blas_threads() == 2
+
+
+def test_a_diverging_train_restores_the_blas_count(blas_threads):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 1023, size=(40, 5))
+    labels = rng.integers(0, 5, size=40).tolist()
+    cfg = MlpConfig(hidden=(4,), epochs=8, learning_rate=7e152, dropout_rate=0.0)
+    with pytest.raises(ValueError, match="^training diverged"):
+        train(x, labels, cfg)
+    assert blas_threads() == 2
+
+
+def test_overlapping_batch_predictions_keep_one_thread_until_the_last_leaves(
+    blas_threads, monkeypatch
+):
+    model = _BLOCK_MODELS[False]
+    x = np.rint(np.random.default_rng(3).uniform(0, 1023, size=(300, 5)))
+    want = predict_labels(model, x)
+    entered = {name: threading.Event() for name in ("first", "second")}
+    release = {name: threading.Event() for name in ("first", "second")}
+    infer = mlp._infer
+
+    def held(model, rows, bufs=None):
+        name = threading.current_thread().name
+        entered[name].set()
+        release[name].wait(30)
+        return infer(model, rows, bufs)
+
+    monkeypatch.setattr(mlp, "_infer", held)
+    got = {}
+    workers = {
+        name: threading.Thread(
+            target=lambda name=name: got.setdefault(name, predict_labels(model, x)), name=name
+        )
+        for name in entered
+    }
+    # "first" enters, then "second"; "first" leaves while "second" is inside.
+    # A plain save and restore would end on 1: "second" saved the 1 that
+    # "first" had set.
+    counts = []
+    for name in workers:
+        workers[name].start()
+        assert entered[name].wait(30)
+    counts.append(blas_threads())
+    for name in workers:
+        release[name].set()
+        workers[name].join(30)
+        assert not workers[name].is_alive()
+        counts.append(blas_threads())
+    assert counts == [1, 1, 2]
+    assert got == {"first": want, "second": want}
+
+
+def test_many_overlapping_predictions_restore_the_blas_count(blas_threads):
+    # more Python threads than cores, switching often: a lost update to the
+    # entry count would leave the count at 1 or the users above 0
+    model = _BLOCK_MODELS[False]
+    x = np.rint(np.random.default_rng(5).uniform(0, 1023, size=(50, 5)))
+    want = predict_labels(model, x)
+    matches = []
+
+    def work():
+        for _ in range(200):
+            matches.append(predict_labels(model, x) == want)
+
+    workers = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert matches == [True] * 800
+    assert (blas_threads(), mlp._blas_users) == (2, 0)
+
+
+def test_train_and_predict_without_openblas_give_the_same_outputs(monkeypatch):
+    x, labels = intensity_problem(60, 3, seed=4)
+    cfg = MlpConfig(output_dim=3, epochs=3, seed=4)
+
+    def outputs():
+        model, report = train(x, labels, cfg)
+        return _model_text(model), report, predict_labels(model, x)
+
+    want = outputs()
+    monkeypatch.setattr(mlp, "_openblas", lambda: None)
+    assert outputs() == want
 
 
 @pytest.mark.parametrize(

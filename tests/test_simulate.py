@@ -74,6 +74,18 @@ def test_sim_config_validation():
             SimConfig(seed=seed)
 
 
+@pytest.mark.parametrize("name", ["noise_sigma", "drift"])
+def test_sim_config_refuses_a_sigma_past_full_scale(name):
+    # the full scale is the largest sigma kept; past it every reading
+    # saturates at 0 or 1023
+    cfg = SimConfig(gesture_hold=0.3, relax_hold=0.2, transition_time=0.1, **{name: 1023.0})
+    assert len(synth_trace([E], DEFAULT_PROFILES, cfg)) > 0
+    for value in (1023.5, 1e300):
+        message = f"^{name} must be at most the full scale 1023, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**{name: value})
+
+
 def test_empty_script_is_one_relax_hold():
     cfg = SimConfig(noise_sigma=0.0, drift=0.0)
     trace = synth_trace([], DEFAULT_PROFILES, cfg)
