@@ -13,7 +13,7 @@ import stat
 import warnings
 from array import array
 from contextlib import contextmanager, suppress
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,7 @@ from .types import (
     NUM_CHANNELS,
     ROW_BLOCK,
     FrameError,
+    GestureLabel,
     LabeledTrace,
     parse_label,
 )
@@ -48,6 +49,14 @@ _INTENSITY_FIELD = np.array([f"{v}," for v in range(INTENSITY_MAX + 1)], dtype=o
 _COLLECTION_ROW_END = {label: f"{text},\n" for label, text in LABEL_TEXT.items()}
 _LABEL_ROW_END = {label: f"{text}\n" for label, text in LABEL_TEXT.items()}
 _LABEL_BY_TEXT = {text: label for label, text in LABEL_TEXT.items()}
+# The tail of a time written by _time_fields: entry 0 is the bare comma after
+# a repr(); entry _TAIL_START[d] + k is the point, the d digits of k with
+# trailing zeros removed ("0" if none are left) and the comma. The entries of
+# a d are filled the first time a block needs them (all five at import would
+# be 11,111 strings, about 1.5 MB) and never change after.
+_TAIL_START = (1, 2, 12, 112, 1112)
+_TIME_TAIL = np.empty(_TAIL_START[-1] + 10**4, dtype=object)
+_TIME_TAIL[0] = ","
 # The bytes a written row is made of (repr() of a float may add "e", "+",
 # "-", "inf" or "nan"), and the row as loadtxt parses it. The label field is
 # one character wider than "transition", so that no longer token is cut down
@@ -271,39 +280,113 @@ def _canonical_columns(block: list):
     )
 
 
+def _time_fields(values: np.ndarray) -> tuple:
+    """(heads, tails), lists with heads[i] + tails[i] == repr(values[i]) + ",".
+
+    values is a 1-D float64 block. A value v takes the fast path at the first
+    d in 0..4 for which v >= 0, v is not -0.0, v < 2**52 / 10**(d+1), and
+    c = rint(v * 10**d) satisfies c / 10**d == v. Its head is then
+    str(c // 10**d) and its tail comes from _TIME_TAIL. Every other value
+    (negative, -0.0, inf, nan, too large, more digits) gets head repr(v) and
+    tail ",".
+
+    Why the text is repr(v), which is the shortest decimal that reads back
+    as v (CPython's repr with sys.float_repr_style "short"):
+    - c and 10**d are exact doubles, so c / 10**d is the correctly rounded
+      value of the d-digit decimal D = c / 10**d; as it equals v, float(D)
+      gives v back.
+    - v < 2**52 / 10**(d+1), so one ulp of v is below 10**-(d+1). Any other
+      decimal with no more significant digits than D lies at least
+      10**-(d+1) from D (10**-d unless it has fewer integer digits), and
+      two decimals that far apart cannot both read back as v: D is the
+      unique shortest.
+    - Each such v is 0 or in [1e-4, 1e16), where repr() writes fixed-point
+      notation, as the head and tail do.
+    The heads of the integer parts come from one str() per integer in
+    range(min, max + 1) when that span is at most twice the block (times
+    increase, so it nearly always is), else from one str() per value.
+    """
+    n = len(values)
+    ints = np.zeros(n, dtype=np.int64)
+    tails = np.zeros(n, dtype=np.int64)  # indices into _TIME_TAIL
+    todo = np.flatnonzero((values >= 0) & ~np.signbit(values))
+    for d, start in enumerate(_TAIL_START):
+        scale = 10.0**d
+        x = values[todo]
+        small = x < 2.0**52 / 10 ** (d + 1)
+        todo, x = todo[small], x[small]
+        if not todo.size:
+            break
+        c = np.rint(x * scale)
+        hit = c / scale == x
+        found = todo[hit]
+        ints[found], fraction = np.divmod(c[hit].astype(np.int64), 10**d)
+        tails[found] = start + fraction
+        if found.size and _TIME_TAIL[start] is None:
+            _TIME_TAIL[start:start + 10**d] = [
+                "." + (str(10**d + k)[1:].rstrip("0") or "0") + "," for k in range(10**d)
+            ]
+        todo = todo[~hit]
+    # heads[i] is names[ints[i]]: the integer parts, then the repr()s
+    names = []
+    fast = tails > 0
+    slow = np.flatnonzero(~fast)
+    if slow.size < n:
+        lo, hi = int(ints[fast].min()), int(ints[fast].max())
+        if hi - lo <= 2 * n:
+            names = list(map(str, range(lo, hi + 1)))
+            ints -= lo
+        else:
+            names = list(map(str, ints[fast].tolist()))
+            ints[fast] = np.arange(len(names))
+    ints[slow] = len(names) + np.arange(slow.size)
+    names += map(repr, values[slow].tolist())
+    return np.array(names, dtype=object)[ints].tolist(), _TIME_TAIL[tails].tolist()
+
+
 def write_collection_csv(trace: LabeledTrace, sink) -> None:
     """Write a trace in the collection format, trailing commas included.
 
     Reading the result back yields a trace with identical frames and labels.
     A block of ROW_BLOCK rows at a time is one join over column iterators:
-    times through repr() then a comma, intensities and labels through text
-    tables whose entries carry their comma or their row end.
+    each time as a head and a tail from _time_fields (the text of repr(),
+    then a comma), intensities and labels through text tables whose entries
+    carry their comma or their row end.
     """
     with open_text(sink, "w") as out:
         out.write(COLLECTION_HEADER + "\n")
         for start in range(0, len(trace), ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
             out.write("".join(chain.from_iterable(zip(
-                map(repr, trace.t_rel[block].tolist()), repeat(","),
-                map(repr, trace.t_unix[block].tolist()), repeat(","),
+                *_time_fields(trace.t_rel[block]),
+                *_time_fields(trace.t_unix[block]),
                 *_INTENSITY_FIELD[trace.channels[block]].T.tolist(),
                 map(_COLLECTION_ROW_END.__getitem__, trace.labels[block]),
             ))))
 
 
-def write_label_file(t_rel: np.ndarray, labels, sink) -> None:
+def write_label_file(t_rel, labels, sink) -> None:
     """Write classify's label file: a "t_rel,label" header, then a row per frame.
 
-    A row is repr(t), a comma and the label's text, joined block by block as
-    in write_collection_csv. Raises ValueError if the lengths differ.
+    A row is repr(t) as float64, a comma and the label's text, joined block
+    by block from _time_fields as in write_collection_csv. Raises ValueError,
+    before anything is written, if the times are not one-dimensional, if the
+    lengths differ, or if a label is not a GestureLabel (naming its row,
+    counted from 0).
     """
+    t_rel = np.asarray(t_rel, dtype=np.float64)
+    if t_rel.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {t_rel.shape}")
     if len(t_rel) != len(labels):
         raise ValueError(f"{len(t_rel)} times but {len(labels)} labels")
+    if set(map(type, labels)) - {GestureLabel}:
+        row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
+        raise ValueError(f"row {row}: not a GestureLabel: {labels[row]!r}")
     with open_text(sink, "w") as out:
         out.write("t_rel,label\n")
         for start in range(0, len(labels), ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
             out.write("".join(chain.from_iterable(zip(
-                map(repr, t_rel[block].tolist()), repeat(","),
+                *_time_fields(t_rel[block]),
                 map(_LABEL_ROW_END.__getitem__, labels[block]),
             ))))

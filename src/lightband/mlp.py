@@ -597,8 +597,24 @@ def load_model(source) -> MlpModel:
 
 
 def write_labels_csv(labels, sink) -> None:
+    """Write a sequence of class indices, one per line (`nn predict --out`).
+
+    Every label must be a non-negative int or numpy integer; a bool, a float
+    or anything else raises ValueError naming its row (counted from 0),
+    before anything is written. The check is one set of the labels' types
+    and one min(), not a call per row.
+    """
+    kinds = set(map(type, labels))
+    if any(k is not int and not issubclass(k, np.integer) for k in kinds) or (
+        len(labels) and min(labels) < 0
+    ):
+        row = next(i for i, label in enumerate(labels) if not (
+            (type(label) is int or isinstance(label, np.integer)) and label >= 0
+        ))
+        raise ValueError(f"row {row}: not a class index: {labels[row]!r}")
+    text = "\n".join(map(str, labels))
     with open_text(sink, "w") as out:
-        out.write("".join(f"{int(l)}\n" for l in labels))
+        out.write(text + "\n" if text else "")
 
 
 def write_metrics_csv(report: TrainReport, sink) -> None:

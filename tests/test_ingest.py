@@ -1,10 +1,12 @@
 import functools
 import io
+import math
 import os
 import re
 import stat
 import warnings
 from array import array
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -641,7 +643,8 @@ def assert_reads_like_reference(text):
 @functools.cache
 def _codec_trace(n: int, seed: int) -> LabeledTrace:
     rng = np.random.default_rng(seed)
-    interval = (0.02, 1e-05, 0.1)[seed % 3]  # short, exponent and long float reprs
+    # short, exponent, long and three-digit float reprs
+    interval = (0.02, 1e-05, 0.1, 0.001)[seed % 4]
     t_rel = np.arange(n) * interval
     return LabeledTrace(
         t_rel=t_rel,
@@ -687,6 +690,110 @@ def test_label_file_rejects_times_and_labels_of_different_lengths():
     assert sink.getvalue() == ""
 
 
+def _label_file_text(t_rel, labels) -> str:
+    sink = io.StringIO()
+    write_label_file(t_rel, labels, sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("t_rel", [[0.0, 1.0], np.array([0, 1])])
+def test_label_file_writes_a_list_or_int_array_of_times_as_float64(t_rel):
+    assert _label_file_text(t_rel, [R, O]) == "t_rel,label\n0.0,relax\n1.0,one\n"
+
+
+@pytest.mark.parametrize("t_rel", [np.array([[0.0, 0.02]]), np.array(0.0)])
+def test_label_file_rejects_times_that_are_not_one_dimensional(t_rel):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="one-dimensional"):
+        write_label_file(t_rel, [R], sink)
+    assert sink.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad", [3, "relax", None, [R]])
+def test_label_file_rejects_a_label_that_is_not_a_gesture_label(bad):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=f"row 2: not a GestureLabel: {re.escape(repr(bad))}"):
+        write_label_file([0.0, 0.02, 0.04], [R, E, bad], sink)
+    assert sink.getvalue() == ""
+
+
+def _fast_path_rule(v: float) -> bool:
+    """Whether _time_fields's rule takes v off repr(), in exact arithmetic."""
+    if not (math.isfinite(v) and v >= 0 and math.copysign(1.0, v) > 0):
+        return False
+    x = Fraction(v)
+    for d in range(5):
+        if x * 10 ** (d + 1) >= 2**52:
+            return False
+        if float(Fraction(round(x * 10**d), 10**d)) == v:
+            return True
+    return False
+
+
+def assert_time_fields_match_repr(values):
+    """heads + tails is repr() and a comma, and the fast path is the rule's."""
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, len(values), ROW_BLOCK):
+        block = values[start:start + ROW_BLOCK]
+        heads, tails = ingest._time_fields(block)
+        floats = block.tolist()
+        assert [h + t for h, t in zip(heads, tails)] == [f"{v!r}," for v in floats]
+        assert [t != "," for t in tails] == list(map(_fast_path_rule, floats))
+
+
+def _grid_value(k: int, d: int, ulps: int) -> float:
+    """k / 10**d, moved ulps steps along the doubles."""
+    v = k / 10**d
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.builds(_grid_value, st.integers(0, 2**53), st.integers(0, 6), st.integers(-2, 2)),
+), max_size=40))
+def test_time_fields_match_repr_on_random_floats(values):
+    assert_time_fields_match_repr(values)
+
+
+def _listed_time_values() -> np.ndarray:
+    limits = [2**52 / 10 ** (d + 1) for d in range(6)]
+    # the last d-digit decimals below each d's limit and the first above it
+    edges = [math.floor(2**52 / 10) / 10**d for d in range(6)]
+    edges += [math.ceil(2**52 / 10) / 10**d for d in range(6)]
+    k = np.arange(1000)
+    grids = [k / 100, k / 1000, k / 10**4, (157_783_680_000 + k) / 100,
+             (1_700_000_000_123 + k) / 1000, k * 0.02, 1_577_836_800.0 + k * 0.02]
+    rng = np.random.default_rng(24)
+    normals = [np.abs(rng.standard_normal(100)) * 10.0**e for e in range(-8, 17)]
+    values = np.concatenate([
+        [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 1e-4, 1e16, 0.7000000000000001,
+         -1.5, -1e300, 1.7976931348623157e308, *limits, *edges],
+        *grids, *normals,
+    ])
+    with np.errstate(over="ignore"):  # the largest double steps up to inf
+        return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def test_time_fields_match_repr_on_listed_cases():
+    assert_time_fields_match_repr(_listed_time_values())
+
+
+@pytest.mark.parametrize("block", [
+    [1e9, 0.5, -2.0, 3.25, 1e-5],  # integer parts span too widely for the table
+    [0.5, 1.25, math.nan, 2.0, -0.0],  # a span the table covers
+    [-0.0, -1.0, math.nan, 1e300],  # no value takes the fast path
+])
+def test_time_fields_match_repr_on_both_head_tables(block):
+    assert_time_fields_match_repr(block)
+
+
+def test_time_fields_of_an_empty_block():
+    assert ingest._time_fields(np.empty(0)) == ([], [])
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -725,7 +832,7 @@ def mutated_codec_texts(draw):
     """A written trace with bad or odd rows, placed around block boundaries."""
     block = draw(st.sampled_from([1, 2, 3, 7, ROW_BLOCK]))
     n = draw(st.sampled_from([1, 5, 23]) if block < ROW_BLOCK else st.just(2 * ROW_BLOCK + 3))
-    lines = list(_codec_lines(n, draw(st.integers(0, 2))))
+    lines = list(_codec_lines(n, draw(st.integers(0, 3))))
     edges = [b + d for b in range(0, n + 1, block) for d in (-1, 0, 1) if 0 <= b + d < n]
     spots = st.one_of(st.sampled_from(edges), st.integers(0, n - 1))
     for _ in range(draw(st.integers(1, 4))):

@@ -988,3 +988,24 @@ def test_one_row_predict_ties_and_nan_outputs_match_batch_path():
     nan_second.biases[-1][:] = [1.0, np.nan, 2.0]
     for model, want in ((zero, 0), (saturated, 0), (nan_second, 1)):
         assert predict_labels(model, [[0.0] * 5]) == batch_predict(model, [[0.0] * 5]) == [want]
+
+
+def _labels_text(labels) -> str:
+    sink = io.StringIO()
+    mlp.write_labels_csv(labels, sink)
+    return sink.getvalue()
+
+
+def test_write_labels_csv_writes_ints_and_numpy_integers():
+    assert _labels_text([0, 3, 1]) == "0\n3\n1\n"
+    assert _labels_text(np.array([4, 0], dtype=np.uint8)) == "4\n0\n"
+    assert _labels_text([np.int64(2), 1]) == "2\n1\n"
+    assert _labels_text([]) == ""
+
+
+@pytest.mark.parametrize("bad", [1.7, True, np.bool_(False), -1, np.int64(-2), "1", None])
+def test_write_labels_csv_rejects_a_label_that_is_not_a_class_index(bad):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=f"^row 2: not a class index: {re.escape(repr(bad))}$"):
+        mlp.write_labels_csv([0, 4, bad, 1], sink)
+    assert sink.getvalue() == ""
