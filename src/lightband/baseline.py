@@ -88,9 +88,20 @@ def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> 
     tracker's own scalar recurrence, so it rounds the same way; the window
     maximum is an exact range maximum over [first frame with
     t > t_i - window, i], the frames the tracker's deque still holds.
+    Raises ValueError unless the times are 1-D, finite and non-decreasing
+    and the channels a 2-D array with a row per time.
     """
     t = np.asarray(t_rel, dtype=np.float64)
     x = np.asarray(channels)
+    if t.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
+    if x.ndim != 2 or len(x) != len(t):
+        raise ValueError(
+            f"channels must have shape ({len(t)}, k) for {len(t)} times, got {x.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: non-finite timestamp {t[bad[0]]}")
     back = np.flatnonzero(t[1:] < t[:-1])
     if back.size:
         i = back[0]

@@ -13,6 +13,7 @@ import stat
 import warnings
 from array import array
 from contextlib import contextmanager, suppress
+from functools import cache
 from itertools import chain, islice
 from typing import Callable
 
@@ -49,14 +50,6 @@ _INTENSITY_FIELD = np.array([f"{v}," for v in range(INTENSITY_MAX + 1)], dtype=o
 _COLLECTION_ROW_END = {label: f"{text},\n" for label, text in LABEL_TEXT.items()}
 _LABEL_ROW_END = {label: f"{text}\n" for label, text in LABEL_TEXT.items()}
 _LABEL_BY_TEXT = {text: label for label, text in LABEL_TEXT.items()}
-# The tail of a time written by _time_fields: entry 0 is the bare comma after
-# a repr(); entry _TAIL_START[d] + k is the point, the d digits of k with
-# trailing zeros removed ("0" if none are left) and the comma. The entries of
-# a d are filled the first time a block needs them (all five at import would
-# be 11,111 strings, about 1.5 MB) and never change after.
-_TAIL_START = (1, 2, 12, 112, 1112)
-_TIME_TAIL = np.empty(_TAIL_START[-1] + 10**4, dtype=object)
-_TIME_TAIL[0] = ","
 # The bytes a written row is made of (repr() of a float may add "e", "+",
 # "-", "inf" or "nan"), and the row as loadtxt parses it. The label field is
 # one character wider than "transition", so that no longer token is cut down
@@ -280,56 +273,46 @@ def _canonical_columns(block: list):
     )
 
 
+@cache
+def _time_tail() -> np.ndarray:
+    """The tails _time_fields indexes: entry 0 is the bare comma after a
+    repr(); entry 1 + k is the point, the four digits of k without trailing
+    zeros ("0" if none are left) and the comma. Built on first use, once per
+    process that writes: 10,001 strings, a few ms and about 0.4 MB."""
+    fractions = (str(10**4 + k)[1:].rstrip("0") or "0" for k in range(10**4))
+    return np.array([","] + [f".{f}," for f in fractions], dtype=object)
+
+
 def _time_fields(values: np.ndarray) -> tuple:
     """(heads, tails), lists with heads[i] + tails[i] == repr(values[i]) + ",".
 
-    values is a 1-D float64 block. A value v takes the fast path at the first
-    d in 0..4 for which v >= 0, v is not -0.0, v < 2**52 / 10**(d+1), and
-    c = rint(v * 10**d) satisfies c / 10**d == v. Its head is then
-    str(c // 10**d) and its tail comes from _TIME_TAIL. Every other value
-    (negative, -0.0, inf, nan, too large, more digits) gets head repr(v) and
-    tail ",".
+    values is a 1-D float64 block. A value v takes the fixed-point path when
+    v >= 0, v is not -0.0, v < 2**52 / 10**5 and c = rint(v * 10**4)
+    satisfies c / 10**4 == v. Its head is then str(c // 10**4) and its tail
+    the point and the four digits of c % 10**4 without trailing zeros, from
+    _time_tail(). Every other value gets head repr(v) and tail ",".
 
-    Why the text is repr(v), which is the shortest decimal that reads back
-    as v (CPython's repr with sys.float_repr_style "short"):
-    - c and 10**d are exact doubles, so c / 10**d is the correctly rounded
-      value of the d-digit decimal D = c / 10**d; as it equals v, float(D)
-      gives v back.
-    - v < 2**52 / 10**(d+1), so one ulp of v is below 10**-(d+1). Any other
-      decimal with no more significant digits than D lies at least
-      10**-(d+1) from D (10**-d unless it has fewer integer digits), and
-      two decimals that far apart cannot both read back as v: D is the
-      unique shortest.
-    - Each such v is 0 or in [1e-4, 1e16), where repr() writes fixed-point
-      notation, as the head and tail do.
+    Why the text is repr(v), the shortest decimal that reads back as v
+    (CPython's repr with sys.float_repr_style "short"): let D be that text,
+    with d <= 4 digits after the point.
+    - c and 10**4 are exact doubles, so c / 10**4 is the correctly rounded
+      value of D; as it equals v, D reads back as v.
+    - v < 2**52 / 10**5, so one ulp of v is below 10**-5. Any other decimal
+      with no more significant digits than D lies at least 10**-(d+1) from
+      D, and two decimals that far apart cannot both read back as v.
+    - Each such v is 0 or in [1e-4, 1e16), where repr() writes fixed point.
     The heads of the integer parts come from one str() per integer in
     range(min, max + 1) when that span is at most twice the block (times
     increase, so it nearly always is), else from one str() per value.
     """
     n = len(values)
-    ints = np.zeros(n, dtype=np.int64)
-    tails = np.zeros(n, dtype=np.int64)  # indices into _TIME_TAIL
-    todo = np.flatnonzero((values >= 0) & ~np.signbit(values))
-    for d, start in enumerate(_TAIL_START):
-        scale = 10.0**d
-        x = values[todo]
-        small = x < 2.0**52 / 10 ** (d + 1)
-        todo, x = todo[small], x[small]
-        if not todo.size:
-            break
-        c = np.rint(x * scale)
-        hit = c / scale == x
-        found = todo[hit]
-        ints[found], fraction = np.divmod(c[hit].astype(np.int64), 10**d)
-        tails[found] = start + fraction
-        if found.size and _TIME_TAIL[start] is None:
-            _TIME_TAIL[start:start + 10**d] = [
-                "." + (str(10**d + k)[1:].rstrip("0") or "0") + "," for k in range(10**d)
-            ]
-        todo = todo[~hit]
+    # a clear sign bit and v < limit: v >= 0, not -0.0, not NaN
+    eligible = ~np.signbit(values) & (values < 2.0**52 / 10**5)
+    c = np.rint(np.where(eligible, values, 0.0) * 10**4)
+    fast = eligible & (c / 10**4 == values)
+    ints, fraction = np.divmod(c.astype(np.int64), 10**4)
     # heads[i] is names[ints[i]]: the integer parts, then the repr()s
     names = []
-    fast = tails > 0
     slow = np.flatnonzero(~fast)
     if slow.size < n:
         lo, hi = int(ints[fast].min()), int(ints[fast].max())
@@ -341,7 +324,8 @@ def _time_fields(values: np.ndarray) -> tuple:
             ints[fast] = np.arange(len(names))
     ints[slow] = len(names) + np.arange(slow.size)
     names += map(repr, values[slow].tolist())
-    return np.array(names, dtype=object)[ints].tolist(), _TIME_TAIL[tails].tolist()
+    tails = np.where(fast, 1 + fraction, 0)
+    return np.array(names, dtype=object)[ints].tolist(), _time_tail()[tails].tolist()
 
 
 def write_collection_csv(trace: LabeledTrace, sink) -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,22 @@ def test_batch_baselines_equal_streaming_tracker(case):
 def test_batch_baselines_reject_non_monotonic_time():
     with pytest.raises(ValueError, match="non-monotonic"):
         batch_baselines([0.0, 0.04, 0.02], flat_rows(10, 3))
+
+
+@pytest.mark.parametrize("t_rel, rows, message", [
+    ([0.0, math.nan, 0.04], flat_rows(10, 3), "row 1: non-finite timestamp nan"),
+    ([0.0, 0.02, math.inf], flat_rows(10, 3), "row 2: non-finite timestamp inf"),
+    ([[0.0, 0.02]], flat_rows(10, 2), r"times must be one-dimensional, got shape \(1, 2\)"),
+    (0.0, flat_rows(10, 1), r"times must be one-dimensional, got shape \(\)"),
+    ([0.0, 0.02], [10, 10], r"channels must have shape \(2, k\) for 2 times, got \(2,\)"),
+    ([0.0, 0.02], np.zeros((2, 5, 1)), r"got \(2, 5, 1\)"),
+    ([0.0, 0.02, 0.04], flat_rows(10, 2), r"for 3 times, got \(2, 5\)"),
+    ([0.0, 0.02], flat_rows(10, 3), r"for 2 times, got \(3, 5\)"),
+    ([0.0, 0.02], flat_rows(10, 1), r"for 2 times, got \(1, 5\)"),
+])
+def test_batch_baselines_reject_malformed_input(t_rel, rows, message):
+    with pytest.raises(ValueError, match=message):
+        batch_baselines(t_rel, rows)
 
 
 @settings(deadline=None, max_examples=150)

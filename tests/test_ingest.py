@@ -722,12 +722,7 @@ def _fast_path_rule(v: float) -> bool:
     if not (math.isfinite(v) and v >= 0 and math.copysign(1.0, v) > 0):
         return False
     x = Fraction(v)
-    for d in range(5):
-        if x * 10 ** (d + 1) >= 2**52:
-            return False
-        if float(Fraction(round(x * 10**d), 10**d)) == v:
-            return True
-    return False
+    return x * 10**5 < 2**52 and float(Fraction(round(x * 10**4), 10**4)) == v
 
 
 def assert_time_fields_match_repr(values):
@@ -760,9 +755,12 @@ def test_time_fields_match_repr_on_random_floats(values):
 
 def _listed_time_values() -> np.ndarray:
     limits = [2**52 / 10 ** (d + 1) for d in range(6)]
-    # the last d-digit decimals below each d's limit and the first above it
+    # d-digit decimals on both sides of 2**52 / 10, far above the limit
     edges = [math.floor(2**52 / 10) / 10**d for d in range(6)]
     edges += [math.ceil(2**52 / 10) / 10**d for d in range(6)]
+    # the decimals of 0-4 digits just below and just above the one limit
+    edges += [math.floor(Fraction(2**52, 10**5) * 10**d) / 10**d for d in range(5)]
+    edges += [math.ceil(Fraction(2**52, 10**5) * 10**d) / 10**d for d in range(5)]
     k = np.arange(1000)
     grids = [k / 100, k / 1000, k / 10**4, (157_783_680_000 + k) / 100,
              (1_700_000_000_123 + k) / 1000, k * 0.02, 1_577_836_800.0 + k * 0.02]
@@ -792,6 +790,18 @@ def test_time_fields_match_repr_on_both_head_tables(block):
 
 def test_time_fields_of_an_empty_block():
     assert ingest._time_fields(np.empty(0)) == ([], [])
+
+
+def test_time_tail_table_is_built_by_the_first_writer_not_on_import():
+    child = run_python("-c", (
+        "import io\n"
+        "from lightband import ingest\n"
+        "print(ingest._time_tail.cache_info().currsize)\n"
+        "ingest.write_label_file([0.0, 0.02], [ingest.GestureLabel.RELAX] * 2, io.StringIO())\n"
+        "print(ingest._time_tail.cache_info().currsize)\n"
+    ))
+    assert child.returncode == 0, (child.returncode, child.stderr)
+    assert child.stdout == "0\n1\n"
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
