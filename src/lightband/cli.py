@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
@@ -60,19 +61,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate a labeled collection CSV")
+    # a settings flag's dest names the config field it sets, and a flag not
+    # given is left out of args, so _config keeps the class's own default
+    unset = {"argument_default": argparse.SUPPRESS}
+    p = sub.add_parser("simulate", help="generate a labeled collection CSV", **unset)
     p.add_argument("--script", required=True, help="file with one gesture name per line")
-    p.add_argument("--profiles", help="gesture,sensor,delta CSV (built-in defaults if omitted)")
+    p.add_argument("--profiles", default=None,
+                   help="gesture,sensor,delta CSV (built-in defaults if omitted)")
     p.add_argument("--out", required=True, help="collection CSV to write")
-    sim = simulate.SimConfig
-    p.add_argument("--seed", type=int, default=sim.seed)
-    p.add_argument("--interval", type=float, default=sim.sample_interval)
-    p.add_argument("--noise-sigma", type=float, default=sim.noise_sigma)
-    p.add_argument("--drift", type=float, default=sim.drift)
-    p.add_argument("--gesture-hold", type=float, default=sim.gesture_hold)
-    p.add_argument("--relax-hold", type=float, default=sim.relax_hold)
-    p.add_argument("--transition-time", type=float, default=sim.transition_time)
-    p.add_argument("--baselines", type=_baseline_levels, default=sim.baseline_levels)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--interval", dest="sample_interval", metavar="INTERVAL", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--drift", type=float)
+    p.add_argument("--gesture-hold", type=float)
+    p.add_argument("--relax-hold", type=float)
+    p.add_argument("--transition-time", type=float)
+    p.add_argument("--baselines", dest="baseline_levels", metavar="BASELINES",
+                   type=_baseline_levels)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train-signatures", help="learn a signature table from labeled traces")
@@ -81,33 +86,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--active", type=_sensor_set, default=signature.DEFAULT_ACTIVE_SENSORS)
     p.set_defaults(func=cmd_train_signatures)
 
-    p = sub.add_parser("classify", help="classify a trace with a signature table")
+    p = sub.add_parser("classify", help="classify a trace with a signature table", **unset)
     p.add_argument("--trace", required=True, help="collection CSV to classify")
     p.add_argument("--table", required=True, help="signature CSV")
     p.add_argument("--out", required=True, help="t_rel,label CSV to write")
-    p.add_argument("--alpha", type=float, default=BaselineConfig.alpha)
-    p.add_argument("--window", type=float, default=BaselineConfig.window)
-    p.add_argument("--tolerance", type=float, default=signature.DEFAULT_TOLERANCE)
-    p.add_argument("--horizon", type=int, default=signature.DEFAULT_TRANSITION_HORIZON)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--window", type=float)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--horizon", dest="transition_horizon", metavar="HORIZON", type=int)
     p.set_defaults(func=cmd_classify)
 
     nn = sub.add_parser("nn", help="train or run the neural classifier")
     modes = nn.add_subparsers(dest="mode", required=True)
-    train = modes.add_parser("train", help="train a model on a labeled trace")
+    train = modes.add_parser("train", help="train a model on a labeled trace", **unset)
     predict = modes.add_parser("predict", help="predict class indices with a model")
-    for p in (train, predict):
+    for p, func in ((train, cmd_nn_train), (predict, cmd_nn_predict)):
         p.add_argument("--trace", required=True, help="collection CSV of readings and labels")
         p.add_argument("--model", required=True, help="model file")
-        p.set_defaults(func=cmd_nn)
+        p.set_defaults(func=func)
     predict.add_argument("--out", help="predicted class-index file")
-    net = mlp.MlpConfig
-    train.add_argument("--metrics", help="per-epoch metrics CSV")
+    train.add_argument("--metrics", default=None, help="per-epoch metrics CSV")
     train.add_argument("--split", type=int, default=NN_SPLIT, help="train/test boundary row")
-    train.add_argument("--epochs", type=int, default=net.epochs)
-    train.add_argument("--batch-size", type=int, default=net.batch_size)
-    train.add_argument("--dropout", dest="dropout_rate", type=float, default=net.dropout_rate)
-    train.add_argument("--l2", type=float, default=net.l2)
-    train.add_argument("--seed", type=int, default=net.seed)
+    train.add_argument("--epochs", type=int)
+    train.add_argument("--batch-size", type=int)
+    train.add_argument("--dropout", dest="dropout_rate", type=float)
+    train.add_argument("--l2", type=float)
+    train.add_argument("--seed", type=int)
     train.add_argument("--normalize", action="store_true", help="scale intensities to [0, 1]")
 
     p = sub.add_parser("physics", help="print the critical angle for a fiber")
@@ -118,26 +122,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_simulate(args) -> int:
+class _UsageError(Exception):
+    """A bad option value or --script or --profiles contents: exit 2."""
+
+
+@contextmanager
+def _usage():
+    """Re-raise a ValueError from a command's settings phase as a _UsageError."""
     try:
-        cfg = simulate.SimConfig(
-            sample_interval=args.interval,
-            gesture_hold=args.gesture_hold,
-            relax_hold=args.relax_hold,
-            transition_time=args.transition_time,
-            noise_sigma=args.noise_sigma,
-            drift=args.drift,
-            baseline_levels=args.baselines,
-            seed=args.seed,
-        )
+        yield
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
+def _config(cls, args):
+    """A cls built from the given flags named after its fields; every other
+    field keeps cls's default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names})
+
+
+def cmd_simulate(args) -> int:
+    with _usage():
+        cfg = _config(simulate.SimConfig, args)
         script = simulate.read_script(args.script)
         profiles = simulate.DEFAULT_PROFILES
         if args.profiles:
             profiles = signature.read_signature_csv(args.profiles)
             simulate.profile_deltas(profiles)  # an all-zero gesture is a usage error
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     trace = simulate.synth_trace(script, profiles, cfg)
     ingest.write_collection_csv(trace, args.out)
     counts = Counter(trace.labels)
@@ -159,14 +171,9 @@ def cmd_train_signatures(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        cfg = BaselineConfig(alpha=args.alpha, window=args.window)
-        state = signature.ClassifierState(
-            tolerance=args.tolerance, transition_horizon=args.horizon
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _usage():
+        cfg = _config(BaselineConfig, args)
+        state = _config(signature.ClassifierState, args)
     trace = ingest.read_collection_csv(args.trace)
     table = signature.read_signature_csv(args.table)
     predicted = signature.classify_trace(trace, table, cfg, state)
@@ -177,41 +184,35 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_nn(args) -> int:
-    training = args.mode == "train"
-    try:
-        if training:
-            if args.split < 0:
-                raise ValueError(f"--split must be >= 0, got {args.split}")
-            cfg = mlp.MlpConfig(
-                epochs=args.epochs, batch_size=args.batch_size, dropout_rate=args.dropout_rate,
-                l2=args.l2, seed=args.seed, normalize=args.normalize,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_nn_train(args) -> int:
+    if args.split < 0:
+        raise _UsageError(f"--split must be >= 0, got {args.split}")
+    with _usage():
+        cfg = _config(mlp.MlpConfig, args)
     x, labels = mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
-    if training:
-        (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
-        if len(y_train) == 0:
-            raise ValueError("training split is empty")
-        cfg = replace(cfg, output_dim=max(labels) + 1)
-        validation = (x_test, y_test) if len(y_test) else None
-        model, report = mlp.train(x_train, y_train, cfg, validation=validation)
-        mlp.save_model(model, args.model)
-        if args.metrics:
-            mlp.write_metrics_csv(report, args.metrics)
-        print(f"trained {cfg.epochs} epochs on {len(y_train)} rows; model -> {args.model}")
-        if report.train_acc:
-            line = f"final train acc {report.train_acc[-1]:.4f}"
-            if report.val_acc:
-                line += f", val acc {report.val_acc[-1]:.4f}"
-            print(line)
-        if len(y_test):
-            predicted = mlp.predict_labels(model, x_test)
-            _print_confusion(y_test, predicted)
-        return 0
+    (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
+    if len(y_train) == 0:
+        raise ValueError("training split is empty")
+    cfg = replace(cfg, output_dim=max(labels) + 1)
+    validation = (x_test, y_test) if len(y_test) else None
+    model, report = mlp.train(x_train, y_train, cfg, validation=validation)
+    mlp.save_model(model, args.model)
+    if args.metrics:
+        mlp.write_metrics_csv(report, args.metrics)
+    print(f"trained {cfg.epochs} epochs on {len(y_train)} rows; model -> {args.model}")
+    if report.train_acc:
+        line = f"final train acc {report.train_acc[-1]:.4f}"
+        if report.val_acc:
+            line += f", val acc {report.val_acc[-1]:.4f}"
+        print(line)
+    if len(y_test):
+        predicted = mlp.predict_labels(model, x_test)
+        _print_confusion(y_test, predicted)
+    return 0
 
+
+def cmd_nn_predict(args) -> int:
+    x, labels = mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
     model = mlp.load_model(args.model)
     predicted = mlp.predict_labels(model, x)
     if args.out:
@@ -233,11 +234,8 @@ def _print_confusion(truth_indices, predicted_indices) -> None:
 
 
 def cmd_physics(args) -> int:
-    try:
+    with _usage():
         angle = simulate.critical_angle(args.n_medium, args.n_cladding)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(f"{angle:.2f}")
     return 0
 
@@ -250,7 +248,7 @@ def main(argv=None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (_UsageError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a run too large to hold

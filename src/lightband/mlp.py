@@ -264,8 +264,8 @@ class _Workspace:
     gradient term.
     """
 
-    def __init__(self, cfg: MlpConfig, rows: int, rate: float):
-        self.rate = rate
+    def __init__(self, cfg: MlpConfig, rows: int):
+        self.rate = rate = cfg.dropout_rate
         self.l2x2 = 2.0 * cfg.l2
         shapes = [(rows, fan_out) for _, fan_out in cfg.layer_dims]
         self.z = [np.empty(shape) for shape in shapes]
@@ -277,12 +277,11 @@ class _Workspace:
         self.l2_term = [np.empty((fan_out, fan_in)) for fan_in, fan_out in cfg.layer_dims[:-1]]
 
 
-def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target=None,
-                grads_w=None, grads_b=None) -> np.ndarray:
+def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target, grads_w,
+                grads_b) -> np.ndarray:
     """One training step on the rows of x, computed in ws: the forward pass
-    with inverted dropout at ws.rate, then, when target is given, the batch
-    gradient of every weight and bias written into grads_w and grads_b.
-    Returns the network output.
+    with inverted dropout at ws.rate, then the batch gradient of every weight
+    and bias written into grads_w and grads_b. Returns the network output.
 
     Each value takes the IEEE operations, in the order, of
     relu(x @ w.T + b) * scale and its backprop. The dropout scale is
@@ -304,8 +303,6 @@ def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target=None
             if rate > 0:
                 np.greater_equal(rng.random(out=ws.uniform[i]), rate, out=ws.keep[i])
                 a *= np.multiply(ws.keep[i], 1.0 / (1.0 - rate), out=ws.scale[i])
-    if target is None:
-        return a
     n_rows, n_out = target.shape
     delta = np.subtract(a, target, out=ws.delta[last])
     delta /= n_out * n_rows
@@ -324,15 +321,10 @@ def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target=None
 
 
 @_one_blas_thread()
-def forward(model: MlpModel, x, training: bool = False, rng=None) -> np.ndarray:
-    """Network output for a single input vector or a batch of rows."""
+def forward(model: MlpModel, x) -> np.ndarray:
+    """Inference output (no dropout) for a single input vector or a batch of rows."""
     x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    if training:
-        ws = _Workspace(model.config, rows.shape[0], model.config.dropout_rate)
-        out = _train_step(model, ws, rows, rng)
-    else:
-        out = _infer(model, rows)
+    out = _infer(model, np.atleast_2d(x))
     return out[0] if x.ndim == 1 else out
 
 
@@ -348,14 +340,12 @@ def _l2_penalty(model: MlpModel, l2: float) -> float:
 
 
 @_one_blas_thread()
-def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None,
-                       training: bool = True) -> tuple:
-    """Batch loss (clamped mean BCE plus L2 penalty) and gradients of every parameter."""
+def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=None) -> tuple:
+    """Batch loss (clamped mean BCE plus L2 penalty) and gradients of every
+    parameter: train's step, with dropout at the model's rate drawn from rng."""
     grads_w = [np.empty_like(w) for w in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]
-    rate = model.config.dropout_rate if training else 0.0
-    ws = _Workspace(model.config, len(x), rate)
-    out = _train_step(model, ws, x, rng, target, grads_w, grads_b)
+    out = _train_step(model, _Workspace(model.config, len(x)), x, rng, target, grads_w, grads_b)
     return _mean_bce(out, target) + _l2_penalty(model, model.config.l2), grads_w, grads_b
 
 
@@ -419,7 +409,7 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     n = x.shape[0]
     # batch heights: full batches, and the last batch, which may be shorter
     heights = {min(cfg.batch_size, n), (n - 1) % cfg.batch_size + 1}
-    workspaces = {m: _Workspace(cfg, m, cfg.dropout_rate) for m in heights}
+    workspaces = {m: _Workspace(cfg, m) for m in heights}
     # a diverging run ends in the ValueError below; numpy's overflow and
     # invalid-value warnings on the way would only add lines to stderr
     with np.errstate(all="ignore"):

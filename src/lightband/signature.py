@@ -32,8 +32,6 @@ from .types import (
 )
 
 DEFAULT_ACTIVE_SENSORS = (2, 3, 4)  # 1-based; the short fibers react the most
-DEFAULT_TOLERANCE = 0.10
-DEFAULT_TRANSITION_HORIZON = 10
 MIN_SEGMENT_FRAMES = 5
 
 SIGNATURE_CSV_HEADER = "gesture,sensor,delta"
@@ -160,8 +158,8 @@ class ClassifierState:
     surfaces after exactly transition_horizon stable readings.
     """
 
-    tolerance: float = DEFAULT_TOLERANCE
-    transition_horizon: int = DEFAULT_TRANSITION_HORIZON
+    tolerance: float = 0.10
+    transition_horizon: int = 10
     recent_labels: deque = field(default_factory=deque)
 
     def __post_init__(self):
@@ -233,7 +231,9 @@ def classify_trace(
     The labels, and the raw-label history left in state, are exactly those
     of feeding the frames one at a time through BaselineTracker.update and
     classify_frame; that per-frame path is the reference the tests hold
-    this one to. A given state's history counts toward TRANSITION.
+    this one to. A given state carries the TRANSITION history across calls,
+    but the baseline restarts at each call's first frame, so the labels of
+    a trace classified in chunks can differ from those of one call.
     """
     if state is None:
         state = ClassifierState()

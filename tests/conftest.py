@@ -101,10 +101,10 @@ class ReferenceTracker(BaselineTracker):
 
 
 # --- reference: the per-tensor training loop, allocating a fresh array for
-# every temporary; train(), loss_and_gradients and forward(training=True)
-# are held to it bit for bit. Its matmuls run under the same one-thread
-# OpenBLAS rule as mlp's, since a gemm split over threads can round
-# differently ---
+# every temporary; train(), loss_and_gradients and train's step alone
+# (test_mlp.train_step_output) are held to it bit for bit. Its matmuls run
+# under the same one-thread OpenBLAS rule as mlp's, since a gemm split over
+# threads can round differently ---
 
 
 def reference_sigmoid(z):

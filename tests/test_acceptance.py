@@ -169,7 +169,7 @@ def test_criterion_5_gradient_oracle():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, size=(4, 5))
     targets = one_hot([int(v) for v in rng.integers(0, 2, size=4)], 2)
-    _, grads_w, grads_b = loss_and_gradients(model, x, targets, training=False)
+    _, grads_w, grads_b = loss_and_gradients(model, x, targets)
 
     def eval_loss():
         return reference_bce(forward(model, x), targets, model, cfg.l2)

@@ -22,9 +22,10 @@ from conftest import (
 )
 from lightband import mlp
 from lightband.baseline import BaselineConfig
-from lightband.cli import NN_SPLIT, build_parser, main
+from lightband.cli import NN_SPLIT, _config, build_parser, main
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.signature import (
+    ClassifierState,
     SignatureTable,
     classify_trace,
     generate_signatures,
@@ -204,37 +205,50 @@ def test_simulate_scripted_gesture_without_profile_is_domain_error(capsys, tmp_p
     assert not out_csv.exists()
 
 
-def _defaults(command, *required):
-    args = build_parser().parse_args([command, *required])
-    return {name: value for name, value in vars(args).items() if name not in ("command", "func")}
+def _parsed(*argv):
+    return build_parser().parse_args(list(argv))
 
 
 def test_option_defaults_come_from_the_config_dataclasses():
-    sim = SimConfig()
-    assert _defaults("simulate", "--script", "s", "--out", "o") == {
-        "script": "s", "profiles": None, "out": "o", "seed": sim.seed,
-        "interval": sim.sample_interval, "noise_sigma": sim.noise_sigma, "drift": sim.drift,
-        "gesture_hold": sim.gesture_hold, "relax_hold": sim.relax_hold,
-        "transition_time": sim.transition_time, "baselines": sim.baseline_levels,
+    # with only the required flags, each config is its class's own default
+    simulate = _parsed("simulate", "--script", "s", "--out", "o")
+    assert _config(SimConfig, simulate) == SimConfig()
+    assert (simulate.script, simulate.profiles, simulate.out) == ("s", None, "o")
+    classify = _parsed("classify", "--trace", "t", "--table", "s", "--out", "o")
+    assert _config(BaselineConfig, classify) == BaselineConfig()
+    assert _config(ClassifierState, classify) == ClassifierState()
+    train = _parsed("nn", "train", "--trace", "t", "--model", "m")
+    assert _config(mlp.MlpConfig, train) == mlp.MlpConfig()
+    assert (train.split, train.metrics) == (NN_SPLIT, None)
+    assert set(vars(_parsed("nn", "predict", "--trace", "t", "--model", "m"))) == {
+        "command", "mode", "trace", "model", "out", "func",
     }
-    baseline = BaselineConfig()
-    classify = _defaults("classify", "--trace", "t", "--table", "s", "--out", "o")
-    assert (classify["alpha"], classify["window"]) == (baseline.alpha, baseline.window)
-    # nn train's options default to MlpConfig's fields and NN_SPLIT; predict has none
-    net = mlp.MlpConfig()
-    shared = {"mode", "trace", "model"}
-    train = _defaults("nn", "train", "--trace", "t", "--model", "m")
-    assert {k: v for k, v in train.items() if k not in shared} == {
-        "metrics": None, "split": NN_SPLIT, "epochs": net.epochs, "batch_size": net.batch_size,
-        "dropout_rate": net.dropout_rate, "l2": net.l2, "seed": net.seed,
-        "normalize": net.normalize,
-    }
-    assert set(_defaults("nn", "predict", "--trace", "t", "--model", "m")) == shared | {"out"}
-    given = build_parser().parse_args(
-        ["nn", "train", "--trace", "t", "--model", "m", "--dropout", "0.1", "--normalize"]
-    )
-    assert (given.dropout_rate, given.normalize) == (0.1, True)
     assert NN_SPLIT == 880
+
+    # each flag sets the field it is named after, --interval, --baselines,
+    # --horizon and --dropout included
+    given = _parsed(
+        "simulate", "--script", "s", "--out", "o", "--seed", "3", "--interval", "0.05",
+        "--noise-sigma", "1.5", "--drift", "0.1", "--gesture-hold", "4", "--relax-hold", "3",
+        "--transition-time", "0.5", "--baselines", "300,700,600,750,900",
+    )
+    assert _config(SimConfig, given) == SimConfig(
+        seed=3, sample_interval=0.05, noise_sigma=1.5, drift=0.1, gesture_hold=4.0,
+        relax_hold=3.0, transition_time=0.5, baseline_levels=(300.0, 700.0, 600.0, 750.0, 900.0),
+    )
+    given = _parsed(
+        "classify", "--trace", "t", "--table", "s", "--out", "o", "--alpha", "0.5",
+        "--window", "12", "--tolerance", "0.2", "--horizon", "7",
+    )
+    assert _config(BaselineConfig, given) == BaselineConfig(alpha=0.5, window=12.0)
+    assert _config(ClassifierState, given) == ClassifierState(tolerance=0.2, transition_horizon=7)
+    given = _parsed(
+        "nn", "train", "--trace", "t", "--model", "m", "--epochs", "7", "--batch-size", "9",
+        "--dropout", "0.1", "--l2", "0.02", "--seed", "4", "--normalize",
+    )
+    assert _config(mlp.MlpConfig, given) == mlp.MlpConfig(
+        epochs=7, batch_size=9, dropout_rate=0.1, l2=0.02, seed=4, normalize=True,
+    )
 
 
 def training_trace(tmp_path, seed=21):

@@ -116,13 +116,24 @@ def test_forward_inference_deterministic():
     assert np.array_equal(forward(model, x), forward(model, x))
 
 
+def train_step_output(model, x, rng):
+    """The output of train's step on the rows of x: the forward pass with
+    dropout at the model's rate, drawn from rng."""
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    target = np.zeros((len(x), model.config.output_dim))  # the output does not read it
+    ws = mlp._Workspace(model.config, len(x))
+    with mlp._one_blas_thread():
+        return mlp._train_step(model, ws, x, rng, target, grads_w, grads_b)
+
+
 def test_forward_dropout_seeded():
     cfg = MlpConfig(input_dim=5, hidden=(3, 3), output_dim=2, dropout_rate=0.3, seed=123)
     model, x, _ = tiny_problem(cfg=cfg)
-    a = forward(model, x, training=True, rng=np.random.default_rng(90))
-    b = forward(model, x, training=True, rng=np.random.default_rng(90))
+    a = train_step_output(model, x, np.random.default_rng(90))
+    b = train_step_output(model, x, np.random.default_rng(90))
     assert np.array_equal(a, b)
-    c = forward(model, x, training=True, rng=np.random.default_rng(91))
+    c = train_step_output(model, x, np.random.default_rng(91))
     assert anything_differs(a, c)
 
 
@@ -137,19 +148,19 @@ def test_bce_loss_values():
     for w, b in zip(model.weights, model.biases):
         w[:] = 0.0
         b[:] = 0.0
-    assert loss_and_gradients(model, x, targets, training=False)[0] == pytest.approx(math.log(2))
+    assert loss_and_gradients(model, x, targets)[0] == pytest.approx(math.log(2))
     # +-50 on the output bias: sigmoid gives exactly 1.0 and 2e-22, which
     # the clamp keeps inside the logs
     model.biases[-1][:] = [-50.0, 50.0]
-    loss = loss_and_gradients(model, x, one_hot([1] * len(x), 2), training=False)[0]
+    loss = loss_and_gradients(model, x, one_hot([1] * len(x), 2))[0]
     assert 0 < loss < 1e-6
 
 
 def test_bce_loss_includes_weight_penalty():
     model, x, targets = tiny_problem()
-    with_penalty = loss_and_gradients(model, x, targets, training=False)[0]
+    with_penalty = loss_and_gradients(model, x, targets)[0]
     bare_model = replace(model, config=replace(TINY, l2=0.0))
-    bare = loss_and_gradients(bare_model, x, targets, training=False)[0]
+    bare = loss_and_gradients(bare_model, x, targets)[0]
     expected = TINY.l2 * sum(float(np.sum(w * w)) for w in model.weights[:-1])
     assert with_penalty - bare == pytest.approx(expected)
     assert with_penalty == reference_bce(forward(model, x), targets, model, TINY.l2)
@@ -157,7 +168,7 @@ def test_bce_loss_includes_weight_penalty():
 
 def test_gradients_match_finite_differences():
     model, x, targets = tiny_problem()
-    loss, grads_w, grads_b = loss_and_gradients(model, x, targets, training=False)
+    loss, grads_w, grads_b = loss_and_gradients(model, x, targets)
 
     def eval_loss():
         return reference_bce(forward(model, x), targets, model, TINY.l2)
@@ -169,12 +180,10 @@ def test_gradients_match_finite_differences():
 def test_gradients_match_with_dropout_masks_fixed():
     cfg = MlpConfig(input_dim=5, hidden=(3, 3), output_dim=2, dropout_rate=0.3, l2=0.01, seed=123)
     model, x, targets = tiny_problem(cfg=cfg)
-    loss, grads_w, grads_b = loss_and_gradients(
-        model, x, targets, rng=np.random.default_rng(90), training=True
-    )
+    loss, grads_w, grads_b = loss_and_gradients(model, x, targets, rng=np.random.default_rng(90))
 
     def eval_loss():
-        out = forward(model, x, training=True, rng=np.random.default_rng(90))
+        out = train_step_output(model, x, np.random.default_rng(90))
         return reference_bce(out, targets, model, cfg.l2)
 
     assert loss == pytest.approx(eval_loss())
@@ -361,7 +370,7 @@ def test_inverted_dropout_preserves_expectation():
         config=cfg,
     )
     x = np.ones((100_000, 1))
-    out = forward(model, x, training=True, rng=np.random.default_rng(123))
+    out = train_step_output(model, x, np.random.default_rng(123))
     # the hidden unit is 1 / (1 - rate) where kept and 0 where dropped, and
     # the output is its sigmoid, so a kept unit reads above 0.5
     kept = float(np.mean(out > 0.5))
@@ -518,16 +527,14 @@ def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val,
         assert report == ref_report
         assert len(report.val_loss) == (epochs if with_val else 0)
 
-    # on the trained model, the public training-mode calls run train's step
+    # on the trained model, loss_and_gradients and the test helper run train's step
     rows = _prepare(x[:30], cfg)
     targets = one_hot(labels[:30], 4)
-    loss, grads_w, grads_b = loss_and_gradients(
-        model, rows, targets, rng=np.random.default_rng(99), training=True
-    )
+    loss, grads_w, grads_b = loss_and_gradients(model, rows, targets, np.random.default_rng(99))
     want = reference_gradients(model, rows, targets, np.random.default_rng(99))
     assert [g.tobytes() for g in grads_w + grads_b] == [g.tobytes() for g in want]
     want_out = reference_forward(model, rows, True, np.random.default_rng(99))[0]
-    got_out = forward(model, rows, training=True, rng=np.random.default_rng(99))
+    got_out = train_step_output(model, rows, np.random.default_rng(99))
     assert got_out.tobytes() == want_out.tobytes()
     assert loss == reference_bce(want_out, targets, model, l2)
 
@@ -683,7 +690,8 @@ def test_train_runs_on_one_blas_thread_and_restores_the_count(blas_threads, monk
     def scoring(model, rows, bufs=None):
         seen.append(blas_threads())
         # a nested entry point leaves the count at 1 for the caller
-        loss_and_gradients(model, rows[:3], one_hot(labels[:3], 3), training=False)
+        no_dropout = replace(model, config=replace(model.config, dropout_rate=0.0))
+        loss_and_gradients(no_dropout, rows[:3], one_hot(labels[:3], 3))
         seen.append(blas_threads())
         return infer(model, rows, bufs)
 

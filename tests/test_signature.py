@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from lightband.signature import (
     write_signature_csv,
 )
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
-from lightband.types import GESTURES, GestureLabel, segment_trace
+from lightband.types import GESTURES, GestureLabel, LabeledTrace, segment_trace
 
 
 def table_from_profiles(profiles=DEFAULT_PROFILES, active=(2, 3, 4)):
@@ -478,6 +479,55 @@ def test_transition_emissions_track_raw_changes():
             raw[j] is not raw[i] for j in range(max(0, i - horizon), i)
         )
         assert (label is T) == changed
+
+
+# Metamorphic checks on the benchmark's signature inputs: the seed-1
+# training trace's table on the 22,200-frame seed-2 evaluation trace, with
+# the simulator's and the CLI's defaults.
+@pytest.fixture(scope="module")
+def eval_case():
+    script = [E, F, O] * 20
+    table = generate_signatures([synth_trace(script, DEFAULT_PROFILES, SimConfig(seed=1))])
+    trace = synth_trace(script, DEFAULT_PROFILES, SimConfig(seed=2))
+    return trace, table, classify_trace(trace, table)
+
+
+def rows_of(trace, start, stop=None):
+    rows = slice(start, stop)
+    return LabeledTrace(trace.t_rel[rows], trace.t_unix[rows], trace.channels[rows],
+                        trace.labels[rows])
+
+
+@pytest.mark.parametrize("n", [1, 100, 4_321, 15_000])
+def test_labels_of_a_prefix_are_the_prefix_of_the_labels(eval_case, n):
+    trace, table, labels = eval_case
+    head = rows_of(trace, 0, n)
+    assert classify_trace(head, table) == labels[:n]
+    tracker, state = BaselineTracker(BaselineConfig()), ClassifierState()
+    assert [classify_frame(f, tracker.update(f), table, state) for f in head.frames] == labels[:n]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 13: +1 s changes 2 labels, since rounding decides whether a "
+    "frame on the 4-s window edge stays in",
+)
+def test_a_time_offset_changes_no_label(eval_case):
+    trace, table, labels = eval_case
+    assert classify_trace(replace(trace, t_rel=trace.t_rel + 1.0), table) == labels
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: the state carries no baseline, so a split inside an EXTEND "
+    "hold changes 154 labels",
+)
+def test_two_chunks_through_one_state_give_the_labels_of_one_call(eval_case):
+    trace, table, labels = eval_case
+    state = ClassifierState()
+    chunked = classify_trace(rows_of(trace, 0, 10_150), table, state=state)
+    chunked += classify_trace(rows_of(trace, 10_150), table, state=state)
+    assert chunked == labels
 
 
 def test_signature_csv_round_trip():
