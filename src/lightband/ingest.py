@@ -12,9 +12,11 @@ import os
 import stat
 import warnings
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -183,10 +185,13 @@ def read_collection_csv(source) -> LabeledTrace:
     blank lines and errors included, is parsed row by row through
     numbered_rows, which names the line of every error. LabeledTrace then
     checks the whole trace (times strictly increasing, every step within 50%
-    of the median step); a frame it rejects is reported by its line too.
+    of the median step); a frame it rejects is reported by its line too,
+    found from one (first row, first line) span per canonical block and one
+    per row of any other block.
     """
     t_rel, t_unix, channels = array("d"), array("d"), array("q")
-    labels, linenos = [], array("q")
+    labels = []
+    spans = []  # (first row, its line); the rows after it follow line by line
     with open_text(source) as stream:
         lines = iter(stream)
         header = next(lines, None)
@@ -203,16 +208,16 @@ def read_collection_csv(source) -> LabeledTrace:
                 t_rel.frombytes(block_t_rel)
                 t_unix.frombytes(block_t_unix)
                 channels.frombytes(block_channels)
+                spans.append((len(labels), first))
                 labels.extend(block_labels)
-                linenos.extend(range(first, first + len(block)))
             else:
                 rows = numbered_rows(block, _parse_collection_row, first)
                 for lineno, (row_t_rel, row_t_unix, row_channels, label) in rows:
                     t_rel.append(row_t_rel)
                     t_unix.append(row_t_unix)
                     channels.extend(row_channels)
+                    spans.append((len(labels), lineno))
                     labels.append(label)
-                    linenos.append(lineno)
             first += len(block)
     try:
         return LabeledTrace(
@@ -222,7 +227,8 @@ def read_collection_csv(source) -> LabeledTrace:
             labels=labels,
         )
     except FrameError as exc:
-        raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
+        row, line = spans[bisect_right(spans, exc.index, key=itemgetter(0)) - 1]
+        raise ValueError(f"line {line + exc.index - row}: {exc}") from None
 
 
 def _parse_collection_row(line: str) -> tuple:

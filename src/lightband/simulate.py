@@ -22,6 +22,7 @@ from .types import (
     INTENSITY_MAX,
     INTENSITY_MIN,
     NUM_CHANNELS,
+    ROW_BLOCK,
     GestureLabel,
     LabeledTrace,
     parse_label,
@@ -174,19 +175,27 @@ def synth_trace(
     )
     targets *= np.concatenate([progress for _, _, progress in sections])[:, None]
     # Per frame the generator draws 5 drift steps, then 5 noise values, and
-    # normal(0, s) is 0.0 + s * standard_normal, so one block of standard
-    # normals reproduces that stream. The steps' running sum from the
-    # baseline levels gives each frame's relax levels. The arithmetic runs
-    # in place (IEEE + and * commute), which keeps peak memory low.
-    z = np.random.default_rng(cfg.seed).standard_normal((n, 2, NUM_CHANNELS))
-    values, noise = z[:, 0], z[:, 1]
-    values *= cfg.drift
+    # normal(0, s) is 0.0 + s * standard_normal, so standard normals drawn
+    # ROW_BLOCK frames at a time reproduce that stream. Each block is scaled
+    # into contiguous drift and noise arrays while it is in cache. The
+    # steps' running sum from the baseline levels gives each frame's relax
+    # levels. The arithmetic runs in place (IEEE + and * commute), which
+    # keeps peak memory low.
+    rng = np.random.default_rng(cfg.seed)
+    values = np.empty((n, NUM_CHANNELS))
+    noise = np.empty((n, NUM_CHANNELS))
+    block = np.empty((min(n, ROW_BLOCK), 2, NUM_CHANNELS))
+    for first in range(0, n, ROW_BLOCK):
+        z = block[: n - first]
+        rng.standard_normal(out=z)
+        rows = slice(first, first + len(z))
+        np.multiply(z[:, 0], cfg.drift, values[rows])
+        np.multiply(z[:, 1], cfg.noise_sigma, noise[rows])
     values += 0.0
+    noise += 0.0
     values[0] += cfg.baseline_levels
     np.add.accumulate(values, axis=0, out=values)
     values += targets
-    noise *= cfg.noise_sigma
-    noise += 0.0
     values += noise
     np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
     t_rel = np.arange(n) * cfg.sample_interval

@@ -13,8 +13,10 @@ NUM_CHANNELS = 5
 INTENSITY_MIN = 0
 INTENSITY_MAX = 1023
 
-# Rows converted between arrays and Python values or text at a time: by
-# LabeledTrace.frames and by the collection CSV and label file codecs.
+# Rows handled at a time where a whole trace would make a large temporary:
+# LabeledTrace.frames and the collection CSV and label file codecs convert
+# this many between arrays and Python values or text, and synth_trace draws
+# the standard normals of this many frames at once.
 ROW_BLOCK = 2048
 
 
@@ -145,17 +147,18 @@ def _intensity_matrix(values) -> np.ndarray:
         raise ValueError(f"expected {NUM_CHANNELS} channels per frame, got shape {raw.shape}")
     if raw.dtype.kind not in "iuf":
         raise ValueError(f"channel values must be integers, got dtype {raw.dtype}")
-    integral = raw == np.floor(raw)  # NaN fails this test, inf the range test
-    in_range = (raw >= INTENSITY_MIN) & (raw <= INTENSITY_MAX)
+    valid = (raw >= INTENSITY_MIN) & (raw <= INTENSITY_MAX)
+    floats = raw.dtype.kind == "f"  # an integer dtype holds integers already
+    if floats:
+        valid &= raw == np.floor(raw)  # NaN fails this test, inf the range test
 
     def describe(row):
-        col = int(np.argmin(integral[row] & in_range[row]))
-        value = raw[row, col].item()
-        if not integral[row, col]:
-            return f"channel value is not an integer: {value!r}"
-        return f"channel value {value} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]"
+        value = raw[row, np.argmin(valid[row])]
+        if floats and value != np.floor(value):
+            return f"channel value is not an integer: {value.item()!r}"
+        return f"channel value {value.item()} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]"
 
-    _reject_first(~(integral & in_range).all(axis=1), describe)
+    _reject_first(~valid.all(axis=1), describe)
     return _read_only(raw.astype(np.int64))
 
 

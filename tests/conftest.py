@@ -5,12 +5,31 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 import lightband
 from lightband.baseline import BaselineTracker
 from lightband.ingest import COLLECTION_HEADER
 from lightband.mlp import PRED_EPS, TrainReport, _one_blas_thread, init_model, one_hot
-from lightband.types import NUM_CHANNELS, GestureLabel, LabeledTrace
+from lightband.simulate import profile_deltas
+from lightband.types import (
+    INTENSITY_MAX,
+    INTENSITY_MIN,
+    NUM_CHANNELS,
+    GestureLabel,
+    LabeledTrace,
+)
+
+# A larger example budget for the property tests that hold a fast path to
+# its oracle bit for bit: `pytest --hypothesis-profile=oracle` runs each of
+# them oracle_examples(n) times, ten times its usual n.
+settings.register_profile("oracle", max_examples=1000)
+
+
+def oracle_examples(n: int) -> int:
+    """n under the default profile; n times the loaded profile's budget over
+    the default budget under another, such as "oracle"."""
+    return n * settings().max_examples // settings.get_profile("default").max_examples
 
 R = GestureLabel.RELAX
 E = GestureLabel.EXTEND
@@ -98,6 +117,46 @@ class ReferenceTracker(BaselineTracker):
             window.append((t, smoothed))
             baselines.append(window[0][1])
         return baselines
+
+
+def one_shot_synth_trace(script, profiles, cfg) -> LabeledTrace:
+    """synth_trace as it was before it drew a block of rows at a time: one
+    (n, 2, 5) draw of standard normals for the whole trace, then the
+    arithmetic in place on its strided drift and noise halves. The reference
+    the blocked draw is held to, byte for byte."""
+    by_gesture = profile_deltas(profiles)
+    n_relax = cfg.frames_for(cfg.relax_hold)
+    n_ramp = cfg.frames_for(cfg.transition_time)
+    n_hold = cfg.frames_for(cfg.gesture_hold)
+    ramp_up = np.arange(1, n_ramp + 1) / (n_ramp + 1)
+    relax = (GestureLabel.RELAX, np.zeros(NUM_CHANNELS), np.zeros(n_relax))
+    sections = [] if script else [relax]
+    for gesture in script:
+        deltas = np.array(by_gesture[gesture])
+        sections += [
+            relax,
+            (GestureLabel.TRANSITION, deltas, ramp_up),
+            (gesture, deltas, np.ones(n_hold)),
+            (GestureLabel.TRANSITION, deltas, ramp_up[::-1]),
+        ]
+    labels = [label for label, _, progress in sections for _ in progress]
+    n = len(labels)
+    targets = np.concatenate([np.outer(progress, deltas) for _, deltas, progress in sections])
+    z = np.random.default_rng(cfg.seed).standard_normal((n, 2, NUM_CHANNELS))
+    values, noise = z[:, 0], z[:, 1]
+    values *= cfg.drift
+    values += 0.0
+    values[0] += cfg.baseline_levels
+    np.add.accumulate(values, axis=0, out=values)
+    values += targets
+    noise *= cfg.noise_sigma
+    noise += 0.0
+    values += noise
+    np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
+    t_rel = np.arange(n) * cfg.sample_interval
+    return LabeledTrace(
+        t_rel=t_rel, t_unix=cfg.start_unix + t_rel, channels=values, labels=labels
+    )
 
 
 # --- reference: the per-tensor training loop, allocating a fresh array for

@@ -1,12 +1,26 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import R, ReferenceTracker, flat_rows, make_trace, random_rows
+from conftest import (
+    E,
+    F,
+    O,
+    R,
+    ReferenceTracker,
+    ewma_step,
+    flat_rows,
+    make_trace,
+    oracle_examples,
+    random_rows,
+)
+from lightband import baseline
 from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines
+from lightband.simulate import SimConfig, synth_trace
 from lightband.types import SensorFrame
 
 
@@ -93,7 +107,7 @@ def test_step_down_decays_to_new_level():
     assert all(abs(v - 600.0) < 1e-6 for v in got[-1])
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=oracle_examples(40))
 @given(
     st.integers(0, 2**32 - 1),
     st.integers(1, 250),
@@ -155,7 +169,7 @@ def test_non_monotonic_timestamp_rejected():
 
 
 @st.composite
-def timestamped_streams(draw):
+def timestamped_streams(draw, min_alpha=0.01):
     """Readings with jittered, sometimes repeated, timestamps and a config
     whose window often lands exactly on the gap between two samples."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -177,21 +191,138 @@ def timestamped_streams(draw):
     if window is None:  # the exact gap between two of the samples
         a, b = sorted(rng.integers(0, max(n, 1), size=2))
         window = float(t[b] - t[a]) if n and t[b] > t[a] else interval
-    return t, rows, BaselineConfig(alpha=draw(st.floats(0.01, 1.0)), window=window)
+    return t, rows, BaselineConfig(alpha=draw(st.floats(min_alpha, 1.0)), window=window)
 
 
-@settings(deadline=None, max_examples=150)
-@given(timestamped_streams())
-def test_batch_baselines_equal_streaming_tracker(case):
-    t, rows, cfg = case
+def streamed_baselines(t, rows, cfg) -> np.ndarray:
+    """The baselines BaselineTracker.update returns, frame by frame."""
     tracker = BaselineTracker(cfg)
     streamed = [
         tracker.update(SensorFrame(t_rel=ti, t_unix=ti, channels=row))
         for ti, row in zip(t.tolist(), rows.tolist())
     ]
+    return np.array(streamed, dtype=float).reshape(rows.shape)
+
+
+@settings(deadline=None, max_examples=oracle_examples(150))
+@given(timestamped_streams())
+def test_batch_baselines_equal_streaming_tracker(case):
+    t, rows, cfg = case
     got = batch_baselines(t, rows, cfg)
     assert got.shape == rows.shape
-    assert np.array_equal(got, np.array(streamed, dtype=float).reshape(rows.shape))
+    assert np.array_equal(got, streamed_baselines(t, rows, cfg))
+
+
+@settings(deadline=None, max_examples=oracle_examples(150))
+@given(timestamped_streams(min_alpha=1e-3))
+def test_batch_baselines_equal_streaming_tracker_in_short_chunks(case):
+    # chunks of 8 rows take the chunked EWMA from 16 rows on, and its
+    # fallback at small alphas
+    t, rows, cfg = case
+    with patch.object(baseline, "CHUNK", 8):
+        got = batch_baselines(t, rows, cfg)
+    assert got.shape == rows.shape
+    assert np.array_equal(got, streamed_baselines(t, rows, cfg))
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The float64 values as int64 bit patterns: tells -0.0 from 0.0, and nans apart."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def serial_smoothed(rows: np.ndarray, alpha: float) -> np.ndarray:
+    """Each column's EWMA through ewma_step, a reading at a time: the
+    tracker's recurrence, starting from the first reading."""
+    smoothed = []
+    for row in rows.tolist():
+        smoothed.append(
+            [ewma_step(prev, x, alpha) for prev, x in zip(smoothed[-1], row)]
+            if smoothed else [float(x) for x in row]
+        )
+    return np.array(smoothed, dtype=float).reshape(rows.shape)
+
+
+def scan_max(t: np.ndarray, smoothed: np.ndarray, window: float) -> np.ndarray:
+    """Row i: each column's largest smoothed value over the frames the
+    tracker still holds at frame i (t > t_i - window, and frame i itself)."""
+    out = np.empty_like(smoothed)
+    for i, ti in enumerate(t):
+        held = t[: i + 1] > ti - window
+        held[i] = True
+        out[i] = smoothed[: i + 1][held].max(axis=0)
+    return out
+
+
+def channel_rows(kind: str, n: int, k: int, rng) -> np.ndarray:
+    if kind == "int":
+        return rng.integers(0, 1024, size=(n, k))
+    if kind == "signed_zeros":
+        return np.where(rng.random((n, k)) < 0.5, -0.0, 0.0)
+    rows = rng.normal(500.0, 300.0, size=(n, k))
+    special = {"float": [-0.0], "infinities": [np.inf, -np.inf], "nans": [np.nan, -np.nan]}[kind]
+    spots = rng.random((n, k)) < 0.1
+    rows[spots] = rng.choice(special, size=spots.sum())
+    return rows
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 0.2, 1e-3])
+@pytest.mark.parametrize("kind", ["int", "float", "signed_zeros", "infinities", "nans"])
+def test_chunked_ewma_equals_serial_recurrence(kind, alpha):
+    # chunks of 8 rows: n = 0, 1, CHUNK - 1 .. CHUNK + 1, 2 * CHUNK - 1 ..
+    # 2 * CHUNK + 1 (the first chunked length) and many chunks
+    rng = np.random.default_rng(7)
+    cfg = BaselineConfig(alpha=alpha, window=0.1)
+    with patch.object(baseline, "CHUNK", 8):
+        for n in (0, 1, 7, 8, 9, 15, 16, 17, 200):
+            t = np.arange(n) * 0.02
+            for k in (0, 1, 5):
+                rows = channel_rows(kind, n, k, rng)
+                smoothed = serial_smoothed(rows, alpha)
+                if n:  # batch_baselines returns before either EWMA for n = 0
+                    assert np.array_equal(bits(baseline._serial_ewma(rows, alpha)), bits(smoothed))
+                    chunked = baseline._chunked_ewma(rows, alpha)
+                    if chunked is not None:
+                        assert np.array_equal(bits(chunked), bits(smoothed)), (n, k)
+                got = batch_baselines(t, rows, cfg)
+                assert got.shape == rows.shape
+                expected = scan_max(t, smoothed, cfg.window)
+                assert np.array_equal(got, expected, equal_nan=True), (n, k)
+
+
+def settles_within(passes: int, rows: np.ndarray, alpha: float) -> bool:
+    """Whether the chunked EWMA of rows settles in at most this many passes."""
+    with patch.object(baseline, "_MAX_PASSES", passes):
+        smoothed = baseline._chunked_ewma(rows, alpha)
+    if smoothed is not None:
+        assert np.array_equal(bits(smoothed), bits(serial_smoothed(rows, alpha)))
+    return smoothed is not None
+
+
+def test_chunked_ewma_takes_one_pass_several_or_falls_back():
+    rows = np.random.default_rng(3).integers(0, 1024, size=(200, 5))
+    with patch.object(baseline, "CHUNK", 8):
+        # alpha 1: each start is its own reading, the first guess
+        assert settles_within(1, rows, 1.0)
+        # keep**8 = 1e-8: a wrong start still shows at a chunk's end
+        assert not settles_within(1, rows, 0.9)
+        assert settles_within(baseline._MAX_PASSES, rows, 0.9)
+        # keep**8 is near 1: no pass fixes more than its first chunk
+        assert not settles_within(baseline._MAX_PASSES, rows, 1e-3)
+
+
+@pytest.mark.parametrize("alpha, passes", [(0.2, 2), (0.05, 4), (0.01, None)])
+def test_batch_baselines_on_a_simulated_trace_take_the_chunked_path_or_fall_back(alpha, passes):
+    # 2,220 frames: 9 chunks of the real CHUNK; None: the serial fallback
+    trace = synth_trace([E, F, O] * 2, cfg=SimConfig(seed=5))
+    rows = trace.channels
+    if passes is None:
+        assert not settles_within(baseline._MAX_PASSES, rows, alpha)
+    else:
+        assert not settles_within(passes - 1, rows, alpha)
+        assert settles_within(passes, rows, alpha)
+    cfg = BaselineConfig(alpha=alpha)
+    got = batch_baselines(trace.t_rel, rows, cfg)
+    assert np.array_equal(got, streamed_baselines(trace.t_rel, rows, cfg))
 
 
 def test_batch_baselines_reject_non_monotonic_time():
@@ -215,7 +346,7 @@ def test_batch_baselines_reject_malformed_input(t_rel, rows, message):
         batch_baselines(t_rel, rows)
 
 
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=oracle_examples(150))
 @given(timestamped_streams())
 def test_update_bitwise_equals_ewma_step_reference(case):
     t, rows, cfg = case

@@ -22,6 +22,7 @@ from conftest import (
     R,
     T,
     make_trace,
+    oracle_examples,
     random_rows,
     run_python,
     write_non_bmp_collection,
@@ -197,7 +198,7 @@ def collection_traces(draw):
     )
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=oracle_examples(60))
 @given(collection_traces())
 def test_collection_write_read_write_is_byte_identical(trace):
     text = _collection_text(trace)
@@ -216,7 +217,7 @@ def test_parse_serial_line_round_trips_device_lines(values):
 _HEADER_BYTES = (COLLECTION_HEADER + "\n").encode()
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=oracle_examples(200))
 @given(st.one_of(st.binary(max_size=300), st.binary(max_size=300).map(_HEADER_BYTES.__add__)))
 def test_read_collection_csv_random_bytes_raise_only_value_error(data):
     stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
@@ -255,7 +256,7 @@ def mutated_serial_lines(draw):
     return ",".join(tokens) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-@settings(max_examples=300)
+@settings(max_examples=oracle_examples(300))
 @given(st.one_of(
     st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
     st.text(max_size=40),
@@ -295,7 +296,7 @@ def mutated_collections(draw):
     return "".join(lines)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=oracle_examples(300))
 @given(mutated_collections())
 def test_read_collection_csv_mutated_rows_raise_only_value_error(text):
     try:
@@ -316,6 +317,27 @@ def test_read_collection_csv_row_errors_name_their_line():
         read_collection_csv(io.StringIO(text))
     text = COLLECTION_HEADER + "\n0.0,0.0,1,2,3,4,99999999999999999999,relax,\n"
     with pytest.raises(ValueError, match="line 2: malformed row"):
+        read_collection_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "blank", [None, 5, 9], ids=["canonical", "blank_in_block_2", "blank_in_block_3"]
+)
+@pytest.mark.parametrize("bad_row", [5, 9], ids=["row_in_block_2", "row_in_block_3"])
+@pytest.mark.parametrize("fault", ["repeated_time", "intensity_1024"])
+def test_reader_names_the_line_of_a_bad_frame_in_a_later_block(fault, bad_row, blank):
+    # blocks of 4 lines; a blank line before row `blank` sends its block
+    # through the row-by-row parse, and moves the lines of the rows after it
+    rows = [f"{i * 0.02!r},0.0,1,2,3,4,5,relax," for i in range(12)]
+    if fault == "repeated_time":
+        rows[bad_row] = rows[bad_row - 1]
+    else:
+        rows[bad_row] = rows[bad_row].replace(",5,relax,", ",1024,relax,")
+    if blank is not None:
+        rows.insert(blank, "")
+    line = bad_row + 2 + (blank is not None and blank <= bad_row)
+    text = COLLECTION_HEADER + "\n" + "\n".join(rows) + "\n"
+    with patch.object(ingest, "ROW_BLOCK", 4), pytest.raises(ValueError, match=f"^line {line}: "):
         read_collection_csv(io.StringIO(text))
 
 
@@ -744,7 +766,7 @@ def _grid_value(k: int, d: int, ulps: int) -> float:
     return v
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=oracle_examples(300))
 @given(st.lists(st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.builds(_grid_value, st.integers(0, 2**53), st.integers(0, 6), st.integers(-2, 2)),
@@ -807,7 +829,7 @@ def test_time_tail_table_is_built_by_the_first_writer_not_on_import():
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=oracle_examples(60))
 @given(st.data(), st.sampled_from([1, 2, 5, ROW_BLOCK]), st.integers(0, 40))
 def test_writer_and_reader_match_references_on_random_traces(data, block, n):
     interval = data.draw(st.sampled_from([0.02, 1e-05, 3.0, 1e5]))
@@ -894,7 +916,7 @@ def mutated_codec_texts(draw):
     return block, text
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=oracle_examples(200))
 @given(mutated_codec_texts())
 def test_reader_matches_row_reference_on_odd_rows(case):
     block, text = case

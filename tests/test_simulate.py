@@ -1,13 +1,15 @@
 import io
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, file_lines
+from conftest import E, F, O, R, T, file_lines, one_shot_synth_trace, oracle_examples
+from lightband import simulate
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import (
@@ -18,7 +20,7 @@ from lightband.simulate import (
     read_script,
     synth_trace,
 )
-from lightband.types import parse_label, segment_trace
+from lightband.types import ROW_BLOCK, parse_label, segment_trace
 
 
 def profile_table(rows, sensors=ALL_SENSORS):
@@ -134,7 +136,7 @@ def test_determinism_under_seed():
     assert list(c.frames) != list(a.frames)
 
 
-@settings(deadline=None, max_examples=15)
+@settings(deadline=None, max_examples=oracle_examples(15))
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 50.0), st.floats(0.0, 2.0))
 def test_channels_always_in_range(seed, noise, drift):
     cfg = SimConfig(
@@ -208,7 +210,7 @@ def mutated_scripts(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
-@settings(max_examples=300)
+@settings(max_examples=oracle_examples(300))
 @given(st.one_of(st.binary(max_size=60), st.text(max_size=60), mutated_scripts()))
 def test_read_script_random_input_raises_only_value_error(data):
     if isinstance(data, bytes):
@@ -263,7 +265,7 @@ def reference_synth(script, profiles, cfg):
     return rows, labels
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=oracle_examples(40))
 @given(
     st.lists(st.sampled_from([E, F, O]), max_size=4),
     st.integers(0, 2**32 - 1),
@@ -283,3 +285,34 @@ def test_synth_trace_equals_per_frame_reference(script, seed, drift, noise, inte
     times = [i * interval for i in range(len(rows))]
     assert trace.t_rel.tolist() == times
     assert trace.t_unix.tolist() == [cfg.start_unix + t for t in times]
+
+
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_synth_trace_equals_one_shot_draw_at_block_edges(n):
+    # one gesture cycle is 270 frames at these holds; the relax hold fills up to n
+    cfg = SimConfig(relax_hold=(n - 270) * 0.02, noise_sigma=7.5, drift=0.3, seed=n)
+    trace = synth_trace([F], DEFAULT_PROFILES, cfg)
+    assert len(trace) == n
+    reference = one_shot_synth_trace([F], DEFAULT_PROFILES, cfg)
+    assert trace.channels.tobytes() == reference.channels.tobytes()
+    assert trace.t_rel.tobytes() == reference.t_rel.tobytes()
+    assert trace.t_unix.tobytes() == reference.t_unix.tobytes()
+    assert trace.labels == reference.labels
+
+
+@settings(deadline=None, max_examples=oracle_examples(40))
+@given(
+    st.lists(st.sampled_from([E, F, O]), max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 40.0),
+    st.floats(0.0, 3.0),
+    st.sampled_from([1, 2, 3, 7, 64]),
+)
+def test_synth_trace_equals_one_shot_draw_in_small_blocks(script, seed, noise, drift, block):
+    cfg = SimConfig(
+        gesture_hold=0.3, relax_hold=0.2, transition_time=0.1,
+        noise_sigma=noise, drift=drift, seed=seed,
+    )
+    with patch.object(simulate, "ROW_BLOCK", block):
+        trace = synth_trace(script, DEFAULT_PROFILES, cfg)
+    assert trace == one_shot_synth_trace(script, DEFAULT_PROFILES, cfg)

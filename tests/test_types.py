@@ -214,6 +214,51 @@ def test_trace_validation_names_the_frame():
         assert caught.value.index == 2
 
 
+@pytest.mark.parametrize("faults", [
+    (),
+    ((2, 3, 1024),),
+    ((1, 4, -1), (2, 0, 5000)),
+    ((4, 2, 30000), (4, 1, 1024)),
+], ids=["valid", "1024", "-1_first", "two_in_a_row"])
+def test_integer_and_float_channels_are_checked_alike(faults):
+    # an integer dtype skips the integral test; the checks must still agree
+    rows = np.random.default_rng(0).integers(0, 1024, size=(6, 5))
+    for row, col, value in faults:
+        rows[row, col] = value
+    for dtype in (np.int64, np.int32, np.int16, np.uint16, np.float64, np.float32):
+        if np.any(rows != rows.astype(dtype)):
+            continue  # uint16 cannot hold -1
+        channels = rows.astype(dtype)
+        if not faults:
+            trace = make_trace(channels, [R] * 6)
+            assert trace.channels.dtype == np.int64
+            assert np.array_equal(trace.channels, rows)
+            continue
+        row, col, value = min(faults)
+        # the value is spelled as its dtype gives it: 1024 or 1024.0
+        value = float(value) if channels.dtype.kind == "f" else value
+        with pytest.raises(FrameError) as caught:
+            make_trace(channels, [R] * 6)
+        assert caught.value.index == row
+        assert str(caught.value) == f"channel value {value} outside [0, 1023]"
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "channel value is not an integer: nan"),
+    (2.5, "channel value is not an integer: 2.5"),
+    (float("inf"), "channel value inf outside [0, 1023]"),
+    (-0.5, "channel value is not an integer: -0.5"),
+])
+def test_float_channels_name_their_first_bad_value(value, message):
+    rows = np.full((3, 5), 7.0)
+    rows[1, 2] = value
+    rows[2, 0] = 2000.0
+    with pytest.raises(FrameError) as caught:
+        make_trace(rows, [R] * 3)
+    assert caught.value.index == 1
+    assert str(caught.value) == message
+
+
 def test_trace_columns_are_read_only_copies():
     rows = np.array(flat_rows(10, 3))
     trace = make_trace(rows, [R, E, R])
