@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from functools import cache
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import CLASS_LABELS, NUM_CHANNELS, GestureLabel
+from .types import CLASS_LABELS, NUM_CHANNELS, GestureLabel, segment_trace
 
 
 # nn train's default train/test boundary row
@@ -152,8 +152,10 @@ def cmd_simulate(args) -> int:
             simulate.profile_deltas(profiles)  # an all-zero gesture is a usage error
     trace = simulate.synth_trace(script, profiles, cfg)
     ingest.write_collection_csv(trace, args.out)
-    counts = Counter(trace.labels)
-    duration = trace.t_rel[-1] if len(trace) else 0.0
+    counts = dict.fromkeys(GestureLabel, 0)
+    for label, start, end in segment_trace(trace):  # never empty: a script has a relax hold
+        counts[label] += end - start
+    duration = trace.t_rel[-1]
     summary = " ".join(f"{label.name.lower()}={counts[label]}" for label in GestureLabel)
     print(f"wrote {len(trace)} frames ({duration:.2f}s) to {args.out}: {summary}")
     return 0
@@ -240,10 +242,20 @@ def cmd_physics(args) -> int:
     return 0
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser for main, built on its first call.
+
+    argparse keeps no state between parses, so reusing the parser gives
+    what a new one would; each subcommand's function is bound when it is
+    built.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code is None else int(exc.code)
     try:

@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable
 
@@ -266,16 +266,24 @@ def _canonical_columns(block: list):
             rows = np.loadtxt(
                 block, dtype=_CANONICAL_ROW, delimiter=",", comments=None, ndmin=1
             )
-        labels = list(map(_LABEL_BY_TEXT.__getitem__, rows["label"].tolist()))
-    except (ValueError, KeyError, Warning):  # a token loadtxt refuses, an unknown label
+    except (ValueError, Warning):  # a token loadtxt refuses
         return None
     if len(rows) != len(block) or rows["empty"].view(np.uint32).any():
         return None  # a blank line was skipped, or a 9th field holds text
+    # the labels by runs: one compare finds where each run starts, and each
+    # run's text is looked up once
+    texts = rows["label"]
+    starts = [0, *(np.flatnonzero(texts[1:] != texts[:-1]) + 1).tolist()]
+    try:
+        run_labels = list(map(_LABEL_BY_TEXT.__getitem__, texts[starts].tolist()))
+    except KeyError:  # not one of the five lower-case spellings
+        return None
+    lengths = np.diff(starts, append=len(texts)).tolist()
     return (
         rows["t_rel"].tobytes(),
         rows["t_unix"].tobytes(),
         rows["channels"].tobytes(),
-        labels,
+        list(chain.from_iterable(map(repeat, run_labels, lengths))),
     )
 
 

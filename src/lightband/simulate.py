@@ -198,6 +198,9 @@ def synth_trace(
     values += targets
     values += noise
     np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
+    # whole numbers in range, so exact as int64; LabeledTrace then skips its
+    # float integrality pass, and the float array is freed here
+    values = values.astype(np.int64)
     t_rel = np.arange(n) * cfg.sample_interval
     return LabeledTrace(
         t_rel=t_rel,

@@ -1,9 +1,11 @@
+import copy
 import io
 import json
 import shlex
 import stat
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from conftest import (
     write_non_bmp_collection,
     T as TRANSITION,
 )
-from lightband import mlp
+from lightband import cli, mlp, signature
 from lightband.baseline import BaselineConfig
 from lightband.cli import NN_SPLIT, _config, build_parser, main
 from lightband.ingest import read_collection_csv, write_collection_csv
@@ -90,6 +92,21 @@ def test_simulate_writes_csv_and_summary(capsys, tmp_path):
     assert "frames" in out and "extend=" in out
     trace = read_collection_csv(str(out_csv))
     assert len(trace) == 3 * (15 + 5 + 20 + 5)
+
+
+@pytest.mark.parametrize("script", ["extend\nfist\none\n", "", "fist\n"],
+                         ids=["three-gestures", "empty", "one-gesture"])
+def test_simulate_summary_counts_every_label(capsys, tmp_path, script):
+    out_csv = tmp_path / "trace.csv"
+    code, out, _ = run(
+        capsys, "simulate", "--script", script_file(tmp_path, script),
+        "--out", str(out_csv), *SIM_ARGS,
+    )
+    assert code == 0
+    trace = read_collection_csv(str(out_csv))
+    counts = Counter(trace.labels)
+    summary = " ".join(f"{label.name.lower()}={counts[label]}" for label in GestureLabel)
+    assert out == f"wrote {len(trace)} frames ({trace.t_rel[-1]:.2f}s) to {out_csv}: {summary}\n"
 
 
 def test_simulate_seed_determinism(capsys, tmp_path):
@@ -375,6 +392,23 @@ def test_simulate_profile_header_error_names_its_line(capsys, tmp_path, text, me
     code, err, out_csv = simulate_with_profiles(capsys, tmp_path, text)
     assert (code, err) == (2, f"error: {message}\n")
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("option, code", [("--profiles", 2), ("--table", 1)])
+def test_bad_signature_file_exits_by_the_option_that_names_it(capsys, tmp_path, option, code):
+    # the same contents: a usage error as simulate's profiles, a domain
+    # error as classify's table
+    bad = tmp_path / "bad.csv"
+    bad.write_text(BAD_TABLE_HEADERS[0][0])
+    if option == "--profiles":
+        argv = ["simulate", "--script", script_file(tmp_path), "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["classify", "--trace", str(training_trace(tmp_path)),
+                "--out", str(tmp_path / "o.csv")]
+    got, out, err = run(capsys, *argv, option, str(bad))
+    assert (got, out) == (code, "")
+    assert err == f"error: {BAD_TABLE_HEADERS[0][1]}\n"  # "error: line 1: ..."
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_train_signatures_writes_the_same_table_whatever_the_sensor_order(capsys, tmp_path):
@@ -882,6 +916,75 @@ def test_readme_cli_block_parses():
     ]
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+# --- main parses with one parser per process ---
+
+
+def test_build_parser_returns_a_new_parser_and_main_reuses_one():
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+
+
+def test_a_command_after_a_usage_error_runs_as_in_a_new_process(capsys, tmp_path):
+    command = ["simulate", "--script", script_file(tmp_path)]
+    settings = ["--seed", "3", *SIM_ARGS]
+    child = run_python("-m", "lightband.cli", *command, "--out", str(tmp_path / "new.csv"),
+                       *settings)
+    assert child.returncode == 0, child.stderr
+    fresh = (tmp_path / "new.csv").read_bytes()
+    reused = tmp_path / "reused.csv"
+    # a value argparse refuses, a value the config refuses, an option
+    # without its value and an unknown option, each met by simulate's parser
+    for bad in (["--seed", "x"], ["--seed", "-1"], ["--drift"], ["--jump", "1"]):
+        code, _, err = run(capsys, *command, "--out", str(tmp_path / "bad.csv"), *bad)
+        assert code == 2 and "error: " in err, bad
+        assert run(capsys, *command, "--out", str(reused), *settings) == (
+            0, child.stdout.replace("new.csv", "reused.csv"), ""
+        )
+        assert reused.read_bytes() == fresh
+
+
+def test_help_prints_the_same_bytes_on_a_later_call():
+    child = run_python("-c", (
+        "import contextlib, io, json\n"
+        "from lightband.cli import build_parser, main\n"
+        "outs = []\n"
+        "for argv in (['--help'], ['classify', '--help']) * 2:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    outs.append([code, out.getvalue()])\n"
+        "outs.append([0, build_parser().format_help()])\n"
+        "print(json.dumps(outs))\n"
+    ))
+    assert child.returncode == 0, child.stderr
+    root, classify, root_again, classify_again, new_root = json.loads(child.stdout)
+    assert root == root_again == new_root
+    assert classify == classify_again
+    assert classify[1].startswith("usage: lightband classify [-h] ")
+
+
+def test_a_flag_from_one_call_is_absent_from_the_next(capsys, tmp_path, monkeypatch):
+    trace_path = training_trace(tmp_path)
+    table_path = tmp_path / "table.csv"
+    assert run(capsys, "train-signatures", str(trace_path), "--out", str(table_path))[0] == 0
+    configs = []
+    real_classify_trace = signature.classify_trace
+
+    def recording_classify_trace(trace, table, cfg, state):
+        configs.append((cfg, copy.deepcopy(state)))  # before the run fills its history
+        return real_classify_trace(trace, table, cfg, state)
+
+    monkeypatch.setattr(signature, "classify_trace", recording_classify_trace)
+    argv = ["classify", "--trace", str(trace_path), "--table", str(table_path),
+            "--out", str(tmp_path / "labels.csv")]
+    assert run(capsys, *argv, "--alpha", "0.5", "--horizon", "3")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert configs == [
+        (BaselineConfig(alpha=0.5), ClassifierState(transition_horizon=3)),
+        (BaselineConfig(), ClassifierState()),
+    ]
 
 
 SIGNATURE_OUTPUTS = ("train.csv", "eval.csv", "signatures.csv", "labels.csv")

@@ -39,7 +39,14 @@ from lightband.ingest import (
 )
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import read_script
-from lightband.types import ROW_BLOCK, FrameError, GestureLabel, LabeledTrace, parse_label
+from lightband.types import (
+    LABEL_TEXT,
+    ROW_BLOCK,
+    FrameError,
+    GestureLabel,
+    LabeledTrace,
+    parse_label,
+)
 
 
 def test_parse_serial_line_examples():
@@ -924,6 +931,42 @@ def test_reader_matches_row_reference_on_odd_rows(case):
         assert_reads_like_reference(text)
 
 
+def _labelled_text(names) -> str:
+    """A collection CSV whose row i carries the label text names[i]."""
+    rows = [f"{i * 0.02!r},0.0,1,2,3,4,5,{name},\n" for i, name in enumerate(names)]
+    return COLLECTION_HEADER + "\n" + "".join(rows)
+
+
+@st.composite
+def label_run_texts(draw):
+    """(names, text): rows in runs of one label, one row maybe misspelt."""
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(list(LABEL_TEXT.values())), st.integers(1, 9)),
+        min_size=1, max_size=8,
+    ))
+    names = [name for name, length in runs for _ in range(length)]
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(names) - 1))
+        names[row] = draw(st.sampled_from(
+            [names[row].upper(), names[row].title(), names[row] + "x", names[row][:-1], "jump"]
+        ))
+    return names, _labelled_text(names)
+
+
+@settings(deadline=None, max_examples=oracle_examples(100))
+@given(label_run_texts(), st.sampled_from([1, 2, 3, 4, 7, ROW_BLOCK]))
+def test_reader_matches_row_reference_on_label_runs(case, block):
+    names, text = case
+    with patch.object(ingest, "ROW_BLOCK", block):
+        assert_reads_like_reference(text)
+    # the whole file as one block: its labels by runs, or declined
+    columns = ingest._canonical_columns(text.splitlines(keepends=True)[1:])
+    if set(names) <= set(LABEL_TEXT.values()):
+        assert columns[3] == list(map(parse_label, names))
+    else:
+        assert columns is None
+
+
 def test_reader_matches_row_reference_on_listed_cases():
     rows = [f"{i * 0.02!r},0.0,1,2,3,4,5,relax," for i in range(6)]
 
@@ -970,6 +1013,15 @@ def test_reader_matches_row_reference_on_listed_cases():
         text((2, "0.04,0.0,1,2,3,4,5,transitionx,")),
         text((2, "0.04,0.0,1,2,3,4,5,transitions,")),
         text((2, "0.04,0.0,1,2,3,4,5,transitionxx,")),
+        # label runs, read with 4-row blocks among others: a change at a
+        # block's last row (3) and at its first (4), a new label on every
+        # row, a run across a block edge, a bad spelling inside a run
+        _labelled_text(["relax", "relax", "relax", "extend", "fist", "fist"]),
+        _labelled_text(["relax", "extend", "fist", "one", "transition", "relax"]),
+        _labelled_text(["one", "fist", "fist", "fist", "fist", "fist"]),
+        _labelled_text(["fist", "fist", "fist", "Fist", "fist", "fist"]),
+        _labelled_text(["fist", "fist", "fist", "fist", "fists", "fist"]),
+        _labelled_text(["one", "one", "one", "one", "one", "ONE"]),
     ]
     for block in (1, 2, 4, 7, ROW_BLOCK):
         with patch.object(ingest, "ROW_BLOCK", block):
