@@ -197,12 +197,17 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def _sigmoid(z: np.ndarray, out=None) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out=None, e=None, pos=None) -> np.ndarray:
     # exp of a non-positive argument never overflows; 1 / d where z >= 0,
-    # else e / d
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.divide(np.where(z >= 0, 1.0, e), d, out=out)
+    # else e / d, with d = 1 + e. e (float) and pos (bool) are scratch shaped
+    # like z, allocated when not given; z is not read once d is written, so
+    # out may be z
+    pos = np.greater_equal(z, 0.0, out=pos)
+    e = np.absolute(z, out=e)
+    np.exp(np.negative(e, out=e), out=e)
+    d = np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, d, out=d)
 
 
 def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> tuple:
@@ -258,51 +263,80 @@ class _Workspace:
     """Buffers for the training step on `rows` rows, allocated once.
 
     Per layer, each (rows, fan_out): the pre-activation z, the activation
-    a (the next layer's input), the backward delta and a bool buffer (the
-    dropout keep mask, then z > 0); with dropout also the uniforms and the
-    dropout scale. Then one buffer per hidden weight matrix for its L2
-    gradient term.
+    a (the next layer's input), the backward delta and a bool buffer (z > 0
+    for a hidden layer; the output layer's, with its delta before the
+    backward pass, is the sigmoid's scratch). Then one buffer per hidden
+    weight matrix for its L2 gradient term.
     """
 
     def __init__(self, cfg: MlpConfig, rows: int):
-        self.rate = rate = cfg.dropout_rate
         self.l2x2 = 2.0 * cfg.l2
         shapes = [(rows, fan_out) for _, fan_out in cfg.layer_dims]
         self.z = [np.empty(shape) for shape in shapes]
         self.a = [np.empty(shape) for shape in shapes]
         self.delta = [np.empty(shape) for shape in shapes]
         self.keep = [np.empty(shape, dtype=bool) for shape in shapes]
-        self.uniform = [np.empty(shape) for shape in shapes] if rate > 0 else []
-        self.scale = [np.empty(shape) for shape in shapes] if rate > 0 else []
         self.l2_term = [np.empty((fan_out, fan_in)) for fan_in, fan_out in cfg.layer_dims[:-1]]
 
 
-def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target, grads_w,
+def _draw_scales(rng, rate: float, scales: np.ndarray, keep: np.ndarray) -> None:
+    """Fill the flat float64 buffer scales with dropout scales, using keep
+    (bool, the same size) as scratch: one rng.random over the buffer, then
+    (uniform >= rate) * (1 / (1 - rate)). A kept unit is 1.0 * k = k and a
+    dropped one 0.0 * k = 0.0, as np.where(keep, k, 0.0) gives."""
+    rng.random(out=scales)
+    np.greater_equal(scales, rate, out=keep)
+    np.multiply(keep, 1.0 / (1.0 - rate), out=scales)
+
+
+def _scale_views(scales: np.ndarray, heights, hidden) -> list:
+    """Per batch of the given heights, in order, the (rows, fan_out) view
+    of the flat buffer scales for each hidden layer: batch by batch, layer
+    by layer, the order in which one batch at a time would draw them."""
+    views, pos = [], 0
+    for rows in heights:
+        batch = []
+        for fan_out in hidden:
+            batch.append(scales[pos : pos + rows * fan_out].reshape(rows, fan_out))
+            pos += rows * fan_out
+        views.append(batch)
+    return views
+
+
+def _batch_scales(cfg: MlpConfig, rows: int, rng) -> list:
+    """The dropout scales of one batch of `rows` rows drawn from rng, one
+    (rows, fan_out) array per hidden layer; None without dropout."""
+    if cfg.dropout_rate == 0:
+        return None
+    if rng is None:
+        raise ValueError("training forward pass with dropout needs an rng")
+    scales = np.empty(rows * sum(cfg.hidden))
+    _draw_scales(rng, cfg.dropout_rate, scales, np.empty(scales.shape, dtype=bool))
+    return _scale_views(scales, [rows], cfg.hidden)[0]
+
+
+def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, target, scales, grads_w,
                 grads_b) -> np.ndarray:
     """One training step on the rows of x, computed in ws: the forward pass
-    with inverted dropout at ws.rate, then the batch gradient of every weight
-    and bias written into grads_w and grads_b. Returns the network output.
+    with each hidden activation multiplied by its dropout scales (one
+    (rows, fan_out) array per hidden layer, or None for no dropout), then
+    the batch gradient of every weight and bias written into grads_w and
+    grads_b. Returns the network output.
 
     Each value takes the IEEE operations, in the order, of
-    relu(x @ w.T + b) * scale and its backprop. The dropout scale is
-    (uniform >= rate) * (1 / (1 - rate)): a kept unit is 1.0 * k = k and a
-    dropped one 0.0 * k = 0.0, as np.where(keep, k, 0.0) gives.
+    relu(x @ w.T + b) * scale and its backprop.
     """
     last = len(model.weights) - 1
-    rate = ws.rate
-    if rate > 0 and rng is None:
-        raise ValueError("training forward pass with dropout needs an rng")
     a = x
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = np.matmul(a, w.T, out=ws.z[i])
         z += b
         if i == last:
-            a = _sigmoid(z, out=ws.a[i])
+            a = _sigmoid(z, out=ws.a[i], e=ws.delta[i], pos=ws.keep[i])
         else:
             a = np.maximum(z, 0.0, out=ws.a[i])
-            if rate > 0:
-                np.greater_equal(rng.random(out=ws.uniform[i]), rate, out=ws.keep[i])
-                a *= np.multiply(ws.keep[i], 1.0 / (1.0 - rate), out=ws.scale[i])
+            if scales is not None:
+                a *= scales[i]
     n_rows, n_out = target.shape
     delta = np.subtract(a, target, out=ws.delta[last])
     delta /= n_out * n_rows
@@ -313,8 +347,8 @@ def _train_step(model: MlpModel, ws: _Workspace, x: np.ndarray, rng, target, gra
             grads_w[i] += np.multiply(model.weights[i], ws.l2x2, out=ws.l2_term[i])
         if i > 0:
             upstream = np.matmul(delta, model.weights[i], out=ws.delta[i - 1])
-            if rate > 0:
-                upstream *= ws.scale[i - 1]
+            if scales is not None:
+                upstream *= scales[i - 1]
             upstream *= np.greater(ws.z[i - 1], 0.0, out=ws.keep[i - 1])
             delta = upstream
     return a
@@ -345,7 +379,8 @@ def loss_and_gradients(model: MlpModel, x: np.ndarray, target: np.ndarray, rng=N
     parameter: train's step, with dropout at the model's rate drawn from rng."""
     grads_w = [np.empty_like(w) for w in model.weights]
     grads_b = [np.empty_like(b) for b in model.biases]
-    out = _train_step(model, _Workspace(model.config, len(x)), x, rng, target, grads_w, grads_b)
+    scales = _batch_scales(model.config, len(x), rng)
+    out = _train_step(model, _Workspace(model.config, len(x)), x, target, scales, grads_w, grads_b)
     return _mean_bce(out, target) + _l2_penalty(model, model.config.l2), grads_w, grads_b
 
 
@@ -368,31 +403,49 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
 
     validation, when given, is an (x_val, labels_val) pair scored after each
     epoch with dropout off. All randomness (init, shuffling, dropout) flows
-    from cfg.seed, so identical calls produce identical weights. Parameters,
-    gradients and Adam moments each live in one flat buffer updated in
-    place; every training step computes in the _Workspace of its batch
-    height (one for full batches, one for a shorter last batch), and the
-    per-epoch scoring of both row sets in one set of _infer_buffers, each
-    allocated once per call. Raises ValueError at the end of the first
-    epoch whose training loss is not finite.
+    from cfg.seed, so identical calls produce identical weights.
+
+    Each epoch gathers its shuffled rows and targets once, and every step
+    takes a contiguous slice of them. Dropout is drawn per group of whole
+    batches covering at most ROW_BLOCK rows (one batch when batch_size is
+    larger): one rng.random fills the group's scales in the order one batch
+    at a time would draw them, batch by batch and hidden layer by hidden
+    layer, and PCG64 fills float64 with one draw per value, so the stream,
+    and every weight, is that of per-batch draws. A group holds its rows x
+    sum(hidden) scales, 8 bytes each, and as many mask bytes: at most
+    3.7 MB for the default (100, 100) layers.
+
+    Parameters and gradients each live in one flat buffer, Adam's two
+    moments in the rows of one (2, P) buffer, all updated in place; every
+    step computes in the _Workspace of its batch height (one for full
+    batches, one for a shorter last batch), and the per-epoch scoring of
+    both row sets in one set of _infer_buffers, each allocated once per
+    call. Raises ValueError before the first epoch for a bad training or
+    validation set, and at the end of the first epoch whose training loss
+    is not finite.
     """
     x = _prepare(x, cfg)
-    if x.shape[0] == 0:
+    n = x.shape[0]
+    if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if not np.isfinite(x).all():
         raise ValueError("non-finite value in training features")
     indices = _as_indices(labels, cfg.output_dim)
-    if len(indices) != x.shape[0]:
-        raise ValueError(f"{x.shape[0]} rows but {len(indices)} labels")
+    if len(indices) != n:
+        raise ValueError(f"{n} rows but {len(indices)} labels")
     targets = one_hot(indices, cfg.output_dim)
     val = None
     if validation is not None:
         x_val = _prepare(validation[0], cfg)
+        if x_val.shape[0] == 0:
+            raise ValueError("validation set is empty")
         if not np.isfinite(x_val).all():
             raise ValueError("non-finite value in validation features")
         val_indices = _as_indices(validation[1], cfg.output_dim)
+        if len(val_indices) != x_val.shape[0]:
+            raise ValueError(f"validation: {x_val.shape[0]} rows but {len(val_indices)} labels")
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
-    score_bufs = _infer_buffers(cfg, max(x.shape[0], 0 if val is None else val[0].shape[0]))
+    score_bufs = _infer_buffers(cfg, max(n, 0 if val is None else val[0].shape[0]))
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, rng)
@@ -400,42 +453,59 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     model.weights, model.biases = _layer_views(params, cfg)
     grads = np.empty_like(params)
     grads_w, grads_b = _layer_views(grads, cfg)
-    adam_m = np.zeros_like(params)
-    adam_v = np.zeros_like(params)
-    t1 = np.empty_like(params)
-    t2 = np.empty_like(params)
+    moments = np.zeros((2, params.size))  # Adam's m, then v
+    decay = np.array([[cfg.beta1], [cfg.beta2]])
+    gain = np.array([[1 - cfg.beta1], [1 - cfg.beta2]])
+    tmp = np.empty_like(moments)
+    adam_m, adam_v, t2, t1 = *moments, *tmp
     step = 0
     report = TrainReport()
-    n = x.shape[0]
+    bs = cfg.batch_size
     # batch heights: full batches, and the last batch, which may be shorter
-    heights = {min(cfg.batch_size, n), (n - 1) % cfg.batch_size + 1}
-    workspaces = {m: _Workspace(cfg, m) for m in heights}
+    workspaces = {m: _Workspace(cfg, m) for m in {min(bs, n), (n - 1) % bs + 1}}
+    # rows per dropout draw: whole batches covering at most ROW_BLOCK rows,
+    # or one batch; each batch's scale views for a full group and for a
+    # shorter last one
+    group = max(ROW_BLOCK // bs, 1) * bs
+    rate = cfg.dropout_rate
+    units = sum(cfg.hidden)
+    scales = np.empty(min(group, n) * units if rate > 0 else 0)
+    keep = np.empty(scales.shape, dtype=bool)
+    layouts = {}
+    for rows in {min(group, n), (n - 1) % group + 1}:
+        heights = [min(bs, rows - s) for s in range(0, rows, bs)]
+        layouts[rows] = (
+            _scale_views(scales, heights, cfg.hidden) if rate > 0 else [None] * len(heights)
+        )
     # a diverging run ends in the ValueError below; numpy's overflow and
     # invalid-value warnings on the way would only add lines to stderr
     with np.errstate(all="ignore"):
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                ws = workspaces[len(batch)]
-                _train_step(model, ws, x[batch], rng, targets[batch], grads_w, grads_b)
-                step += 1
-                # Adam in place, each IEEE operation in the order of
-                # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                adam_m *= cfg.beta1
-                np.multiply(grads, 1 - cfg.beta1, out=t1)
-                adam_m += t1
-                adam_v *= cfg.beta2
-                np.multiply(grads, 1 - cfg.beta2, out=t1)
-                t1 *= grads
-                adam_v += t1
-                np.divide(adam_v, 1 - cfg.beta2**step, out=t1)
-                np.sqrt(t1, out=t1)
-                t1 += cfg.adam_eps
-                np.divide(adam_m, 1 - cfg.beta1**step, out=t2)
-                t2 *= cfg.learning_rate
-                t2 /= t1
-                params -= t2
+            xs, ts = x[order], targets[order]
+            for g0 in range(0, n, group):
+                rows = min(group, n - g0)
+                if rate > 0:
+                    _draw_scales(rng, rate, scales[: rows * units], keep[: rows * units])
+                for start, batch_scales in zip(range(g0, g0 + rows, bs), layouts[rows]):
+                    end = min(start + bs, n)
+                    _train_step(model, workspaces[end - start], xs[start:end], ts[start:end],
+                                batch_scales, grads_w, grads_b)
+                    step += 1
+                    # Adam in place, each IEEE operation in the order of
+                    # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g,
+                    # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                    moments *= decay
+                    np.multiply(grads, gain, out=tmp)
+                    t1 *= grads  # tmp is now ((1 - b1) * g, (1 - b2) * g * g)
+                    moments += tmp
+                    np.divide(adam_v, 1 - cfg.beta2**step, out=t1)
+                    np.sqrt(t1, out=t1)
+                    t1 += cfg.adam_eps
+                    np.divide(adam_m, 1 - cfg.beta1**step, out=t2)
+                    t2 *= cfg.learning_rate
+                    t2 /= t1
+                    params -= t2
             penalty = _l2_penalty(model, cfg.l2)
             train_pred = _infer(model, x, score_bufs)
             loss = _mean_bce(train_pred, targets) + penalty

@@ -158,7 +158,8 @@ def _intensity_matrix(values) -> np.ndarray:
             return f"channel value is not an integer: {value.item()!r}"
         return f"channel value {value.item()} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]"
 
-    _reject_first(~valid.all(axis=1), describe)
+    if not valid.all():  # reduce by row only to find the first bad one
+        _reject_first(~valid.all(axis=1), describe)
     return _read_only(raw.astype(np.int64))
 
 

@@ -18,6 +18,7 @@ from conftest import (
     E,
     R,
     make_trace,
+    oracle_examples,
     reference_bce,
     reference_forward,
     reference_gradients,
@@ -124,7 +125,8 @@ def train_step_output(model, x, rng):
     target = np.zeros((len(x), model.config.output_dim))  # the output does not read it
     ws = mlp._Workspace(model.config, len(x))
     with mlp._one_blas_thread():
-        return mlp._train_step(model, ws, x, rng, target, grads_w, grads_b)
+        return mlp._train_step(model, ws, x, target, mlp._batch_scales(model.config, len(x), rng),
+                               grads_w, grads_b)
 
 
 def test_forward_dropout_seeded():
@@ -237,6 +239,28 @@ def test_train_input_validation():
         train(np.zeros((3, 4)), [0, 1, 0], MlpConfig(output_dim=2))
     with pytest.raises(ValueError, match="labels"):
         train(np.zeros((3, 5)), [0, 1], MlpConfig(output_dim=2))
+
+
+@pytest.mark.parametrize(
+    "validation, message",
+    [
+        ((np.zeros((3, 5)), [0, 1]), "validation: 3 rows but 2 labels"),
+        ((np.zeros((2, 5)), [0, 1, 1]), "validation: 2 rows but 3 labels"),
+        ((np.zeros((0, 5)), []), "validation set is empty"),
+        ((np.zeros((0, 5)), [1]), "validation set is empty"),
+    ],
+)
+def test_train_refuses_a_bad_validation_pair_before_the_first_epoch(validation, message,
+                                                                     monkeypatch):
+    # the mismatch used to train a whole epoch, then fail in numpy's
+    # broadcasting; an empty set scored nan losses with a RuntimeWarning
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(mlp, "_train_step", no_step)
+    x, labels = separable_toy()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(x, labels, MlpConfig(output_dim=2, epochs=1), validation=validation)
 
 
 def test_predict_tie_breaks_to_lowest_index():
@@ -501,35 +525,39 @@ def intensity_problem(n, classes, seed):
 
 
 @pytest.mark.parametrize(
-    "hidden, dropout, l2, batch, with_val, normalize",
+    "hidden, dropout, l2, batch, with_val, normalize, n",
     [
-        ((3,), 0.0, 0.0, 7, False, False),
-        ((8, 6), 0.3, 0.01, 7, True, True),
-        ((4, 5, 3), 0.5, 0.0, 30, True, False),
-        ((100, 100), 0.3, 0.01, 20, True, False),
-        ((100, 100), 0.0, 0.01, 1, False, True),
-        ((12, 9), 0.2, 0.05, 11, True, True),
-        ((5, 4), 0.3, 0.01, 50, True, False),  # one batch, shorter than batch_size
-        ((7,), 0.4, 0.01, 8, True, False),  # one hidden layer with dropout
-        ((6, 5), 0.3, 0.0, 9, False, True),  # dropout without the L2 term
+        ((3,), 0.0, 0.0, 7, False, False, 30),
+        ((8, 6), 0.3, 0.01, 7, True, True, 30),
+        ((4, 5, 3), 0.5, 0.0, 30, True, False, 30),
+        ((100, 100), 0.3, 0.01, 20, True, False, 30),
+        ((100, 100), 0.0, 0.01, 1, False, True, 30),
+        ((12, 9), 0.2, 0.05, 11, True, True, 30),
+        ((5, 4), 0.3, 0.01, 50, True, False, 30),  # one batch, shorter than batch_size
+        ((7,), 0.4, 0.01, 8, True, False, 30),  # one hidden layer with dropout
+        ((6, 5), 0.3, 0.0, 9, False, True, 30),  # dropout without the L2 term
+        # two dropout groups (292 batches of 7, then 8 and a 3-row batch)
+        ((3,), 0.3, 0.01, 7, True, False, 2_103),
+        # batches taller than ROW_BLOCK: one batch per draw, then a 53-row one
+        ((8, 6), 0.2, 0.0, ROW_BLOCK + 2, False, True, 2_103),
     ],
 )
-def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val, normalize):
-    x, labels = intensity_problem(45, 4, seed=len(hidden) + batch)
-    validation = (x[30:], labels[30:]) if with_val else None
+def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val, normalize, n):
+    x, labels = intensity_problem(n + 15, 4, seed=len(hidden) + batch)
+    validation = (x[n:], labels[n:]) if with_val else None
     for epochs in (0, 4):
         cfg = MlpConfig(hidden=hidden, output_dim=4, dropout_rate=dropout, l2=l2, epochs=epochs,
                         batch_size=batch, seed=batch, normalize=normalize)
-        model, report = train(x[:30], labels[:30], cfg, validation=validation)
-        ref_model, ref_report = reference_train(x[:30], labels[:30], cfg, validation=validation)
+        model, report = train(x[:n], labels[:n], cfg, validation=validation)
+        ref_model, ref_report = reference_train(x[:n], labels[:n], cfg, validation=validation)
         for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
             assert got.tobytes() == want.tobytes()
         assert report == ref_report
         assert len(report.val_loss) == (epochs if with_val else 0)
 
     # on the trained model, loss_and_gradients and the test helper run train's step
-    rows = _prepare(x[:30], cfg)
-    targets = one_hot(labels[:30], 4)
+    rows = _prepare(x[:n], cfg)
+    targets = one_hot(labels[:n], 4)
     loss, grads_w, grads_b = loss_and_gradients(model, rows, targets, np.random.default_rng(99))
     want = reference_gradients(model, rows, targets, np.random.default_rng(99))
     assert [g.tobytes() for g in grads_w + grads_b] == [g.tobytes() for g in want]
@@ -537,6 +565,41 @@ def test_train_equals_per_tensor_reference(hidden, dropout, l2, batch, with_val,
     got_out = train_step_output(model, rows, np.random.default_rng(99))
     assert got_out.tobytes() == want_out.tobytes()
     assert loss == reference_bce(want_out, targets, model, l2)
+
+
+@st.composite
+def small_trainings(draw):
+    """A training set and config: a few rows, or rows straddling ROW_BLOCK
+    with batches of up to 40 rows or taller than ROW_BLOCK."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(ROW_BLOCK - 40, ROW_BLOCK + 90)))
+    if n < ROW_BLOCK - 40:
+        batch = draw(st.integers(1, 70))
+    else:
+        batch = draw(st.one_of(st.integers(5, 40), st.integers(ROW_BLOCK - 3, ROW_BLOCK + 95)))
+    cfg = MlpConfig(
+        hidden=tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))),
+        output_dim=3,
+        dropout_rate=draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9])),
+        l2=draw(st.sampled_from([0.0, 0.01])),
+        epochs=draw(st.integers(1, 2)),
+        batch_size=batch,
+        seed=draw(st.integers(0, 2**32)),
+        normalize=draw(st.booleans()),
+    )
+    x, labels = intensity_problem(n + 7, 3, seed=draw(st.integers(0, 99)))
+    validation = (x[n:], labels[n:]) if draw(st.booleans()) else None
+    return x[:n], labels[:n], cfg, validation
+
+
+@settings(deadline=None, max_examples=oracle_examples(15))
+@given(small_trainings())
+def test_train_equals_per_tensor_reference_on_random_configs(training):
+    x, labels, cfg, validation = training
+    model, report = train(x, labels, cfg, validation=validation)
+    ref_model, ref_report = reference_train(x, labels, cfg, validation=validation)
+    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        assert got.tobytes() == want.tobytes()
+    assert report == ref_report
 
 
 def test_sigmoid_bitwise_equals_masked_reference():
@@ -593,6 +656,24 @@ def test_predict_labels_holds_one_row_block_of_activations():
         tracemalloc.stop()
     assert len(labels) == 40_000
     assert peak < 16 * 2**20
+
+
+def test_train_holds_one_group_of_dropout_scales():
+    # dropout adds its float64 scales and bool mask to the traced peak: one
+    # group of at most ROW_BLOCK rows, where a draw per epoch would hold
+    # all 12,000 rows of them (21.6 MB)
+    x, labels = intensity_problem(12_000, 5, seed=3)
+    peaks = []
+    for rate in (0.0, 0.3):
+        cfg = MlpConfig(output_dim=5, dropout_rate=rate, epochs=1, batch_size=100, seed=3)
+        tracemalloc.start()
+        try:
+            train(x, labels, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    group = ROW_BLOCK * sum(cfg.hidden) * (8 + 1)
+    assert 0 < peaks[1] - peaks[0] < group + 2**16
 
 
 def test_train_scores_long_validation_sets_as_the_whole_array_reference():
@@ -934,7 +1015,7 @@ _ONE_ROW_INPUTS = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=400)
+@settings(deadline=None, max_examples=oracle_examples(400))
 @given(st.sampled_from(sorted(_ONE_ROW_MODELS)), _ONE_ROW_INPUTS)
 def test_one_row_predict_equals_batch_path(key, row):
     model = _ONE_ROW_MODELS[key]
