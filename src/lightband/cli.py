@@ -13,9 +13,11 @@ from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import cache
 
+import numpy as np
+
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import CLASS_LABELS, NUM_CHANNELS, GestureLabel, segment_trace
+from .types import CLASS_LABELS, NUM_CHANNELS
 
 
 # nn train's default train/test boundary row
@@ -152,11 +154,11 @@ def cmd_simulate(args) -> int:
             simulate.profile_deltas(profiles)  # an all-zero gesture is a usage error
     trace = simulate.synth_trace(script, profiles, cfg)
     ingest.write_collection_csv(trace, args.out)
-    counts = dict.fromkeys(GestureLabel, 0)
-    for label, start, end in segment_trace(trace):  # never empty: a script has a relax hold
-        counts[label] += end - start
-    duration = trace.t_rel[-1]
-    summary = " ".join(f"{label.name.lower()}={counts[label]}" for label in GestureLabel)
+    counts = np.bincount(trace.labels, minlength=len(CLASS_LABELS)).tolist()
+    duration = trace.t_rel[-1]  # never empty: a script has a relax hold
+    summary = " ".join(
+        f"{label.name.lower()}={count}" for label, count in zip(CLASS_LABELS, counts)
+    )
     print(f"wrote {len(trace)} frames ({duration:.2f}s) to {args.out}: {summary}")
     return 0
 
@@ -229,9 +231,9 @@ def _print_confusion(truth_indices, predicted_indices) -> None:
     if predicted_indices and max(predicted_indices) >= len(CLASS_LABELS):
         print("labels outside the gesture set; skipping confusion report")
         return
-    truth = list(map(CLASS_LABELS.__getitem__, truth_indices))
-    predicted = list(map(CLASS_LABELS.__getitem__, predicted_indices))
-    matrix = evaluate.confusion(truth, predicted)
+    matrix = evaluate.confusion(
+        np.array(truth_indices, dtype=np.intp), np.array(predicted_indices, dtype=np.intp)
+    )
     print(evaluate.render_report(matrix), end="")
 
 

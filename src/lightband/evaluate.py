@@ -11,26 +11,25 @@ import math
 
 import numpy as np
 
-from .types import CLASS_INDEX, CLASS_LABELS, SCOREABLE_CLASSES
-
-def _positions(labels) -> np.ndarray:
-    try:
-        return np.fromiter(map(CLASS_INDEX.__getitem__, labels), dtype=np.intp)
-    except (KeyError, TypeError):  # TypeError: an unhashable non-label
-        raise ValueError("labels must be GestureLabel members") from None
+from .types import CLASS_LABELS, SCOREABLE_CLASSES, label_codes
 
 
 def confusion(truth, pred) -> np.ndarray:
     """Count (truth, prediction) pairs, excluding TRANSITION truths, into a
     read-only (4, 5) int array: rows SCOREABLE_CLASSES, columns CLASS_LABELS
-    (the last is predicted TRANSITION); a label's class index is both."""
-    truth = _positions(truth)
-    pred = _positions(pred)
+    (the last is predicted TRANSITION); a label's class index is both.
+
+    Each side is GestureLabel members or an array of class indices
+    (label_codes), which raises ValueError for a bad label."""
+    truth = label_codes(truth)
+    pred = label_codes(pred)
     if len(truth) != len(pred):
         raise ValueError(f"length mismatch: {len(truth)} truths vs {len(pred)} predictions")
     rows, cols = len(SCOREABLE_CLASSES), len(CLASS_LABELS)
     scored = truth < rows
-    cells = np.bincount(truth[scored] * cols + pred[scored], minlength=rows * cols)
+    cells = np.bincount(
+        truth[scored].astype(np.intp) * cols + pred[scored], minlength=rows * cols
+    )
     m = cells.reshape(rows, cols)
     m.flags.writeable = False
     return m

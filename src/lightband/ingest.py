@@ -15,21 +15,23 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
 from .types import (
+    CLASS_INDEX,
+    CLASS_LABELS,
     INTENSITY_MAX,
     INTENSITY_MIN,
     LABEL_TEXT,
     NUM_CHANNELS,
     ROW_BLOCK,
     FrameError,
-    GestureLabel,
     LabeledTrace,
+    label_codes,
     parse_label,
 )
 
@@ -45,13 +47,13 @@ COLLECTION_HEADER_FIELDS = (
 )
 COLLECTION_HEADER = ", ".join(COLLECTION_HEADER_FIELDS)
 
-# The writers' text tables: an intensity with its comma ("512,"), indexed by
-# the (validated) intensities, and a label ending a row, in the collection
-# CSV ("relax,\n") and in the label file ("relax\n").
+# The writers' text tables, indexed by the (validated) values: an intensity
+# with its comma ("512,"), and a label's class index as the end of a row, in
+# the collection CSV ("relax,\n") and in the label file ("relax\n").
 _INTENSITY_FIELD = np.array([f"{v}," for v in range(INTENSITY_MAX + 1)], dtype=object)
-_COLLECTION_ROW_END = {label: f"{text},\n" for label, text in LABEL_TEXT.items()}
-_LABEL_ROW_END = {label: f"{text}\n" for label, text in LABEL_TEXT.items()}
-_LABEL_BY_TEXT = {text: label for label, text in LABEL_TEXT.items()}
+_COLLECTION_ROW_END = np.array([f"{LABEL_TEXT[l]},\n" for l in CLASS_LABELS], dtype=object)
+_LABEL_ROW_END = np.array([f"{LABEL_TEXT[l]}\n" for l in CLASS_LABELS], dtype=object)
+_CODE_BY_TEXT = {text: CLASS_INDEX[label] for label, text in LABEL_TEXT.items()}
 # The bytes a written row is made of (repr() of a float may add "e", "+",
 # "-", "inf" or "nan"), and the row as loadtxt parses it. The label field is
 # one character wider than "transition", so that no longer token is cut down
@@ -190,7 +192,7 @@ def read_collection_csv(source) -> LabeledTrace:
     per row of any other block.
     """
     t_rel, t_unix, channels = array("d"), array("d"), array("q")
-    labels = []
+    labels = array("b")  # class indices
     spans = []  # (first row, its line); the rows after it follow line by line
     with open_text(source) as stream:
         lines = iter(stream)
@@ -209,7 +211,7 @@ def read_collection_csv(source) -> LabeledTrace:
                 t_unix.frombytes(block_t_unix)
                 channels.frombytes(block_channels)
                 spans.append((len(labels), first))
-                labels.extend(block_labels)
+                labels.frombytes(block_labels)
             else:
                 rows = numbered_rows(block, _parse_collection_row, first)
                 for lineno, (row_t_rel, row_t_unix, row_channels, label) in rows:
@@ -217,14 +219,14 @@ def read_collection_csv(source) -> LabeledTrace:
                     t_unix.append(row_t_unix)
                     channels.extend(row_channels)
                     spans.append((len(labels), lineno))
-                    labels.append(label)
+                    labels.append(CLASS_INDEX[label])
             first += len(block)
     try:
         return LabeledTrace(
             t_rel=np.frombuffer(t_rel, dtype=np.float64),
             t_unix=np.frombuffer(t_unix, dtype=np.float64),
             channels=np.frombuffer(channels, dtype=np.int64).reshape(-1, NUM_CHANNELS),
-            labels=labels,
+            labels=np.frombuffer(labels, dtype=np.int8),
         )
     except FrameError as exc:
         row, line = spans[bisect_right(spans, exc.index, key=itemgetter(0)) - 1]
@@ -250,12 +252,13 @@ def _canonical_columns(block: list):
     fields, the last of them empty but for the line end, in the writer's
     alphabet (_CANONICAL_BYTES). numpy's loadtxt parses such a block in C and
     gives what the row-by-row parse gives: (t_rel, t_unix) as float64 bytes,
-    the intensities as row-major int64 bytes, and the labels. The alphabet
-    check comes first: loadtxt strips characters that int() and float() do
-    not (U+001C to U+001F), and numpy 2.4.6's loadtxt can crash the
-    interpreter on a non-BMP character in an integer field. A block that
-    loadtxt rejects or warns about, that has a blank line, or that holds a
-    label other than the five lower-case spellings is declined too.
+    the intensities as row-major int64 bytes, and the labels' class indices
+    as int8 bytes. The alphabet check comes first: loadtxt strips characters
+    that int() and float() do not (U+001C to U+001F), and numpy 2.4.6's
+    loadtxt can crash the interpreter on a non-BMP character in an integer
+    field. A block that loadtxt rejects or warns about, that has a blank
+    line, or that holds a label other than the five lower-case spellings is
+    declined too.
     """
     text = "".join(block)
     if not text.isascii() or text.encode().translate(None, _CANONICAL_BYTES):
@@ -275,15 +278,15 @@ def _canonical_columns(block: list):
     texts = rows["label"]
     starts = [0, *(np.flatnonzero(texts[1:] != texts[:-1]) + 1).tolist()]
     try:
-        run_labels = list(map(_LABEL_BY_TEXT.__getitem__, texts[starts].tolist()))
+        run_codes = list(map(_CODE_BY_TEXT.__getitem__, texts[starts].tolist()))
     except KeyError:  # not one of the five lower-case spellings
         return None
-    lengths = np.diff(starts, append=len(texts)).tolist()
+    lengths = np.diff(starts, append=len(texts))
     return (
         rows["t_rel"].tobytes(),
         rows["t_unix"].tobytes(),
         rows["channels"].tobytes(),
-        list(chain.from_iterable(map(repeat, run_labels, lengths))),
+        np.repeat(np.array(run_codes, dtype=np.int8), lengths).tobytes(),
     )
 
 
@@ -359,7 +362,7 @@ def write_collection_csv(trace: LabeledTrace, sink) -> None:
                 *_time_fields(trace.t_rel[block]),
                 *_time_fields(trace.t_unix[block]),
                 *_INTENSITY_FIELD[trace.channels[block]].T.tolist(),
-                map(_COLLECTION_ROW_END.__getitem__, trace.labels[block]),
+                _COLLECTION_ROW_END[trace.labels[block]].tolist(),
             ))))
 
 
@@ -367,24 +370,26 @@ def write_label_file(t_rel, labels, sink) -> None:
     """Write classify's label file: a "t_rel,label" header, then a row per frame.
 
     A row is repr(t) as float64, a comma and the label's text, joined block
-    by block from _time_fields as in write_collection_csv. Raises ValueError,
-    before anything is written, if the times are not one-dimensional, if the
-    lengths differ, or if a label is not a GestureLabel (naming its row,
-    counted from 0).
+    by block from _time_fields as in write_collection_csv. The labels are
+    GestureLabel members or an array of class indices (label_codes). Raises
+    ValueError, before anything is written, if the times are not
+    one-dimensional, if the lengths differ, or for a bad label, naming its
+    row (counted from 0).
     """
     t_rel = np.asarray(t_rel, dtype=np.float64)
     if t_rel.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {t_rel.shape}")
     if len(t_rel) != len(labels):
         raise ValueError(f"{len(t_rel)} times but {len(labels)} labels")
-    if set(map(type, labels)) - {GestureLabel}:
-        row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
-        raise ValueError(f"row {row}: not a GestureLabel: {labels[row]!r}")
+    try:
+        codes = label_codes(labels)
+    except FrameError as exc:
+        raise ValueError(f"row {exc.index}: {exc}") from None
     with open_text(sink, "w") as out:
         out.write("t_rel,label\n")
-        for start in range(0, len(labels), ROW_BLOCK):
+        for start in range(0, len(codes), ROW_BLOCK):
             block = slice(start, start + ROW_BLOCK)
             out.write("".join(chain.from_iterable(zip(
                 *_time_fields(t_rel[block]),
-                map(_LABEL_ROW_END.__getitem__, labels[block]),
+                _LABEL_ROW_END[codes[block]].tolist(),
             ))))

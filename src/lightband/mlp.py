@@ -362,9 +362,24 @@ def forward(model: MlpModel, x) -> np.ndarray:
     return out[0] if x.ndim == 1 else out
 
 
-def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
-    p = np.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
-    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+def _mean_bce(pred: np.ndarray, target: np.ndarray, scratch=None) -> float:
+    """-mean(t * log(p) + (1 - t) * log(1 - p)) with p = clip(pred, PRED_EPS,
+    1 - PRED_EPS), each element through the same IEEE operations (+ and *
+    commute) and the same np.mean reduction, but computed in the first
+    len(pred) rows of three scratch buffers (a (3, rows, cols) array at
+    least as tall as pred, allocated when not given) instead of five new
+    temporaries."""
+    if scratch is None:
+        scratch = np.empty((3, *pred.shape))
+    p, q, t = scratch[:, : len(pred)]
+    np.clip(pred, PRED_EPS, 1.0 - PRED_EPS, out=p)
+    np.subtract(1.0, p, out=q)
+    np.log(p, out=p)
+    p *= target
+    np.log(q, out=q)
+    q *= np.subtract(1.0, target, out=t)
+    p += q
+    return float(-np.mean(p))
 
 
 def _l2_penalty(model: MlpModel, l2: float) -> float:
@@ -419,10 +434,10 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     moments in the rows of one (2, P) buffer, all updated in place; every
     step computes in the _Workspace of its batch height (one for full
     batches, one for a shorter last batch), and the per-epoch scoring of
-    both row sets in one set of _infer_buffers, each allocated once per
-    call. Raises ValueError before the first epoch for a bad training or
-    validation set, and at the end of the first epoch whose training loss
-    is not finite.
+    both row sets in one set of _infer_buffers and one _mean_bce scratch,
+    each allocated once per call. Raises ValueError before the first epoch
+    for a bad training or validation set, and at the end of the first epoch
+    whose training loss is not finite.
     """
     x = _prepare(x, cfg)
     n = x.shape[0]
@@ -445,7 +460,9 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
         if len(val_indices) != x_val.shape[0]:
             raise ValueError(f"validation: {x_val.shape[0]} rows but {len(val_indices)} labels")
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
-    score_bufs = _infer_buffers(cfg, max(n, 0 if val is None else val[0].shape[0]))
+    score_rows = max(n, 0 if val is None else val[0].shape[0])
+    score_bufs = _infer_buffers(cfg, score_rows)
+    bce_scratch = np.empty((3, score_rows, cfg.output_dim))
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, rng)
@@ -508,14 +525,14 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
                     params -= t2
             penalty = _l2_penalty(model, cfg.l2)
             train_pred = _infer(model, x, score_bufs)
-            loss = _mean_bce(train_pred, targets) + penalty
+            loss = _mean_bce(train_pred, targets, bce_scratch) + penalty
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged at epoch {epoch}: non-finite loss")
             report.train_loss.append(loss)
             report.train_acc.append(_accuracy(train_pred, indices))
             if val is not None:
                 val_pred = _infer(model, val[0], score_bufs)
-                report.val_loss.append(_mean_bce(val_pred, val[1]) + penalty)
+                report.val_loss.append(_mean_bce(val_pred, val[1], bce_scratch) + penalty)
                 report.val_acc.append(_accuracy(val_pred, val[2]))
     return model, report
 
@@ -582,8 +599,9 @@ def split_dataset(x, labels, boundary: int) -> tuple:
 
 
 def trace_to_dataset(trace: LabeledTrace) -> tuple:
-    """Per-frame feature matrix (raw intensities) and class-index labels."""
-    return trace.channels.astype(float), list(map(CLASS_INDEX.__getitem__, trace.labels))
+    """Per-frame feature matrix (raw intensities) and class-index labels, a
+    list of Python ints (MlpConfig takes no numpy integer)."""
+    return trace.channels.astype(float), trace.labels.tolist()
 
 
 def save_model(model: MlpModel, sink) -> None:
@@ -597,9 +615,8 @@ def save_model(model: MlpModel, sink) -> None:
     lines = [MODEL_MAGIC, json.dumps(asdict(model.config))]
     for w, b in zip(model.weights, model.biases):
         lines.append(f"layer {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(" ".join(repr(float(v)) for v in b))
+        lines.extend(" ".join(map(repr, row)) for row in w.tolist())
+        lines.append(" ".join(map(repr, b.tolist())))
     with open_text(sink, "w") as out:
         out.write("\n".join(lines) + "\n")
 
@@ -618,7 +635,7 @@ def load_model(source) -> MlpModel:
         return lines[lineno - 1]
 
     def values(width: int, what: str) -> list:
-        row = [float(v) for v in take(what).split()]
+        row = list(map(float, take(what).split()))
         if len(row) != width:
             raise ValueError(f"bad {what} width: expected {width} values, got {len(row)}")
         if not all(map(math.isfinite, row)):

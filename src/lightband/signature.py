@@ -27,6 +27,7 @@ from .types import (
     GestureLabel,
     LabeledTrace,
     SensorFrame,
+    label_codes,
     parse_label,
     segment_trace,
 )
@@ -225,11 +226,13 @@ def classify_trace(
     table: SignatureTable,
     cfg: BaselineConfig = BaselineConfig(),
     state: ClassifierState = None,
-) -> list:
+) -> np.ndarray:
     """Baseline tracking plus classification over a whole trace at once.
 
-    The labels, and the raw-label history left in state, are exactly those
-    of feeding the frames one at a time through BaselineTracker.update and
+    Returns the emitted labels as class indices, in the read-only array a
+    trace holds its labels in (label_codes). They, and the raw-label
+    history left in state (GestureLabel members), are exactly those of
+    feeding the frames one at a time through BaselineTracker.update and
     classify_frame; that per-frame path is the reference the tests hold
     this one to. A given state carries the TRANSITION history across calls,
     but the baseline restarts at each call's first frame, so the labels of
@@ -271,7 +274,7 @@ def classify_trace(
     history_start = np.maximum(np.arange(len(prior), len(history)) - horizon, 0)
     emitted = np.where(run_start > history_start, CLASS_INDEX[GestureLabel.TRANSITION], raw)
     state.recent_labels.extend(map(CLASS_LABELS.__getitem__, raw[-horizon:].tolist()))
-    return list(map(CLASS_LABELS.__getitem__, emitted.tolist()))
+    return label_codes(emitted)
 
 
 def write_signature_csv(table: SignatureTable, sink) -> None:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 from . import signature
 from .ingest import numbered_rows
 from .types import (
+    CLASS_INDEX,
     GESTURES,
     INTENSITY_MAX,
     INTENSITY_MIN,
@@ -168,11 +168,10 @@ def synth_trace(
         sections.append((gesture, deltas, np.ones(n_hold)))
         sections.append((GestureLabel.TRANSITION, deltas, ramp_up[::-1]))
 
-    labels = tuple(chain.from_iterable(repeat(l, len(p)) for l, _, p in sections))
+    lengths = [len(progress) for _, _, progress in sections]
+    labels = np.repeat([CLASS_INDEX[label] for label, _, _ in sections], lengths)
     n = len(labels)
-    targets = np.repeat(
-        [deltas for _, deltas, _ in sections], [len(p) for _, _, p in sections], axis=0
-    )
+    targets = np.repeat([deltas for _, deltas, _ in sections], lengths, axis=0)
     targets *= np.concatenate([progress for _, _, progress in sections])[:, None]
     # Per frame the generator draws 5 drift steps, then 5 noise values, and
     # normal(0, s) is 0.0 + s * standard_normal, so standard normals drawn

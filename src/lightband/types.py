@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -42,9 +41,9 @@ class GestureLabel(Enum):
         return self.name
 
 
-# The label <-> class index encoding of one-hot targets, network outputs
-# and classify_trace's label arrays. CLASS_LABELS is indexed by class
-# index; CLASS_INDEX inverts it.
+# The label <-> class index encoding of traces' label arrays, one-hot
+# targets, network outputs and classify_trace's labels. CLASS_LABELS is
+# indexed by class index; CLASS_INDEX inverts it.
 CLASS_LABELS = tuple(GestureLabel)
 CLASS_INDEX = {label: index for index, label in enumerate(CLASS_LABELS)}
 
@@ -132,6 +131,34 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def label_codes(labels) -> np.ndarray:
+    """Labels as a new read-only 1-D int8 array of class indices.
+
+    labels is either a numpy integer array of class indices, range-checked
+    before it is narrowed, or an iterable of GestureLabel members (an
+    object array too). Anything else in it raises FrameError at the first
+    bad row: an index outside [0, len(CLASS_LABELS)), a non-member in the
+    iterable, or, for an array of another dtype (bool or float), row 0.
+    """
+    if not isinstance(labels, np.ndarray) or labels.dtype.kind == "O":
+        labels = tuple(labels)
+        if not {GestureLabel}.issuperset(map(type, labels)):
+            row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
+            raise FrameError(row, f"label must be a GestureLabel, got {labels[row]!r}")
+        return _read_only(np.fromiter(
+            map(CLASS_INDEX.__getitem__, labels), dtype=np.int8, count=len(labels)
+        ))
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu" and len(labels):
+        raise FrameError(0, f"labels must be class indices, got dtype {labels.dtype}")
+    _reject_first(
+        (labels < 0) | (labels >= len(CLASS_LABELS)),
+        lambda row: f"class index {labels[row]} outside [0, {len(CLASS_LABELS)})",
+    )
+    return _read_only(labels.astype(np.int8))
+
+
 def _time_column(values, name: str) -> np.ndarray:
     column = np.array(values, dtype=np.float64)
     if column.ndim != 1:
@@ -170,29 +197,27 @@ class LabeledTrace:
     The arrays are read-only copies, validated once for the whole trace:
     finite non-negative, strictly increasing t_rel whose every step lies
     within 50% of the median step, finite t_unix, integer intensities in
-    [0, 1023], and GestureLabel labels. A failure tied to one frame raises
-    FrameError with that frame's row.
+    [0, 1023], and labels given as GestureLabel members or class indices
+    and held as class indices (label_codes). A failure tied to one frame
+    raises FrameError with that frame's row.
     `frames` yields SensorFrames for code that walks readings one at a time.
     """
 
     t_rel: np.ndarray = ()  # (N,) float64 seconds since trace start
     t_unix: np.ndarray = ()  # (N,) float64 absolute seconds; carried, never interpreted
     channels: np.ndarray = ()  # (N, 5) int64 intensities
-    labels: tuple = ()
+    labels: np.ndarray = ()  # (N,) int8 class indices; CLASS_LABELS[i] is the label
 
     def __post_init__(self):
         t_rel = _time_column(self.t_rel, "t_rel")
         t_unix = _time_column(self.t_unix, "t_unix")
         channels = _intensity_matrix(self.channels)
-        labels = tuple(self.labels)
+        labels = label_codes(self.labels)
         lengths = (len(t_rel), len(t_unix), len(channels), len(labels))
         if len(set(lengths)) != 1:
             raise ValueError(
                 f"t_rel, t_unix, channels and labels differ in length: {lengths}"
             )
-        if not {GestureLabel}.issuperset(map(type, labels)):
-            row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
-            raise FrameError(row, f"label must be a GestureLabel, got {labels[row]!r}")
         _reject_first(
             ~(np.isfinite(t_rel) & (t_rel >= 0)),
             lambda row: f"t_rel must be finite and non-negative, got {t_rel[row]}",
@@ -217,9 +242,10 @@ class LabeledTrace:
                 np.concatenate(([False], (dt < lo) | (dt > hi))),
                 lambda row: f"frame spacing {dt[row - 1]} outside 50% of the median step {median}",
             )
-        for name, value in (("t_rel", t_rel), ("t_unix", t_unix), ("channels", channels)):
+        for name, value in (
+            ("t_rel", t_rel), ("t_unix", t_unix), ("channels", channels), ("labels", labels)
+        ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -228,7 +254,7 @@ class LabeledTrace:
         if not isinstance(other, LabeledTrace):
             return NotImplemented
         return (
-            self.labels == other.labels
+            np.array_equal(self.labels, other.labels)
             and np.array_equal(self.t_rel, other.t_rel)
             and np.array_equal(self.t_unix, other.t_unix)
             and np.array_equal(self.channels, other.channels)
@@ -264,11 +290,12 @@ class LabeledTrace:
 def segment_trace(trace: LabeledTrace) -> list:
     """Split a trace into maximal runs of identical labels.
 
-    Returns (label, start_index, end_index) triples with end exclusive,
-    covering every index exactly once, in trace order.
+    Returns (GestureLabel, start_index, end_index) triples with end
+    exclusive, covering every index exactly once, in trace order.
     """
-    if len(trace) == 0:
+    codes = trace.labels
+    if len(codes) == 0:
         raise ValueError("cannot segment an empty trace")
-    runs = [(label, len(list(run))) for label, run in groupby(trace.labels)]
-    ends = accumulate(length for _, length in runs)
-    return [(label, end - length, end) for (label, length), end in zip(runs, ends)]
+    edges = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
+    runs = map(CLASS_LABELS.__getitem__, codes[edges[:-1]].tolist())
+    return list(zip(runs, edges, edges[1:]))

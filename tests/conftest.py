@@ -13,6 +13,7 @@ from lightband.ingest import COLLECTION_HEADER
 from lightband.mlp import PRED_EPS, TrainReport, _one_blas_thread, init_model, one_hot
 from lightband.simulate import profile_deltas
 from lightband.types import (
+    CLASS_LABELS,
     INTENSITY_MAX,
     INTENSITY_MIN,
     NUM_CHANNELS,
@@ -36,6 +37,12 @@ E = GestureLabel.EXTEND
 F = GestureLabel.FIST
 O = GestureLabel.ONE
 T = GestureLabel.TRANSITION
+
+
+def members(codes) -> list:
+    """An array of class indices (a trace's labels, classify_trace's
+    output) as the GestureLabel members they stand for."""
+    return [CLASS_LABELS[i] for i in codes.tolist()]
 
 
 def file_lines(text: str) -> list:
@@ -76,7 +83,7 @@ def make_trace(channel_rows, labels, interval=0.02):
     """Build a trace with evenly spaced timestamps from raw channel rows."""
     t_rel = np.arange(len(channel_rows)) * interval
     return LabeledTrace(
-        t_rel=t_rel, t_unix=t_rel, channels=channel_rows, labels=tuple(labels)
+        t_rel=t_rel, t_unix=t_rel, channels=channel_rows, labels=labels
     )
 
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import E, F, O, R, make_trace, reference_bce
+from conftest import E, F, O, R, make_trace, members, reference_bce
 from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.cli import main
 from lightband.evaluate import accuracy, accuracy_percent, confusion
@@ -232,7 +232,9 @@ def test_criterion_7_format_fidelity(tmp_path):
     lines = path.read_text().splitlines()
     trailing = all(line.endswith(",") for line in lines[1:])
     back = read_collection_csv(str(path))
-    identity = list(back.frames) == list(trace.frames) and back.labels == trace.labels
+    identity = (
+        list(back.frames) == list(trace.frames) and members(back.labels) == members(trace.labels)
+    )
 
     corrupt = [
         "1,2,3,4",            # too few fields

@@ -16,6 +16,7 @@ from conftest import (
     E,
     F,
     O,
+    members,
     reference_labels,
     reference_train,
     run_python,
@@ -104,7 +105,7 @@ def test_simulate_summary_counts_every_label(capsys, tmp_path, script):
     )
     assert code == 0
     trace = read_collection_csv(str(out_csv))
-    counts = Counter(trace.labels)
+    counts = Counter(members(trace.labels))
     summary = " ".join(f"{label.name.lower()}={counts[label]}" for label in GestureLabel)
     assert out == f"wrote {len(trace)} frames ({trace.t_rel[-1]:.2f}s) to {out_csv}: {summary}\n"
 
@@ -824,7 +825,7 @@ def test_classify_label_file_matches_f_string_format(capsys, tmp_path):
         "--out", str(labels_path),
     )
     assert code == 0
-    predicted = classify_trace(trace, table)
+    predicted = members(classify_trace(trace, table))
     assert TRANSITION in predicted and len(set(predicted)) == 5
     names = {label: label.name.lower() for label in GestureLabel}
     expected = "t_rel,label\n" + "".join(
@@ -860,7 +861,7 @@ def test_classify_label_file_matches_f_string_reference_on_awkward_times(
         "--out", str(labels_path),
     )
     assert (code, err) == (0, "")
-    predicted = classify_trace(read_collection_csv(str(trace_path)), table)
+    predicted = members(classify_trace(read_collection_csv(str(trace_path)), table))
     expected = "t_rel,label\n" + "".join(
         f"{t!r},{label.name.lower()}\n" for t, label in zip(t_rel.tolist(), predicted)
     )

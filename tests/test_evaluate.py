@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T
+from conftest import E, F, O, R, T, oracle_examples
 from lightband.evaluate import accuracy, accuracy_percent, confusion, render_report
-from lightband.types import SCOREABLE_CLASSES, GestureLabel
+from lightband.types import CLASS_INDEX, SCOREABLE_CLASSES, FrameError, GestureLabel
 
 
 def test_perfect_predictions_sit_on_diagonal():
@@ -131,6 +131,35 @@ def test_confusion_matches_brute_force_counter(pairs):
     pred = [p for _, p in pairs]
     assert confusion(truth, pred).tolist() == brute_force_counts(truth, pred)
     assert confusion(iter(truth), iter(pred)).tolist() == brute_force_counts(truth, pred)
+
+
+def codes_of(labels, dtype=np.int8):
+    return np.array([CLASS_INDEX[label] for label in labels], dtype=dtype)
+
+
+@settings(max_examples=oracle_examples(100))
+@given(
+    st.lists(st.tuples(st.sampled_from(list(GestureLabel)), st.sampled_from(list(GestureLabel)))),
+    st.sampled_from([np.int8, np.int64, np.uint16]),
+)
+def test_confusion_of_codes_equals_confusion_of_members(pairs, dtype):
+    truth = [t for t, _ in pairs]
+    pred = [p for _, p in pairs]
+    expected = brute_force_counts(truth, pred)
+    for t, p in ((codes_of(truth, dtype), pred), (truth, codes_of(pred, dtype)),
+                 (codes_of(truth, dtype), codes_of(pred, dtype))):
+        m = confusion(t, p)
+        assert m.tolist() == expected
+        assert m.dtype == confusion(truth, pred).dtype and not m.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 300])
+def test_confusion_rejects_a_class_index_outside_the_labels(bad):
+    codes = np.array([0, bad], dtype=np.int16)
+    for truth, pred in ((codes, [R, R]), ([R, R], codes)):
+        with pytest.raises(FrameError, match=f"class index {bad} outside") as caught:
+            confusion(truth, pred)
+        assert caught.value.index == 1
 
 
 @pytest.mark.parametrize("bad", [0, "RELAX", None, 4])

@@ -22,6 +22,7 @@ from conftest import (
     R,
     T,
     make_trace,
+    members,
     oracle_examples,
     random_rows,
     run_python,
@@ -40,6 +41,7 @@ from lightband.ingest import (
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
 from lightband.simulate import read_script
 from lightband.types import (
+    CLASS_INDEX,
     LABEL_TEXT,
     ROW_BLOCK,
     FrameError,
@@ -100,7 +102,7 @@ def test_read_collection_csv_collector_row():
     assert frame.t_rel == 0.12
     assert frame.t_unix == 1577836800.1
     assert frame.channels == (512, 480, 333, 710, 900)
-    assert trace.labels[0] is R
+    assert members(trace.labels)[0] is R
 
 
 def test_read_collection_csv_header_only():
@@ -165,7 +167,7 @@ def test_collection_round_trip_example():
     write_collection_csv(trace, sink)
     back = read_collection_csv(io.StringIO(sink.getvalue()))
     assert list(back.frames) == list(trace.frames)
-    assert back.labels == trace.labels
+    assert members(back.labels) == members(trace.labels)
 
 
 @given(
@@ -181,7 +183,7 @@ def test_collection_round_trip_random(seed, n, interval):
     write_collection_csv(trace, sink)
     back = read_collection_csv(io.StringIO(sink.getvalue()))
     assert list(back.frames) == list(trace.frames)
-    assert back.labels == trace.labels
+    assert members(back.labels) == members(trace.labels)
 
 
 def _collection_text(trace) -> str:
@@ -211,7 +213,7 @@ def test_collection_write_read_write_is_byte_identical(trace):
     text = _collection_text(trace)
     back = read_collection_csv(io.StringIO(text))
     assert _collection_text(back) == text
-    assert back.labels == trace.labels
+    assert members(back.labels) == members(trace.labels)
     for column in ("t_rel", "t_unix", "channels"):
         assert np.array_equal(getattr(back, column), getattr(trace, column))
 
@@ -650,7 +652,8 @@ def reference_collection_text(trace) -> str:
     return COLLECTION_HEADER + "\n" + "".join(
         f"{t},{u},{c[0]},{c[1]},{c[2]},{c[3]},{c[4]},{names[label]},\n"
         for t, u, c, label in zip(
-            trace.t_rel.tolist(), trace.t_unix.tolist(), trace.channels.tolist(), trace.labels
+            trace.t_rel.tolist(), trace.t_unix.tolist(), trace.channels.tolist(),
+            members(trace.labels),
         )
     )
 
@@ -741,9 +744,38 @@ def test_label_file_rejects_times_that_are_not_one_dimensional(t_rel):
 @pytest.mark.parametrize("bad", [3, "relax", None, [R]])
 def test_label_file_rejects_a_label_that_is_not_a_gesture_label(bad):
     sink = io.StringIO()
-    with pytest.raises(ValueError, match=f"row 2: not a GestureLabel: {re.escape(repr(bad))}"):
+    message = f"^row 2: label must be a GestureLabel, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
         write_label_file([0.0, 0.02, 0.04], [R, E, bad], sink)
     assert sink.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad, dtype", [(-1, np.int64), (5, np.int8), (300, np.int16)])
+def test_label_file_rejects_a_class_index_outside_the_labels(bad, dtype):
+    sink = io.StringIO()
+    codes = np.array([0, 1, bad], dtype=dtype)
+    with pytest.raises(ValueError, match=rf"^row 2: class index {bad} outside \[0, 5\)$"):
+        write_label_file([0.0, 0.02, 0.04], codes, sink)
+    assert sink.getvalue() == ""
+
+
+@settings(deadline=None, max_examples=oracle_examples(60))
+@given(
+    st.lists(st.tuples(st.sampled_from(list(GestureLabel)), st.integers(1, 12)), max_size=10),
+    st.sampled_from([np.int8, np.int64, np.uint8]),
+    st.sampled_from([1, 3, ROW_BLOCK]),
+)
+def test_label_file_of_codes_equals_label_file_of_members(runs, dtype, block):
+    labels = [label for label, length in runs for _ in range(length)]
+    codes = np.array([CLASS_INDEX[label] for label in labels], dtype=dtype)
+    t_rel = np.arange(len(labels)) * 0.02
+    with patch.object(ingest, "ROW_BLOCK", block):
+        text = _label_file_text(t_rel, codes)
+        assert text == _label_file_text(t_rel, labels)
+        assert text == _label_file_text(t_rel, tuple(labels))
+    assert text == "t_rel,label\n" + "".join(
+        f"{t!r},{label.name.lower()}\n" for t, label in zip(t_rel.tolist(), labels)
+    )
 
 
 def _fast_path_rule(v: float) -> bool:
@@ -825,8 +857,9 @@ def test_time_tail_table_is_built_by_the_first_writer_not_on_import():
     child = run_python("-c", (
         "import io\n"
         "from lightband import ingest\n"
+        "from lightband.types import GestureLabel\n"
         "print(ingest._time_tail.cache_info().currsize)\n"
-        "ingest.write_label_file([0.0, 0.02], [ingest.GestureLabel.RELAX] * 2, io.StringIO())\n"
+        "ingest.write_label_file([0.0, 0.02], [GestureLabel.RELAX] * 2, io.StringIO())\n"
         "print(ingest._time_tail.cache_info().currsize)\n"
     ))
     assert child.returncode == 0, (child.returncode, child.stderr)
@@ -962,7 +995,7 @@ def test_reader_matches_row_reference_on_label_runs(case, block):
     # the whole file as one block: its labels by runs, or declined
     columns = ingest._canonical_columns(text.splitlines(keepends=True)[1:])
     if set(names) <= set(LABEL_TEXT.values()):
-        assert columns[3] == list(map(parse_label, names))
+        assert members(np.frombuffer(columns[3], dtype=np.int8)) == list(map(parse_label, names))
     else:
         assert columns is None
 

@@ -7,7 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from conftest import (
 from lightband import mlp
 from lightband.mlp import (
     MODEL_MAGIC,
+    PRED_EPS,
     MlpConfig,
     MlpModel,
     TrainReport,
@@ -156,6 +157,48 @@ def test_bce_loss_values():
     model.biases[-1][:] = [-50.0, 50.0]
     loss = loss_and_gradients(model, x, one_hot([1] * len(x), 2))[0]
     assert 0 < loss < 1e-6
+
+
+def whole_expression_bce(pred, target) -> float:
+    """_mean_bce as one numpy expression, a new array per step."""
+    p = np.clip(pred, PRED_EPS, 1.0 - PRED_EPS)
+    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+
+
+# predictions at and around the clip edges, and the values they clip
+_BCE_EDGES = [
+    0.0, 1.0, PRED_EPS, 1.0 - PRED_EPS, 0.5, 5e-324,
+    np.nextafter(PRED_EPS, 0.0), np.nextafter(PRED_EPS, 1.0),
+    np.nextafter(1.0 - PRED_EPS, 0.0), np.nextafter(1.0 - PRED_EPS, 1.0),
+    np.nextafter(1.0, 0.0),
+]
+
+
+@settings(deadline=None, max_examples=oracle_examples(100))
+@given(st.integers(1, 12), st.integers(1, 6), st.data())
+def test_mean_bce_equals_the_whole_expression_bit_for_bit(rows, cols, data):
+    values = st.one_of(st.sampled_from(_BCE_EDGES), st.floats(0.0, 1.0))
+    pred = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+    pred = pred.reshape(rows, cols)
+    indices = data.draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
+    target = one_hot(indices, cols)
+    if data.draw(st.booleans()):  # soft targets exercise both log terms on every element
+        target = np.array(data.draw(st.lists(values, min_size=rows * cols,
+                                             max_size=rows * cols))).reshape(rows, cols)
+    expected = whole_expression_bce(pred, target).hex()
+    assert mlp._mean_bce(pred, target).hex() == expected
+    # train's scratch: taller than pred, holding leftovers of an earlier call
+    scratch = np.full((3, rows + data.draw(st.integers(0, 50)), cols), np.nan)
+    assert mlp._mean_bce(pred, target, scratch).hex() == expected
+    assert mlp._mean_bce(pred, target, scratch).hex() == expected
+
+
+def test_mean_bce_at_the_clip_edges():
+    pred = np.array([_BCE_EDGES] * 2)
+    target = np.zeros_like(pred)
+    target[0] = 1.0
+    assert mlp._mean_bce(pred, target).hex() == whole_expression_bce(pred, target).hex()
+    assert math.isfinite(mlp._mean_bce(pred, target))
 
 
 def test_bce_loss_includes_weight_penalty():
@@ -298,6 +341,27 @@ def test_save_load_round_trip():
     assert back.config == model.config
     assert all(np.array_equal(a, b) for a, b in zip(back.weights, model.weights))
     assert all(np.array_equal(a, b) for a, b in zip(back.biases, model.biases))
+
+
+def test_save_model_writes_each_value_as_its_repr():
+    cfg = MlpConfig(input_dim=3, hidden=(2,), output_dim=2)
+    model = init_model(cfg, np.random.default_rng(0))
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    model.weights[0][0] = extremes[:3]
+    model.weights[1][1] = extremes[2:]
+    model.biases[0][:] = extremes[:2]
+    model.biases[1][:] = [-5e-324, 0.0]
+    lines = [MODEL_MAGIC, json.dumps(asdict(cfg))]
+    for w, b in zip(model.weights, model.biases):
+        lines.append(f"layer {w.shape[0]} {w.shape[1]}")
+        lines.extend(" ".join(repr(float(v)) for v in row) for row in w)
+        lines.append(" ".join(repr(float(v)) for v in b))
+    text = _model_text(model)
+    assert text == "\n".join(lines) + "\n"
+    assert "-0.0 5e-324 1.7976931348623157e+308" in text
+    back = load_model(io.StringIO(text))
+    for a, b in zip(back.weights + back.biases, model.weights + model.biases):
+        assert a.tobytes() == b.tobytes()  # -0.0 keeps its sign
 
 
 def test_load_model_bad_magic():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, ReferenceTracker, flat_rows, make_trace
+from conftest import E, F, O, R, T, ReferenceTracker, flat_rows, make_trace, members
 from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.signature import (
     SIGNATURE_CSV_HEADER,
@@ -328,7 +328,7 @@ def test_classify_trace_equals_streaming_replay(case):
         classify_frame(frame, tracker.update(frame), table, replay_state)
         for frame in trace.frames
     ]
-    assert got == expected
+    assert members(got) == expected
     assert list(batch_state.recent_labels) == list(replay_state.recent_labels)
 
 
@@ -387,10 +387,10 @@ NOISE_FREE = SimConfig(
 def test_classify_trace_noise_free_script():
     trace = synth_trace([E, F, O], DEFAULT_PROFILES, NOISE_FREE)
     table = table_from_profiles()
-    predicted = classify_trace(trace, table)
+    predicted = members(classify_trace(trace, table))
     assert len(predicted) == len(trace)
     scorable = correct = 0
-    for truth, pred in zip(trace.labels, predicted):
+    for truth, pred in zip(members(trace.labels), predicted):
         if truth is T:
             continue
         scorable += 1
@@ -406,10 +406,20 @@ def test_classify_trace_noise_free_script():
             assert predicted[i] is label
 
 
+def test_classify_trace_returns_read_only_class_indices():
+    trace = synth_trace([E, F], DEFAULT_PROFILES, NOISE_FREE)
+    state = ClassifierState()
+    predicted = classify_trace(trace, table_from_profiles(), state=state)
+    assert predicted.dtype == np.int8 and predicted.shape == (len(trace),)
+    assert not predicted.flags.writeable
+    assert set(predicted.tolist()) == {0, 1, 2, 4}
+    assert all(type(label) is GestureLabel for label in state.recent_labels)
+
+
 def test_classify_trace_deterministic():
     trace = synth_trace([E], DEFAULT_PROFILES, NOISE_FREE)
     table = table_from_profiles()
-    assert classify_trace(trace, table) == classify_trace(trace, table)
+    assert members(classify_trace(trace, table)) == members(classify_trace(trace, table))
 
 
 @pytest.mark.parametrize(
@@ -457,7 +467,7 @@ def test_classify_trace_shift_invariance(seed, c):
     table = table_from_profiles()
     a = classify_trace(make_trace(rows, [R] * n), table)
     b = classify_trace(make_trace(shifted, [R] * n), table)
-    assert a == b
+    assert members(a) == members(b)
 
 
 def test_transition_emissions_track_raw_changes():
@@ -474,7 +484,7 @@ def test_transition_emissions_track_raw_changes():
         baselines = tracker.update(frame)
         raw.append(classify_frame(frame, baselines, table, ClassifierState()))
     horizon = ClassifierState().transition_horizon
-    for i, label in enumerate(emitted):
+    for i, label in enumerate(members(emitted)):
         changed = any(
             raw[j] is not raw[i] for j in range(max(0, i - horizon), i)
         )
@@ -489,7 +499,7 @@ def eval_case():
     script = [E, F, O] * 20
     table = generate_signatures([synth_trace(script, DEFAULT_PROFILES, SimConfig(seed=1))])
     trace = synth_trace(script, DEFAULT_PROFILES, SimConfig(seed=2))
-    return trace, table, classify_trace(trace, table)
+    return trace, table, members(classify_trace(trace, table))
 
 
 def rows_of(trace, start, stop=None):
@@ -502,7 +512,7 @@ def rows_of(trace, start, stop=None):
 def test_labels_of_a_prefix_are_the_prefix_of_the_labels(eval_case, n):
     trace, table, labels = eval_case
     head = rows_of(trace, 0, n)
-    assert classify_trace(head, table) == labels[:n]
+    assert members(classify_trace(head, table)) == labels[:n]
     tracker, state = BaselineTracker(BaselineConfig()), ClassifierState()
     assert [classify_frame(f, tracker.update(f), table, state) for f in head.frames] == labels[:n]
 
@@ -514,7 +524,7 @@ def test_labels_of_a_prefix_are_the_prefix_of_the_labels(eval_case, n):
 )
 def test_a_time_offset_changes_no_label(eval_case):
     trace, table, labels = eval_case
-    assert classify_trace(replace(trace, t_rel=trace.t_rel + 1.0), table) == labels
+    assert members(classify_trace(replace(trace, t_rel=trace.t_rel + 1.0), table)) == labels
 
 
 @pytest.mark.xfail(
@@ -525,8 +535,8 @@ def test_a_time_offset_changes_no_label(eval_case):
 def test_two_chunks_through_one_state_give_the_labels_of_one_call(eval_case):
     trace, table, labels = eval_case
     state = ClassifierState()
-    chunked = classify_trace(rows_of(trace, 0, 10_150), table, state=state)
-    chunked += classify_trace(rows_of(trace, 10_150), table, state=state)
+    chunked = members(classify_trace(rows_of(trace, 0, 10_150), table, state=state))
+    chunked += members(classify_trace(rows_of(trace, 10_150), table, state=state))
     assert chunked == labels
 
 

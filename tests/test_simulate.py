@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, file_lines, one_shot_synth_trace, oracle_examples
+from conftest import E, F, O, R, T, file_lines, members, one_shot_synth_trace, oracle_examples
 from lightband import simulate
 from lightband.ingest import read_collection_csv, write_collection_csv
 from lightband.signature import SignatureTable, read_signature_csv, write_signature_csv
@@ -92,7 +92,7 @@ def test_empty_script_is_one_relax_hold():
     cfg = SimConfig(noise_sigma=0.0, drift=0.0)
     trace = synth_trace([], DEFAULT_PROFILES, cfg)
     assert len(trace) == round(cfg.relax_hold / cfg.sample_interval)
-    assert all(label is R for label in trace.labels)
+    assert all(label is R for label in members(trace.labels))
     assert all(f.channels == (340, 760, 650, 800, 930) for f in trace.frames)
 
 
@@ -131,7 +131,7 @@ def test_determinism_under_seed():
     cfg = SimConfig(gesture_hold=0.5, relax_hold=0.3, seed=42)
     a = synth_trace([E, F], DEFAULT_PROFILES, cfg)
     b = synth_trace([E, F], DEFAULT_PROFILES, cfg)
-    assert list(a.frames) == list(b.frames) and a.labels == b.labels
+    assert list(a.frames) == list(b.frames) and members(a.labels) == members(b.labels)
     c = synth_trace([E, F], DEFAULT_PROFILES, SimConfig(gesture_hold=0.5, relax_hold=0.3, seed=43))
     assert list(c.frames) != list(a.frames)
 
@@ -172,7 +172,7 @@ def test_generated_trace_round_trips_through_csv():
     write_collection_csv(trace, sink)
     back = read_collection_csv(io.StringIO(sink.getvalue()))
     assert list(back.frames) == list(trace.frames)
-    assert back.labels == trace.labels
+    assert members(back.labels) == members(trace.labels)
 
 
 def test_read_script():
@@ -281,7 +281,7 @@ def test_synth_trace_equals_per_frame_reference(script, seed, drift, noise, inte
     trace = synth_trace(script, DEFAULT_PROFILES, cfg)
     rows, labels = reference_synth(script, DEFAULT_PROFILES, cfg)
     assert trace.channels.tolist() == rows
-    assert trace.labels == tuple(labels)
+    assert members(trace.labels) == labels
     times = [i * interval for i in range(len(rows))]
     assert trace.t_rel.tolist() == times
     assert trace.t_unix.tolist() == [cfg.start_unix + t for t in times]
@@ -297,7 +297,7 @@ def test_synth_trace_equals_one_shot_draw_at_block_edges(n):
     assert trace.channels.tobytes() == reference.channels.tobytes()
     assert trace.t_rel.tobytes() == reference.t_rel.tobytes()
     assert trace.t_unix.tobytes() == reference.t_unix.tobytes()
-    assert trace.labels == reference.labels
+    assert members(trace.labels) == members(reference.labels)
 
 
 @settings(deadline=None, max_examples=oracle_examples(40))

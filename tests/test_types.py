@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, R, T, flat_rows, make_trace, run_python
+from conftest import E, F, R, T, flat_rows, make_trace, members, oracle_examples, run_python
 from lightband.types import (
+    CLASS_INDEX,
+    CLASS_LABELS,
     LABEL_TEXT,
     ROW_BLOCK,
     FrameError,
@@ -19,6 +21,7 @@ from lightband.types import (
     LabeledTrace,
     SensorFrame,
     _check_intensity,
+    label_codes,
     parse_label,
     segment_trace,
 )
@@ -264,10 +267,15 @@ def test_trace_columns_are_read_only_copies():
     trace = make_trace(rows, [R, E, R])
     rows[0, 0] = 99  # the caller's array stays theirs
     assert trace.channels[0, 0] == 10
-    for column in (trace.t_rel, trace.t_unix, trace.channels):
+    for column in (trace.t_rel, trace.t_unix, trace.channels, trace.labels):
         with pytest.raises(ValueError):
             column[0] = 1
     assert trace.channels.dtype == np.int64 and trace.channels.shape == (3, 5)
+    assert trace.labels.dtype == np.int8 and trace.labels.tolist() == [0, 1, 0]
+    codes = np.array([0, 1, 0])
+    trace = make_trace(flat_rows(10, 3), codes)
+    codes[0] = 4
+    assert members(trace.labels) == [R, E, R]
 
 
 def test_frames_view():
@@ -380,3 +388,105 @@ def test_segment_trace_matches_brute_force_loop(labels):
     segments = segment_trace(trace)
     assert segments == reference_segments(labels)
     assert all(type(start) is int and type(end) is int for _, start, end in segments)
+
+
+# --- labels as class indices: a trace built from an integer array of class
+# indices equals the trace built from the members they stand for, and each
+# batch stage gives on it what it gives on members ---
+
+_INT_DTYPES = [np.int8, np.uint8, np.int16, np.int32, np.int64, np.uint64, np.intp]
+
+
+@st.composite
+def label_runs(draw, max_runs=12):
+    """Labels in runs of 1-40 of one member; adjacent runs may repeat one."""
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(ALL_LABELS), st.integers(1, 40)), max_size=max_runs
+    ))
+    return [label for label, length in runs for _ in range(length)]
+
+
+@settings(deadline=None, max_examples=oracle_examples(100))
+@given(label_runs(), st.sampled_from(_INT_DTYPES))
+def test_trace_from_codes_equals_trace_from_members(labels, dtype):
+    codes = np.array([CLASS_INDEX[label] for label in labels], dtype=dtype)
+    from_members = make_trace(flat_rows(7, len(labels)), labels)
+    from_codes = make_trace(flat_rows(7, len(labels)), codes)
+    assert from_codes == from_members
+    for trace in (from_members, from_codes):
+        assert trace.labels.dtype == np.int8 and not trace.labels.flags.writeable
+        assert members(trace.labels) == labels
+    assert label_codes(codes).tolist() == label_codes(iter(labels)).tolist()
+    assert make_trace(flat_rows(7, len(labels)), np.array(labels, dtype=object)) == from_members
+
+
+@settings(deadline=None, max_examples=oracle_examples(100))
+@given(label_runs().filter(bool), st.sampled_from(_INT_DTYPES))
+def test_segment_trace_on_codes_matches_brute_force_loop(labels, dtype):
+    codes = np.array([CLASS_INDEX[label] for label in labels], dtype=dtype)
+    segments = segment_trace(make_trace(flat_rows(100, len(labels)), codes))
+    assert segments == reference_segments(labels)
+    assert all(type(start) is int and type(end) is int for _, start, end in segments)
+    assert all(type(label) is GestureLabel for label, _, _ in segments)
+
+
+def _bad_label_cases():
+    """(labels, bad row, message) for labels with one bad row or a bad dtype."""
+    n = st.integers(1, 30)
+
+    def with_bad_code(args):
+        (n, row, dtype), value = args
+        codes = np.zeros(n, dtype=dtype)
+        codes[row % n] = value
+        return codes, row % n, f"class index {value} outside [0, 5)"
+
+    bad_code = st.tuples(
+        st.tuples(n, st.integers(0, 29), st.sampled_from([np.int16, np.int32, np.int64])),
+        st.sampled_from([-1, 5, 300, -129, 2**15 - 1]),
+    ).map(with_bad_code)
+    bad_dtype = st.tuples(n, st.sampled_from([bool, np.float64, np.float32])).map(
+        lambda args: (np.zeros(args[0], dtype=args[1]), 0,
+                      f"labels must be class indices, got dtype {np.dtype(args[1])}")
+    )
+
+    def with_bad_member(args):
+        n, row, bad = args
+        labels = [R] * n
+        labels[row % n] = bad
+        return labels, row % n, f"label must be a GestureLabel, got {bad!r}"
+
+    bad_member = st.tuples(
+        n, st.integers(0, 29), st.sampled_from(["relax", 0, 4, np.int8(1), None, True, 1.0])
+    ).map(with_bad_member)
+    a_str = st.sampled_from(["relax", "EXTEND"]).map(
+        lambda text: (text, 0, f"label must be a GestureLabel, got {text[0]!r}")
+    )
+    return st.one_of(bad_code, bad_dtype, bad_member, a_str)
+
+
+@settings(deadline=None, max_examples=oracle_examples(100))
+@given(_bad_label_cases())
+def test_bad_labels_raise_naming_their_row(case):
+    labels, row, message = case
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$") as caught:
+        label_codes(labels)
+    assert caught.value.index == row
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$") as caught:
+        make_trace(flat_rows(0, len(labels)), labels)
+    assert caught.value.index == row
+
+
+def test_label_codes_refuse_an_array_that_is_not_one_dimensional():
+    with pytest.raises(ValueError, match=r"^labels must be one-dimensional, got shape \(1, 2\)$"):
+        label_codes(np.zeros((1, 2), dtype=np.int8))
+
+
+def test_label_codes_take_empty_input_of_any_dtype():
+    for empty in ((), [], np.array([]), np.array([], dtype=bool), np.array([], dtype=np.int64)):
+        codes = label_codes(empty)
+        assert codes.dtype == np.int8 and codes.shape == (0,) and not codes.flags.writeable
+
+
+def test_class_labels_index_the_codes():
+    assert [CLASS_INDEX[label] for label in CLASS_LABELS] == list(range(len(CLASS_LABELS)))
+    assert label_codes(CLASS_LABELS).tolist() == list(range(len(CLASS_LABELS)))
