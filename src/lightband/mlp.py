@@ -225,38 +225,50 @@ def _layer_views(flat: np.ndarray, cfg: MlpConfig) -> tuple:
     return weights, biases
 
 
-def _infer_buffers(cfg: MlpConfig, n: int) -> list:
+def _block_edges(n: int) -> list:
+    """Edges n * j // k, j = 0..k, of the k = max(n // ROW_BLOCK, 1) near-equal
+    blocks of an _infer pass over n rows: each has at least ROW_BLOCK rows
+    unless n is smaller, and the last, ceil(n / k) rows, is the largest."""
+    k = max(n // ROW_BLOCK, 1)
+    return [n * j // k for j in range(k + 1)]
+
+
+def _infer_buffers(cfg: MlpConfig, *counts) -> list:
     """One hidden-activation buffer per hidden layer, tall enough for the
-    largest block of an _infer pass over n rows: min(n, 2 * ROW_BLOCK - 1)."""
-    rows = min(n, 2 * ROW_BLOCK - 1)
+    largest block of an _infer pass over any of counts rows."""
+    rows = max(n - _block_edges(n)[-2] for n in counts)
     return [np.empty((rows, fan_out)) for _, fan_out in cfg.layer_dims[:-1]]
 
 
-def _infer(model: MlpModel, x: np.ndarray, bufs=None) -> np.ndarray:
-    """Inference output for the rows of x, keeping no per-layer cache.
+def _infer(model: MlpModel, x: np.ndarray, bufs=None, argmax=False) -> np.ndarray:
+    """Inference output for the rows of x, keeping no per-layer cache; with
+    argmax, each row's argmax class index (intp) instead.
 
-    The network runs over blocks of ROW_BLOCK rows; a tail shorter than
-    ROW_BLOCK joins the block before it, so fewer than 2 * ROW_BLOCK rows are
-    one block. Every gemm thus covers at least ROW_BLOCK rows (or all of x),
-    where OpenBLAS gives each row the bits of one whole-array gemm. Hidden
-    activations live in bufs (from _infer_buffers, allocated here when not
-    given); only the (rows, output_dim) output is as tall as x.
+    The network runs over the near-equal blocks of _block_edges, so every
+    gemm covers at least ROW_BLOCK rows (or all of x), where OpenBLAS gives
+    each row the bits of one whole-array gemm. Hidden activations live in
+    bufs (from _infer_buffers, allocated here when not given). The
+    (rows, output_dim) output is as tall as x; with argmax it is one block
+    tall, and each block's argmax is written into the result.
     """
     n = x.shape[0]
+    edges = _block_edges(n)
     if bufs is None:
         bufs = _infer_buffers(model.config, n)
-    out = np.empty((n, model.config.output_dim))
-    edges = [*range(0, max(n // ROW_BLOCK, 1) * ROW_BLOCK, ROW_BLOCK), n]
+    out = np.empty((n - edges[-2] if argmax else n, model.config.output_dim))
+    labels = np.empty(n, dtype=np.intp) if argmax else None
     for start, end in zip(edges, edges[1:]):
         a = x[start:end]
         for w, b, buf in zip(model.weights[:-1], model.biases[:-1], bufs):
             z = np.matmul(a, w.T, out=buf[: end - start])
             z += b
             a = np.maximum(z, 0.0, out=z)
-        z = np.matmul(a, model.weights[-1].T, out=out[start:end])
+        z = np.matmul(a, model.weights[-1].T, out=out[: end - start] if argmax else out[start:end])
         z += model.biases[-1]
         _sigmoid(z, out=z)
-    return out
+        if argmax:
+            np.argmax(z, axis=1, out=labels[start:end])
+    return labels if argmax else out
 
 
 class _Workspace:
@@ -460,9 +472,9 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
         if len(val_indices) != x_val.shape[0]:
             raise ValueError(f"validation: {x_val.shape[0]} rows but {len(val_indices)} labels")
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
-    score_rows = max(n, 0 if val is None else val[0].shape[0])
-    score_bufs = _infer_buffers(cfg, score_rows)
-    bce_scratch = np.empty((3, score_rows, cfg.output_dim))
+    score_rows = (n,) if val is None else (n, val[0].shape[0])
+    score_bufs = _infer_buffers(cfg, *score_rows)
+    bce_scratch = np.empty((3, max(score_rows), cfg.output_dim))
 
     rng = np.random.default_rng(cfg.seed)
     model = init_model(cfg, rng)
@@ -583,8 +595,10 @@ def predict_labels(model: MlpModel, x) -> list:
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))}: non-finite feature value")
-    with _one_blas_thread():
-        return np.argmax(_infer(model, x), axis=1).tolist()
+    # a finite row near the float64 limit can overflow inside the network;
+    # its label is still the argmax, so numpy's warnings would only add noise
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        return _infer(model, x, argmax=True).tolist()
 
 
 def split_dataset(x, labels, boundary: int) -> tuple:

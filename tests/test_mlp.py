@@ -35,7 +35,9 @@ from lightband.mlp import (
     MlpModel,
     TrainReport,
     _as_indices,
+    _block_edges,
     _infer,
+    _infer_buffers,
     _prepare,
     _sigmoid,
     forward,
@@ -693,12 +695,12 @@ _BLOCK_MODELS = {
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize(
     "n",
-    [1, 2, 255, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7, 3 * ROW_BLOCK - 1,
-     22_200],
+    [1, 2, 255, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK,
+     2 * ROW_BLOCK + 7, 3 * ROW_BLOCK - 1, 3 * ROW_BLOCK, 22_200, 40_000],
 )
 def test_blocked_inference_equals_whole_array_reference(n, normalize):
-    # _infer runs blocks of ROW_BLOCK rows, a short tail joining the block
-    # before it; every output byte and label is the whole-array pass's
+    # _infer runs near-equal blocks of at least ROW_BLOCK rows (all n when
+    # n is smaller); every output byte and label is the whole-array pass's
     model = _BLOCK_MODELS[normalize]
     x = np.rint(np.random.default_rng(n).uniform(0, 1023, size=(n, 5)))
     want = reference_forward(model, _prepare(x, model.config), False, None)[0]
@@ -719,7 +721,41 @@ def test_predict_labels_holds_one_row_block_of_activations():
     finally:
         tracemalloc.stop()
     assert len(labels) == 40_000
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
+
+
+@settings(deadline=None, max_examples=oracle_examples(200))
+@given(st.integers(0, 5 * ROW_BLOCK), st.integers(0, 5 * ROW_BLOCK))
+def test_block_edges_cover_the_rows_in_blocks_the_buffers_hold(n, m):
+    cfg = MlpConfig(hidden=(3, 2), output_dim=2)
+    bufs = _infer_buffers(cfg, n, m)
+    assert [buf.shape for buf in bufs] == [(len(bufs[0]), 3), (len(bufs[0]), 2)]
+    for rows in (n, m):
+        edges = _block_edges(rows)
+        sizes = np.diff(edges)
+        assert edges[0] == 0 and edges[-1] == rows and (sizes >= 0).all()
+        if rows < ROW_BLOCK:
+            assert edges == [0, rows]
+        else:
+            assert sizes.min() >= ROW_BLOCK
+        assert sizes.max() == -(-rows // len(sizes))
+        assert len(bufs[0]) >= sizes.max()
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2 * ROW_BLOCK - 1, 2 * ROW_BLOCK), (2 * ROW_BLOCK, 2 * ROW_BLOCK - 1)]
+)
+def test_train_scores_row_sets_of_different_partitions_as_the_reference(n, m):
+    # 4,095 rows are one block and 4,096 rows two of 2,048: the shared
+    # scoring buffers must hold the taller block of either set
+    x, labels = intensity_problem(n + m, 3, seed=9)
+    cfg = MlpConfig(hidden=(6, 4), output_dim=3, epochs=2, batch_size=ROW_BLOCK, seed=9)
+    validation = (x[n:], labels[n:])
+    model, report = train(x[:n], labels[:n], cfg, validation=validation)
+    ref_model, ref_report = reference_train(x[:n], labels[:n], cfg, validation=validation)
+    assert report == ref_report
+    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_train_holds_one_group_of_dropout_scales():
@@ -866,11 +902,11 @@ def test_overlapping_batch_predictions_keep_one_thread_until_the_last_leaves(
     release = {name: threading.Event() for name in ("first", "second")}
     infer = mlp._infer
 
-    def held(model, rows, bufs=None):
+    def held(model, rows, *args, **kwargs):
         name = threading.current_thread().name
         entered[name].set()
         release[name].wait(30)
-        return infer(model, rows, bufs)
+        return infer(model, rows, *args, **kwargs)
 
     monkeypatch.setattr(mlp, "_infer", held)
     got = {}
@@ -1131,6 +1167,23 @@ def test_one_row_predict_equals_batch_path_on_overflowing_rows():
                 out = _infer(model, _prepare(np.array([row]), model.config))[0]
                 nan_later += bool(np.isnan(out).any() and not np.isnan(out[0]))
     assert nan_later > 0
+
+
+def test_batch_predict_is_quiet_on_rows_that_overflow_the_network():
+    # weights x 100 and rows of 1.7e308: the hidden gemms overflow to inf and
+    # the output to NaN; the batch path keeps its label and prints nothing
+    # (warnings are errors in this suite). The one-row path still warns.
+    model = init_model(MlpConfig(), np.random.default_rng(0))
+    for w in model.weights:
+        w *= 100.0
+    rows = np.full((3, 5), 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = predict_labels(model, rows)
+    with np.errstate(all="ignore"):
+        assert labels == batch_predict(model, rows) == [0, 0, 0]
+    with pytest.warns(RuntimeWarning):
+        predict_labels(model, rows[0])
 
 
 def test_one_row_predict_ties_and_nan_outputs_match_batch_path():
