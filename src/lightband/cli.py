@@ -197,7 +197,7 @@ def cmd_nn_train(args) -> int:
     (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
     if len(y_train) == 0:
         raise ValueError("training split is empty")
-    cfg = replace(cfg, output_dim=max(labels) + 1)
+    cfg = replace(cfg, output_dim=labels.max() + 1)
     validation = (x_test, y_test) if len(y_test) else None
     model, report = mlp.train(x_train, y_train, cfg, validation=validation)
     mlp.save_model(model, args.model)
@@ -210,15 +210,15 @@ def cmd_nn_train(args) -> int:
             line += f", val acc {report.val_acc[-1]:.4f}"
         print(line)
     if len(y_test):
-        predicted = mlp.predict_labels(model, x_test)
-        _print_confusion(y_test, predicted)
+        _print_confusion(y_test, np.asarray(mlp.predict_labels(model, x_test)))
     return 0
 
 
 def cmd_nn_predict(args) -> int:
     x, labels = mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
     model = mlp.load_model(args.model)
-    predicted = mlp.predict_labels(model, x)
+    # a one-row trace takes predict_labels' one-row path, which returns [int]
+    predicted = np.asarray(mlp.predict_labels(model, x))
     if args.out:
         mlp.write_labels_csv(predicted, args.out)
         print(f"wrote {len(predicted)} predictions to {args.out}")
@@ -226,15 +226,12 @@ def cmd_nn_predict(args) -> int:
     return 0
 
 
-def _print_confusion(truth_indices, predicted_indices) -> None:
+def _print_confusion(truth, predicted) -> None:
     # a loaded model with more outputs than classes can predict a non-class
-    if predicted_indices and max(predicted_indices) >= len(CLASS_LABELS):
+    if len(predicted) and predicted.max() >= len(CLASS_LABELS):
         print("labels outside the gesture set; skipping confusion report")
         return
-    matrix = evaluate.confusion(
-        np.array(truth_indices, dtype=np.intp), np.array(predicted_indices, dtype=np.intp)
-    )
-    print(evaluate.render_report(matrix), end="")
+    print(evaluate.render_report(evaluate.confusion(truth, predicted)), end="")
 
 
 def cmd_physics(args) -> int:

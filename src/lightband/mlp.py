@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ingest import open_text, text_lines
-from .types import CLASS_INDEX, INTENSITY_MAX, ROW_BLOCK, GestureLabel, LabeledTrace
+from .types import INTENSITY_MAX, ROW_BLOCK, LabeledTrace
 
 PRED_EPS = 1e-7
 
@@ -81,6 +81,12 @@ def _one_blas_thread():
                 blas[1](_blas_saved)
 
 
+def _config_int(value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"layer dims, epochs, batch_size and seed must be integers, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int = 5
@@ -98,13 +104,13 @@ class MlpConfig:
     normalize: bool = False  # divide inputs by 1023 when on; raw scale by default
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        # a numpy integer (an output_dim from a label array's max) is stored
+        # as the Python int it equals, so the saved config line is the same
+        for name in ("input_dim", "hidden", "output_dim", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            value = tuple(map(_config_int, value)) if name == "hidden" else _config_int(value)
+            object.__setattr__(self, name, value)
         dims = (self.input_dim, *self.hidden, self.output_dim)
-        for value in (*dims, self.epochs, self.batch_size, self.seed):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(
-                    f"layer dims, epochs, batch_size and seed must be integers, got {value!r}"
-                )
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
         if any(d < 1 for d in dims):
@@ -166,32 +172,30 @@ def init_model(cfg: MlpConfig, rng: np.random.Generator) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, config=cfg)
 
 
-def _as_indices(labels, num_classes: int) -> np.ndarray:
-    """Class indices of labels given as GestureLabels or ints (not bools).
-
-    Raises ValueError naming the first label that is neither, else the
-    first index outside [0, num_classes).
-    """
-    indices = list(map(_class_index, labels))
-    # min and max compare Python ints, so an index too wide for int64 is
-    # reported as out of range rather than overflowing the array below
-    if indices and (min(indices) < 0 or max(indices) >= num_classes):
-        bad = next(i for i in indices if not 0 <= i < num_classes)
-        raise ValueError(f"class index {bad} outside [0, {num_classes})")
-    return np.array(indices, dtype=np.intp)
+def _integer_array(labels) -> np.ndarray:
+    """labels when it is a 1-D numpy integer array; anything else (a list,
+    a bool, float or object array) raises ValueError at row 0."""
+    if not isinstance(labels, np.ndarray) or labels.dtype.kind not in "iu" or labels.ndim != 1:
+        got = (f"{labels.ndim}-D {labels.dtype} array" if isinstance(labels, np.ndarray)
+               else type(labels).__name__)
+        raise ValueError(f"row 0: labels must be a 1-D numpy integer array, got {got}")
+    return labels
 
 
-def _class_index(label) -> int:
-    if isinstance(label, GestureLabel):
-        return CLASS_INDEX[label]
-    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
-        return int(label)
-    raise ValueError(f"class index must be an integer, got {label!r}")
+def _class_indices(labels, num_classes: int) -> np.ndarray:
+    """labels, a 1-D numpy integer array (_integer_array), as intp class
+    indices. Raises ValueError naming the first row outside [0, num_classes)."""
+    labels = _integer_array(labels)
+    bad = (labels < 0) | (labels >= num_classes)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"row {row}: class index {labels[row]} outside [0, {num_classes})")
+    return labels.astype(np.intp)
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
-    """Encode labels (GestureLabel or class indices) as one-hot rows."""
-    indices = _as_indices(labels, num_classes)
+    """Encode a class-index array (_class_indices) as one-hot rows."""
+    indices = _class_indices(labels, num_classes)
     out = np.zeros((len(indices), num_classes))
     out[np.arange(len(indices)), indices] = 1.0
     return out
@@ -428,7 +432,8 @@ def _prepare(x, cfg: MlpConfig) -> np.ndarray:
 def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     """Train with mini-batch Adam; returns (model, per-epoch TrainReport).
 
-    validation, when given, is an (x_val, labels_val) pair scored after each
+    labels is a class-index array (_class_indices). validation, when given,
+    is an (x_val, labels_val) pair of the same kinds, scored after each
     epoch with dropout off. All randomness (init, shuffling, dropout) flows
     from cfg.seed, so identical calls produce identical weights.
 
@@ -457,7 +462,7 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
         raise ValueError("cannot train on an empty dataset")
     if not np.isfinite(x).all():
         raise ValueError("non-finite value in training features")
-    indices = _as_indices(labels, cfg.output_dim)
+    indices = _class_indices(labels, cfg.output_dim)
     if len(indices) != n:
         raise ValueError(f"{n} rows but {len(indices)} labels")
     targets = one_hot(indices, cfg.output_dim)
@@ -468,7 +473,7 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
             raise ValueError("validation set is empty")
         if not np.isfinite(x_val).all():
             raise ValueError("non-finite value in validation features")
-        val_indices = _as_indices(validation[1], cfg.output_dim)
+        val_indices = _class_indices(validation[1], cfg.output_dim)
         if len(val_indices) != x_val.shape[0]:
             raise ValueError(f"validation: {x_val.shape[0]} rows but {len(val_indices)} labels")
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
@@ -577,12 +582,13 @@ def _predict_row(model: MlpModel, a: np.ndarray) -> int:
     return best
 
 
-def predict_labels(model: MlpModel, x) -> list:
+def predict_labels(model: MlpModel, x):
     """Argmax class index per row; ties break toward the lowest index.
 
     A single row, shaped (input_dim,) or (1, input_dim), is converted once
-    and skips the batch machinery (see _predict_row); every other shape
-    takes the batch path.
+    and skips the batch machinery (see _predict_row): its result is [label],
+    a list of one Python int. Every other shape takes the batch path and
+    returns an intp array.
     """
     cfg = model.config
     x = np.asarray(x, dtype=float)
@@ -598,24 +604,24 @@ def predict_labels(model: MlpModel, x) -> list:
     # a finite row near the float64 limit can overflow inside the network;
     # its label is still the argmax, so numpy's warnings would only add noise
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        return _infer(model, x, argmax=True).tolist()
+        return _infer(model, x, argmax=True)
 
 
 def split_dataset(x, labels, boundary: int) -> tuple:
-    """First `boundary` rows train, the rest test; order preserved."""
+    """First `boundary` rows train, the rest test; order preserved, and
+    labels sliced as given."""
     x = np.asarray(x)
     if not 0 <= boundary <= x.shape[0]:
         raise ValueError(f"boundary {boundary} outside [0, {x.shape[0]}]")
-    labels = list(labels)
     if len(labels) != x.shape[0]:
         raise ValueError(f"{x.shape[0]} rows but {len(labels)} labels")
     return (x[:boundary], labels[:boundary]), (x[boundary:], labels[boundary:])
 
 
 def trace_to_dataset(trace: LabeledTrace) -> tuple:
-    """Per-frame feature matrix (raw intensities) and class-index labels, a
-    list of Python ints (MlpConfig takes no numpy integer)."""
-    return trace.channels.astype(float), trace.labels.tolist()
+    """Per-frame feature matrix (raw intensities) and the trace's read-only
+    int8 class-index labels."""
+    return trace.channels.astype(float), trace.labels
 
 
 def save_model(model: MlpModel, sink) -> None:
@@ -688,22 +694,18 @@ def load_model(source) -> MlpModel:
 
 
 def write_labels_csv(labels, sink) -> None:
-    """Write a sequence of class indices, one per line (`nn predict --out`).
+    """Write a 1-D numpy integer array of class indices, one per line (`nn
+    predict --out`).
 
-    Every label must be a non-negative int or numpy integer; a bool, a float
-    or anything else raises ValueError naming its row (counted from 0),
-    before anything is written. The check is one set of the labels' types
-    and one min(), not a call per row.
+    Anything else raises ValueError before anything is written: a list or
+    a bool, float or object array at row 0 (_integer_array), else the first
+    negative index at its row (counted from 0).
     """
-    kinds = set(map(type, labels))
-    if any(k is not int and not issubclass(k, np.integer) for k in kinds) or (
-        len(labels) and min(labels) < 0
-    ):
-        row = next(i for i, label in enumerate(labels) if not (
-            (type(label) is int or isinstance(label, np.integer)) and label >= 0
-        ))
-        raise ValueError(f"row {row}: not a class index: {labels[row]!r}")
-    text = "\n".join(map(str, labels))
+    negative = _integer_array(labels) < 0
+    if negative.any():
+        row = int(np.argmax(negative))
+        raise ValueError(f"row {row}: not a class index: {labels[row]}")
+    text = "\n".join(map(str, labels.tolist()))
     with open_text(sink, "w") as out:
         out.write(text + "\n" if text else "")
 

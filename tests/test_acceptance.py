@@ -26,7 +26,6 @@ from lightband.mlp import (
 )
 from lightband.signature import classify_trace, generate_signatures
 from lightband.simulate import DEFAULT_PROFILES, SimConfig, synth_trace
-from lightband.types import GestureLabel
 
 
 def check(criterion: int, condition: bool, detail: str):
@@ -96,9 +95,7 @@ def run_mlp_training():
 def mlp_run():
     t0 = time.monotonic()
     x, model, report, (x_test, y_test) = run_mlp_training()
-    predicted = [GestureLabel(i) for i in predict_labels(model, x_test)]
-    truth = [GestureLabel(i) for i in y_test]
-    matrix = confusion(truth, predicted)
+    matrix = confusion(y_test, predict_labels(model, x_test))
     return {
         "rows": x.shape[0],
         "model": model,
@@ -168,7 +165,7 @@ def test_criterion_5_gradient_oracle():
     model = init_model(cfg, np.random.default_rng(cfg.seed))
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, size=(4, 5))
-    targets = one_hot([int(v) for v in rng.integers(0, 2, size=4)], 2)
+    targets = one_hot(rng.integers(0, 2, size=4), 2)
     _, grads_w, grads_b = loss_and_gradients(model, x, targets)
 
     def eval_loss():

@@ -23,7 +23,7 @@ from conftest import (
     write_non_bmp_collection,
     T as TRANSITION,
 )
-from lightband import cli, mlp, signature
+from lightband import cli, evaluate, mlp, signature
 from lightband.baseline import BaselineConfig
 from lightband.cli import NN_SPLIT, _config, build_parser, main
 from lightband.ingest import read_collection_csv, write_collection_csv
@@ -582,6 +582,35 @@ def test_nn_predict_on_a_long_trace_equals_the_whole_array_reference(capsys, tmp
     want = reference_labels(mlp.load_model(str(model_path)), mlp.trace_to_dataset(trace)[0])
     assert len(set(want)) > 1
     assert out_path.read_text() == "".join(f"{label}\n" for label in want)
+
+
+def test_nn_one_row_predictions_print_the_batch_reference(capsys, tmp_path):
+    # a one-row trace, and a one-row held-out split, take predict_labels'
+    # one-row path, which returns [int] rather than the batch path's array
+    trace_path = training_trace(tmp_path)
+    trace = read_collection_csv(str(trace_path))
+    x, labels = mlp.trace_to_dataset(trace)
+    model_path = tmp_path / "model.txt"
+    code, out, err = run(
+        capsys, "nn", "train", "--trace", str(trace_path), "--model", str(model_path),
+        "--split", str(len(trace) - 1), "--epochs", "2",
+    )
+    assert (code, err) == (0, "")
+    model = mlp.load_model(str(model_path))
+    want = reference_labels(model, x[-1:])
+    report = evaluate.render_report(evaluate.confusion(labels[-1:], np.array(want)))
+    assert out.endswith("\n" + report)
+
+    lines = trace_path.read_text().splitlines(keepends=True)
+    one_row, out_path = tmp_path / "one.csv", tmp_path / "pred.csv"
+    one_row.write_text(lines[0] + lines[-1])
+    code, out, err = run(
+        capsys, "nn", "predict", "--trace", str(one_row), "--model", str(model_path),
+        "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    assert out_path.read_text() == f"{want[0]}\n"
+    assert out == f"wrote 1 predictions to {out_path}\n" + report
 
 
 def _unknown_key(cfg):

@@ -381,7 +381,7 @@ IO_FORMATS = {
     ),
     "script": (None, read_script, "extend\nfist\n\none\n"),
     "model": (lambda sink: mlp.save_model(_MODEL, sink), mlp.load_model, None),
-    "labels": (lambda sink: mlp.write_labels_csv([0, 3, 1], sink), None, None),
+    "labels": (lambda sink: mlp.write_labels_csv(np.array([0, 3, 1]), sink), None, None),
     "metrics": (
         lambda sink: mlp.write_metrics_csv(
             mlp.TrainReport(train_loss=[0.5, 0.25], train_acc=[0.5, 1.0]), sink

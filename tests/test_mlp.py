@@ -34,7 +34,7 @@ from lightband.mlp import (
     MlpConfig,
     MlpModel,
     TrainReport,
-    _as_indices,
+    _class_indices,
     _block_edges,
     _infer,
     _infer_buffers,
@@ -55,6 +55,8 @@ from lightband.mlp import (
 
 from lightband.types import ROW_BLOCK, GestureLabel
 
+_NOT_AN_ARRAY = "row 0: labels must be a 1-D numpy integer array, got "
+
 TINY = MlpConfig(input_dim=5, hidden=(3, 3), output_dim=2, dropout_rate=0.0, l2=0.01, seed=123)
 
 
@@ -62,7 +64,7 @@ def tiny_problem(data_seed=7, cfg=TINY):
     model = init_model(cfg, np.random.default_rng(cfg.seed))
     rng = np.random.default_rng(data_seed)
     x = rng.uniform(-1, 1, size=(4, 5))
-    targets = one_hot([int(v) for v in rng.integers(0, cfg.output_dim, size=4)], cfg.output_dim)
+    targets = one_hot(rng.integers(0, cfg.output_dim, size=4), cfg.output_dim)
     return model, x, targets
 
 
@@ -89,15 +91,15 @@ def max_relative_error(model, grads_w, grads_b, eval_loss):
 
 
 def test_one_hot():
-    m = one_hot([2], 5)
+    m = one_hot(np.array([2]), 5)
     assert m.tolist() == [[0.0, 0.0, 1.0, 0.0, 0.0]]
-    assert one_hot([], 5).shape == (0, 5)
-    assert one_hot([R, E], 5).tolist() == [
+    assert one_hot(np.array([], dtype=np.int8), 5).shape == (0, 5)
+    assert one_hot(np.array([R.value, E.value], dtype=np.int8), 5).tolist() == [
         [1.0, 0.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0, 0.0],
     ]
-    with pytest.raises(ValueError, match="class index"):
-        one_hot([5], 5)
+    with pytest.raises(ValueError, match="^row 1: class index 5 outside"):
+        one_hot(np.array([0, 5]), 5)
 
 
 def zero_model(cfg=TINY):
@@ -157,7 +159,7 @@ def test_bce_loss_values():
     # +-50 on the output bias: sigmoid gives exactly 1.0 and 2e-22, which
     # the clamp keeps inside the logs
     model.biases[-1][:] = [-50.0, 50.0]
-    loss = loss_and_gradients(model, x, one_hot([1] * len(x), 2))[0]
+    loss = loss_and_gradients(model, x, one_hot(np.ones(len(x), dtype=int), 2))[0]
     assert 0 < loss < 1e-6
 
 
@@ -183,7 +185,7 @@ def test_mean_bce_equals_the_whole_expression_bit_for_bit(rows, cols, data):
     pred = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
     pred = pred.reshape(rows, cols)
     indices = data.draw(st.lists(st.integers(0, cols - 1), min_size=rows, max_size=rows))
-    target = one_hot(indices, cols)
+    target = one_hot(np.array(indices), cols)
     if data.draw(st.booleans()):  # soft targets exercise both log terms on every element
         target = np.array(data.draw(st.lists(values, min_size=rows * cols,
                                              max_size=rows * cols))).reshape(rows, cols)
@@ -244,7 +246,7 @@ def separable_toy():
     x1 = x0.copy()
     x1[:, 0] += 1.4  # margin of at least 1 on the first feature
     x = np.vstack([x0, x1])
-    labels = [0] * 10 + [1] * 10
+    labels = np.repeat([0, 1], 10)
     return x, labels
 
 
@@ -254,7 +256,7 @@ def test_train_separable_toy_reaches_perfect_accuracy():
     model, report = train(x, labels, cfg)
     assert report.train_acc[-1] == 1.0
     assert report.train_loss[-1] < report.train_loss[0]
-    assert predict_labels(model, x) == labels
+    assert np.array_equal(predict_labels(model, x), labels)
 
 
 def test_train_zero_epochs_keeps_init():
@@ -279,20 +281,22 @@ def test_train_deterministic_under_seed():
 
 def test_train_input_validation():
     with pytest.raises(ValueError, match="empty"):
-        train(np.zeros((0, 5)), [], MlpConfig(output_dim=2))
+        train(np.zeros((0, 5)), np.array([], dtype=int), MlpConfig(output_dim=2))
     with pytest.raises(ValueError, match="columns"):
-        train(np.zeros((3, 4)), [0, 1, 0], MlpConfig(output_dim=2))
-    with pytest.raises(ValueError, match="labels"):
-        train(np.zeros((3, 5)), [0, 1], MlpConfig(output_dim=2))
+        train(np.zeros((3, 4)), np.array([0, 1, 0]), MlpConfig(output_dim=2))
+    with pytest.raises(ValueError, match="^3 rows but 2 labels$"):
+        train(np.zeros((3, 5)), np.array([0, 1]), MlpConfig(output_dim=2))
 
 
 @pytest.mark.parametrize(
     "validation, message",
     [
-        ((np.zeros((3, 5)), [0, 1]), "validation: 3 rows but 2 labels"),
-        ((np.zeros((2, 5)), [0, 1, 1]), "validation: 2 rows but 3 labels"),
-        ((np.zeros((0, 5)), []), "validation set is empty"),
-        ((np.zeros((0, 5)), [1]), "validation set is empty"),
+        ((np.zeros((3, 5)), np.array([0, 1])), "validation: 3 rows but 2 labels"),
+        ((np.zeros((2, 5)), np.array([0, 1, 1])), "validation: 2 rows but 3 labels"),
+        ((np.zeros((0, 5)), np.array([], dtype=int)), "validation set is empty"),
+        ((np.zeros((0, 5)), np.array([1])), "validation set is empty"),
+        ((np.zeros((2, 5)), np.array([0, 2])), "row 1: class index 2 outside [0, 2)"),
+        ((np.zeros((2, 5)), [0, 1]), _NOT_AN_ARRAY + "list"),
     ],
 )
 def test_train_refuses_a_bad_validation_pair_before_the_first_epoch(validation, message,
@@ -310,21 +314,24 @@ def test_train_refuses_a_bad_validation_pair_before_the_first_epoch(validation, 
 
 def test_predict_tie_breaks_to_lowest_index():
     model = zero_model()  # every output is 0.5
-    assert predict_labels(model, np.zeros((3, 5))) == [0, 0, 0]
+    assert predict_labels(model, np.zeros((3, 5))).tolist() == [0, 0, 0]
 
 
 def test_predict_matches_argmax_of_forward():
     model, x, _ = tiny_problem()
     out = forward(model, x)
-    assert predict_labels(model, x) == [int(i) for i in np.argmax(out, axis=1)]
+    labels = predict_labels(model, x)
+    assert labels.dtype == np.intp
+    assert labels.tolist() == np.argmax(out, axis=1).tolist()
 
 
 def test_split_dataset():
     x = np.arange(2000 * 5, dtype=float).reshape(2000, 5)[:1000]
-    labels = list(range(1000))
+    labels = np.arange(1000)
     (xa, la), (xb, lb) = split_dataset(x, labels, 880)
     assert xa.shape == (880, 5) and xb.shape == (120, 5)
-    assert la == labels[:880] and lb == labels[880:]
+    assert la.tolist() == list(range(880)) and lb.tolist() == list(range(880, 1000))
+    assert np.shares_memory(la, labels) and np.shares_memory(lb, labels)  # slices, not copies
     (xa, la), (xb, lb) = split_dataset(x, labels, 0)
     assert xa.shape[0] == 0 and xb.shape[0] == 1000
     (xa, la), (xb, lb) = split_dataset(x, labels, 1000)
@@ -471,64 +478,75 @@ def test_trace_to_dataset():
     trace = make_trace([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]], [R, E])
     x, y = trace_to_dataset(trace)
     assert x.tolist() == [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]
-    assert y == [0, 1]
+    assert y is trace.labels and y.tolist() == [0, 1]
 
 
 @settings(deadline=None, max_examples=50)
 @given(st.lists(st.sampled_from(list(GestureLabel)), max_size=40))
 def test_trace_to_dataset_labels_are_label_values(labels):
     _, y = trace_to_dataset(make_trace([[0] * 5] * len(labels), labels))
-    assert y == [label.value for label in labels]
-    assert all(type(v) is int for v in y)
+    assert y.dtype == np.int8 and y.tolist() == [label.value for label in labels]
 
 
-def reference_one_hot(labels, num_classes: int) -> np.ndarray:
-    """The per-row encoder the vectorised one_hot and _as_indices replace."""
+def reference_class_indices(labels, num_classes: int) -> list:
+    """The per-row check _class_indices replaces: the class index of each
+    row of a 1-D numpy integer array, compared as Python ints."""
+    if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu"):
+        got = (f"{labels.ndim}-D {labels.dtype} array" if isinstance(labels, np.ndarray)
+               else type(labels).__name__)
+        raise ValueError(f"row 0: labels must be a 1-D numpy integer array, got {got}")
     indices = []
-    for label in labels:
-        if isinstance(label, GestureLabel):
-            indices.append(label.value)
-        elif isinstance(label, (int, np.integer)) and not isinstance(label, bool):
-            indices.append(int(label))
-        else:
-            raise ValueError(f"class index must be an integer, got {label!r}")
-    out = np.zeros((len(indices), num_classes))
-    for row, idx in enumerate(indices):
-        if not 0 <= idx < num_classes:
-            raise ValueError(f"class index {idx} outside [0, {num_classes})")
-        out[row, idx] = 1.0
-    return out
+    for row, label in enumerate(labels.tolist()):
+        if not 0 <= label < num_classes:
+            raise ValueError(f"row {row}: class index {label} outside [0, {num_classes})")
+        indices.append(label)
+    return indices
 
 
-_MIXED_LABELS = st.lists(
-    st.one_of(
-        st.sampled_from(list(GestureLabel)),
-        st.integers(-2, 7),
-        st.integers(-2, 7).map(np.int64),
-        st.integers(),  # includes values too wide for int64
-        st.floats(-2, 7),  # 2.9 is not class 2
-        st.booleans(),  # True is not class 1
-    ),
-    max_size=30,
-)
+_INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                   np.uint64]
 
 
-@settings(deadline=None, max_examples=400)
-@given(_MIXED_LABELS, st.integers(1, 6))
-def test_one_hot_and_as_indices_match_per_row_reference(labels, num_classes):
+@st.composite
+def label_inputs(draw):
+    """A 1-D array of any integer dtype, its values across the dtype's range
+    (uint64 above the int64 maximum, negatives) or near [0, 7); else a bool,
+    float, object or 2-D array, or a list."""
+    kind = draw(st.sampled_from(["integer"] * 4 + ["bool", "float", "object", "2-D", "list"]))
+    values = st.lists(st.integers(-2, 7), max_size=30)
+    if kind == "integer":
+        info = np.iinfo(draw(st.sampled_from(_INTEGER_DTYPES)))
+        wide = st.integers(int(info.min), int(info.max))
+        near = st.integers(max(int(info.min), -2), 7)
+        return np.array(draw(st.lists(st.one_of(near, wide), max_size=30)), dtype=info.dtype)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), max_size=30)), dtype=bool)
+    if kind == "float":
+        return np.array(draw(values), dtype=float)  # 2.0 is not class 2
+    if kind == "object":
+        return np.array(draw(values) + [None], dtype=object)[:-1]
+    if kind == "2-D":
+        return np.array(draw(values)).reshape(-1, 1)
+    return draw(values)
+
+
+@settings(deadline=None, max_examples=oracle_examples(400))
+@given(label_inputs(), st.integers(1, 6))
+def test_class_indices_and_one_hot_match_per_row_reference(labels, num_classes):
     try:
-        expected = reference_one_hot(labels, num_classes)
+        indices = reference_class_indices(labels, num_classes)
     except ValueError as exc:
-        for encode in (one_hot, _as_indices):
+        for check in (_class_indices, one_hot):
             with pytest.raises(ValueError) as caught:
-                encode(labels, num_classes)
+                check(labels, num_classes)
             assert str(caught.value) == str(exc)
         return
-    got = one_hot(labels, num_classes)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert np.array_equal(got, expected)
-    indices = [l.value if isinstance(l, GestureLabel) else int(l) for l in labels]
-    assert _as_indices(labels, num_classes).tolist() == indices
+    got = _class_indices(labels, num_classes)
+    assert got.dtype == np.intp and got.tolist() == indices
+    expected = np.zeros((len(indices), num_classes))
+    for row, index in enumerate(indices):
+        expected[row, index] = 1.0
+    assert one_hot(labels, num_classes).tobytes() == expected.tobytes()
 
 
 def test_metrics_csv():
@@ -549,7 +567,7 @@ def test_normalize_flag_round_trips_through_predict():
     cfg = MlpConfig(output_dim=2, epochs=40, dropout_rate=0.0, l2=0.0, seed=6, normalize=True)
     model, report = train(x, labels, cfg)
     assert report.train_acc[-1] == 1.0
-    assert predict_labels(model, x) == labels
+    assert np.array_equal(predict_labels(model, x), labels)
 
 
 def test_train_rejects_non_finite_rows():
@@ -567,7 +585,7 @@ def test_train_rejects_non_finite_rows():
 def test_train_stops_at_the_first_non_finite_epoch_loss():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1023, size=(40, 5))
-    labels = rng.integers(0, 5, size=40).tolist()
+    labels = rng.integers(0, 5, size=40)
     # Adam steps of ~7e152 per weight overflow the L2 penalty a few epochs in
     cfg = MlpConfig(hidden=(4,), epochs=8, learning_rate=7e152, dropout_rate=0.0)
     with warnings.catch_warnings():
@@ -584,7 +602,7 @@ def test_train_stops_at_the_first_non_finite_epoch_loss():
 
 def intensity_problem(n, classes, seed):
     rng = np.random.default_rng(seed)
-    labels = [int(v) for v in rng.integers(0, classes, size=n)]
+    labels = rng.integers(0, classes, size=n)
     centers = rng.uniform(100, 900, size=(classes, 5))
     x = np.rint(centers[labels] + rng.normal(0, 40, size=(n, 5)))
     return x, labels
@@ -705,7 +723,7 @@ def test_blocked_inference_equals_whole_array_reference(n, normalize):
     x = np.rint(np.random.default_rng(n).uniform(0, 1023, size=(n, 5)))
     want = reference_forward(model, _prepare(x, model.config), False, None)[0]
     assert forward(model, _prepare(x, model.config)).tobytes() == want.tobytes()
-    labels = predict_labels(model, x)
+    labels = np.asarray(predict_labels(model, x)).tolist()  # n = 1 takes the one-row path
     assert labels == reference_labels(model, x) == np.argmax(want, axis=1).tolist()
     assert n < 255 or len(set(labels)) > 1
 
@@ -885,7 +903,7 @@ def test_train_runs_on_one_blas_thread_and_restores_the_count(blas_threads, monk
 def test_a_diverging_train_restores_the_blas_count(blas_threads):
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1023, size=(40, 5))
-    labels = rng.integers(0, 5, size=40).tolist()
+    labels = rng.integers(0, 5, size=40)
     cfg = MlpConfig(hidden=(4,), epochs=8, learning_rate=7e152, dropout_rate=0.0)
     with pytest.raises(ValueError, match="^training diverged"):
         train(x, labels, cfg)
@@ -930,7 +948,7 @@ def test_overlapping_batch_predictions_keep_one_thread_until_the_last_leaves(
         assert not workers[name].is_alive()
         counts.append(blas_threads())
     assert counts == [1, 1, 2]
-    assert got == {"first": want, "second": want}
+    assert [got[name].tolist() for name in workers] == [want.tolist()] * 2
 
 
 def test_many_overlapping_predictions_restore_the_blas_count(blas_threads):
@@ -943,7 +961,7 @@ def test_many_overlapping_predictions_restore_the_blas_count(blas_threads):
 
     def work():
         for _ in range(200):
-            matches.append(predict_labels(model, x) == want)
+            matches.append(np.array_equal(predict_labels(model, x), want))
 
     workers = [threading.Thread(target=work) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -966,7 +984,7 @@ def test_train_and_predict_without_openblas_give_the_same_outputs(monkeypatch):
 
     def outputs():
         model, report = train(x, labels, cfg)
-        return _model_text(model), report, predict_labels(model, x)
+        return _model_text(model), report, predict_labels(model, x).tolist()
 
     want = outputs()
     monkeypatch.setattr(mlp, "_openblas", lambda: None)
@@ -978,12 +996,22 @@ def test_train_and_predict_without_openblas_give_the_same_outputs(monkeypatch):
     [
         ("hidden", (2.5,)), ("hidden", (True,)), ("output_dim", 2.0), ("input_dim", "5"),
         ("epochs", 1.0), ("batch_size", True), ("seed", None), ("normalize", 1),
-        ("normalize", "yes"),
+        ("normalize", "yes"), ("output_dim", np.bool_(True)), ("hidden", (np.float64(3.0),)),
     ],
 )
 def test_config_requires_integer_dims_and_counts_and_a_bool_normalize(field, value):
     with pytest.raises(ValueError, match="integer|bool"):
         MlpConfig(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_python_ints():
+    given = {"input_dim": np.int16(5), "hidden": (np.uint8(4), np.int64(3)),
+             "output_dim": np.int8(3), "epochs": np.uint64(2), "batch_size": np.int32(7),
+             "seed": np.int64(9)}
+    cfg = MlpConfig(**given)
+    plain = MlpConfig(input_dim=5, hidden=(4, 3), output_dim=3, epochs=2, batch_size=7, seed=9)
+    assert cfg == plain
+    assert json.dumps(asdict(cfg)) == json.dumps(asdict(plain))  # json refuses numpy integers
 
 
 def test_config_rejects_a_negative_seed():
@@ -1141,7 +1169,7 @@ def test_predict_labels_other_shapes_take_the_batch_path():
         with pytest.raises(ValueError, match=message):
             predict_labels(model, x)
     rows = np.arange(10.0).reshape(2, 5)
-    assert predict_labels(model, rows) == batch_predict(model, rows)
+    assert predict_labels(model, rows).tolist() == batch_predict(model, rows)
 
 
 def test_predict_labels_rejects_non_finite_rows():
@@ -1152,7 +1180,7 @@ def test_predict_labels_rejects_non_finite_rows():
             predict_labels(model, [bad])
         with pytest.raises(ValueError, match="^row 2: non-finite feature value$"):
             predict_labels(model, [[1.0] * 5, [2.0] * 5, bad, bad])
-    assert predict_labels(model, np.zeros((0, 5))) == []
+    assert predict_labels(model, np.zeros((0, 5))).tolist() == []
 
 
 def test_one_row_predict_equals_batch_path_on_overflowing_rows():
@@ -1181,7 +1209,7 @@ def test_batch_predict_is_quiet_on_rows_that_overflow_the_network():
         warnings.simplefilter("error")
         labels = predict_labels(model, rows)
     with np.errstate(all="ignore"):
-        assert labels == batch_predict(model, rows) == [0, 0, 0]
+        assert labels.tolist() == batch_predict(model, rows) == [0, 0, 0]
     with pytest.warns(RuntimeWarning):
         predict_labels(model, rows[0])
 
@@ -1202,16 +1230,26 @@ def _labels_text(labels) -> str:
     return sink.getvalue()
 
 
-def test_write_labels_csv_writes_ints_and_numpy_integers():
-    assert _labels_text([0, 3, 1]) == "0\n3\n1\n"
-    assert _labels_text(np.array([4, 0], dtype=np.uint8)) == "4\n0\n"
-    assert _labels_text([np.int64(2), 1]) == "2\n1\n"
-    assert _labels_text([]) == ""
+@pytest.mark.parametrize("dtype", _INTEGER_DTYPES)
+def test_write_labels_csv_writes_integer_arrays(dtype):
+    assert _labels_text(np.array([0, 3, 1], dtype=dtype)) == "0\n3\n1\n"
+    assert _labels_text(np.array([], dtype=dtype)) == ""
+    big = np.iinfo(dtype).max
+    assert _labels_text(np.array([4, big], dtype=dtype)) == f"4\n{big}\n"
 
 
-@pytest.mark.parametrize("bad", [1.7, True, np.bool_(False), -1, np.int64(-2), "1", None])
-def test_write_labels_csv_rejects_a_label_that_is_not_a_class_index(bad):
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([0, 1, 0]) * 1.5, _NOT_AN_ARRAY + "1-D float64 array"),
+    (np.array([1, 0, 1], dtype=bool), _NOT_AN_ARRAY + "1-D bool array"),
+    (np.array([0, 1, 2], dtype=object), _NOT_AN_ARRAY + "1-D object array"),
+    (np.zeros((3, 1), dtype=int), _NOT_AN_ARRAY + "2-D int64 array"),
+    ([0, 1, 2], _NOT_AN_ARRAY + "list"),
+    (np.array([0, 4, -1, 1]), "row 2: not a class index: -1"),
+    (np.array([0, 4, -2, -1], dtype=np.int8), "row 2: not a class index: -2"),
+])
+def test_write_labels_csv_rejects_what_is_not_a_class_index_array(bad, message):
     sink = io.StringIO()
-    with pytest.raises(ValueError, match=f"^row 2: not a class index: {re.escape(repr(bad))}$"):
-        mlp.write_labels_csv([0, 4, bad, 1], sink)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mlp.write_labels_csv(bad, sink)
     assert sink.getvalue() == ""

@@ -1,9 +1,16 @@
 """The benchmark still finds every lightband name it uses: each perfbench
-tracer target and each lightband attribute perfbench/*.py reads exists."""
+tracer target and each lightband attribute perfbench/*.py reads exists, and
+the values it reads keep the Python types it relies on."""
 
 import ast
 import importlib
+import io
 from pathlib import Path
+
+import numpy as np
+
+from conftest import E, F, R, make_trace
+from lightband import mlp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,3 +73,27 @@ def test_perfbench_lightband_references_exist():
             checked += 1
     assert missing == []
     assert checked > 50  # the workloads and the tracer were read
+
+
+def _model_text(model) -> str:
+    sink = io.StringIO()
+    mlp.save_model(model, sink)
+    return sink.getvalue()
+
+
+def test_values_perfbench_reads_keep_their_python_types():
+    """perfbench/workloads.py builds MlpConfig(output_dim=max(y) + 1) from
+    trace_to_dataset's labels, and live_stream sums `predict_labels(model,
+    [row])[0] != want` into a count it writes as JSON, which refuses numpy
+    integers."""
+    trace = make_trace([[i, 2 * i, 3, 4, 5] for i in range(6)], [R, E, F, R, E, F])
+    x, y = mlp.trace_to_dataset(trace)
+    cfg = mlp.MlpConfig(hidden=(4,), output_dim=max(y) + 1, epochs=2, seed=1)
+    assert isinstance(max(y), np.integer)
+    assert type(cfg.output_dim) is int and cfg.output_dim == 3
+    plain = mlp.MlpConfig(hidden=(4,), output_dim=3, epochs=2, seed=1)
+    assert cfg == plain
+    model, _ = mlp.train(x, y, cfg)
+    assert _model_text(model) == _model_text(mlp.train(x, y, plain)[0])
+    for row in (x[0], x[0].tolist(), tuple(int(v) for v in x[0])):
+        assert type(mlp.predict_labels(model, [row])[0]) is int
