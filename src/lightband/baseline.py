@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .types import NUM_CHANNELS, SensorFrame
+from .types import NUM_CHANNELS, SensorFrame, _reject_first
 
 # Rows per lane of batch_baselines' chunked EWMA, and the passes it may take
 # before it falls back to the serial recurrence.
@@ -94,8 +94,9 @@ def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> 
     checked (_chunked_ewma), or a reading at a time (_serial_ewma); the window
     maximum is an exact range maximum over [first frame with
     t > t_i - window, i], the frames the tracker's deque still holds.
-    Raises ValueError unless the times are 1-D, finite and non-decreasing
-    and the channels a 2-D array with a row per time.
+    Raises ValueError unless the times are 1-D and the channels a 2-D array
+    with a row per time, and FrameError at the first time that is not
+    finite or that goes back.
     """
     t = np.asarray(t_rel, dtype=np.float64)
     x = np.asarray(channels)
@@ -105,13 +106,11 @@ def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> 
         raise ValueError(
             f"channels must have shape ({len(t)}, k) for {len(t)} times, got {x.shape}"
         )
-    bad = np.flatnonzero(~np.isfinite(t))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: non-finite timestamp {t[bad[0]]}")
-    back = np.flatnonzero(t[1:] < t[:-1])
-    if back.size:
-        i = back[0]
-        raise ValueError(f"non-monotonic timestamp: {t[i + 1]} after {t[i]}")
+    _reject_first(~np.isfinite(t), lambda row: f"non-finite timestamp {t[row]}")
+    _reject_first(
+        np.concatenate(([False], t[1:] < t[:-1])),
+        lambda row: f"non-monotonic timestamp: {t[row]} after {t[row - 1]}",
+    )
     n = len(t)
     if n == 0:
         return np.empty(x.shape)

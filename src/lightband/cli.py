@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluate, ingest, mlp, signature, simulate
 from .baseline import BaselineConfig
-from .types import CLASS_LABELS, NUM_CHANNELS
+from .types import CLASS_LABELS, LABEL_TEXT, NUM_CHANNELS
 
 
 # nn train's default train/test boundary row
@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
     counts = np.bincount(trace.labels, minlength=len(CLASS_LABELS)).tolist()
     duration = trace.t_rel[-1]  # never empty: a script has a relax hold
     summary = " ".join(
-        f"{label.name.lower()}={count}" for label, count in zip(CLASS_LABELS, counts)
+        f"{LABEL_TEXT[label]}={count}" for label, count in zip(CLASS_LABELS, counts)
     )
     print(f"wrote {len(trace)} frames ({duration:.2f}s) to {args.out}: {summary}")
     return 0
@@ -169,7 +169,7 @@ def cmd_train_signatures(args) -> int:
     signature.write_signature_csv(table, args.out)
     print("gesture  sensor  delta")
     for (gesture, sensor), delta in table.deltas.items():
-        print(f"{gesture.name.lower():<7}  {sensor:>6}  {delta:>10.3f}")
+        print(f"{LABEL_TEXT[gesture]:<7}  {sensor:>6}  {delta:>10.3f}")
     print(f"wrote signature table to {args.out}")
     return 0
 

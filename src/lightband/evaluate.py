@@ -20,7 +20,7 @@ def confusion(truth, pred) -> np.ndarray:
     (the last is predicted TRANSITION); a label's class index is both.
 
     Each side is GestureLabel members or an array of class indices
-    (label_codes), which raises ValueError for a bad label."""
+    (label_codes), which raises FrameError at a bad label's row."""
     truth = label_codes(truth)
     pred = label_codes(pred)
     if len(truth) != len(pred):

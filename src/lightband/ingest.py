@@ -230,7 +230,7 @@ def read_collection_csv(source) -> LabeledTrace:
         )
     except FrameError as exc:
         row, line = spans[bisect_right(spans, exc.index, key=itemgetter(0)) - 1]
-        raise ValueError(f"line {line + exc.index - row}: {exc}") from None
+        raise ValueError(f"line {line + exc.index - row}: {exc.reason}") from None
 
 
 def _parse_collection_row(line: str) -> tuple:
@@ -373,18 +373,15 @@ def write_label_file(t_rel, labels, sink) -> None:
     by block from _time_fields as in write_collection_csv. The labels are
     GestureLabel members or an array of class indices (label_codes). Raises
     ValueError, before anything is written, if the times are not
-    one-dimensional, if the lengths differ, or for a bad label, naming its
-    row (counted from 0).
+    one-dimensional, if the lengths differ, or for a bad label, a
+    FrameError naming its row.
     """
     t_rel = np.asarray(t_rel, dtype=np.float64)
     if t_rel.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {t_rel.shape}")
     if len(t_rel) != len(labels):
         raise ValueError(f"{len(t_rel)} times but {len(labels)} labels")
-    try:
-        codes = label_codes(labels)
-    except FrameError as exc:
-        raise ValueError(f"row {exc.index}: {exc}") from None
+    codes = label_codes(labels)
     with open_text(sink, "w") as out:
         out.write("t_rel,label\n")
         for start in range(0, len(codes), ROW_BLOCK):

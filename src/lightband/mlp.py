@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ingest import open_text, text_lines
-from .types import INTENSITY_MAX, ROW_BLOCK, LabeledTrace
+from .types import INTENSITY_MAX, ROW_BLOCK, FrameError, LabeledTrace, _reject_first
 
 PRED_EPS = 1e-7
 
@@ -174,22 +174,22 @@ def init_model(cfg: MlpConfig, rng: np.random.Generator) -> MlpModel:
 
 def _integer_array(labels) -> np.ndarray:
     """labels when it is a 1-D numpy integer array; anything else (a list,
-    a bool, float or object array) raises ValueError at row 0."""
+    a bool, float or object array) raises FrameError at row 0."""
     if not isinstance(labels, np.ndarray) or labels.dtype.kind not in "iu" or labels.ndim != 1:
         got = (f"{labels.ndim}-D {labels.dtype} array" if isinstance(labels, np.ndarray)
                else type(labels).__name__)
-        raise ValueError(f"row 0: labels must be a 1-D numpy integer array, got {got}")
+        raise FrameError(0, f"labels must be a 1-D numpy integer array, got {got}")
     return labels
 
 
 def _class_indices(labels, num_classes: int) -> np.ndarray:
     """labels, a 1-D numpy integer array (_integer_array), as intp class
-    indices. Raises ValueError naming the first row outside [0, num_classes)."""
+    indices. Raises FrameError at the first row outside [0, num_classes)."""
     labels = _integer_array(labels)
-    bad = (labels < 0) | (labels >= num_classes)
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise ValueError(f"row {row}: class index {labels[row]} outside [0, {num_classes})")
+    _reject_first(
+        (labels < 0) | (labels >= num_classes),
+        lambda row: f"class index {labels[row]} outside [0, {num_classes})",
+    )
     return labels.astype(np.intp)
 
 
@@ -428,6 +428,23 @@ def _prepare(x, cfg: MlpConfig) -> np.ndarray:
     return x / INTENSITY_MAX if cfg.normalize else x
 
 
+def _checked_set(x, labels, cfg: MlpConfig, name: str) -> tuple:
+    """The prepared features and intp class indices of the training or
+    validation set `name`, refused in the same words for both: an empty
+    set, the first row with a non-finite feature (FrameError), a bad label
+    (_class_indices) or a row count that differs from the label count."""
+    x = _prepare(x, cfg)
+    if x.shape[0] == 0:
+        raise ValueError(f"{name} set is empty")
+    _reject_first(
+        ~np.isfinite(x).all(axis=1), lambda row: f"non-finite value in {name} features"
+    )
+    indices = _class_indices(labels, cfg.output_dim)
+    if len(indices) != x.shape[0]:
+        raise ValueError(f"{name}: {x.shape[0]} rows but {len(indices)} labels")
+    return x, indices
+
+
 @_one_blas_thread()
 def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     """Train with mini-batch Adam; returns (model, per-epoch TrainReport).
@@ -453,29 +470,15 @@ def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     batches, one for a shorter last batch), and the per-epoch scoring of
     both row sets in one set of _infer_buffers and one _mean_bce scratch,
     each allocated once per call. Raises ValueError before the first epoch
-    for a bad training or validation set, and at the end of the first epoch
-    whose training loss is not finite.
+    for a bad training or validation set (_checked_set), and at the end of
+    the first epoch whose training loss is not finite.
     """
-    x = _prepare(x, cfg)
+    x, indices = _checked_set(x, labels, cfg, "training")
     n = x.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite value in training features")
-    indices = _class_indices(labels, cfg.output_dim)
-    if len(indices) != n:
-        raise ValueError(f"{n} rows but {len(indices)} labels")
     targets = one_hot(indices, cfg.output_dim)
     val = None
     if validation is not None:
-        x_val = _prepare(validation[0], cfg)
-        if x_val.shape[0] == 0:
-            raise ValueError("validation set is empty")
-        if not np.isfinite(x_val).all():
-            raise ValueError("non-finite value in validation features")
-        val_indices = _class_indices(validation[1], cfg.output_dim)
-        if len(val_indices) != x_val.shape[0]:
-            raise ValueError(f"validation: {x_val.shape[0]} rows but {len(val_indices)} labels")
+        x_val, val_indices = _checked_set(validation[0], validation[1], cfg, "validation")
         val = (x_val, one_hot(val_indices, cfg.output_dim), val_indices)
     score_rows = (n,) if val is None else (n, val[0].shape[0])
     score_bufs = _infer_buffers(cfg, *score_rows)
@@ -595,12 +598,10 @@ def predict_labels(model: MlpModel, x):
     if x.shape == (1, cfg.input_dim) or x.shape == (cfg.input_dim,):
         row = x.ravel()
         if not all(map(math.isfinite, row.tolist())):
-            raise ValueError("row 0: non-finite feature value")
+            raise FrameError(0, "non-finite feature value")
         return [_predict_row(model, row / INTENSITY_MAX if cfg.normalize else row)]
     x = _prepare(np.atleast_2d(x), cfg)
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))}: non-finite feature value")
+    _reject_first(~np.isfinite(x).all(axis=1), lambda row: "non-finite feature value")
     # a finite row near the float64 limit can overflow inside the network;
     # its label is still the argmax, so numpy's warnings would only add noise
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -697,14 +698,12 @@ def write_labels_csv(labels, sink) -> None:
     """Write a 1-D numpy integer array of class indices, one per line (`nn
     predict --out`).
 
-    Anything else raises ValueError before anything is written: a list or
+    Anything else raises FrameError before anything is written: a list or
     a bool, float or object array at row 0 (_integer_array), else the first
-    negative index at its row (counted from 0).
+    negative index at its row.
     """
-    negative = _integer_array(labels) < 0
-    if negative.any():
-        row = int(np.argmax(negative))
-        raise ValueError(f"row {row}: not a class index: {labels[row]}")
+    labels = _integer_array(labels)
+    _reject_first(labels < 0, lambda row: f"not a class index: {labels[row]}")
     text = "\n".join(map(str, labels.tolist()))
     with open_text(sink, "w") as out:
         out.write(text + "\n" if text else "")

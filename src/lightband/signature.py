@@ -23,6 +23,7 @@ from .types import (
     CLASS_INDEX,
     CLASS_LABELS,
     GESTURES,
+    LABEL_TEXT,
     NUM_CHANNELS,
     GestureLabel,
     LabeledTrace,
@@ -281,7 +282,7 @@ def write_signature_csv(table: SignatureTable, sink) -> None:
     """Write `gesture,sensor,delta` rows, full float precision."""
     with open_text(sink, "w") as out:
         out.write(SIGNATURE_CSV_HEADER + "\n" + "".join(
-            f"{gesture.name.lower()},{sensor},{delta!r}\n"
+            f"{LABEL_TEXT[gesture]},{sensor},{delta!r}\n"
             for (gesture, sensor), delta in table.deltas.items()
         ))
 

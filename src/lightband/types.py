@@ -109,21 +109,23 @@ class SensorFrame:
 
 
 class FrameError(ValueError):
-    """A trace validation failure pinned to one frame, at row `index`.
+    """A refusal pinned to one row of an input, counted from 0: its text is
+    "row {index}: {reason}", and it keeps both parts.
 
-    Readers catch it to name the input line that frame came from.
+    Readers catch it to name the input line that row came from instead.
     """
 
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"row {index}: {reason}")
         self.index = index
+        self.reason = reason
 
 
-def _reject_first(bad: np.ndarray, message) -> None:
-    """Raise FrameError for the first flagged row; message(row) describes it."""
+def _reject_first(bad: np.ndarray, reason) -> None:
+    """Raise FrameError for the first flagged row; reason(row) describes it."""
     if bad.any():
         row = int(np.argmax(bad))
-        raise FrameError(row, message(row))
+        raise FrameError(row, reason(row))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -23,6 +23,9 @@ from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines
 from lightband.simulate import SimConfig, synth_trace
 from lightband.types import SensorFrame
 
+# the oracle step (pytest -m oracle) runs every test in this module
+pytestmark = pytest.mark.oracle
+
 
 def brute_force_baselines(frames, alpha, window):
     """Reference: full EWMA history plus a scan-max over the trailing window."""

@@ -137,6 +137,7 @@ def codes_of(labels, dtype=np.int8):
     return np.array([CLASS_INDEX[label] for label in labels], dtype=dtype)
 
 
+@pytest.mark.oracle
 @settings(max_examples=oracle_examples(100))
 @given(
     st.lists(st.tuples(st.sampled_from(list(GestureLabel)), st.sampled_from(list(GestureLabel)))),

@@ -50,6 +50,9 @@ from lightband.types import (
     parse_label,
 )
 
+# the oracle step (pytest -m oracle) runs every test in this module
+pytestmark = pytest.mark.oracle
+
 
 def test_parse_serial_line_examples():
     assert parse_serial_line("512,480,333,710,1023") == [512, 480, 333, 710, 1023]
@@ -358,8 +361,10 @@ def test_reader_names_the_line_of_a_bad_frame_in_a_later_block(fault, bad_row, b
 def test_read_collection_csv_names_the_line_where_time_stops_increasing(times, message):
     rows = [f"{t},0.0,1,2,3,4,5,relax," if t else "" for t in times]
     text = COLLECTION_HEADER + "\n" + "\n".join(rows) + "\n"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
         read_collection_csv(io.StringIO(text))
+    # the trace's FrameError is reported by its line alone, with no "row N: "
+    assert type(caught.value) is ValueError
 
 
 _MODEL = mlp.init_model(mlp.MlpConfig(hidden=(3,), output_dim=2), np.random.default_rng(0))
@@ -643,7 +648,7 @@ def reference_read_collection_csv(source) -> LabeledTrace:
             labels=labels,
         )
     except FrameError as exc:
-        raise ValueError(f"line {linenos[exc.index]}: {exc}") from None
+        raise ValueError(f"line {linenos[exc.index]}: {exc.reason}") from None
 
 
 def reference_collection_text(trace) -> str:

@@ -178,6 +178,7 @@ _BCE_EDGES = [
 ]
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(100))
 @given(st.integers(1, 12), st.integers(1, 6), st.data())
 def test_mean_bce_equals_the_whole_expression_bit_for_bit(rows, cols, data):
@@ -280,11 +281,11 @@ def test_train_deterministic_under_seed():
 
 
 def test_train_input_validation():
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^training set is empty$"):
         train(np.zeros((0, 5)), np.array([], dtype=int), MlpConfig(output_dim=2))
     with pytest.raises(ValueError, match="columns"):
         train(np.zeros((3, 4)), np.array([0, 1, 0]), MlpConfig(output_dim=2))
-    with pytest.raises(ValueError, match="^3 rows but 2 labels$"):
+    with pytest.raises(ValueError, match="^training: 3 rows but 2 labels$"):
         train(np.zeros((3, 5)), np.array([0, 1]), MlpConfig(output_dim=2))
 
 
@@ -530,6 +531,7 @@ def label_inputs(draw):
     return draw(values)
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(400))
 @given(label_inputs(), st.integers(1, 6))
 def test_class_indices_and_one_hot_match_per_row_reference(labels, num_classes):
@@ -675,6 +677,7 @@ def small_trainings(draw):
     return x[:n], labels[:n], cfg, validation
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(15))
 @given(small_trainings())
 def test_train_equals_per_tensor_reference_on_random_configs(training):
@@ -742,6 +745,7 @@ def test_predict_labels_holds_one_row_block_of_activations():
     assert peak < 6 * 2**20
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(200))
 @given(st.integers(0, 5 * ROW_BLOCK), st.integers(0, 5 * ROW_BLOCK))
 def test_block_edges_cover_the_rows_in_blocks_the_buffers_hold(n, m):
@@ -1143,6 +1147,7 @@ _ONE_ROW_INPUTS = st.one_of(
 )
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(400))
 @given(st.sampled_from(sorted(_ONE_ROW_MODELS)), _ONE_ROW_INPUTS)
 def test_one_row_predict_equals_batch_path(key, row):

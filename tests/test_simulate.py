@@ -22,6 +22,9 @@ from lightband.simulate import (
 )
 from lightband.types import ROW_BLOCK, parse_label, segment_trace
 
+# the oracle step (pytest -m oracle) runs every test in this module
+pytestmark = pytest.mark.oracle
+
 
 def profile_table(rows, sensors=ALL_SENSORS):
     """A profile table from {gesture: deltas in sensor order}."""

@@ -1,4 +1,5 @@
 import copy
+import io
 import pickle
 import re
 import statistics
@@ -11,6 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import E, F, R, T, flat_rows, make_trace, members, oracle_examples, run_python
+from lightband import mlp
+from lightband.baseline import batch_baselines
+from lightband.evaluate import confusion
+from lightband.ingest import write_label_file
 from lightband.types import (
     CLASS_INDEX,
     CLASS_LABELS,
@@ -120,7 +125,7 @@ def test_trace_validation():
         LabeledTrace(t_rel=[0.0, 0.0], t_unix=[0.0, 0.0], channels=flat_rows(0, 2), labels=[R, R])
     # one uneven step among even ones, more than 50% off the median step
     for t_rel, row, step in (([0, 1, 2, 4, 5, 6], 3, 2.0), ([0, 1, 2, 2.25, 3.25], 3, 0.25)):
-        message = f"^frame spacing {step} outside 50% of the median step 1.0$"
+        message = f"^row {row}: frame spacing {step} outside 50% of the median step 1.0$"
         with pytest.raises(FrameError, match=message) as caught:
             LabeledTrace(t_rel, t_rel, flat_rows(0, len(t_rel)), [R] * len(t_rel))
         assert caught.value.index == row
@@ -130,7 +135,7 @@ def test_trace_validation():
     # the increasing check is a pass of its own: a later repeat is reported
     # before an earlier spacing fault
     t_rel = [0, 1, 3, 4, 4]
-    message = r"^t_rel must be strictly increasing \(4.0 -> 4.0\)$"
+    message = r"^row 4: t_rel must be strictly increasing \(4.0 -> 4.0\)$"
     with pytest.raises(FrameError, match=message) as caught:
         LabeledTrace(t_rel, t_rel, flat_rows(0, 5), [R] * 5)
     assert caught.value.index == 4
@@ -171,7 +176,7 @@ def test_time_checks_equal_the_per_step_reference(start, steps):
     try:
         LabeledTrace(t_rel, [0.0] * n, flat_rows(0, n), [R] * n)
     except FrameError as exc:
-        assert (exc.index, str(exc)) == want
+        assert (exc.index, exc.reason) == want
         return
     assert want is None
 
@@ -243,7 +248,7 @@ def test_integer_and_float_channels_are_checked_alike(faults):
         with pytest.raises(FrameError) as caught:
             make_trace(channels, [R] * 6)
         assert caught.value.index == row
-        assert str(caught.value) == f"channel value {value} outside [0, 1023]"
+        assert caught.value.reason == f"channel value {value} outside [0, 1023]"
 
 
 @pytest.mark.parametrize("value, message", [
@@ -259,7 +264,7 @@ def test_float_channels_name_their_first_bad_value(value, message):
     with pytest.raises(FrameError) as caught:
         make_trace(rows, [R] * 3)
     assert caught.value.index == 1
-    assert str(caught.value) == message
+    assert caught.value.reason == message
 
 
 def test_trace_columns_are_read_only_copies():
@@ -406,6 +411,7 @@ def label_runs(draw, max_runs=12):
     return [label for label, length in runs for _ in range(length)]
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(100))
 @given(label_runs(), st.sampled_from(_INT_DTYPES))
 def test_trace_from_codes_equals_trace_from_members(labels, dtype):
@@ -420,6 +426,7 @@ def test_trace_from_codes_equals_trace_from_members(labels, dtype):
     assert make_trace(flat_rows(7, len(labels)), np.array(labels, dtype=object)) == from_members
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(100))
 @given(label_runs().filter(bool), st.sampled_from(_INT_DTYPES))
 def test_segment_trace_on_codes_matches_brute_force_loop(labels, dtype):
@@ -464,14 +471,16 @@ def _bad_label_cases():
     return st.one_of(bad_code, bad_dtype, bad_member, a_str)
 
 
+@pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(100))
 @given(_bad_label_cases())
 def test_bad_labels_raise_naming_their_row(case):
     labels, row, message = case
-    with pytest.raises(FrameError, match=f"^{re.escape(message)}$") as caught:
+    message = f"^{re.escape(f'row {row}: {message}')}$"
+    with pytest.raises(FrameError, match=message) as caught:
         label_codes(labels)
     assert caught.value.index == row
-    with pytest.raises(FrameError, match=f"^{re.escape(message)}$") as caught:
+    with pytest.raises(FrameError, match=message) as caught:
         make_trace(flat_rows(0, len(labels)), labels)
     assert caught.value.index == row
 
@@ -490,3 +499,73 @@ def test_label_codes_take_empty_input_of_any_dtype():
 def test_class_labels_index_the_codes():
     assert [CLASS_INDEX[label] for label in CLASS_LABELS] == list(range(len(CLASS_LABELS)))
     assert label_codes(CLASS_LABELS).tolist() == list(range(len(CLASS_LABELS)))
+
+
+def _zeros_with(shape, row, value):
+    """Zeros of `shape` with `value` at (row, 2)."""
+    x = np.zeros(shape)
+    x[row, 2] = value
+    return x
+
+
+_MLP_CFG = mlp.MlpConfig(hidden=(3,), output_dim=2, epochs=1)
+_MLP_MODEL = mlp.init_model(_MLP_CFG, np.random.default_rng(0))
+_TWO_CLASSES = np.array([0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("refuse, index, reason", [
+    pytest.param(
+        lambda: LabeledTrace([0.0, 0.02, 0.01], [0.0] * 3, flat_rows(0, 3), [R] * 3),
+        2, "t_rel must be strictly increasing (0.02 -> 0.01)", id="LabeledTrace",
+    ),
+    pytest.param(
+        lambda: label_codes([R, E, "fist"]),
+        2, "label must be a GestureLabel, got 'fist'", id="label_codes",
+    ),
+    pytest.param(
+        lambda: confusion(np.array([0, 1, 7]), np.array([0, 1, 1])),
+        2, "class index 7 outside [0, 5)", id="confusion",
+    ),
+    pytest.param(
+        lambda: write_label_file([0.0, 0.02, 0.04], [R, None, E], io.StringIO()),
+        1, "label must be a GestureLabel, got None", id="write_label_file",
+    ),
+    pytest.param(
+        lambda: batch_baselines([0.0, 0.1, float("nan")], np.zeros((3, 5))),
+        2, "non-finite timestamp nan", id="batch_baselines_non_finite",
+    ),
+    pytest.param(
+        lambda: batch_baselines([0.0, 0.2, 0.1, 0.3], np.zeros((4, 5))),
+        2, "non-monotonic timestamp: 0.1 after 0.2", id="batch_baselines_backward",
+    ),
+    pytest.param(
+        lambda: mlp.train(_zeros_with((4, 5), 1, np.nan), _TWO_CLASSES, _MLP_CFG),
+        1, "non-finite value in training features", id="train_training_rows",
+    ),
+    pytest.param(
+        lambda: mlp.train(np.zeros((4, 5)), _TWO_CLASSES, _MLP_CFG,
+                          validation=(_zeros_with((4, 5), 3, np.inf), _TWO_CLASSES)),
+        3, "non-finite value in validation features", id="train_validation_rows",
+    ),
+    pytest.param(
+        lambda: mlp.one_hot(np.array([0, 1, 2]), 2),
+        2, "class index 2 outside [0, 2)", id="one_hot",
+    ),
+    pytest.param(
+        lambda: mlp.write_labels_csv(np.array([0, -1]), io.StringIO()),
+        1, "not a class index: -1", id="write_labels_csv",
+    ),
+    pytest.param(
+        lambda: mlp.predict_labels(_MLP_MODEL, _zeros_with((1, 5), 0, np.nan)),
+        0, "non-finite feature value", id="predict_labels_one_row",
+    ),
+    pytest.param(
+        lambda: mlp.predict_labels(_MLP_MODEL, _zeros_with((3, 5), 1, -np.inf)),
+        1, "non-finite feature value", id="predict_labels_batch",
+    ),
+])
+def test_row_refusals_are_frame_errors_naming_their_row(refuse, index, reason):
+    with pytest.raises(FrameError) as caught:
+        refuse()
+    assert (caught.value.index, caught.value.reason) == (index, reason)
+    assert str(caught.value) == f"row {index}: {reason}"
