@@ -8,14 +8,13 @@ smoothed value observed inside a trailing time window.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .types import NUM_CHANNELS, SensorFrame, _reject_first
+from .types import NUM_CHANNELS, SensorFrame, _reject_first, check_settings
 
 # Rows per lane of batch_baselines' chunked EWMA, and the passes it may take
 # before it falls back to the serial recurrence.
@@ -29,9 +28,10 @@ class BaselineConfig:
     window: float = 4.0  # seconds of history for the maximum
 
     def __post_init__(self):
+        check_settings(self, reals=("alpha", "window"))
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (math.isfinite(self.window) and self.window > 0):
+        if self.window <= 0:
             raise ValueError(f"window must be finite and positive, got {self.window}")
 
 

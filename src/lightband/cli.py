@@ -195,9 +195,7 @@ def cmd_nn_train(args) -> int:
         cfg = _config(mlp.MlpConfig, args)
     x, labels = mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
     (x_train, y_train), (x_test, y_test) = mlp.split_dataset(x, labels, args.split)
-    if len(y_train) == 0:
-        raise ValueError("training split is empty")
-    cfg = replace(cfg, output_dim=labels.max() + 1)
+    cfg = replace(cfg, output_dim=labels.max(initial=0) + 1)
     validation = (x_test, y_test) if len(y_test) else None
     model, report = mlp.train(x_train, y_train, cfg, validation=validation)
     mlp.save_model(model, args.model)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .ingest import open_text, text_lines
 from .types import INTENSITY_MAX, ROW_BLOCK, FrameError, LabeledTrace, _reject_first
+from .types import check_settings, int_setting, tuple_setting
 
 PRED_EPS = 1e-7
 
@@ -81,12 +82,6 @@ def _one_blas_thread():
                 blas[1](_blas_saved)
 
 
-def _config_int(value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"layer dims, epochs, batch_size and seed must be integers, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int = 5
@@ -104,12 +99,9 @@ class MlpConfig:
     normalize: bool = False  # divide inputs by 1023 when on; raw scale by default
 
     def __post_init__(self):
-        # a numpy integer (an output_dim from a label array's max) is stored
-        # as the Python int it equals, so the saved config line is the same
-        for name in ("input_dim", "hidden", "output_dim", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            value = tuple(map(_config_int, value)) if name == "hidden" else _config_int(value)
-            object.__setattr__(self, name, value)
+        check_settings(self, ints=("input_dim", "output_dim", "epochs", "batch_size", "seed"),
+                       reals=("dropout_rate", "l2", "learning_rate", "beta1", "beta2", "adam_eps"))
+        object.__setattr__(self, "hidden", tuple_setting("hidden", self.hidden, int_setting))
         dims = (self.input_dim, *self.hidden, self.output_dim)
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
@@ -117,9 +109,6 @@ class MlpConfig:
             raise ValueError(f"all layer dims must be >= 1, got {dims}")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for name in ("l2", "learning_rate", "beta1", "beta2", "adam_eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be non-negative, got {self.l2}")
         if self.learning_rate <= 0 or self.adam_eps <= 0:
@@ -612,6 +601,7 @@ def split_dataset(x, labels, boundary: int) -> tuple:
     """First `boundary` rows train, the rest test; order preserved, and
     labels sliced as given."""
     x = np.asarray(x)
+    boundary = int_setting("boundary", boundary)
     if not 0 <= boundary <= x.shape[0]:
         raise ValueError(f"boundary {boundary} outside [0, {x.shape[0]}]")
     if len(labels) != x.shape[0]:
@@ -677,7 +667,7 @@ def load_model(source) -> MlpModel:
             raise ValueError(f"model config must be a JSON object with keys {keys}")
         try:
             cfg = MlpConfig(**raw_cfg)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad model config value: {exc}") from None
         weights, biases = [], []
         for fan_in, fan_out in cfg.layer_dims:

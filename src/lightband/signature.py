@@ -32,6 +32,7 @@ from .types import (
     parse_label,
     segment_trace,
 )
+from .types import check_settings, int_setting, real_setting, tuple_setting
 
 DEFAULT_ACTIVE_SENSORS = (2, 3, 4)  # 1-based; the short fibers react the most
 MIN_SEGMENT_FRAMES = 5
@@ -41,10 +42,8 @@ SIGNATURE_CSV_HEADER = "gesture,sensor,delta"
 
 def check_active_sensors(active) -> tuple:
     """Active sensors as a tuple of distinct 1-based int indices in 1..5."""
-    active = tuple(active)
+    active = tuple_setting("sensor index", active, int_setting)
     for sensor in active:
-        if not isinstance(sensor, int) or isinstance(sensor, bool):
-            raise ValueError(f"sensor index must be an integer, got {sensor!r}")
         if not 1 <= sensor <= NUM_CHANNELS:
             raise ValueError(f"sensor index {sensor} outside 1..{NUM_CHANNELS}")
     if len(set(active)) != len(active):
@@ -52,13 +51,14 @@ def check_active_sensors(active) -> tuple:
     return active
 
 
-def check_entry(gesture, sensor, delta) -> None:
-    """Refuse a (gesture, sensor) -> delta entry that no SignatureTable holds."""
+def check_entry(gesture, sensor, delta) -> tuple:
+    """The ((gesture, sensor), delta) pair a SignatureTable holds for an entry,
+    with its sensor and delta as the setting rules store them; refuses an
+    entry that no table holds."""
     if gesture not in GESTURES:
         raise ValueError(f"{gesture} cannot carry a signature")
-    check_active_sensors((sensor,))
-    if not math.isfinite(delta):
-        raise ValueError(f"non-finite delta for ({gesture}, sensor {sensor})")
+    (sensor,) = check_active_sensors((sensor,))
+    return (gesture, sensor), real_setting(f"delta for ({gesture}, sensor {sensor})", delta)
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ class SignatureTable:
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        deltas = dict(self.deltas)
-        for (gesture, sensor), delta in deltas.items():
-            check_entry(gesture, sensor, delta)
+        deltas = dict(check_entry(*key, delta) for key, delta in dict(self.deltas).items())
         ordered = sorted(deltas, key=lambda key: (CLASS_INDEX[key[0]], key[1]))
         object.__setattr__(self, "deltas", MappingProxyType({k: deltas[k] for k in ordered}))
         object.__setattr__(self, "active_sensors", tuple(sorted({s for _, s in deltas})))
@@ -165,13 +163,12 @@ class ClassifierState:
     recent_labels: deque = field(default_factory=deque)
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+        check_settings(self, ints=("transition_horizon",), reals=("tolerance",))
+        if self.tolerance < 0:
             raise ValueError(
                 f"tolerance must be finite and non-negative, got {self.tolerance}"
             )
         horizon = self.transition_horizon
-        if not isinstance(horizon, int) or isinstance(horizon, bool):
-            raise ValueError(f"transition_horizon must be an integer, got {horizon!r}")
         if horizon < 1:
             raise ValueError(f"transition_horizon must be at least 1, got {horizon}")
         if horizon > sys.maxsize:  # the history deque's maxlen is a C ssize_t
@@ -295,9 +292,7 @@ def read_signature_csv(source) -> SignatureTable:
         tokens = [t.strip() for t in line.split(",")]
         if len(tokens) != 3:
             raise ValueError(f"expected 3 fields, got {len(tokens)}")
-        key = parse_label(tokens[0]), int(tokens[1])
-        delta = float(tokens[2])
-        check_entry(*key, delta)
+        key, delta = check_entry(parse_label(tokens[0]), int(tokens[1]), float(tokens[2]))
         if key in seen:
             raise ValueError(f"duplicate entry for ({key[0]}, sensor {key[1]})")
         seen.add(key)

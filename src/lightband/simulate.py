@@ -27,11 +27,13 @@ from .types import (
     LabeledTrace,
     parse_label,
 )
+from .types import check_settings, real_setting, tuple_setting
 
 
 def critical_angle(n_medium: float, n_cladding: float) -> float:
     """Minimum total-internal-reflection angle, in degrees."""
-    if not all(math.isfinite(n) and n > 0 for n in (n_medium, n_cladding)):
+    n_medium, n_cladding = tuple_setting("refractive index", (n_medium, n_cladding), real_setting)
+    if n_medium <= 0 or n_cladding <= 0:
         raise ValueError("refractive indices must be finite and positive")
     ratio = n_cladding / n_medium
     if ratio >= 1:
@@ -86,13 +88,10 @@ class SimConfig:
     start_unix: float = 1_577_836_800.0
 
     def __post_init__(self):
-        object.__setattr__(self, "baseline_levels", tuple(self.baseline_levels))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for name in ("sample_interval", "gesture_hold", "relax_hold", "transition_time",
-                     "noise_sigma", "drift", "start_unix"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_settings(self, ints=("seed",), reals=("sample_interval", "gesture_hold",
+                       "relax_hold", "transition_time", "noise_sigma", "drift", "start_unix"))
+        object.__setattr__(self, "baseline_levels",
+                           tuple_setting("baseline_levels", self.baseline_levels, real_setting))
         for name in ("sample_interval", "gesture_hold", "relax_hold", "transition_time"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,10 +70,49 @@ def parse_label(text: str) -> GestureLabel:
     return label
 
 
+def int_setting(name: str, value) -> int:
+    """The integer rule for a numeric setting: a Python or numpy integer, never
+    a bool, as the Python int it equals."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def real_setting(name: str, value):
+    """The real-number rule for a numeric setting: a finite Python or numpy int
+    or float, never a bool. A numpy scalar becomes the Python number it
+    equals; a Python number is kept as given, so a saved config keeps its text."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, ±inf, or an int past the float range
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def tuple_setting(name: str, values, rule) -> tuple:
+    """An iterable of settings as a tuple, each item through rule(name, item)."""
+    try:
+        return tuple(rule(name, value) for value in values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable, got {values!r}") from None
+
+
+def check_settings(config, ints=(), reals=()) -> None:
+    """Hold each named field of a dataclass, frozen or not, to the integer or
+    the real-number rule, and store the value the rule returns."""
+    for names, rule in ((ints, int_setting), (reals, real_setting)):
+        for name in names:
+            object.__setattr__(config, name, rule(name, getattr(config, name)))
+
+
 def _check_intensity(value) -> int:
     try:
         as_int = int(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite float
+    except OverflowError:  # ±inf, refused below as out of range, as the array check words it
+        as_int = value
+    except (TypeError, ValueError):
         raise ValueError(f"channel value is not an integer: {value!r}") from None
     if as_int != value:
         raise ValueError(f"channel value is not an integer: {value!r}")

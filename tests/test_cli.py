@@ -26,7 +26,7 @@ from conftest import (
 from lightband import cli, evaluate, mlp, signature
 from lightband.baseline import BaselineConfig
 from lightband.cli import NN_SPLIT, _config, build_parser, main
-from lightband.ingest import read_collection_csv, write_collection_csv
+from lightband.ingest import COLLECTION_HEADER, read_collection_csv, write_collection_csv
 from lightband.signature import (
     ClassifierState,
     SignatureTable,
@@ -67,7 +67,8 @@ def test_physics_non_numeric(capsys):
     for indices in (("nan", "1.0"), ("inf", "1.0"), ("1.444", "nan")):
         code, out, err = run(capsys, "physics", *indices)
         assert (code, out) == (2, "")
-        assert err == "error: refractive indices must be finite and positive\n"
+        bad = "inf" if "inf" in indices else "nan"
+        assert err == f"error: refractive index must be finite, got {bad}\n"
 
 
 def test_unknown_subcommand(capsys):
@@ -341,7 +342,7 @@ def test_classify_table_with_duplicate_entry_is_domain_error(capsys, tmp_path):
 BAD_TABLE_ROWS = [
     ("extend,7,-1.0", "sensor index 7 outside 1..5"),
     ("relax,2,-1.0", "RELAX cannot carry a signature"),
-    ("extend,2,nan", "non-finite delta for (EXTEND, sensor 2)"),
+    ("extend,2,nan", "delta for (EXTEND, sensor 2) must be finite, got nan"),
 ]
 
 
@@ -731,6 +732,20 @@ def test_nn_split_negative_is_usage_error_past_end_is_domain_error(capsys, tmp_p
     assert not model_path.exists()
 
 
+def test_nn_split_zero_is_refused_by_train(capsys, tmp_path):
+    # mlp.train's refusal is the one refusal, a trace with no rows included
+    empty = tmp_path / "empty.csv"
+    empty.write_text(COLLECTION_HEADER + "\n")
+    model_path = tmp_path / "model.txt"
+    for trace_path in (training_trace(tmp_path), empty):
+        code, out, err = run(
+            capsys, "nn", "train", "--trace", str(trace_path),
+            "--model", str(model_path), "--split", "0", "--epochs", "1",
+        )
+        assert (code, out, err) == (1, "", "error: training set is empty\n")
+        assert not model_path.exists()
+
+
 def test_nn_train_diverging_to_nan_writes_no_model(capsys, tmp_path):
     cfg = SimConfig(seed=3, gesture_hold=1.2, relax_hold=0.8)
     trace_path = tmp_path / "t.csv"
@@ -775,7 +790,7 @@ def test_negative_seed_checked_before_inputs_are_read(capsys, tmp_path, command)
     ("300,700,600,750,900", 0, ""),
     ("300,700,600", 2, "argument --baselines: expected 5 comma-separated numbers\n"),
     ("300,700,x,750,900", 2, "argument --baselines: expected 5 comma-separated numbers\n"),
-    ("300,700,600,750,nan", 2, "error: baseline levels must lie inside (0, 1023)\n"),
+    ("300,700,600,750,nan", 2, "error: baseline_levels must be finite, got nan\n"),
 ])
 def test_simulate_baselines_option(capsys, tmp_path, levels, code, message):
     script, out_csv = tmp_path / "script.txt", tmp_path / "out.csv"

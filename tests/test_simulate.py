@@ -72,11 +72,13 @@ def test_sim_config_validation():
         SimConfig(baseline_levels=(500, 500))
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         SimConfig(seed=-1)
-    # not an int, or a bool: refused before synth_trace hands it to numpy
-    for seed in (1.5, True, np.int64(1), "1", None):
+    # not an integer, or a bool: refused before synth_trace hands it to numpy
+    for seed in (1.5, True, "1", None):
         message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
         with pytest.raises(ValueError, match=message):
             SimConfig(seed=seed)
+    # a numpy integer is stored as the Python int it equals
+    assert type(SimConfig(seed=np.int64(1)).seed) is int
 
 
 @pytest.mark.parametrize("name", ["noise_sigma", "drift"])

@@ -77,7 +77,7 @@ def test_sensor_frame_validation():
         SensorFrame(t_rel=-0.1, t_unix=0.0, channels=[0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="integer"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0.5, 0, 0, 0, 0])
-    with pytest.raises(ValueError, match="^channel value is not an integer: inf$"):
+    with pytest.raises(ValueError, match=r"^channel value inf outside \[0, 1023\]$"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, 0, float("inf"), 0, 0])
 
 
