@@ -40,8 +40,8 @@ class BaselineTracker:
 
     Single-owner mutable object: feed frames in timestamp order via update().
     The window maximum is kept with a monotonic deque, so each entry is
-    pushed and popped at most once. Entries strictly older than
-    t_rel - window are evicted (entries with t > now - window are retained).
+    pushed and popped at most once. Entries with t <= t_rel - window are
+    evicted (entries with t > t_rel - window are retained).
     """
 
     def __init__(self, cfg: BaselineConfig = BaselineConfig()):
@@ -84,6 +84,35 @@ class BaselineTracker:
         """Current per-channel EWMA values (None before the first frame)."""
         return list(self._ewma)
 
+    def _advance(self, t, readings, channels) -> np.ndarray:
+        """batch_baselines of a trace's times and intensity columns on the
+        given 0-based channels, continuing this tracker on them, and on them
+        only, as update would; ValueError if t[0] precedes its last time."""
+        if not len(t):
+            return np.empty(readings.shape)
+        entries, seeded = [], readings
+        if self._last_t is not None:
+            if t[0] < self._last_t:
+                raise ValueError(f"non-monotonic timestamp: {t[0]} after {self._last_t}")
+            # entries go in front (-inf, never a maximum, in other channels); EWMA seeds row 0
+            entries = [(ht, j, v) for j, c in enumerate(channels) for ht, v in self._maxima[c]]
+            entries.sort(key=lambda entry: entry[0])
+            seeded = np.vstack([[self._ewma[c] for c in channels], readings])
+        held = np.full((len(entries), len(channels)), -np.inf)
+        held[range(len(entries)), [e[1] for e in entries]] = [e[2] for e in entries]
+        times = np.concatenate([[e[0] for e in entries], t])
+        smoothed = np.concatenate([held, _ewma(seeded, self.cfg.alpha)[len(seeded) - len(t):]])
+        baselines, first = _window_max(smoothed, times, self.cfg.window)
+        # the deque keeps the rows of the last window larger than every later row
+        tail, tail_t = smoothed[first:], times[first:]
+        after = np.vstack([np.full(len(channels), -np.inf), tail[:0:-1]])
+        kept = tail > np.maximum.accumulate(after)[::-1]
+        for j, c in enumerate(channels):
+            self._maxima[c] = deque(zip(tail_t[kept[:, j]].tolist(), tail[kept[:, j], j].tolist()))
+            self._ewma[c] = self._maxima[c][-1][1]
+        self._last_t = float(times[-1])
+        return baselines[len(entries):]
+
 
 def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> np.ndarray:
     """Baselines for a whole trace at once, one row per frame.
@@ -111,17 +140,15 @@ def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> 
         np.concatenate(([False], t[1:] < t[:-1])),
         lambda row: f"non-monotonic timestamp: {t[row]} after {t[row - 1]}",
     )
-    n = len(t)
-    if n == 0:
+    if len(t) == 0:
         return np.empty(x.shape)
-    rows = np.arange(n)
-    # t - window can round to t itself for huge t; the tracker still keeps frame i
-    start = np.minimum(np.searchsorted(t, t - cfg.window, side="right"), rows)
-    level = np.frexp(rows - start + 1)[1] - 1  # floor(log2(window length))
-    smoothed = _chunked_ewma(x, cfg.alpha) if n >= 2 * CHUNK else None
-    if smoothed is None:
-        smoothed = _serial_ewma(x, cfg.alpha)
-    return _window_max(smoothed, start, level)
+    return _window_max(_ewma(x, cfg.alpha), t, cfg.window)[0]
+
+
+def _ewma(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Each column's EWMA from its first row: in lanes, or serially."""
+    smoothed = _chunked_ewma(x, alpha) if len(x) >= 2 * CHUNK else None
+    return _serial_ewma(x, alpha) if smoothed is None else smoothed
 
 
 def _serial_ewma(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -185,15 +212,19 @@ def _chunked_ewma(x: np.ndarray, alpha: float):
     return None
 
 
-def _window_max(values: np.ndarray, start: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """out[i] = max(values[start[i]:i + 1]) in each column, given
-    level[i] = floor(log2(i - start[i] + 1)).
+def _window_max(values: np.ndarray, t: np.ndarray, window: float) -> tuple:
+    """out[i] = max(values[start[i]:i + 1]) in each column, and start[-1];
+    start[i] is the first row with t > t[i] - window, as the tracker keeps.
 
     A sparse table over all columns at once, built one level at a time:
     level k holds the maxima of 2**k consecutive rows, and a range of
     length L, 2**k <= L < 2**(k+1), is covered by two level-k entries. Max
     only selects, so it is exact.
     """
+    rows = np.arange(len(t))
+    # t - window can round to t itself for huge t; the tracker still keeps row i
+    start = np.minimum(np.searchsorted(t, t - window, side="right"), rows)
+    level = np.frexp(rows - start + 1)[1] - 1  # floor(log2(window length))
     out = np.empty_like(values)
     table = values
     for k in range(int(level.max()) + 1):
@@ -202,4 +233,4 @@ def _window_max(values: np.ndarray, start: np.ndarray, level: np.ndarray) -> np.
             table = np.maximum(table[: -(width // 2)], table[width // 2 :])
         at = np.flatnonzero(level == k)
         out[at] = np.maximum(table.take(start[at], axis=0), table.take(at - width + 1, axis=0))
-    return out
+    return out, int(start[-1])

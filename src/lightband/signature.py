@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .baseline import BaselineConfig, batch_baselines
+from .baseline import BaselineConfig, BaselineTracker
 from .ingest import numbered_rows, open_text, text_lines
 from .types import (
     CLASS_INDEX,
@@ -80,7 +80,12 @@ class SignatureTable:
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        deltas = dict(check_entry(*key, delta) for key, delta in dict(self.deltas).items())
+        try:
+            deltas = dict(check_entry(*key, delta) for key, delta in dict(self.deltas).items())
+        except TypeError:
+            raise ValueError(
+                f"deltas must be a (gesture, sensor) mapping, got {self.deltas!r}"
+            ) from None
         ordered = sorted(deltas, key=lambda key: (CLASS_INDEX[key[0]], key[1]))
         object.__setattr__(self, "deltas", MappingProxyType({k: deltas[k] for k in ordered}))
         object.__setattr__(self, "active_sensors", tuple(sorted({s for _, s in deltas})))
@@ -161,6 +166,8 @@ class ClassifierState:
     tolerance: float = 0.10
     transition_horizon: int = 10
     recent_labels: deque = field(default_factory=deque)
+    # the session's (active sensors, BaselineConfig, BaselineTracker)
+    _baseline: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_settings(self, ints=("transition_horizon",), reals=("tolerance",))
@@ -173,11 +180,20 @@ class ClassifierState:
             raise ValueError(f"transition_horizon must be at least 1, got {horizon}")
         if horizon > sys.maxsize:  # the history deque's maxlen is a C ssize_t
             raise ValueError(f"transition_horizon must be at most {sys.maxsize}, got {horizon}")
-        recent = tuple(self.recent_labels)
+        recent = tuple_setting("recent_labels", self.recent_labels, lambda _, label: label)
         for label in recent:
             if type(label) is not GestureLabel:
                 raise ValueError(f"recent label must be a GestureLabel, got {label!r}")
         self.recent_labels = deque(recent, maxlen=horizon)
+
+    def _tracker(self, cfg: BaselineConfig, active: tuple) -> BaselineTracker:
+        """The session's tracker; refused under another cfg or sensor set."""
+        if self._baseline is None:
+            self._baseline = (active, cfg, BaselineTracker(cfg))
+        held, held_cfg, tracker = self._baseline
+        if (held, held_cfg) != (active, cfg):
+            raise ValueError(f"state continues a session of sensors {held} under {held_cfg}")
+        return tracker
 
 
 def classify_frame(
@@ -232,16 +248,17 @@ def classify_trace(
     history left in state (GestureLabel members), are exactly those of
     feeding the frames one at a time through BaselineTracker.update and
     classify_frame; that per-frame path is the reference the tests hold
-    this one to. A given state carries the TRANSITION history across calls,
-    but the baseline restarts at each call's first frame, so the labels of
-    a trace classified in chunks can differ from those of one call.
+    this one to. The state carries the session, raw history and baseline,
+    across calls, so a trace classified in chunks gets the labels of one
+    call; continuing it under another cfg or sensor set, or from before its
+    last time, is a ValueError.
     """
     if state is None:
         state = ClassifierState()
     n = len(trace)
     cols = [sensor - 1 for sensor in table.active_sensors]
     readings = trace.channels[:, cols]
-    deltas = batch_baselines(trace.t_rel, readings, cfg)
+    deltas = state._tracker(cfg, table.active_sensors)._advance(trace.t_rel, readings, cols)
     np.subtract(readings, deltas, out=deltas)  # reading minus baseline, in place
     # raw label per frame, as a class index; RELAX when nothing matches
     raw = np.full(n, CLASS_INDEX[GestureLabel.RELAX])
@@ -273,6 +290,30 @@ def classify_trace(
     emitted = np.where(run_start > history_start, CLASS_INDEX[GestureLabel.TRANSITION], raw)
     state.recent_labels.extend(map(CLASS_LABELS.__getitem__, raw[-horizon:].tolist()))
     return label_codes(emitted)
+
+
+class Recognizer:
+    """A signature-matching session, held in state: any mix of push and
+    classify calls gives the labels of one classify_trace call."""
+
+    def __init__(self, table: SignatureTable, cfg=BaselineConfig(), state=None):
+        self.table, self.cfg = table, cfg
+        self.state = ClassifierState() if state is None else state
+        self._update = self.state._tracker(cfg, table.active_sensors).update
+
+    def push(self, t_rel: float, values) -> GestureLabel:
+        """The label of one reading: parse_serial_line's five ints at t_rel."""
+        frame = SensorFrame(t_rel=t_rel, t_unix=t_rel, channels=values)
+        return classify_frame(frame, self._update(frame), self.table, self.state)
+
+    def classify(self, trace: LabeledTrace) -> np.ndarray:
+        """classify_trace's labels of the trace, continuing the session."""
+        return classify_trace(trace, self.table, self.cfg, self.state)
+
+    @property
+    def raw_label(self):
+        """The last raw label, before TRANSITION smoothing; None before any."""
+        return self.state.recent_labels[-1] if self.state.recent_labels else None
 
 
 def write_signature_csv(table: SignatureTable, sink) -> None:

@@ -111,7 +111,7 @@ class SimConfig:
             raise ValueError(f"baseline levels must lie inside ({INTENSITY_MIN}, {INTENSITY_MAX})")
 
     def frames_for(self, duration: float) -> int:
-        ratio = duration / self.sample_interval
+        ratio = real_setting("duration", duration) / self.sample_interval
         if not math.isfinite(ratio):
             raise ValueError(
                 f"duration {duration}s yields too many samples at interval "

@@ -132,10 +132,14 @@ class SensorFrame:
     channels: tuple  # 5 intensities, each in [0, 1023]
 
     def __post_init__(self):
-        if not math.isfinite(self.t_rel) or self.t_rel < 0:
-            raise ValueError(f"t_rel must be finite and non-negative, got {self.t_rel}")
-        if not math.isfinite(self.t_unix):
-            raise ValueError(f"t_unix must be finite, got {self.t_unix}")
+        try:  # free on the accepted path
+            if not math.isfinite(self.t_rel) or self.t_rel < 0:
+                raise ValueError(f"t_rel must be finite and non-negative, got {self.t_rel}")
+            if not math.isfinite(self.t_unix):
+                raise ValueError(f"t_unix must be finite, got {self.t_unix}")
+        except TypeError:  # from a time the real-number rule refuses
+            real_setting("t_rel", self.t_rel)
+            real_setting("t_unix", self.t_unix)
         channels = tuple(self.channels)
         if len(channels) != NUM_CHANNELS:
             raise ValueError(f"expected {NUM_CHANNELS} channels, got {len(channels)}")

@@ -45,6 +45,12 @@ def members(codes) -> list:
     return [CLASS_LABELS[i] for i in codes.tolist()]
 
 
+def readings(trace) -> list:
+    """A trace's rows as signature.Recognizer.push takes them: (t_rel, five
+    ints) pairs."""
+    return list(zip(trace.t_rel.tolist(), trace.channels.tolist()))
+
+
 def file_lines(text: str) -> list:
     """The lines of a file holding text: each ends at "\r\n", "\r" or "\n".
 

@@ -52,6 +52,8 @@ SETTINGS = [
     pytest.param("boundary", "int",
                  lambda value: len(split_dataset(np.zeros((4, 5)), np.arange(4), value)[0][1]),
                  None, id="split_dataset.boundary"),
+    pytest.param("duration", "real", lambda value: SimConfig().frames_for(value), None,
+                 id="SimConfig.frames_for"),
     pytest.param("refractive index", "real", lambda value: critical_angle(value, 0.25), None,
                  id="critical_angle.n_medium"),
     pytest.param("refractive index", "real", lambda value: critical_angle(1.5, value), None,
@@ -96,6 +98,8 @@ def test_every_numeric_setting_follows_its_rule(name, kind, build, read):
     (lambda: SimConfig(baseline_levels=None), "baseline_levels must be an iterable, got None"),
     (lambda: SimConfig(baseline_levels=500.0), "baseline_levels must be an iterable, got 500.0"),
     (lambda: check_active_sensors(2), "sensor index must be an iterable, got 2"),
+    (lambda: SignatureTable(deltas=5), "deltas must be a (gesture, sensor) mapping, got 5"),
+    (lambda: ClassifierState(recent_labels=5), "recent_labels must be an iterable, got 5"),
 ])
 def test_a_setting_of_several_numbers_refuses_a_non_iterable(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -8,11 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import E, F, O, R, T, ReferenceTracker, flat_rows, make_trace, members
-from lightband.baseline import BaselineConfig, BaselineTracker
+from conftest import (
+    E,
+    F,
+    O,
+    R,
+    T,
+    ReferenceTracker,
+    flat_rows,
+    make_trace,
+    members,
+    oracle_examples,
+    readings,
+)
+from lightband.baseline import BaselineConfig
 from lightband.signature import (
     SIGNATURE_CSV_HEADER,
     ClassifierState,
+    Recognizer,
     SignatureTable,
     classify_frame,
     classify_trace,
@@ -48,6 +61,9 @@ def frame_with_deltas(deltas, baseline=800, trace_index=0):
 
 
 def test_table_validation():
+    for deltas in ({5: -1.0}, {(E,): -1.0}, [1, 2]):
+        with pytest.raises(ValueError, match=r"^deltas must be a \(gesture, sensor\) mapping"):
+            SignatureTable(deltas=deltas)
     with pytest.raises(ValueError, match=r"^missing entry for \(EXTEND, sensor 4\)$"):
         SignatureTable(deltas={(E, 2): -100.0, (E, 3): -150.0, (F, 4): -1.0})
     with pytest.raises(ValueError, match=r"^missing entry for \(FIST, sensor 2\)$"):
@@ -265,7 +281,8 @@ def classify_cases(draw):
     return table, frames, baselines, tolerance, horizon
 
 
-@settings(deadline=None, max_examples=200)
+@pytest.mark.oracle
+@settings(deadline=None, max_examples=oracle_examples(200))
 @given(classify_cases())
 def test_classify_frame_matches_brute_force(case):
     table, frames, baselines, tolerance, horizon = case
@@ -316,20 +333,22 @@ def classify_trace_cases(draw):
     )
 
 
-@settings(deadline=None, max_examples=150)
+def rows_of(trace, start, stop=None):
+    rows = slice(start, stop)
+    return LabeledTrace(trace.t_rel[rows], trace.t_unix[rows], trace.channels[rows],
+                        trace.labels[rows])
+
+
+@pytest.mark.oracle
+@settings(deadline=None, max_examples=oracle_examples(150))
 @given(classify_trace_cases())
 def test_classify_trace_equals_streaming_replay(case):
     trace, table, cfg, tolerance, horizon, prior = case
     batch_state = ClassifierState(tolerance, horizon, recent_labels=prior)
     got = classify_trace(trace, table, cfg, batch_state)
-    replay_state = ClassifierState(tolerance, horizon, recent_labels=prior)
-    tracker = BaselineTracker(cfg)
-    expected = [
-        classify_frame(frame, tracker.update(frame), table, replay_state)
-        for frame in trace.frames
-    ]
-    assert members(got) == expected
-    assert list(batch_state.recent_labels) == list(replay_state.recent_labels)
+    replay = Recognizer(table, cfg, ClassifierState(tolerance, horizon, recent_labels=prior))
+    assert members(got) == [replay.push(t, values) for t, values in readings(trace)]
+    assert list(batch_state.recent_labels) == list(replay.state.recent_labels)
 
 
 def reference_classify_frame(frame, baselines, table, state):
@@ -359,19 +378,51 @@ def reference_classify_frame(frame, baselines, table, state):
     return emitted
 
 
-@settings(deadline=None, max_examples=150)
+def reference_chain(trace, table, cfg, tolerance, horizon, prior) -> tuple:
+    """ReferenceTracker and reference_classify_frame a frame at a time: the
+    emitted and the raw label of each frame, and the final raw history."""
+    tracker = ReferenceTracker(cfg)
+    state = ClassifierState(tolerance, horizon, recent_labels=prior)
+    emitted, raw = [], []
+    for frame in trace.frames:
+        emitted.append(reference_classify_frame(frame, tracker.update(frame), table, state))
+        raw.append(state.recent_labels[-1])
+    return emitted, raw, list(state.recent_labels)
+
+
+@pytest.mark.oracle
+@settings(deadline=None, max_examples=oracle_examples(150))
 @given(classify_trace_cases())
 def test_streaming_chain_bitwise_equals_reference_chain(case):
     trace, table, cfg, tolerance, horizon, prior = case
-    tracker, state = BaselineTracker(cfg), ClassifierState(tolerance, horizon, recent_labels=prior)
-    ref_tracker = ReferenceTracker(cfg)
-    ref_state = ClassifierState(tolerance, horizon, recent_labels=prior)
-    for frame in trace.frames:
-        baselines, ref_baselines = tracker.update(frame), ref_tracker.update(frame)
-        assert list(map(repr, baselines)) == list(map(repr, ref_baselines))
-        label = classify_frame(frame, baselines, table, state)
-        assert label is reference_classify_frame(frame, ref_baselines, table, ref_state)
-        assert list(state.recent_labels) == list(ref_state.recent_labels)
+    recognizer = Recognizer(table, cfg, ClassifierState(tolerance, horizon, recent_labels=prior))
+    emitted, raw = [], []
+    for t, values in readings(trace):
+        emitted.append(recognizer.push(t, values))
+        raw.append(recognizer.raw_label)
+    got = (emitted, raw, list(recognizer.state.recent_labels))
+    assert got == reference_chain(trace, table, cfg, tolerance, horizon, prior)
+
+
+@pytest.mark.oracle
+@settings(deadline=None, max_examples=oracle_examples(150))
+@given(classify_trace_cases(), st.data())
+def test_any_mix_of_pushes_and_chunks_gives_the_labels_of_one_call(case, data):
+    trace, table, cfg, tolerance, horizon, prior = case
+    one_state = ClassifierState(tolerance, horizon, recent_labels=prior)
+    one_call = members(classify_trace(trace, table, cfg, one_state))
+    recognizer = Recognizer(table, cfg, ClassifierState(tolerance, horizon, recent_labels=prior))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(trace)), max_size=6)))
+    got = []
+    for start, stop in zip([0, *cuts], [*cuts, len(trace)]):
+        piece = rows_of(trace, start, stop)
+        if data.draw(st.booleans(), label="push"):
+            got += [recognizer.push(t, values) for t, values in readings(piece)]
+        else:
+            got += members(recognizer.classify(piece))
+    emitted, _, history = reference_chain(trace, table, cfg, tolerance, horizon, prior)
+    assert got == one_call == emitted
+    assert list(recognizer.state.recent_labels) == list(one_state.recent_labels) == history
 
 
 NOISE_FREE = SimConfig(
@@ -439,6 +490,7 @@ def test_classify_trace_deterministic():
             "recent label must be a GestureLabel, got 'relax'",
         ),
         ({"recent_labels": (E, 1)}, "recent label must be a GestureLabel, got 1"),
+        ({"recent_labels": 5}, "recent_labels must be an iterable, got 5"),
     ],
 )
 def test_classifier_state_rejects_bad_settings(kwargs, message):
@@ -477,12 +529,11 @@ def test_transition_emissions_track_raw_changes():
     trace = synth_trace([E, F], DEFAULT_PROFILES, cfg)
     table = table_from_profiles()
     emitted = classify_trace(trace, table)
-    # raw labels: same classifier with an empty history at every frame
-    tracker = BaselineTracker(BaselineConfig())
+    recognizer = Recognizer(table)
     raw = []
-    for frame in trace.frames:
-        baselines = tracker.update(frame)
-        raw.append(classify_frame(frame, baselines, table, ClassifierState()))
+    for t, values in readings(trace):
+        recognizer.push(t, values)
+        raw.append(recognizer.raw_label)
     horizon = ClassifierState().transition_horizon
     for i, label in enumerate(members(emitted)):
         changed = any(
@@ -502,19 +553,13 @@ def eval_case():
     return trace, table, members(classify_trace(trace, table))
 
 
-def rows_of(trace, start, stop=None):
-    rows = slice(start, stop)
-    return LabeledTrace(trace.t_rel[rows], trace.t_unix[rows], trace.channels[rows],
-                        trace.labels[rows])
-
-
 @pytest.mark.parametrize("n", [1, 100, 4_321, 15_000])
 def test_labels_of_a_prefix_are_the_prefix_of_the_labels(eval_case, n):
     trace, table, labels = eval_case
     head = rows_of(trace, 0, n)
     assert members(classify_trace(head, table)) == labels[:n]
-    tracker, state = BaselineTracker(BaselineConfig()), ClassifierState()
-    assert [classify_frame(f, tracker.update(f), table, state) for f in head.frames] == labels[:n]
+    recognizer = Recognizer(table)
+    assert [recognizer.push(t, values) for t, values in readings(head)] == labels[:n]
 
 
 @pytest.mark.xfail(
@@ -527,17 +572,33 @@ def test_a_time_offset_changes_no_label(eval_case):
     assert members(classify_trace(replace(trace, t_rel=trace.t_rel + 1.0), table)) == labels
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: the state carries no baseline, so a split inside an EXTEND "
-    "hold changes 154 labels",
-)
 def test_two_chunks_through_one_state_give_the_labels_of_one_call(eval_case):
     trace, table, labels = eval_case
     state = ClassifierState()
     chunked = members(classify_trace(rows_of(trace, 0, 10_150), table, state=state))
     chunked += members(classify_trace(rows_of(trace, 10_150), table, state=state))
     assert chunked == labels
+
+
+def test_a_session_refuses_another_config_sensor_set_or_an_earlier_time():
+    trace = make_trace(flat_rows(800, 30), [R] * 30)
+    state = ClassifierState()
+    labels = members(classify_trace(rows_of(trace, 0, 20), SMALL_TABLE, state=state))
+    other_sensors = SignatureTable({(E, s): -100.0 for s in (1, 2)})
+    for refused in (
+        lambda: classify_trace(rows_of(trace, 20), SMALL_TABLE, BaselineConfig(window=2.0), state),
+        lambda: classify_trace(rows_of(trace, 20), other_sensors, state=state),
+        lambda: Recognizer(other_sensors, state=state),
+    ):
+        with pytest.raises(ValueError, match=r"^state continues a session of sensors \(2, 3, 4\)"):
+            refused()
+    with pytest.raises(ValueError, match="^non-monotonic timestamp: 0.2 after 0.38$"):
+        classify_trace(rows_of(trace, 10), SMALL_TABLE, state=state)
+    with pytest.raises(ValueError, match="^non-monotonic timestamp: 0.1 after 0.38$"):
+        Recognizer(SMALL_TABLE, state=state).push(0.1, [800] * 5)
+    # a refused call leaves the session as it was
+    labels += members(classify_trace(rows_of(trace, 20), SMALL_TABLE, state=state))
+    assert labels == members(classify_trace(trace, SMALL_TABLE))
 
 
 def test_signature_csv_round_trip():

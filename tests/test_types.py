@@ -79,6 +79,10 @@ def test_sensor_frame_validation():
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0.5, 0, 0, 0, 0])
     with pytest.raises(ValueError, match=r"^channel value inf outside \[0, 1023\]$"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, 0, float("inf"), 0, 0])
+    with pytest.raises(ValueError, match="^t_rel must be a real number, got 'x'$"):
+        SensorFrame(t_rel="x", t_unix=0.0, channels=[0] * 5)
+    with pytest.raises(ValueError, match="^t_unix must be a real number, got 'x'$"):
+        SensorFrame(t_rel=0.0, t_unix="x", channels=[0] * 5)
 
 
 _CHANNEL_VALUES = st.one_of(
