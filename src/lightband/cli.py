@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from . import evaluate, ingest, mlp, signature, simulate
+from . import evaluate, ingest, signature, simulate
 from .baseline import BaselineConfig
 from .types import CLASS_LABELS, LABEL_TEXT, NUM_CHANNELS
 
@@ -189,6 +189,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_nn_train(args) -> int:
+    from . import mlp  # only the nn commands load the network
+
     if args.split < 0:
         raise _UsageError(f"--split must be >= 0, got {args.split}")
     with _usage():
@@ -213,6 +215,8 @@ def cmd_nn_train(args) -> int:
 
 
 def cmd_nn_predict(args) -> int:
+    from . import mlp
+
     x, labels = mlp.trace_to_dataset(ingest.read_collection_csv(args.trace))
     model = mlp.load_model(args.model)
     # a one-row trace takes predict_labels' one-row path, which returns [int]

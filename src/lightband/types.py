@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -123,6 +122,9 @@ def _check_intensity(value) -> int:
     return as_int
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class SensorFrame:
     """One timestamped reading of the five scaled light intensities."""
@@ -132,14 +134,17 @@ class SensorFrame:
     channels: tuple  # 5 intensities, each in [0, 1023]
 
     def __post_init__(self):
-        try:  # free on the accepted path
-            if not math.isfinite(self.t_rel) or self.t_rel < 0:
-                raise ValueError(f"t_rel must be finite and non-negative, got {self.t_rel}")
-            if not math.isfinite(self.t_unix):
-                raise ValueError(f"t_unix must be finite, got {self.t_unix}")
-        except TypeError:  # from a time the real-number rule refuses
-            real_setting("t_rel", self.t_rel)
-            real_setting("t_unix", self.t_unix)
+        t_rel, t_unix = self.t_rel, self.t_unix
+        # two finite Python floats, t_rel non-negative, pass one check; any
+        # other time goes to the real-number rule, which refuses a bool or a
+        # non-number and stores a numpy time as the Python number it equals
+        if not (type(t_rel) is float and type(t_unix) is float
+                and 0.0 <= t_rel <= _FLOAT_MAX and -_FLOAT_MAX <= t_unix <= _FLOAT_MAX):
+            t_rel = real_setting("t_rel", t_rel)
+            if t_rel < 0:
+                raise ValueError(f"t_rel must be finite and non-negative, got {t_rel}")
+            object.__setattr__(self, "t_rel", t_rel)
+            object.__setattr__(self, "t_unix", real_setting("t_unix", t_unix))
         channels = tuple(self.channels)
         if len(channels) != NUM_CHANNELS:
             raise ValueError(f"expected {NUM_CHANNELS} channels, got {len(channels)}")

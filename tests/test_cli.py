@@ -1078,3 +1078,44 @@ def test_readme_experiments_meet_the_acceptance_thresholds(capsys, tmp_path, mon
     assert accuracy["nn"] >= 95.0
     for name in SIGNATURE_OUTPUTS + ("dataset.csv", "model.txt", "metrics.csv"):
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_only_the_nn_commands_load_the_network(tmp_path):
+    """The signature path needs no network: `import lightband` and a
+    simulate, train-signatures, classify chain leave lightband.mlp unloaded,
+    nn train loads it, and every way of naming it gives the one module."""
+    child = run_python("-c", (
+        "import contextlib, importlib, io, json, os, sys\n"
+        "import lightband\n"
+        "from lightband import cli\n"
+        "loaded = ['lightband.mlp' in sys.modules]\n"
+        "os.chdir(sys.argv[1])\n"
+        "with open('script.txt', 'w') as out:\n"
+        "    out.write('extend\\nfist\\none\\n')\n"
+        "chain = (\n"
+        "    ['simulate', '--script', 'script.txt', '--out', 'train.csv', '--seed', '1'],\n"
+        "    ['simulate', '--script', 'script.txt', '--out', 'eval.csv', '--seed', '2'],\n"
+        "    ['train-signatures', 'train.csv', '--out', 'table.csv'],\n"
+        "    ['classify', '--trace', 'eval.csv', '--table', 'table.csv', '--out', 'labels.csv'],\n"
+        "    ['nn', 'train', '--trace', 'train.csv', '--model', 'model.txt', '--epochs', '1',\n"
+        "     '--split', '100'],\n"
+        ")\n"
+        "codes = []\n"
+        "for argv in chain:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "    loaded.append('lightband.mlp' in sys.modules)\n"
+        "same = lightband.mlp is importlib.import_module('lightband.mlp')\n"
+        "try:\n"
+        "    lightband.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([codes, loaded, same, missing]))\n"
+    ), str(tmp_path))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [
+        [0] * 5,
+        [False] * 5 + [True],
+        True,
+        "module 'lightband' has no attribute 'no_such_name'",
+    ]

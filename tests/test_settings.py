@@ -8,9 +8,14 @@ import pytest
 
 from lightband.baseline import BaselineConfig
 from lightband.mlp import MlpConfig, load_model, save_model, split_dataset, train
-from lightband.signature import ClassifierState, SignatureTable, check_active_sensors
+from lightband.signature import (
+    ClassifierState,
+    Recognizer,
+    SignatureTable,
+    check_active_sensors,
+)
 from lightband.simulate import SimConfig, critical_angle
-from lightband.types import GestureLabel
+from lightband.types import GestureLabel, SensorFrame
 
 E = GestureLabel.EXTEND
 
@@ -58,6 +63,10 @@ SETTINGS = [
                  id="critical_angle.n_medium"),
     pytest.param("refractive index", "real", lambda value: critical_angle(1.5, value), None,
                  id="critical_angle.n_cladding"),
+    pytest.param("t_rel", "real", lambda value: SensorFrame(value, 0.0, [0] * 5),
+                 lambda frame: frame.t_rel, id="SensorFrame.t_rel"),
+    pytest.param("t_unix", "real", lambda value: SensorFrame(0.0, value, [0] * 5),
+                 lambda frame: frame.t_unix, id="SensorFrame.t_unix"),
 ]
 
 REFUSED = {
@@ -90,6 +99,15 @@ def test_every_numeric_setting_follows_its_rule(name, kind, build, read):
         assert built == build(plain)
         if read is not None:
             assert read(built) == plain and type(read(built)) is type(plain)
+
+
+def test_a_pushed_reading_follows_the_time_rule():
+    recognizer = Recognizer(SignatureTable({(E, 2): -100.0}))
+    for time in (True, np.True_):
+        with pytest.raises(ValueError, match=f"^t_rel must be a real number, got {time!r}$"):
+            recognizer.push(time, [800] * 5)
+    assert recognizer.raw_label is None  # a refused reading leaves the session as it was
+    assert recognizer.push(np.float32(0.5), [800] * 5) is GestureLabel.RELAX
 
 
 @pytest.mark.parametrize("build, message", [
