@@ -14,9 +14,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .types import NUM_CHANNELS, SensorFrame, _reject_first, check_settings
+from .types import NUM_CHANNELS, SensorFrame, check_settings
 
-# Rows per lane of batch_baselines' chunked EWMA, and the passes it may take
+# Rows per lane of _advance's chunked EWMA, and the passes it may take
 # before it falls back to the serial recurrence.
 CHUNK = 256
 _MAX_PASSES = 4
@@ -85,9 +85,12 @@ class BaselineTracker:
         return list(self._ewma)
 
     def _advance(self, t, readings, channels) -> np.ndarray:
-        """batch_baselines of a trace's times and intensity columns on the
-        given 0-based channels, continuing this tracker on them, and on them
-        only, as update would; ValueError if t[0] precedes its last time."""
+        """A checked trace's baselines at once on the given 0-based channels
+        (t its times, readings those columns), continuing this tracker on
+        them only: row i is what update returns for frame i. The EWMA is
+        update's recurrence bit for bit, in checked lanes (_chunked_ewma) or
+        serially; the window maximum is an exact range maximum over what the
+        deque holds. ValueError if t[0] precedes the last time seen."""
         if not len(t):
             return np.empty(readings.shape)
         entries, seeded = [], readings
@@ -109,40 +112,9 @@ class BaselineTracker:
         kept = tail > np.maximum.accumulate(after)[::-1]
         for j, c in enumerate(channels):
             self._maxima[c] = deque(zip(tail_t[kept[:, j]].tolist(), tail[kept[:, j], j].tolist()))
-            self._ewma[c] = self._maxima[c][-1][1]
+            self._ewma[c] = float(smoothed[-1, j])
         self._last_t = float(times[-1])
         return baselines[len(entries):]
-
-
-def batch_baselines(t_rel, channels, cfg: BaselineConfig = BaselineConfig()) -> np.ndarray:
-    """Baselines for a whole trace at once, one row per frame.
-
-    Row i is exactly what BaselineTracker.update returns for frame i after
-    frames 0..i-1, for any number of channel columns. The EWMA is the
-    tracker's own recurrence, bit for bit: run in chunks side by side and
-    checked (_chunked_ewma), or a reading at a time (_serial_ewma); the window
-    maximum is an exact range maximum over [first frame with
-    t > t_i - window, i], the frames the tracker's deque still holds.
-    Raises ValueError unless the times are 1-D and the channels a 2-D array
-    with a row per time, and FrameError at the first time that is not
-    finite or that goes back.
-    """
-    t = np.asarray(t_rel, dtype=np.float64)
-    x = np.asarray(channels)
-    if t.ndim != 1:
-        raise ValueError(f"times must be one-dimensional, got shape {t.shape}")
-    if x.ndim != 2 or len(x) != len(t):
-        raise ValueError(
-            f"channels must have shape ({len(t)}, k) for {len(t)} times, got {x.shape}"
-        )
-    _reject_first(~np.isfinite(t), lambda row: f"non-finite timestamp {t[row]}")
-    _reject_first(
-        np.concatenate(([False], t[1:] < t[:-1])),
-        lambda row: f"non-monotonic timestamp: {t[row]} after {t[row - 1]}",
-    )
-    if len(t) == 0:
-        return np.empty(x.shape)
-    return _window_max(_ewma(x, cfg.alpha), t, cfg.window)[0]
 
 
 def _ewma(x: np.ndarray, alpha: float) -> np.ndarray:

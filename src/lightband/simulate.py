@@ -156,6 +156,12 @@ def synth_trace(
     n_relax = cfg.frames_for(cfg.relax_hold)
     n_ramp = cfg.frames_for(cfg.transition_time)
     n_hold = cfg.frames_for(cfg.gesture_hold)
+    n = len(script) * (n_relax + 2 * n_ramp + n_hold) if script else n_relax
+    if 8 * NUM_CHANNELS * n > np.iinfo(np.intp).max:  # one (n, 5) float64 array
+        raise ValueError(
+            f"the trace would take {n:.3g} samples at interval {cfg.sample_interval}s, "
+            "too many for one array"
+        )
     ramp_up = np.arange(1, n_ramp + 1) / (n_ramp + 1)
     relax = (GestureLabel.RELAX, np.zeros(NUM_CHANNELS), np.zeros(n_relax))
     if not script:
@@ -169,7 +175,6 @@ def synth_trace(
 
     lengths = [len(progress) for _, _, progress in sections]
     labels = np.repeat([CLASS_INDEX[label] for label, _, _ in sections], lengths)
-    n = len(labels)
     targets = np.repeat([deltas for _, deltas, _ in sections], lengths, axis=0)
     targets *= np.concatenate([progress for _, _, progress in sections])[:, None]
     # Per frame the generator draws 5 drift steps, then 5 noise values, and

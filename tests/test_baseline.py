@@ -19,7 +19,7 @@ from conftest import (
     random_rows,
 )
 from lightband import baseline
-from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines
+from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.simulate import SimConfig, synth_trace
 from lightband.types import SensorFrame
 
@@ -207,25 +207,91 @@ def streamed_baselines(t, rows, cfg) -> np.ndarray:
     return np.array(streamed, dtype=float).reshape(rows.shape)
 
 
+def advanced(t, rows, cfg) -> np.ndarray:
+    """A fresh tracker's _advance over the whole trace, on every column."""
+    return BaselineTracker(cfg)._advance(t, rows, list(range(rows.shape[1])))
+
+
 @settings(deadline=None, max_examples=oracle_examples(150))
 @given(timestamped_streams())
-def test_batch_baselines_equal_streaming_tracker(case):
+def test_advance_equals_streaming_tracker(case):
     t, rows, cfg = case
-    got = batch_baselines(t, rows, cfg)
+    got = advanced(t, rows, cfg)
     assert got.shape == rows.shape
     assert np.array_equal(got, streamed_baselines(t, rows, cfg))
 
 
 @settings(deadline=None, max_examples=oracle_examples(150))
 @given(timestamped_streams(min_alpha=1e-3))
-def test_batch_baselines_equal_streaming_tracker_in_short_chunks(case):
+def test_advance_equals_streaming_tracker_in_short_chunks(case):
     # chunks of 8 rows take the chunked EWMA from 16 rows on, and its
     # fallback at small alphas
     t, rows, cfg = case
     with patch.object(baseline, "CHUNK", 8):
-        got = batch_baselines(t, rows, cfg)
+        got = advanced(t, rows, cfg)
     assert got.shape == rows.shape
     assert np.array_equal(got, streamed_baselines(t, rows, cfg))
+
+
+@settings(deadline=None, max_examples=oracle_examples(150))
+@given(timestamped_streams(), st.data())
+def test_one_tracker_mixes_advance_chunks_and_update_readings(case, data):
+    # as Recognizer mixes classify and push: stretches of the stream go
+    # through _advance on the active channels or a reading at a time
+    # through update on all five; chunks of 8 rows put the chunked EWMA,
+    # seeded from the tracker's state, into the mix
+    t, rows, cfg = case
+    channels = sorted(data.draw(st.sets(st.integers(0, 4), min_size=1), label="channels"))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(t)), max_size=6), label="cuts"))
+    tracker, got = BaselineTracker(cfg), []
+    with patch.object(baseline, "CHUNK", 8):
+        for lo, hi in zip([0, *cuts], [*cuts, len(t)]):
+            if data.draw(st.booleans(), label="as one chunk"):
+                got.append(tracker._advance(t[lo:hi], rows[lo:hi, channels], channels))
+            else:
+                for ti, row in zip(t[lo:hi].tolist(), rows[lo:hi].tolist()):
+                    baselines = tracker.update(SensorFrame(t_rel=ti, t_unix=ti, channels=row))
+                    got.append([[baselines[c] for c in channels]])
+    streaming = BaselineTracker(cfg)
+    expected = [
+        streaming.update(SensorFrame(t_rel=ti, t_unix=ti, channels=row))
+        for ti, row in zip(t.tolist(), rows.tolist())
+    ]
+    got = np.concatenate([np.empty((0, len(channels))), *got])
+    assert np.array_equal(got, np.array(expected, dtype=float).reshape(rows.shape)[:, channels])
+    assert [tracker.smoothed[c] for c in channels] == [streaming.smoothed[c] for c in channels]
+
+
+def test_advance_refuses_a_chunk_that_starts_before_the_last_time():
+    tracker = BaselineTracker()
+    tracker.update(SensorFrame(t_rel=0.04, t_unix=0.04, channels=[800] * 5))
+    with pytest.raises(ValueError, match=r"^non-monotonic timestamp: 0.02 after 0.04$"):
+        tracker._advance(np.array([0.02, 0.06]), np.array([[700], [600]]), [3])
+    assert tracker.smoothed == [800] * 5
+    # an equal time continues the session
+    assert tracker._advance(np.array([0.04]), np.array([[600]]), [3]).tolist() == [[800.0]]
+
+
+def test_advance_of_no_rows_leaves_the_tracker_as_it_was():
+    t, rows = np.arange(6) * 0.02, np.array(flat_rows(900, 3) + flat_rows(500, 3))
+    tracker, untouched = BaselineTracker(), BaselineTracker()
+    for ti, row in zip(t[:3].tolist(), rows[:3].tolist()):
+        for each in (tracker, untouched):
+            each.update(SensorFrame(t_rel=ti, t_unix=ti, channels=row))
+    assert tracker._advance(t[:0], rows[:0, [1, 3]], [1, 3]).shape == (0, 2)
+    assert tracker.smoothed == untouched.smoothed
+    assert np.array_equal(tracker._advance(t[3:], rows[3:], list(range(5))),
+                          untouched._advance(t[3:], rows[3:], list(range(5))))
+
+
+@pytest.mark.parametrize("last", [math.nan, -math.inf])
+def test_advance_takes_the_ewma_from_the_last_smoothed_row(last):
+    # the last reading is no window maximum, so the deque does not hold it
+    rows = np.array([[1.0], [3.0], [5.0], [7.0], [last]])
+    tracker = BaselineTracker()
+    got = tracker._advance(np.arange(5) * 0.02, rows, [0])
+    assert got[:4, 0].tolist() == pytest.approx([1.0, 1.4, 2.12, 3.096])
+    assert repr(tracker.smoothed[0]) == repr(last)
 
 
 def bits(values: np.ndarray) -> np.ndarray:
@@ -281,12 +347,12 @@ def test_chunked_ewma_equals_serial_recurrence(kind, alpha):
             for k in (0, 1, 5):
                 rows = channel_rows(kind, n, k, rng)
                 smoothed = serial_smoothed(rows, alpha)
-                if n:  # batch_baselines returns before either EWMA for n = 0
+                if n:  # _advance returns before either EWMA for n = 0
                     assert np.array_equal(bits(baseline._serial_ewma(rows, alpha)), bits(smoothed))
                     chunked = baseline._chunked_ewma(rows, alpha)
                     if chunked is not None:
                         assert np.array_equal(bits(chunked), bits(smoothed)), (n, k)
-                got = batch_baselines(t, rows, cfg)
+                got = advanced(t, rows, cfg)
                 assert got.shape == rows.shape
                 expected = scan_max(t, smoothed, cfg.window)
                 assert np.array_equal(got, expected, equal_nan=True), (n, k)
@@ -314,7 +380,7 @@ def test_chunked_ewma_takes_one_pass_several_or_falls_back():
 
 
 @pytest.mark.parametrize("alpha, passes", [(0.2, 2), (0.05, 4), (0.01, None)])
-def test_batch_baselines_on_a_simulated_trace_take_the_chunked_path_or_fall_back(alpha, passes):
+def test_advance_on_a_simulated_trace_takes_the_chunked_path_or_falls_back(alpha, passes):
     # 2,220 frames: 9 chunks of the real CHUNK; None: the serial fallback
     trace = synth_trace([E, F, O] * 2, cfg=SimConfig(seed=5))
     rows = trace.channels
@@ -324,29 +390,8 @@ def test_batch_baselines_on_a_simulated_trace_take_the_chunked_path_or_fall_back
         assert not settles_within(passes - 1, rows, alpha)
         assert settles_within(passes, rows, alpha)
     cfg = BaselineConfig(alpha=alpha)
-    got = batch_baselines(trace.t_rel, rows, cfg)
+    got = advanced(trace.t_rel, rows, cfg)
     assert np.array_equal(got, streamed_baselines(trace.t_rel, rows, cfg))
-
-
-def test_batch_baselines_reject_non_monotonic_time():
-    with pytest.raises(ValueError, match="non-monotonic"):
-        batch_baselines([0.0, 0.04, 0.02], flat_rows(10, 3))
-
-
-@pytest.mark.parametrize("t_rel, rows, message", [
-    ([0.0, math.nan, 0.04], flat_rows(10, 3), "row 1: non-finite timestamp nan"),
-    ([0.0, 0.02, math.inf], flat_rows(10, 3), "row 2: non-finite timestamp inf"),
-    ([[0.0, 0.02]], flat_rows(10, 2), r"times must be one-dimensional, got shape \(1, 2\)"),
-    (0.0, flat_rows(10, 1), r"times must be one-dimensional, got shape \(\)"),
-    ([0.0, 0.02], [10, 10], r"channels must have shape \(2, k\) for 2 times, got \(2,\)"),
-    ([0.0, 0.02], np.zeros((2, 5, 1)), r"got \(2, 5, 1\)"),
-    ([0.0, 0.02, 0.04], flat_rows(10, 2), r"for 3 times, got \(2, 5\)"),
-    ([0.0, 0.02], flat_rows(10, 3), r"for 2 times, got \(3, 5\)"),
-    ([0.0, 0.02], flat_rows(10, 1), r"for 2 times, got \(1, 5\)"),
-])
-def test_batch_baselines_reject_malformed_input(t_rel, rows, message):
-    with pytest.raises(ValueError, match=message):
-        batch_baselines(t_rel, rows)
 
 
 @settings(deadline=None, max_examples=oracle_examples(150))

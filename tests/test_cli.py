@@ -159,6 +159,28 @@ def test_simulate_interval_too_small_to_count_samples_is_domain_error(capsys, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, samples, interval", [
+    ("--interval", "1e-300", "2.22e+301", "1e-300"),
+    ("--transition-time", "1e300", "3e+302", "0.02"),
+    ("--gesture-hold", "1e300", "1.5e+302", "0.02"),
+    ("--relax-hold", "1e300", "1.5e+302", "0.02"),
+])
+def test_simulate_more_samples_than_an_array_holds_is_domain_error(
+    capsys, tmp_path, option, value, samples, interval
+):
+    # refused from the section lengths, before numpy is asked for any array
+    out = tmp_path / "o.csv"
+    code, _, err = run(
+        capsys, "simulate", "--script", script_file(tmp_path), "--out", str(out), option, value,
+    )
+    assert code == 1
+    assert err == (
+        f"error: the trace would take {samples} samples at interval {interval}s, "
+        "too many for one array\n"
+    )
+    assert not out.exists()
+
+
 def simulate_with_profiles(capsys, tmp_path, profile_text, script="extend\n", *extra):
     profiles = tmp_path / "profiles.csv"
     profiles.write_text(profile_text)

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 
 from conftest import E, F, O, R, T, make_trace, members, readings
-from lightband.baseline import BaselineConfig, BaselineTracker, batch_baselines
+from lightband.baseline import BaselineConfig, BaselineTracker
 from lightband.mlp import MlpConfig
 from lightband.signature import (
     MIN_SEGMENT_FRAMES,
@@ -89,7 +89,7 @@ def test_an_entry_exactly_window_old_leaves_the_maximum():
     trace = make_trace(rows, [R] * len(rows), interval=0.25)
     tracker = BaselineTracker()
     streamed = np.array([tracker.update(frame) for frame in trace.frames])
-    batch = batch_baselines(trace.t_rel, trace.channels)
+    batch = BaselineTracker()._advance(trace.t_rel, trace.channels, list(range(5)))
     second = (1 - 0.2) * 1000 + 0.2 * 800  # the EWMA at t = 0.25
     for baselines in (streamed, batch):
         assert baselines[15, 1] == 1000 and baselines[16, 1] == second

@@ -101,6 +101,31 @@ def test_empty_script_is_one_relax_hold():
     assert all(f.channels == (340, 760, 650, 800, 930) for f in trace.frames)
 
 
+@pytest.mark.parametrize("script", [[], [E, F]], ids=["empty", "two-gestures"])
+def test_a_trace_one_array_cannot_hold_is_refused_at_the_exact_bound(script):
+    # At interval 1.0 a hold of h seconds is h frames, and a gesture adds a
+    # relax hold, two 1-frame ramps and a 1-frame hold. n frames pass while
+    # 40 * n <= 2**63 - 1, and above that no array is made. The relax holds
+    # are the floats on each side of the bound; just under it numpy refuses
+    # the exabyte array at once, so no memory is taken.
+    k = len(script)
+    fits = np.iinfo(np.intp).max // 40
+    edge = float(fits // k - 3 if k else fits)
+    seen = []
+    for relax in (np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)):
+        n = k * (int(relax) + 3) if k else int(relax)
+        cfg = SimConfig(sample_interval=1.0, relax_hold=float(relax), gesture_hold=1.0,
+                        transition_time=1.0)
+        with pytest.raises(ValueError if n > fits else MemoryError) as caught:
+            synth_trace(script, DEFAULT_PROFILES, cfg)
+        if n > fits:
+            assert str(caught.value) == (
+                f"the trace would take {n:.3g} samples at interval 1.0s, too many for one array"
+            )
+        seen.append(n > fits)
+    assert seen == [False, True]
+
+
 def test_zero_noise_extend_plateau_matches_calibration():
     cfg = SimConfig(noise_sigma=0.0, drift=0.0, gesture_hold=1.0, relax_hold=1.0)
     trace = synth_trace([E], DEFAULT_PROFILES, cfg)

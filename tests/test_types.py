@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import E, F, R, T, flat_rows, make_trace, members, oracle_examples, run_python
 from lightband import mlp
-from lightband.baseline import batch_baselines
 from lightband.evaluate import confusion
 from lightband.ingest import write_label_file
 from lightband.types import (
@@ -533,14 +532,6 @@ _TWO_CLASSES = np.array([0, 1, 0, 1])
     pytest.param(
         lambda: write_label_file([0.0, 0.02, 0.04], [R, None, E], io.StringIO()),
         1, "label must be a GestureLabel, got None", id="write_label_file",
-    ),
-    pytest.param(
-        lambda: batch_baselines([0.0, 0.1, float("nan")], np.zeros((3, 5))),
-        2, "non-finite timestamp nan", id="batch_baselines_non_finite",
-    ),
-    pytest.param(
-        lambda: batch_baselines([0.0, 0.2, 0.1, 0.3], np.zeros((4, 5))),
-        2, "non-monotonic timestamp: 0.1 after 0.2", id="batch_baselines_backward",
     ),
     pytest.param(
         lambda: mlp.train(_zeros_with((4, 5), 1, np.nan), _TWO_CLASSES, _MLP_CFG),
