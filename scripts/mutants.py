@@ -92,6 +92,23 @@ MUTANTS = {
         ("signature.py", "if prev < 0 or segments[prev][0] is not GestureLabel.RELAX:",
          "if prev < 0:"),
     ],
+    "MlpConfig takes a negative l2": [
+        ("mlp.py", "        if self.l2 < 0:\n", "        if False:\n"),
+    ],
+    "trace times of any dtype": [
+        ("types.py", 'if column.dtype.kind not in "iuf":', "if False:"),
+    ],
+    "trace channels of a float dtype": [
+        ("types.py", 'if raw.dtype.kind not in "iu" and raw.size:',
+         'if raw.dtype.kind not in "iuf" and raw.size:'),
+    ],
+    "an object label array as members": [
+        ("types.py", "    if not isinstance(labels, np.ndarray):\n",
+         '    if not isinstance(labels, np.ndarray) or labels.dtype.kind == "O":\n'),
+    ],
+    "frames_for allows 0 samples": [
+        ("simulate.py", "        if n < 1:\n", "        if n < 0:\n"),
+    ],
     "__init__ imports mlp eagerly": [
         ("__init__.py", "from . import baseline, evaluate, ingest, signature, simulate, types\n",
          "from . import baseline, evaluate, ingest, mlp, signature, simulate, types\n"),

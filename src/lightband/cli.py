@@ -183,8 +183,7 @@ def cmd_classify(args) -> int:
     predicted = signature.classify_trace(trace, table, cfg, state)
     ingest.write_label_file(trace.t_rel, predicted, args.out)
     print(f"wrote {len(predicted)} labels to {args.out}")
-    matrix = evaluate.confusion(trace.labels, predicted)
-    print(evaluate.render_report(matrix), end="")
+    _print_confusion(trace.labels, predicted)
     return 0
 
 

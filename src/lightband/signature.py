@@ -160,12 +160,13 @@ class ClassifierState:
     """Streaming classifier state: tolerance plus recent raw-label history.
 
     Raw (pre-smoothing) labels feed the history, so a genuine new gesture
-    surfaces after exactly transition_horizon stable readings.
+    surfaces after exactly transition_horizon stable readings. A state
+    starts with an empty history; only classifying fills it.
     """
 
     tolerance: float = 0.10
     transition_horizon: int = 10
-    recent_labels: deque = field(default_factory=deque)
+    recent_labels: deque = field(init=False)
     # the session's (active sensors, BaselineConfig, BaselineTracker)
     _baseline: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -180,11 +181,7 @@ class ClassifierState:
             raise ValueError(f"transition_horizon must be at least 1, got {horizon}")
         if horizon > sys.maxsize:  # the history deque's maxlen is a C ssize_t
             raise ValueError(f"transition_horizon must be at most {sys.maxsize}, got {horizon}")
-        recent = tuple_setting("recent_labels", self.recent_labels, lambda _, label: label)
-        for label in recent:
-            if type(label) is not GestureLabel:
-                raise ValueError(f"recent label must be a GestureLabel, got {label!r}")
-        self.recent_labels = deque(recent, maxlen=horizon)
+        self.recent_labels = deque(maxlen=horizon)
 
     def _tracker(self, cfg: BaselineConfig, active: tuple) -> BaselineTracker:
         """The session's tracker; refused under another cfg or sensor set."""

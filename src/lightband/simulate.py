@@ -157,60 +157,61 @@ def synth_trace(
     n_ramp = cfg.frames_for(cfg.transition_time)
     n_hold = cfg.frames_for(cfg.gesture_hold)
     n = len(script) * (n_relax + 2 * n_ramp + n_hold) if script else n_relax
+    too_many = f"the trace would take {n:.3g} samples at interval {cfg.sample_interval}s, too many"
     if 8 * NUM_CHANNELS * n > np.iinfo(np.intp).max:  # one (n, 5) float64 array
-        raise ValueError(
-            f"the trace would take {n:.3g} samples at interval {cfg.sample_interval}s, "
-            "too many for one array"
-        )
-    ramp_up = np.arange(1, n_ramp + 1) / (n_ramp + 1)
-    relax = (GestureLabel.RELAX, np.zeros(NUM_CHANNELS), np.zeros(n_relax))
-    if not script:
-        sections.append(relax)
-    for gesture in script:
-        deltas = np.array(by_gesture[gesture])
-        sections.append(relax)
-        sections.append((GestureLabel.TRANSITION, deltas, ramp_up))
-        sections.append((gesture, deltas, np.ones(n_hold)))
-        sections.append((GestureLabel.TRANSITION, deltas, ramp_up[::-1]))
+        raise ValueError(f"{too_many} for one array")
+    try:
+        ramp_up = np.arange(1, n_ramp + 1) / (n_ramp + 1)
+        relax = (GestureLabel.RELAX, np.zeros(NUM_CHANNELS), np.zeros(n_relax))
+        if not script:
+            sections.append(relax)
+        for gesture in script:
+            deltas = np.array(by_gesture[gesture])
+            sections.append(relax)
+            sections.append((GestureLabel.TRANSITION, deltas, ramp_up))
+            sections.append((gesture, deltas, np.ones(n_hold)))
+            sections.append((GestureLabel.TRANSITION, deltas, ramp_up[::-1]))
 
-    lengths = [len(progress) for _, _, progress in sections]
-    labels = np.repeat([CLASS_INDEX[label] for label, _, _ in sections], lengths)
-    targets = np.repeat([deltas for _, deltas, _ in sections], lengths, axis=0)
-    targets *= np.concatenate([progress for _, _, progress in sections])[:, None]
-    # Per frame the generator draws 5 drift steps, then 5 noise values, and
-    # normal(0, s) is 0.0 + s * standard_normal, so standard normals drawn
-    # ROW_BLOCK frames at a time reproduce that stream. Each block is scaled
-    # into contiguous drift and noise arrays while it is in cache. The
-    # steps' running sum from the baseline levels gives each frame's relax
-    # levels. The arithmetic runs in place (IEEE + and * commute), which
-    # keeps peak memory low.
-    rng = np.random.default_rng(cfg.seed)
-    values = np.empty((n, NUM_CHANNELS))
-    noise = np.empty((n, NUM_CHANNELS))
-    block = np.empty((min(n, ROW_BLOCK), 2, NUM_CHANNELS))
-    for first in range(0, n, ROW_BLOCK):
-        z = block[: n - first]
-        rng.standard_normal(out=z)
-        rows = slice(first, first + len(z))
-        np.multiply(z[:, 0], cfg.drift, values[rows])
-        np.multiply(z[:, 1], cfg.noise_sigma, noise[rows])
-    values += 0.0
-    noise += 0.0
-    values[0] += cfg.baseline_levels
-    np.add.accumulate(values, axis=0, out=values)
-    values += targets
-    values += noise
-    np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
-    # whole numbers in range, so exact as int64; LabeledTrace then skips its
-    # float integrality pass, and the float array is freed here
-    values = values.astype(np.int64)
-    t_rel = np.arange(n) * cfg.sample_interval
-    return LabeledTrace(
-        t_rel=t_rel,
-        t_unix=cfg.start_unix + t_rel,
-        channels=values,
-        labels=labels,
-    )
+        lengths = [len(progress) for _, _, progress in sections]
+        labels = np.repeat([CLASS_INDEX[label] for label, _, _ in sections], lengths)
+        targets = np.repeat([deltas for _, deltas, _ in sections], lengths, axis=0)
+        targets *= np.concatenate([progress for _, _, progress in sections])[:, None]
+        # Per frame the generator draws 5 drift steps, then 5 noise values, and
+        # normal(0, s) is 0.0 + s * standard_normal, so standard normals drawn
+        # ROW_BLOCK frames at a time reproduce that stream. Each block is scaled
+        # into contiguous drift and noise arrays while it is in cache. The
+        # steps' running sum from the baseline levels gives each frame's relax
+        # levels. The arithmetic runs in place (IEEE + and * commute), which
+        # keeps peak memory low.
+        rng = np.random.default_rng(cfg.seed)
+        values = np.empty((n, NUM_CHANNELS))
+        noise = np.empty((n, NUM_CHANNELS))
+        block = np.empty((min(n, ROW_BLOCK), 2, NUM_CHANNELS))
+        for first in range(0, n, ROW_BLOCK):
+            z = block[: n - first]
+            rng.standard_normal(out=z)
+            rows = slice(first, first + len(z))
+            np.multiply(z[:, 0], cfg.drift, values[rows])
+            np.multiply(z[:, 1], cfg.noise_sigma, noise[rows])
+        values += 0.0
+        noise += 0.0
+        values[0] += cfg.baseline_levels
+        np.add.accumulate(values, axis=0, out=values)
+        values += targets
+        values += noise
+        np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
+        # whole numbers in range, so exact as int64, the dtype LabeledTrace
+        # takes; the float array is freed here
+        values = values.astype(np.int64)
+        t_rel = np.arange(n) * cfg.sample_interval
+        return LabeledTrace(
+            t_rel=t_rel,
+            t_unix=cfg.start_unix + t_rel,
+            channels=values,
+            labels=labels,
+        )
+    except MemoryError:  # numpy's words name a shape, not a setting
+        raise ValueError(f"{too_many} to hold in memory") from None
 
 
 def read_script(source) -> list:

@@ -186,12 +186,12 @@ def label_codes(labels) -> np.ndarray:
     """Labels as a new read-only 1-D int8 array of class indices.
 
     labels is either a numpy integer array of class indices, range-checked
-    before it is narrowed, or an iterable of GestureLabel members (an
-    object array too). Anything else in it raises FrameError at the first
-    bad row: an index outside [0, len(CLASS_LABELS)), a non-member in the
-    iterable, or, for an array of another dtype (bool or float), row 0.
+    before it is narrowed, or a non-array iterable of GestureLabel members.
+    Anything else in it raises FrameError at the first bad row: an index
+    outside [0, len(CLASS_LABELS)), a non-member in the iterable, or, for
+    an array of another dtype (bool, float or object), row 0.
     """
-    if not isinstance(labels, np.ndarray) or labels.dtype.kind == "O":
+    if not isinstance(labels, np.ndarray):
         labels = tuple(labels)
         if not {GestureLabel}.issuperset(map(type, labels)):
             row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
@@ -211,10 +211,12 @@ def label_codes(labels) -> np.ndarray:
 
 
 def _time_column(values, name: str) -> np.ndarray:
-    column = np.array(values, dtype=np.float64)
+    column = np.asarray(values)
+    if column.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be int or float times, got dtype {column.dtype}")
     if column.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
-    return _read_only(column)
+    return _read_only(column.astype(np.float64))
 
 
 def _intensity_matrix(values) -> np.ndarray:
@@ -223,21 +225,15 @@ def _intensity_matrix(values) -> np.ndarray:
         raw = raw.reshape(0, NUM_CHANNELS)
     if raw.ndim != 2 or raw.shape[1] != NUM_CHANNELS:
         raise ValueError(f"expected {NUM_CHANNELS} channels per frame, got shape {raw.shape}")
-    if raw.dtype.kind not in "iuf":
+    if raw.dtype.kind not in "iu" and raw.size:  # an empty array holds no value to refuse
         raise ValueError(f"channel values must be integers, got dtype {raw.dtype}")
     valid = (raw >= INTENSITY_MIN) & (raw <= INTENSITY_MAX)
-    floats = raw.dtype.kind == "f"  # an integer dtype holds integers already
-    if floats:
-        valid &= raw == np.floor(raw)  # NaN fails this test, inf the range test
-
-    def describe(row):
-        value = raw[row, np.argmin(valid[row])]
-        if floats and value != np.floor(value):
-            return f"channel value is not an integer: {value.item()!r}"
-        return f"channel value {value.item()} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]"
-
     if not valid.all():  # reduce by row only to find the first bad one
-        _reject_first(~valid.all(axis=1), describe)
+        _reject_first(
+            ~valid.all(axis=1),
+            lambda row: f"channel value {raw[row, np.argmin(valid[row])]} "
+                        f"outside [{INTENSITY_MIN}, {INTENSITY_MAX}]",
+        )
     return _read_only(raw.astype(np.int64))
 
 
@@ -245,11 +241,12 @@ def _intensity_matrix(values) -> np.ndarray:
 class LabeledTrace:
     """A trace held as columns: N timestamps, N x 5 intensities, N labels.
 
-    The arrays are read-only copies, validated once for the whole trace:
-    finite non-negative, strictly increasing t_rel whose every step lies
-    within 50% of the median step, finite t_unix, integer intensities in
-    [0, 1023], and labels given as GestureLabel members or class indices
-    and held as class indices (label_codes). A failure tied to one frame
+    The arrays are read-only copies, validated once for the whole trace.
+    Times must be int or float arrays, intensities an integer array, and
+    labels as label_codes takes them: another dtype is a ValueError, raised
+    before any value is read. Then finite non-negative, strictly increasing
+    t_rel whose every step lies within 50% of the median step, finite
+    t_unix and intensities in [0, 1023]. A failure tied to one frame
     raises FrameError with that frame's row.
     `frames` yields SensorFrames for code that walks readings one at a time.
     """

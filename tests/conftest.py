@@ -168,7 +168,8 @@ def one_shot_synth_trace(script, profiles, cfg) -> LabeledTrace:
     np.clip(np.rint(values, out=values), INTENSITY_MIN, INTENSITY_MAX, out=values)
     t_rel = np.arange(n) * cfg.sample_interval
     return LabeledTrace(
-        t_rel=t_rel, t_unix=cfg.start_unix + t_rel, channels=values, labels=labels
+        t_rel=t_rel, t_unix=cfg.start_unix + t_rel, channels=values.astype(np.int64),
+        labels=labels,
     )
 
 

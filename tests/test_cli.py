@@ -144,7 +144,10 @@ def test_simulate_duration_too_long_to_hold_is_domain_error(capsys, tmp_path):
         "--relax-hold", "1e15",
     )
     assert code == 1
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert err == (
+        "error: the trace would take 1.5e+17 samples at interval 0.02s, "
+        "too many to hold in memory\n"
+    )
     assert not out.exists()
 
 
@@ -156,6 +159,17 @@ def test_simulate_interval_too_small_to_count_samples_is_domain_error(capsys, tm
     )
     assert code == 1
     assert err == "error: duration 2.0s yields too many samples at interval 1e-320s\n"
+    assert not out.exists()
+
+
+def test_simulate_duration_too_short_for_one_sample_is_domain_error(capsys, tmp_path):
+    out = tmp_path / "o.csv"
+    code, _, err = run(
+        capsys, "simulate", "--script", script_file(tmp_path), "--out", str(out),
+        "--gesture-hold", "0.001",
+    )
+    assert code == 1
+    assert err == "error: duration 0.001s yields no samples at interval 0.02s\n"
     assert not out.exists()
 
 

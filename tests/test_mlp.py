@@ -238,6 +238,8 @@ def test_gradients_match_with_dropout_masks_fixed():
 
     assert loss == pytest.approx(eval_loss())
     assert max_relative_error(model, grads_w, grads_b, eval_loss) < 1e-4
+    with pytest.raises(ValueError, match="^training forward pass with dropout needs an rng$"):
+        loss_and_gradients(model, x, targets)
 
 
 def separable_toy():
@@ -339,6 +341,8 @@ def test_split_dataset():
     assert xb.shape[0] == 0
     with pytest.raises(ValueError, match="boundary"):
         split_dataset(x, labels, 1001)
+    with pytest.raises(ValueError, match="^1000 rows but 999 labels$"):
+        split_dataset(x, labels[:-1], 880)
 
 
 def test_save_load_round_trip():
@@ -1016,6 +1020,20 @@ def test_config_stores_numpy_integers_as_python_ints():
     plain = MlpConfig(input_dim=5, hidden=(4, 3), output_dim=3, epochs=2, batch_size=7, seed=9)
     assert cfg == plain
     assert json.dumps(asdict(cfg)) == json.dumps(asdict(plain))  # json refuses numpy integers
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("input_dim", 0, "all layer dims must be >= 1, got (0, 100, 100, 5)"),
+    ("hidden", (3, 0), "all layer dims must be >= 1, got (5, 3, 0, 5)"),
+    ("l2", -0.01, "l2 must be non-negative, got -0.01"),
+    ("learning_rate", 0.0, "learning_rate and adam_eps must be positive"),
+    ("adam_eps", -1e-8, "learning_rate and adam_eps must be positive"),
+    ("beta1", 1.0, "beta1 and beta2 must be in [0, 1), got 1.0, 0.999"),
+    ("beta2", -0.5, "beta1 and beta2 must be in [0, 1), got 0.9, -0.5"),
+])
+def test_config_refuses_a_value_outside_its_range(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MlpConfig(**{field: value})
 
 
 def test_config_rejects_a_negative_seed():

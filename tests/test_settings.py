@@ -117,7 +117,6 @@ def test_a_pushed_reading_follows_the_time_rule():
     (lambda: SimConfig(baseline_levels=500.0), "baseline_levels must be an iterable, got 500.0"),
     (lambda: check_active_sensors(2), "sensor index must be an iterable, got 2"),
     (lambda: SignatureTable(deltas=5), "deltas must be a (gesture, sensor) mapping, got 5"),
-    (lambda: ClassifierState(recent_labels=5), "recent_labels must be an iterable, got 5"),
 ])
 def test_a_setting_of_several_numbers_refuses_a_non_iterable(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -76,6 +76,9 @@ def test_sensor_frame_validation():
         SensorFrame(t_rel=-0.1, t_unix=0.0, channels=[0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="integer"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0.5, 0, 0, 0, 0])
+    for text in ("5", "x"):  # int() reads the first, not the second
+        with pytest.raises(ValueError, match=f"^channel value is not an integer: '{text}'$"):
+            SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, text, 0, 0, 0])
     with pytest.raises(ValueError, match=r"^channel value inf outside \[0, 1023\]$"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, 0, float("inf"), 0, 0])
     with pytest.raises(ValueError, match="^t_rel must be a real number, got 'x'$"):
@@ -206,9 +209,6 @@ def test_trace_validation_names_the_frame():
     with pytest.raises(FrameError, match="2000 outside") as caught:
         make_trace(rows, [R] * 4)
     assert caught.value.index == 2
-    with pytest.raises(FrameError, match="not an integer") as caught:
-        make_trace([[1, 2, 3, 4, 5], [1, 2, 3.5, 4, 5]], [R, R])
-    assert caught.value.index == 1
     with pytest.raises(FrameError, match="increasing") as caught:
         LabeledTrace(
             t_rel=[0.0, 0.02, 0.02], t_unix=[0.0] * 3, channels=flat_rows(0, 3), labels=[R] * 3
@@ -231,14 +231,13 @@ def test_trace_validation_names_the_frame():
     ((1, 4, -1), (2, 0, 5000)),
     ((4, 2, 30000), (4, 1, 1024)),
 ], ids=["valid", "1024", "-1_first", "two_in_a_row"])
-def test_integer_and_float_channels_are_checked_alike(faults):
-    # an integer dtype skips the integral test; the checks must still agree
+def test_channels_of_every_integer_dtype_are_checked_alike(faults):
     rows = np.random.default_rng(0).integers(0, 1024, size=(6, 5))
     for row, col, value in faults:
         rows[row, col] = value
-    for dtype in (np.int64, np.int32, np.int16, np.uint16, np.float64, np.float32):
+    for dtype in (np.int64, np.int32, np.int16, np.uint16, np.uint64):
         if np.any(rows != rows.astype(dtype)):
-            continue  # uint16 cannot hold -1
+            continue  # an unsigned dtype cannot hold -1
         channels = rows.astype(dtype)
         if not faults:
             trace = make_trace(channels, [R] * 6)
@@ -246,12 +245,16 @@ def test_integer_and_float_channels_are_checked_alike(faults):
             assert np.array_equal(trace.channels, rows)
             continue
         row, col, value = min(faults)
-        # the value is spelled as its dtype gives it: 1024 or 1024.0
-        value = float(value) if channels.dtype.kind == "f" else value
         with pytest.raises(FrameError) as caught:
             make_trace(channels, [R] * 6)
         assert caught.value.index == row
         assert caught.value.reason == f"channel value {value} outside [0, 1023]"
+    # a float array is refused by its dtype, whole-valued and in range or not
+    for dtype in (np.float64, np.float32):
+        message = f"^channel values must be integers, got dtype {np.dtype(dtype)}$"
+        with pytest.raises(ValueError, match=message) as caught:
+            make_trace(rows.astype(dtype), [R] * 6)
+        assert not isinstance(caught.value, FrameError)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -261,13 +264,53 @@ def test_integer_and_float_channels_are_checked_alike(faults):
     (-0.5, "channel value is not an integer: -0.5"),
 ])
 def test_float_channels_name_their_first_bad_value(value, message):
-    rows = np.full((3, 5), 7.0)
-    rows[1, 2] = value
-    rows[2, 0] = 2000.0
-    with pytest.raises(FrameError) as caught:
-        make_trace(rows, [R] * 3)
-    assert caught.value.index == 1
-    assert caught.value.reason == message
+    # one outside reading keeps its per-value rules; a trace's float array
+    # holding the same values is refused by its dtype before any is read
+    values = [7.0, 7.0, value, 2000.0, 7.0]
+    with pytest.raises(ValueError) as caught:
+        SensorFrame(t_rel=0.0, t_unix=0.0, channels=values)
+    assert str(caught.value) == message
+    with pytest.raises(ValueError, match="^channel values must be integers, got dtype float64$"):
+        make_trace([[7] * 5, values], [R] * 2)
+
+
+@pytest.mark.parametrize("column, values, dtype", [
+    ("t_rel", [True, False], "bool"),
+    ("t_unix", [True, False], "bool"),
+    ("t_rel", ["0", "0.02"], "<U4"),
+    ("t_rel", [None, None], "object"),
+    ("t_unix", np.array([0.0, 0.02], dtype=object), "object"),
+    ("t_rel", [1 + 2j, 2.0], "complex128"),
+])
+def test_time_columns_are_refused_by_dtype(column, values, dtype):
+    columns = {"t_rel": [0.0, 0.02], "t_unix": [0.0, 0.02], column: values}
+    message = f"^{column} must be int or float times, got dtype {re.escape(dtype)}$"
+    with pytest.raises(ValueError, match=message) as caught:
+        LabeledTrace(**columns, channels=flat_rows(0, 2), labels=[R, R])
+    assert not isinstance(caught.value, FrameError)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64, np.float32, np.float64])
+def test_time_columns_take_int_uint_and_float_arrays(dtype):
+    times = np.arange(4, dtype=dtype)
+    trace = LabeledTrace(times, times, flat_rows(0, 4), [R] * 4)
+    for column in (trace.t_rel, trace.t_unix):
+        assert column.dtype == np.float64 and column.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({"t_rel": [[0.0]]}, "t_rel must be one-dimensional, got shape (1, 1)"),
+    ({"t_unix": 0.0}, "t_unix must be one-dimensional, got shape ()"),
+    ({"channels": [[0] * 4]}, "expected 5 channels per frame, got shape (1, 4)"),
+    ({"channels": [0] * 5}, "expected 5 channels per frame, got shape (5,)"),
+    ({"channels": [[True] * 5]}, "channel values must be integers, got dtype bool"),
+    ({"channels": [["0"] * 5]}, "channel values must be integers, got dtype <U1"),
+])
+def test_trace_columns_of_the_wrong_shape_or_dtype_are_refused(columns, message):
+    columns = {"t_rel": [0.0], "t_unix": [0.0], "channels": [[0] * 5], **columns}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LabeledTrace(**columns, labels=[R])
 
 
 def test_trace_columns_are_read_only_copies():
@@ -284,6 +327,13 @@ def test_trace_columns_are_read_only_copies():
     trace = make_trace(flat_rows(10, 3), codes)
     codes[0] = 4
     assert members(trace.labels) == [R, E, R]
+
+
+def test_a_trace_equals_only_a_trace():
+    trace = make_trace(flat_rows(10, 2), [R, E])
+    assert trace == make_trace(flat_rows(10, 2), np.array([0, 1]))
+    assert trace.__eq__(trace.labels) is NotImplemented
+    assert trace != (trace.t_rel, trace.t_unix, trace.channels, trace.labels)
 
 
 def test_frames_view():
@@ -316,7 +366,7 @@ def test_frames_across_row_blocks_match_the_arrays():
     assert all(type(f.t_rel) is float and type(f.t_unix) is float for f in trace.frames)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
 @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_frames_equal_checked_frames_of_the_same_rows(n, dtype):
     # trace.frames builds its frames without SensorFrame's check; the
@@ -426,7 +476,6 @@ def test_trace_from_codes_equals_trace_from_members(labels, dtype):
         assert trace.labels.dtype == np.int8 and not trace.labels.flags.writeable
         assert members(trace.labels) == labels
     assert label_codes(codes).tolist() == label_codes(iter(labels)).tolist()
-    assert make_trace(flat_rows(7, len(labels)), np.array(labels, dtype=object)) == from_members
 
 
 @pytest.mark.oracle
@@ -454,7 +503,7 @@ def _bad_label_cases():
         st.tuples(n, st.integers(0, 29), st.sampled_from([np.int16, np.int32, np.int64])),
         st.sampled_from([-1, 5, 300, -129, 2**15 - 1]),
     ).map(with_bad_code)
-    bad_dtype = st.tuples(n, st.sampled_from([bool, np.float64, np.float32])).map(
+    bad_dtype = st.tuples(n, st.sampled_from([bool, np.float64, np.float32, object])).map(
         lambda args: (np.zeros(args[0], dtype=args[1]), 0,
                       f"labels must be class indices, got dtype {np.dtype(args[1])}")
     )
@@ -494,7 +543,10 @@ def test_label_codes_refuse_an_array_that_is_not_one_dimensional():
 
 
 def test_label_codes_take_empty_input_of_any_dtype():
-    for empty in ((), [], np.array([]), np.array([], dtype=bool), np.array([], dtype=np.int64)):
+    for empty in (
+        (), [], np.array([]), np.array([], dtype=bool), np.array([], dtype=object),
+        np.array([], dtype=np.int64),
+    ):
         codes = label_codes(empty)
         assert codes.dtype == np.int8 and codes.shape == (0,) and not codes.flags.writeable
 
@@ -524,6 +576,10 @@ _TWO_CLASSES = np.array([0, 1, 0, 1])
     pytest.param(
         lambda: label_codes([R, E, "fist"]),
         2, "label must be a GestureLabel, got 'fist'", id="label_codes",
+    ),
+    pytest.param(
+        lambda: label_codes(np.array([R, E], dtype=object)),
+        0, "labels must be class indices, got dtype object", id="label_codes_object_array",
     ),
     pytest.param(
         lambda: confusion(np.array([0, 1, 7]), np.array([0, 1, 1])),
