@@ -4,10 +4,11 @@
 
 A mutant is one or more exact text edits of files under src/lightband: the
 paper's defaults, the edges of the tolerance band and the baseline window,
-the EWMA's first frame, the relax/gesture pairing, and the lazy load of the
-network. For each mutant the script copies the checkout, less .git and
-caches, into a temporary directory, applies the edits there and runs
-`python -m pytest -x -q` in it with that copy's src first on PYTHONPATH. A
+the EWMA's first frame, the relax/gesture pairing, the input rules of the
+trace, the reading and the network, and the lazy load of the network. For
+each mutant the script copies the checkout, less .git and caches, into a
+temporary directory, applies the edits there and runs `python -m pytest
+-x -q` in it with that copy's src first on PYTHONPATH. A
 failing run kills the mutant; a passing one lets it survive. One line per
 mutant goes to stdout.
 
@@ -105,6 +106,17 @@ MUTANTS = {
     "an object label array as members": [
         ("types.py", "    if not isinstance(labels, np.ndarray):\n",
          '    if not isinstance(labels, np.ndarray) or labels.dtype.kind == "O":\n'),
+    ],
+    "MlpConfig takes more outputs than classes": [
+        ("mlp.py", "        if self.output_dim > len(CLASS_LABELS):\n", "        if False:\n"),
+    ],
+    "a bool channel value taken as an int": [
+        ("types.py", 'tuple(int_setting("channel value", v) for v in channels)',
+         'tuple(int(v) if type(v) is bool else int_setting("channel value", v) for v in channels)'),
+    ],
+    "write_label_file coerces its times to float": [
+        ("ingest.py", 't_rel = _time_column(t_rel, "t_rel")',
+         't_rel = _time_column(np.asarray(t_rel, dtype=np.float64), "t_rel")'),
     ],
     "frames_for allows 0 samples": [
         ("simulate.py", "        if n < 1:\n", "        if n < 0:\n"),

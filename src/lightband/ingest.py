@@ -31,6 +31,7 @@ from .types import (
     ROW_BLOCK,
     FrameError,
     LabeledTrace,
+    _time_column,
     label_codes,
     parse_label,
 )
@@ -372,13 +373,11 @@ def write_label_file(t_rel, labels, sink) -> None:
     A row is repr(t) as float64, a comma and the label's text, joined block
     by block from _time_fields as in write_collection_csv. The labels are
     GestureLabel members or an array of class indices (label_codes). Raises
-    ValueError, before anything is written, if the times are not
-    one-dimensional, if the lengths differ, or for a bad label, a
-    FrameError naming its row.
+    ValueError, before anything is written, for times that are not a 1-D
+    int or float column (_time_column), if the lengths differ, or for a bad
+    label, a FrameError naming its row.
     """
-    t_rel = np.asarray(t_rel, dtype=np.float64)
-    if t_rel.ndim != 1:
-        raise ValueError(f"times must be one-dimensional, got shape {t_rel.shape}")
+    t_rel = _time_column(t_rel, "t_rel")
     if len(t_rel) != len(labels):
         raise ValueError(f"{len(t_rel)} times but {len(labels)} labels")
     codes = label_codes(labels)

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .ingest import open_text, text_lines
-from .types import INTENSITY_MAX, ROW_BLOCK, FrameError, LabeledTrace, _reject_first
-from .types import check_settings, int_setting, tuple_setting
+from .types import CLASS_LABELS, INTENSITY_MAX, ROW_BLOCK, FrameError, LabeledTrace
+from .types import _reject_first, check_settings, int_setting, label_codes, tuple_setting
 
 PRED_EPS = 1e-7
 
@@ -107,16 +107,23 @@ class MlpConfig:
             raise ValueError(f"normalize must be a bool, got {self.normalize!r}")
         if any(d < 1 for d in dims):
             raise ValueError(f"all layer dims must be >= 1, got {dims}")
+        if self.output_dim > len(CLASS_LABELS):
+            raise ValueError(
+                f"output_dim must be at most {len(CLASS_LABELS)}, got {self.output_dim}"
+            )
         if not 0 <= self.dropout_rate < 1:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be non-negative, got {self.l2}")
-        if self.learning_rate <= 0 or self.adam_eps <= 0:
-            raise ValueError("learning_rate and adam_eps must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -161,31 +168,10 @@ def init_model(cfg: MlpConfig, rng: np.random.Generator) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, config=cfg)
 
 
-def _integer_array(labels) -> np.ndarray:
-    """labels when it is a 1-D numpy integer array; anything else (a list,
-    a bool, float or object array) raises FrameError at row 0."""
-    if not isinstance(labels, np.ndarray) or labels.dtype.kind not in "iu" or labels.ndim != 1:
-        got = (f"{labels.ndim}-D {labels.dtype} array" if isinstance(labels, np.ndarray)
-               else type(labels).__name__)
-        raise FrameError(0, f"labels must be a 1-D numpy integer array, got {got}")
-    return labels
-
-
-def _class_indices(labels, num_classes: int) -> np.ndarray:
-    """labels, a 1-D numpy integer array (_integer_array), as intp class
-    indices. Raises FrameError at the first row outside [0, num_classes)."""
-    labels = _integer_array(labels)
-    _reject_first(
-        (labels < 0) | (labels >= num_classes),
-        lambda row: f"class index {labels[row]} outside [0, {num_classes})",
-    )
-    return labels.astype(np.intp)
-
-
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    """Encode a class-index array (_class_indices) as one-hot rows."""
-    indices = _class_indices(labels, num_classes)
-    out = np.zeros((len(indices), num_classes))
+def one_hot(labels, classes: int) -> np.ndarray:
+    """Encode labels (label_codes, each below classes) as one-hot rows."""
+    indices = label_codes(labels, classes)
+    out = np.zeros((len(indices), classes))
     out[np.arange(len(indices)), indices] = 1.0
     return out
 
@@ -418,17 +404,18 @@ def _prepare(x, cfg: MlpConfig) -> np.ndarray:
 
 
 def _checked_set(x, labels, cfg: MlpConfig, name: str) -> tuple:
-    """The prepared features and intp class indices of the training or
+    """The prepared features and class indices of the training or
     validation set `name`, refused in the same words for both: an empty
     set, the first row with a non-finite feature (FrameError), a bad label
-    (_class_indices) or a row count that differs from the label count."""
+    (label_codes, each below cfg.output_dim) or a row count that differs
+    from the label count."""
     x = _prepare(x, cfg)
     if x.shape[0] == 0:
         raise ValueError(f"{name} set is empty")
     _reject_first(
         ~np.isfinite(x).all(axis=1), lambda row: f"non-finite value in {name} features"
     )
-    indices = _class_indices(labels, cfg.output_dim)
+    indices = label_codes(labels, cfg.output_dim)
     if len(indices) != x.shape[0]:
         raise ValueError(f"{name}: {x.shape[0]} rows but {len(indices)} labels")
     return x, indices
@@ -438,10 +425,11 @@ def _checked_set(x, labels, cfg: MlpConfig, name: str) -> tuple:
 def train(x, labels, cfg: MlpConfig, validation=None) -> tuple:
     """Train with mini-batch Adam; returns (model, per-epoch TrainReport).
 
-    labels is a class-index array (_class_indices). validation, when given,
-    is an (x_val, labels_val) pair of the same kinds, scored after each
-    epoch with dropout off. All randomness (init, shuffling, dropout) flows
-    from cfg.seed, so identical calls produce identical weights.
+    labels are as label_codes takes them, each below cfg.output_dim.
+    validation, when given, is an (x_val, labels_val) pair of the same
+    kinds, scored after each epoch with dropout off. All randomness (init,
+    shuffling, dropout) flows from cfg.seed, so identical calls produce
+    identical weights.
 
     Each epoch gathers its shuffled rows and targets once, and every step
     takes a contiguous slice of them. Dropout is drawn per group of whole
@@ -685,16 +673,12 @@ def load_model(source) -> MlpModel:
 
 
 def write_labels_csv(labels, sink) -> None:
-    """Write a 1-D numpy integer array of class indices, one per line (`nn
-    predict --out`).
+    """Write labels as class indices, one per line (`nn predict --out`).
 
-    Anything else raises FrameError before anything is written: a list or
-    a bool, float or object array at row 0 (_integer_array), else the first
-    negative index at its row.
+    labels are as label_codes takes them; a bad one raises FrameError at
+    its row before anything is written.
     """
-    labels = _integer_array(labels)
-    _reject_first(labels < 0, lambda row: f"not a class index: {labels[row]}")
-    text = "\n".join(map(str, labels.tolist()))
+    text = "\n".join(map(str, label_codes(labels).tolist()))
     with open_text(sink, "w") as out:
         out.write(text + "\n" if text else "")
 

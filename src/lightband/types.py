@@ -106,22 +106,6 @@ def check_settings(config, ints=(), reals=()) -> None:
             object.__setattr__(config, name, rule(name, getattr(config, name)))
 
 
-def _check_intensity(value) -> int:
-    try:
-        as_int = int(value)
-    except OverflowError:  # ±inf, refused below as out of range, as the array check words it
-        as_int = value
-    except (TypeError, ValueError):
-        raise ValueError(f"channel value is not an integer: {value!r}") from None
-    if as_int != value:
-        raise ValueError(f"channel value is not an integer: {value!r}")
-    if not INTENSITY_MIN <= as_int <= INTENSITY_MAX:
-        raise ValueError(
-            f"channel value {as_int} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]"
-        )
-    return as_int
-
-
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -148,12 +132,15 @@ class SensorFrame:
         channels = tuple(self.channels)
         if len(channels) != NUM_CHANNELS:
             raise ValueError(f"expected {NUM_CHANNELS} channels, got {len(channels)}")
-        # plain ints in range, as parse_serial_line gives, are kept as they
-        # are; anything else is checked value by value (trace.frames builds
-        # its frames without this check: the trace checked its arrays once)
-        if not (set(map(type, channels)) == {int}
-                and INTENSITY_MIN <= min(channels) and max(channels) <= INTENSITY_MAX):
-            channels = tuple(_check_intensity(v) for v in channels)
+        # plain ints, as parse_serial_line gives, are kept as they are; any
+        # other value goes through the integer rule first, then every value
+        # through the range check (trace.frames builds its frames without
+        # these checks: the trace checked its arrays once)
+        if set(map(type, channels)) != {int}:
+            channels = tuple(int_setting("channel value", v) for v in channels)
+        if not (INTENSITY_MIN <= min(channels) and max(channels) <= INTENSITY_MAX):
+            bad = next(v for v in channels if not INTENSITY_MIN <= v <= INTENSITY_MAX)
+            raise ValueError(f"channel value {bad} outside [{INTENSITY_MIN}, {INTENSITY_MAX}]")
         object.__setattr__(self, "channels", channels)
 
 
@@ -182,30 +169,31 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def label_codes(labels) -> np.ndarray:
+def label_codes(labels, classes: int = len(CLASS_LABELS)) -> np.ndarray:
     """Labels as a new read-only 1-D int8 array of class indices.
 
-    labels is either a numpy integer array of class indices, range-checked
-    before it is narrowed, or a non-array iterable of GestureLabel members.
-    Anything else in it raises FrameError at the first bad row: an index
-    outside [0, len(CLASS_LABELS)), a non-member in the iterable, or, for
-    an array of another dtype (bool, float or object), row 0.
+    labels is either a numpy integer array of class indices or a non-array
+    iterable of GestureLabel members; either is range-checked before it is
+    narrowed. Anything else in it raises FrameError at the first bad row:
+    an index outside [0, classes), a non-member in the iterable, or, for an
+    array of another dtype (bool, float or object), row 0. classes is a
+    count of the gesture classes, from 1 to len(CLASS_LABELS).
     """
+    if not 0 < classes <= len(CLASS_LABELS):
+        raise ValueError(f"classes must be in [1, {len(CLASS_LABELS)}], got {classes}")
     if not isinstance(labels, np.ndarray):
         labels = tuple(labels)
         if not {GestureLabel}.issuperset(map(type, labels)):
             row = next(i for i, label in enumerate(labels) if type(label) is not GestureLabel)
             raise FrameError(row, f"label must be a GestureLabel, got {labels[row]!r}")
-        return _read_only(np.fromiter(
-            map(CLASS_INDEX.__getitem__, labels), dtype=np.int8, count=len(labels)
-        ))
-    if labels.ndim != 1:
+        labels = np.fromiter(map(CLASS_INDEX.__getitem__, labels), dtype=np.int8, count=len(labels))
+    elif labels.ndim != 1:
         raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
-    if labels.dtype.kind not in "iu" and len(labels):
+    elif labels.dtype.kind not in "iu" and len(labels):
         raise FrameError(0, f"labels must be class indices, got dtype {labels.dtype}")
     _reject_first(
-        (labels < 0) | (labels >= len(CLASS_LABELS)),
-        lambda row: f"class index {labels[row]} outside [0, {len(CLASS_LABELS)})",
+        (labels < 0) | (labels >= classes),
+        lambda row: f"class index {labels[row]} outside [0, {classes})",
     )
     return _read_only(labels.astype(np.int8))
 

@@ -950,16 +950,14 @@ def test_classify_label_file_matches_f_string_reference_on_awkward_times(
         assert expected.splitlines()[1].split(",")[0] == repr(first)
 
 
-@pytest.mark.parametrize("winner", [4, 5, 6])
-def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_path, winner):
+def test_nn_predict_reports_a_model_that_predicts_transition_on_every_row(capsys, tmp_path):
     trace_path = training_trace(tmp_path)
     rows = len(read_collection_csv(str(trace_path)))
-    # winner + 1 outputs, and a last layer whose bias alone makes `winner` win every row
-    cfg = mlp.MlpConfig(hidden=(3,), output_dim=winner + 1)
-    model = mlp.init_model(cfg, np.random.default_rng(0))
+    # a last layer whose bias alone makes TRANSITION, the last class, win every row
+    model = mlp.init_model(mlp.MlpConfig(hidden=(3,)), np.random.default_rng(0))
     model.weights[-1][:] = 0.0
     model.biases[-1][:] = 0.0
-    model.biases[-1][winner] = 1.0
+    model.biases[-1][4] = 1.0
     model_path, out_path = tmp_path / "model.txt", tmp_path / "pred.csv"
     mlp.save_model(model, str(model_path))
     code, out, err = run(
@@ -967,12 +965,25 @@ def test_nn_predict_skips_confusion_for_labels_outside_gesture_set(capsys, tmp_p
         "--out", str(out_path),
     )
     assert (code, err) == (0, "")
-    assert out_path.read_text() == f"{winner}\n" * rows
-    wrote = f"wrote {rows} predictions to {out_path}\n"
-    if winner < 5:  # a class index: the report is printed
-        assert out.startswith(wrote) and "accuracy:" in out
-    else:
-        assert out == wrote + "labels outside the gesture set; skipping confusion report\n"
+    assert out_path.read_text() == "4\n" * rows
+    assert out.startswith(f"wrote {rows} predictions to {out_path}\n") and "accuracy:" in out
+
+
+def test_nn_predict_refuses_a_model_with_more_outputs_than_classes(capsys, tmp_path):
+    trace_path = training_trace(tmp_path)
+    model = mlp.init_model(mlp.MlpConfig(hidden=(3,)), np.random.default_rng(0))
+    model_path, out_path = tmp_path / "model.txt", tmp_path / "pred.csv"
+    mlp.save_model(model, str(model_path))
+    lines = model_path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "output_dim": 6})
+    model_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys, "nn", "predict", "--trace", str(trace_path), "--model", str(model_path),
+        "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: bad model config value: output_dim must be at most 5, got 6\n"
+    assert not out_path.exists()
 
 
 def readme_experiments(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from conftest import (
     E,
     R,
     make_trace,
+    members,
     oracle_examples,
     reference_bce,
     reference_forward,
@@ -34,7 +35,6 @@ from lightband.mlp import (
     MlpConfig,
     MlpModel,
     TrainReport,
-    _class_indices,
     _block_edges,
     _infer,
     _infer_buffers,
@@ -53,9 +53,7 @@ from lightband.mlp import (
     write_metrics_csv,
 )
 
-from lightband.types import ROW_BLOCK, GestureLabel
-
-_NOT_AN_ARRAY = "row 0: labels must be a 1-D numpy integer array, got "
+from lightband.types import ROW_BLOCK, GestureLabel, label_codes
 
 TINY = MlpConfig(input_dim=5, hidden=(3, 3), output_dim=2, dropout_rate=0.0, l2=0.01, seed=123)
 
@@ -100,6 +98,9 @@ def test_one_hot():
     ]
     with pytest.raises(ValueError, match="^row 1: class index 5 outside"):
         one_hot(np.array([0, 5]), 5)
+    # one gesture class more would be a column no network output stands for
+    with pytest.raises(ValueError, match=r"^classes must be in \[1, 5\], got 6$"):
+        one_hot(np.array([0, 5]), 6)
 
 
 def zero_model(cfg=TINY):
@@ -180,7 +181,7 @@ _BCE_EDGES = [
 
 @pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(100))
-@given(st.integers(1, 12), st.integers(1, 6), st.data())
+@given(st.integers(1, 12), st.integers(1, 5), st.data())
 def test_mean_bce_equals_the_whole_expression_bit_for_bit(rows, cols, data):
     values = st.one_of(st.sampled_from(_BCE_EDGES), st.floats(0.0, 1.0))
     pred = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
@@ -280,6 +281,10 @@ def test_train_deterministic_under_seed():
     assert all(np.array_equal(a, b) for a, b in zip(m1.biases, m2.biases))
     assert r1.train_loss == r2.train_loss
     assert r1.val_acc == r2.val_acc
+    # labels given as GestureLabel members train the same model
+    m3, r3 = train(x, members(labels), cfg, validation=(x, members(labels)))
+    assert all(np.array_equal(a, b) for a, b in zip(m1.weights + m1.biases, m3.weights + m3.biases))
+    assert r3 == r1
 
 
 def test_train_input_validation():
@@ -299,7 +304,7 @@ def test_train_input_validation():
         ((np.zeros((0, 5)), np.array([], dtype=int)), "validation set is empty"),
         ((np.zeros((0, 5)), np.array([1])), "validation set is empty"),
         ((np.zeros((2, 5)), np.array([0, 2])), "row 1: class index 2 outside [0, 2)"),
-        ((np.zeros((2, 5)), [0, 1]), _NOT_AN_ARRAY + "list"),
+        ((np.zeros((2, 5)), [0, 1]), "row 0: label must be a GestureLabel, got 0"),
     ],
 )
 def test_train_refuses_a_bad_validation_pair_before_the_first_epoch(validation, message,
@@ -493,18 +498,24 @@ def test_trace_to_dataset_labels_are_label_values(labels):
     assert y.dtype == np.int8 and y.tolist() == [label.value for label in labels]
 
 
-def reference_class_indices(labels, num_classes: int) -> list:
-    """The per-row check _class_indices replaces: the class index of each
-    row of a 1-D numpy integer array, compared as Python ints."""
-    if not (isinstance(labels, np.ndarray) and labels.ndim == 1 and labels.dtype.kind in "iu"):
-        got = (f"{labels.ndim}-D {labels.dtype} array" if isinstance(labels, np.ndarray)
-               else type(labels).__name__)
-        raise ValueError(f"row 0: labels must be a 1-D numpy integer array, got {got}")
-    indices = []
-    for row, label in enumerate(labels.tolist()):
-        if not 0 <= label < num_classes:
-            raise ValueError(f"row {row}: class index {label} outside [0, {num_classes})")
-        indices.append(label)
+def reference_label_codes(labels, classes: int) -> list:
+    """The per-row check label_codes stands for: the class index of each row
+    of a 1-D numpy integer array, or of each GestureLabel member of a list,
+    compared as Python ints."""
+    if isinstance(labels, np.ndarray):
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
+        if labels.dtype.kind not in "iu" and len(labels):
+            raise ValueError(f"row 0: labels must be class indices, got dtype {labels.dtype}")
+        indices = labels.tolist()
+    else:
+        for row, label in enumerate(labels):
+            if type(label) is not GestureLabel:
+                raise ValueError(f"row {row}: label must be a GestureLabel, got {label!r}")
+        indices = [label.value for label in labels]
+    for row, index in enumerate(indices):
+        if not 0 <= index < classes:
+            raise ValueError(f"row {row}: class index {index} outside [0, {classes})")
     return indices
 
 
@@ -515,15 +526,19 @@ _INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, n
 @st.composite
 def label_inputs(draw):
     """A 1-D array of any integer dtype, its values across the dtype's range
-    (uint64 above the int64 maximum, negatives) or near [0, 7); else a bool,
-    float, object or 2-D array, or a list."""
-    kind = draw(st.sampled_from(["integer"] * 4 + ["bool", "float", "object", "2-D", "list"]))
+    (uint64 above the int64 maximum, negatives) or near [0, 7); a list of
+    GestureLabel members; else a bool, float, object or 2-D array, or a
+    list of ints."""
+    kinds = ["integer"] * 4 + ["members"] * 2 + ["bool", "float", "object", "2-D", "list"]
+    kind = draw(st.sampled_from(kinds))
     values = st.lists(st.integers(-2, 7), max_size=30)
     if kind == "integer":
         info = np.iinfo(draw(st.sampled_from(_INTEGER_DTYPES)))
         wide = st.integers(int(info.min), int(info.max))
         near = st.integers(max(int(info.min), -2), 7)
         return np.array(draw(st.lists(st.one_of(near, wide), max_size=30)), dtype=info.dtype)
+    if kind == "members":
+        return draw(st.lists(st.sampled_from(list(GestureLabel)), max_size=30))
     if kind == "bool":
         return np.array(draw(st.lists(st.booleans(), max_size=30)), dtype=bool)
     if kind == "float":
@@ -537,22 +552,22 @@ def label_inputs(draw):
 
 @pytest.mark.oracle
 @settings(deadline=None, max_examples=oracle_examples(400))
-@given(label_inputs(), st.integers(1, 6))
-def test_class_indices_and_one_hot_match_per_row_reference(labels, num_classes):
+@given(label_inputs(), st.integers(1, 5))
+def test_class_indices_and_one_hot_match_per_row_reference(labels, classes):
     try:
-        indices = reference_class_indices(labels, num_classes)
+        indices = reference_label_codes(labels, classes)
     except ValueError as exc:
-        for check in (_class_indices, one_hot):
+        for check in (label_codes, one_hot):
             with pytest.raises(ValueError) as caught:
-                check(labels, num_classes)
+                check(labels, classes)
             assert str(caught.value) == str(exc)
         return
-    got = _class_indices(labels, num_classes)
-    assert got.dtype == np.intp and got.tolist() == indices
-    expected = np.zeros((len(indices), num_classes))
+    got = label_codes(labels, classes)
+    assert got.dtype == np.int8 and got.tolist() == indices and not got.flags.writeable
+    expected = np.zeros((len(indices), classes))
     for row, index in enumerate(indices):
         expected[row, index] = 1.0
-    assert one_hot(labels, num_classes).tobytes() == expected.tobytes()
+    assert one_hot(labels, classes).tobytes() == expected.tobytes()
 
 
 def test_metrics_csv():
@@ -1026,10 +1041,13 @@ def test_config_stores_numpy_integers_as_python_ints():
     ("input_dim", 0, "all layer dims must be >= 1, got (0, 100, 100, 5)"),
     ("hidden", (3, 0), "all layer dims must be >= 1, got (5, 3, 0, 5)"),
     ("l2", -0.01, "l2 must be non-negative, got -0.01"),
-    ("learning_rate", 0.0, "learning_rate and adam_eps must be positive"),
-    ("adam_eps", -1e-8, "learning_rate and adam_eps must be positive"),
+    ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+    ("adam_eps", -1e-8, "adam_eps must be positive, got -1e-08"),
     ("beta1", 1.0, "beta1 and beta2 must be in [0, 1), got 1.0, 0.999"),
     ("beta2", -0.5, "beta1 and beta2 must be in [0, 1), got 0.9, -0.5"),
+    ("epochs", -1, "epochs must be non-negative, got -1"),
+    ("batch_size", 0, "batch_size must be positive, got 0"),
+    ("output_dim", 6, "output_dim must be at most 5, got 6"),
 ])
 def test_config_refuses_a_value_outside_its_range(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1257,19 +1275,20 @@ def _labels_text(labels) -> str:
 def test_write_labels_csv_writes_integer_arrays(dtype):
     assert _labels_text(np.array([0, 3, 1], dtype=dtype)) == "0\n3\n1\n"
     assert _labels_text(np.array([], dtype=dtype)) == ""
-    big = np.iinfo(dtype).max
-    assert _labels_text(np.array([4, big], dtype=dtype)) == f"4\n{big}\n"
+    assert _labels_text(np.array([4, 2], dtype=dtype)) == "4\n2\n"
+    assert _labels_text([GestureLabel.TRANSITION, GestureLabel.RELAX]) == "4\n0\n"
 
 
 
 @pytest.mark.parametrize("bad, message", [
-    (np.array([0, 1, 0]) * 1.5, _NOT_AN_ARRAY + "1-D float64 array"),
-    (np.array([1, 0, 1], dtype=bool), _NOT_AN_ARRAY + "1-D bool array"),
-    (np.array([0, 1, 2], dtype=object), _NOT_AN_ARRAY + "1-D object array"),
-    (np.zeros((3, 1), dtype=int), _NOT_AN_ARRAY + "2-D int64 array"),
-    ([0, 1, 2], _NOT_AN_ARRAY + "list"),
-    (np.array([0, 4, -1, 1]), "row 2: not a class index: -1"),
-    (np.array([0, 4, -2, -1], dtype=np.int8), "row 2: not a class index: -2"),
+    (np.array([0, 1, 0]) * 1.5, "row 0: labels must be class indices, got dtype float64"),
+    (np.array([1, 0, 1], dtype=bool), "row 0: labels must be class indices, got dtype bool"),
+    (np.array([0, 1, 2], dtype=object), "row 0: labels must be class indices, got dtype object"),
+    (np.zeros((3, 1), dtype=int), "labels must be one-dimensional, got shape (3, 1)"),
+    ([0, 1, 2], "row 0: label must be a GestureLabel, got 0"),
+    (np.array([0, 4, -1, 1]), "row 2: class index -1 outside [0, 5)"),
+    (np.array([0, 4, -2, -1], dtype=np.int8), "row 2: class index -2 outside [0, 5)"),
+    (np.array([0, 4, 5], dtype=np.uint64), "row 2: class index 5 outside [0, 5)"),
 ])
 def test_write_labels_csv_rejects_what_is_not_a_class_index_array(bad, message):
     sink = io.StringIO()

@@ -24,7 +24,6 @@ from lightband.types import (
     GestureLabel,
     LabeledTrace,
     SensorFrame,
-    _check_intensity,
     label_codes,
     parse_label,
     segment_trace,
@@ -76,11 +75,13 @@ def test_sensor_frame_validation():
         SensorFrame(t_rel=-0.1, t_unix=0.0, channels=[0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="integer"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0.5, 0, 0, 0, 0])
-    for text in ("5", "x"):  # int() reads the first, not the second
-        with pytest.raises(ValueError, match=f"^channel value is not an integer: '{text}'$"):
+    for text in ("5", "x"):
+        with pytest.raises(ValueError, match=f"^channel value must be an integer, got '{text}'$"):
             SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, text, 0, 0, 0])
-    with pytest.raises(ValueError, match=r"^channel value inf outside \[0, 1023\]$"):
+    with pytest.raises(ValueError, match="^channel value must be an integer, got inf$"):
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=[0, 0, float("inf"), 0, 0])
+    with pytest.raises(ValueError, match="^channel value must be an integer, got True$"):
+        SensorFrame(t_rel=0.0, t_unix=0.0, channels=[True, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="^t_rel must be a real number, got 'x'$"):
         SensorFrame(t_rel="x", t_unix=0.0, channels=[0] * 5)
     with pytest.raises(ValueError, match="^t_unix must be a real number, got 'x'$"):
@@ -106,14 +107,25 @@ def channel_lists(draw):
     return values
 
 
+def reference_channels(values) -> tuple:
+    """The per-value check SensorFrame's fast path stands for: every value
+    an integer, never a bool, then every value in [0, 1023], each refusal
+    naming the first value that breaks its rule."""
+    for v in values:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueError(f"channel value must be an integer, got {v!r}")
+    for v in values:
+        if not 0 <= v <= 1023:
+            raise ValueError(f"channel value {int(v)} outside [0, 1023]")
+    return tuple(int(v) for v in values)
+
+
 @settings(max_examples=300)
 @given(channel_lists(), st.booleans())
 def test_sensor_frame_channels_equal_the_per_value_check(values, as_tuple):
-    # the oracle: SensorFrame's check one value at a time, as before the
-    # fast path for in-range plain ints
     channels = tuple(values) if as_tuple else values
     try:
-        want = tuple(_check_intensity(v) for v in values)
+        want = reference_channels(values)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
             SensorFrame(t_rel=0.0, t_unix=0.0, channels=channels)
@@ -258,15 +270,17 @@ def test_channels_of_every_integer_dtype_are_checked_alike(faults):
 
 
 @pytest.mark.parametrize("value, message", [
-    (float("nan"), "channel value is not an integer: nan"),
-    (2.5, "channel value is not an integer: 2.5"),
-    (float("inf"), "channel value inf outside [0, 1023]"),
-    (-0.5, "channel value is not an integer: -0.5"),
+    (float("nan"), "channel value must be an integer, got nan"),
+    (2.5, "channel value must be an integer, got 2.5"),
+    (float("inf"), "channel value must be an integer, got inf"),
+    (-0.5, "channel value must be an integer, got -0.5"),
+    (7.0, "channel value must be an integer, got 7.0"),
 ])
 def test_float_channels_name_their_first_bad_value(value, message):
-    # one outside reading keeps its per-value rules; a trace's float array
-    # holding the same values is refused by its dtype before any is read
-    values = [7.0, 7.0, value, 2000.0, 7.0]
+    # one reading names its first float before the out-of-range 2000; a
+    # trace's float array holding the same values is refused by its dtype
+    # before any is read
+    values = [7, 7, value, 2000, 7]
     with pytest.raises(ValueError) as caught:
         SensorFrame(t_rel=0.0, t_unix=0.0, channels=values)
     assert str(caught.value) == message
@@ -288,6 +302,11 @@ def test_time_columns_are_refused_by_dtype(column, values, dtype):
     with pytest.raises(ValueError, match=message) as caught:
         LabeledTrace(**columns, channels=flat_rows(0, 2), labels=[R, R])
     assert not isinstance(caught.value, FrameError)
+    if column == "t_rel":  # the label file checks its times by the same rule
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_label_file(values, [R, R], sink)
+        assert sink.getvalue() == ""
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64, np.float32, np.float64])
@@ -604,7 +623,11 @@ _TWO_CLASSES = np.array([0, 1, 0, 1])
     ),
     pytest.param(
         lambda: mlp.write_labels_csv(np.array([0, -1]), io.StringIO()),
-        1, "not a class index: -1", id="write_labels_csv",
+        1, "class index -1 outside [0, 5)", id="write_labels_csv",
+    ),
+    pytest.param(
+        lambda: mlp.train(np.zeros((4, 5)), [R, E, F, R], _MLP_CFG),
+        2, "class index 2 outside [0, 2)", id="train_members",
     ),
     pytest.param(
         lambda: mlp.predict_labels(_MLP_MODEL, _zeros_with((1, 5), 0, np.nan)),
